@@ -179,229 +179,73 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _cli_expansion_terms(reader, mode: str, args) -> list[str]:
-    """The mode's deterministic dictionary-expansion set — same
-    normalization as the reader's own search_prefix/fuzzy/wildcard/
-    regex, computed once so scoring and snippet highlighting share
-    one expansion round."""
-    if mode == "prefix":
-        norm = (reader.tokenize(args.query) or [""])[0]
-        return reader.expand_prefix(norm, args.max_expansions) if norm else []
-    if mode == "fuzzy":
-        norm = (reader.tokenize(args.query) or [""])[0]
-        return reader.expand_fuzzy(
-            norm, max_edits=args.max_edits,
-            max_expansions=args.max_expansions) if norm else []
-    if mode == "wildcard":
-        return reader.expand_wildcard(args.query.lower(), args.max_expansions)
-    return reader.expand_regex(args.query.lower(), args.max_expansions)
-
-
 def cmd_query(args) -> int:
+    """Every query mode through the serial reader's one plan path
+    (``compile_plan`` → ``IndexReader.topk``), then optional facets,
+    snippets, explanations and hydration."""
     from .pipelines.query import IndexReader, hydrate_hits
+    from .pipelines.serving_http import attach_snippets, plan_terms
 
+    mode = args.mode
+    if args.explain and mode != "bm25":
+        print("--explain is only available for --mode bm25", file=sys.stderr)
+        return 2
     reader = IndexReader(args.index)
     doc_filter = ("lang", args.lang) if args.lang else None
-    mode = getattr(args, "mode", "bm25")
-    if mode == "bm25":
-        if getattr(args, "after", None):
-            # cursor paging: --after "score,doc_id" of the last hit
-            s0, d0 = args.after.split(",", 1)
-            hits = reader.search_after(
-                args.query, args.k, after=(float(s0), int(d0)),
-                doc_filter=doc_filter,
-            )
-        elif getattr(args, "offset", 0):
-            hits = reader.search_page(
-                args.query, args.k, offset=args.offset, algo=args.algo,
-                doc_filter=doc_filter,
-            )
-        else:
-            hits = getattr(reader, f"search_{args.algo}")(
-                args.query, args.k, doc_filter=doc_filter
-            )
-    elif mode == "boolean":
-        hits = reader.search_boolean(
-            args.must or args.query, args.should or "", args.must_not or "",
-            args.k, doc_filter=doc_filter,
-        )
-    elif mode in ("prefix", "fuzzy", "wildcard", "regex") \
-            and getattr(args, "snippet_corpus", None):
-        # snippet highlighting needs the expansion set anyway — expand
-        # ONCE and OR-score the explicit terms (identical to the
-        # mode's own search_*), instead of expanding twice
-        _exp_terms = _cli_expansion_terms(reader, mode, args)
-        hits = (reader.search_or_terms(_exp_terms, args.k,
-                                       doc_filter=doc_filter)
-                if _exp_terms else [])
-    elif mode == "prefix":
-        hits = reader.search_prefix(
-            args.query, args.k, max_expansions=args.max_expansions,
-            doc_filter=doc_filter,
-        )
-    elif mode == "fuzzy":
-        hits = reader.search_fuzzy(
-            args.query, args.k, max_edits=args.max_edits,
-            max_expansions=args.max_expansions, doc_filter=doc_filter,
-        )
-    elif mode == "wildcard":
-        hits = reader.search_wildcard(
-            args.query, args.k, max_expansions=args.max_expansions,
-            doc_filter=doc_filter,
-        )
-    elif mode == "regex":
-        hits = reader.search_regex(
-            args.query, args.k, max_expansions=args.max_expansions,
-            doc_filter=doc_filter,
-        )
-    elif mode == "boosted":
-        hits = reader.search_boosted(args.query, args.k, doc_filter=doc_filter)
-    elif mode == "collapse":
-        grouped = reader.search_collapse(
-            args.query, args.collapse_field, args.k, doc_filter=doc_filter)
-        hits = [(r["doc_id"], r["score"]) for r in grouped]
-        grp = {r["doc_id"]: {"group": r["value"], "group_n": r["n"]}
-               for r in grouped}
-    elif mode == "synonym":
-        hits = reader.search_synonym(args.query, args.k, doc_filter=doc_filter)
-    elif mode == "more_like_this":
-        hits = reader.more_like_this(
-            reader.tokenize(args.query), k=args.k,
-            max_terms=args.max_terms, doc_filter=doc_filter,
-        )
-    elif mode == "prf":
-        hits = reader.search_prf(
-            args.query, args.k, fb_docs=args.fb_docs,
-            fb_terms=args.fb_terms, beta=args.beta, doc_filter=doc_filter,
-        )
-    elif mode in ("phrase", "proximity", "span_near"):
-        import os as _os
-
-        import numpy as np
-
-        from .pipelines.positions import (
-            positions_dir,
-            verify_phrase_positions,
-            verify_proximity_positions,
-            verify_spannear_positions,
-        )
-
-        if not _os.path.isdir(positions_dir(args.index)):
-            print("no positions sidecar — build_positions_sidecar first",
-                  file=sys.stderr)
-            return 2
-        toks = reader.tokenize(args.query)
-        ids, scores = reader.conjunctive_scores(
-            sorted(set(toks)), doc_filter=doc_filter)
-        if mode == "phrase":
-            ok = set(verify_phrase_positions(args.index, toks, ids).tolist())
-        elif mode == "span_near":
-            ok = set(verify_spannear_positions(
-                args.index, toks, args.window, ids).tolist())
-        else:
-            ok = set(verify_proximity_positions(
-                args.index, sorted(set(toks)), args.window, ids).tolist())
-        kept = sorted(
-            ((s, d) for d, s in zip(ids.tolist(), scores.tolist()) if d in ok),
-            key=lambda e: (-e[0], e[1]),
-        )[:args.k]
-        hits = [(d, s) for s, d in kept]
-    else:
-        print(f"unknown mode {mode}", file=sys.stderr)
+    after = None
+    if args.after:  # cursor paging: "score,doc_id" of the last hit
+        s0, d0 = args.after.split(",", 1)
+        after = (float(s0), int(d0))
+    plan = reader.compile(mode, args.query, {
+        "must": args.must or args.query, "should": args.should,
+        "must_not": args.must_not, "max_edits": args.max_edits,
+        "max_expansions": args.max_expansions, "max_terms": args.max_terms,
+        "fb_docs": args.fb_docs, "fb_terms": args.fb_terms, "beta": args.beta,
+        "window": args.window, "collapse_field": args.collapse_field,
+        "search_after": after,
+    })
+    # expand before ranking so snippets mark the expanded terms
+    plan = reader.expand([plan])[0]
+    try:
+        hits = reader.topk([plan], args.k, doc_filter, offset=args.offset)
+    except FileNotFoundError as e:  # positional mode without a sidecar
+        print(str(e), file=sys.stderr)
         return 2
-    if getattr(args, "facets", None):
+    rows = [{"doc_id": int(h["doc_id"]), "score": h["score"],
+             **({"group": h["group"], "group_n": h["group_n"]}
+                if "group" in h else {})}
+            for h in hits]
+    if args.facets:
         fc = reader.facet_counts(
             args.query, args.facets.split(","), doc_filter=doc_filter)
         print(json.dumps({"facets": fc}))
-    # --snippet-corpus: attach the best-window highlight per hit (same
-    # contract as HTTP "snippet": true; literal-term modes only)
-    snips: dict[int, dict] = {}
-    if getattr(args, "snippet_corpus", None) and hits:
-        import pyarrow.dataset as pads
-
-        from .pipelines.serving_http import _best_window_tokens
-
-        if mode in ("bm25", "phrase", "proximity", "span_near", "collapse"):
-            qterms = set(reader.tokenize(args.query))
-        elif mode == "boosted":
-            from .pipelines.query import parse_boosted_query
-
-            qterms = set(parse_boosted_query(args.query, reader.tokenize))
-        elif mode == "boolean":
-            qterms = set(reader.tokenize(
-                f"{args.must or args.query} {args.should or ''}"))
-        elif mode == "synonym":
-            from .pipelines.flagship import SYNONYMS
-
-            t0 = set(reader.tokenize(args.query))
-            qterms = t0 | {s for t in t0 for s in SYNONYMS.get(t, ())}
-        elif mode in ("prefix", "fuzzy", "wildcard", "regex"):
-            # highlight the dictionary expansions — exactly the terms
-            # that scored (the search branch above computed this same
-            # set once and stashed it)
-            qterms = set(_exp_terms)
-        else:
-            qterms = set()  # more_like_this/prf: no retained term set
-        if qterms:
-            t = pads.dataset(args.snippet_corpus, format="parquet").to_table(
-                columns=["doc_id", "text"],
-                filter=pads.field("doc_id").isin([int(d) for d, _ in hits]),
-            )
-            texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-            w = args.snippet_window
-            for d, _ in hits:
-                text = texts.get(int(d))
-                if text is None:
-                    continue
-                toks = reader.tokenize(text)
-                got = _best_window_tokens(toks, qterms, w)
-                if got is not None:
-                    s0, n = got
-                    snips[int(d)] = {
-                        "snip_start": s0, "n_match": n,
-                        "snippet": " ".join(
-                            f"<em>{x}</em>" if x in qterms else x
-                            for x in toks[s0:s0 + w]),
-                    }
-    expl: dict[int, list[dict]] = {}
-    if getattr(args, "explain", False) and hits:
-        if mode != "bm25":
-            print("--explain is only available for --mode bm25",
-                  file=sys.stderr)
-            return 2
-        for e in reader.explain(args.query, [d for d, _ in hits]):
+    # --snippet-corpus: the best-window highlight per hit (same
+    # contract as HTTP "snippet": true)
+    if args.snippet_corpus:
+        attach_snippets(rows, args.snippet_corpus, plan_terms(plan),
+                        args.snippet_window, reader.tokenize)
+    if args.explain and rows:
+        expl: dict[int, list[dict]] = {}
+        for e in reader.explain(args.query, [r["doc_id"] for r in rows]):
             expl.setdefault(e["doc_id"], []).append({
                 "term": e["term"], "tf": e["tf"], "df": e["df"],
                 "idf": e["idf"], "contribution": e["contribution"],
             })
-    if mode != "collapse":
-        grp = {}
+        for r in rows:
+            r["explanation"] = expl.get(r["doc_id"], [])
     if args.hydrate:
         import pandas as pd
 
-        df = pd.DataFrame(
-            {"doc_id": [d for d, _ in hits], "score": [s for _, s in hits]}
-        )
-        out = hydrate_hits(df, args.index)
-        if snips:
-            for col in ("snippet", "snip_start", "n_match"):
-                out[col] = [snips.get(int(d), {}).get(col)
-                            for d in out["doc_id"]]
-        if grp:
-            for col in ("group", "group_n"):
-                out[col] = [grp.get(int(d), {}).get(col)
-                            for d in out["doc_id"]]
-        if expl:
-            out["explanation"] = [expl.get(int(d), [])
-                                  for d in out["doc_id"]]
+        out = pd.DataFrame({"doc_id": [r["doc_id"] for r in rows],
+                            "score": [r["score"] for r in rows]})
+        out = hydrate_hits(out, args.index)
+        extra = {c for r in rows for c in r} - {"doc_id", "score"}
+        for col in sorted(extra):
+            by_doc = {r["doc_id"]: r.get(col) for r in rows}
+            out[col] = [by_doc.get(int(d)) for d in out["doc_id"]]
         print(out.to_json(orient="records"))
     else:
-        print(json.dumps([
-            {"doc_id": int(d), "score": s, **grp.get(int(d), {}),
-             **snips.get(int(d), {}),
-             **({"explanation": expl[int(d)]} if int(d) in expl else {})}
-            for d, s in hits
-        ]))
+        print(json.dumps(rows))
     return 0
 
 
@@ -626,6 +470,8 @@ def cmd_vec_search(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    from .pipelines.query import MODES
+
     p = argparse.ArgumentParser(prog="information_retrieval_images_ray")
     sub = p.add_subparsers(dest="verb", required=True)
 
@@ -683,17 +529,13 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("query")
     q.add_argument("--index", required=True)
     q.add_argument("-k", type=int, default=10)
-    q.add_argument("--algo", default="bmw", choices=["bmw", "taat"])
     q.add_argument("--offset", type=int, default=0,
-                   help="bm25 mode: skip the first N ranks (deep paging)")
+                   help="skip the first N ranks (deep paging)")
     q.add_argument("--after", default=None, metavar="SCORE,DOC_ID",
                    help="bm25 mode: cursor paging — return the top-k "
                         "strictly after this (score, doc_id) in rank "
-                        "order (search_after; overrides --offset)")
-    q.add_argument("--mode", default="bm25",
-                   choices=["bm25", "boolean", "prefix", "fuzzy", "wildcard",
-                            "regex", "boosted", "collapse", "synonym",
-                            "more_like_this", "phrase", "proximity", "span_near", "prf"])
+                        "order (search_after)")
+    q.add_argument("--mode", default="bm25", choices=MODES)
     q.add_argument("--collapse-field", dest="collapse_field", default="lang",
                    help="collapse mode: docmeta column whose groups "
                         "collapse to their best hit")

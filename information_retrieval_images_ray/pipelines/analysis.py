@@ -20,6 +20,7 @@ order or ROUND() tie rules.
 from __future__ import annotations
 
 import hashlib
+import logging
 
 import numpy as np
 import pandas as pd
@@ -28,6 +29,8 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions.tokenizer import get_tokenizer
+
+logger = logging.getLogger(__name__)
 
 # Frozen English stopword list (shared verbatim with the SQL oracle).
 EN_STOPWORDS = (
@@ -1832,6 +1835,12 @@ def tfidf_cosine_pairs(
     sorted by (doc_a, doc_b)."""
     from ray.data.aggregate import Count, Min, Sum
 
+    if max_group is not None and max_df > max_group:
+        # a dropped hot-term group would still weigh in every member's
+        # norm, biasing the surviving pairs' cosines low
+        raise ValueError(
+            f"max_df={max_df} exceeds max_group={max_group}: terms over "
+            "max_group would count in the norms but not in the dot products")
     tok = _tok_fn(tokenizer)
     n_docs = float(ds.count())
     stats = term_stats(ds, tokenizer).to_pandas()
@@ -1908,8 +1917,8 @@ def tfidf_cosine_pairs(
     sentinel = pairs["doc_a"].to_numpy() < 0
     n_hot = int(pairs.loc[sentinel, "common"].sum())
     if n_hot:
-        print(f"[tfidf_cosine_pairs] {n_hot} hot terms over "
-              f"max_group={max_group} dropped from pair emission")
+        logger.warning("tfidf_cosine_pairs: %d hot terms over max_group=%d "
+                       "dropped from pair emission", n_hot, max_group)
     t = pairs[~sentinel]
     if t.empty:
         return empty
@@ -1946,27 +1955,28 @@ def length_entropy_correlation(
     Returns one row: (n_docs, r_e6)."""
     ent = doc_token_entropy(ds, tokenizer)
 
+    moments = ("n", "sx", "sy", "sxy", "sx2", "sy2")
+
     def partial(batch: pa.Table) -> pa.Table:
         x = batch["n_tokens"].to_numpy(zero_copy_only=False).astype(object)
         y = batch["entropy_e6"].to_numpy(zero_copy_only=False).astype(object)
-        # object dtype -> Python-int arithmetic, no int64 overflow at
-        # web scale (sy2 is ~5e13 per doc)
+        # object dtype -> Python-int arithmetic; the partials travel as
+        # decimal strings because sy2 (~1e14 per doc) outgrows int64
+        # within one large batch, let alone across batches
+        vals = (len(x), sum(x), sum(y), sum(a * b for a, b in zip(x, y)),
+                sum(a * a for a in x), sum(b * b for b in y))
         return pa.table({
-            "n": pa.array([len(x)], pa.int64()),
-            "sx": pa.array([int(sum(x))], pa.int64()),
-            "sy": pa.array([int(sum(y))], pa.int64()),
-            "sxy": pa.array([int(sum(a * b for a, b in zip(x, y)))], pa.int64()),
-            "sx2": pa.array([int(sum(a * a for a in x))], pa.int64()),
-            "sy2": pa.array([int(sum(b * b for b in y))], pa.int64()),
+            m: pa.array([str(int(v))], pa.string())
+            for m, v in zip(moments, vals)
         })
 
     parts = ent.map_batches(partial, batch_format="pyarrow").to_pandas()
-    n = int(parts["n"].sum())
+    # exact Python-int sums: a numpy int64 .sum() wraps silently
+    n, sx, sy, sxy, sx2, sy2 = (
+        sum(int(v) for v in parts[m]) if len(parts) else 0 for m in moments
+    )
     if n == 0:
         return pd.DataFrame([{"n_docs": 0, "r_e6": 0}]).astype("int64")
-    sx, sy = int(parts["sx"].sum()), int(parts["sy"].sum())
-    sxy = int(parts["sxy"].sum())
-    sx2, sy2 = int(parts["sx2"].sum()), int(parts["sy2"].sum())
     num = float(n * sxy - sx * sy)
     den = np.sqrt(float(n * sx2 - sx * sx) * float(n * sy2 - sy * sy))
     r = 0.0 if den == 0 else num / den

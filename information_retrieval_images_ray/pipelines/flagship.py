@@ -116,10 +116,11 @@ def run_bm25_cursor_queries(
         for r in page1:
             last[r["qid"]] = (r["score"], r["doc_id"])  # rank ascends
         q2 = [
-            {"qid": q["qid"], "query": q["query"], "after": last[q["qid"]]}
+            svc.compile("bm25", q["query"], {"search_after": last[q["qid"]]},
+                        qid=q["qid"])
             for q in queries if q["qid"] in last
         ]
-        page2 = svc.topk_after(q2, k=k) if q2 else []
+        page2 = svc.topk(q2, k=k) if q2 else []
     finally:
         svc.shutdown()
     if not page2:
@@ -560,11 +561,25 @@ SYNONYM_QUERIES = [
 ]
 
 
+# per clause battery: the row field holding the query text (boolean
+# rows carry must / should / must_not instead) and its compile options
+_BATTERY_PLANS = {
+    "boolean": (None, {}),
+    "prefix": ("prefix", {"max_expansions": PREFIX_MAX_EXPANSIONS}),
+    "fuzzy": ("word", {"max_edits": FUZZY_MAX_EDITS,
+                       "max_expansions": FUZZY_MAX_EXPANSIONS}),
+    "wildcard": ("pattern", {"max_expansions": WILDCARD_MAX_EXPANSIONS}),
+    "regex": ("pattern", {"max_expansions": REGEX_MAX_EXPANSIONS}),
+    "boosted": ("query", {}),
+    "synonym": ("query", {}),
+}
+
+
 class _ClauseScorer:
     """Actor-pool callable for the clause/expansion batteries — same
     pool shape as ``QueryScorer`` (reader shared zero-copy via
-    ``reader_ref``), dispatching per ``mode`` to the reader's boolean /
-    prefix / fuzzy search."""
+    ``reader_ref``): each batch compiles to plans of one ``mode`` and
+    runs as one ``IndexReader.topk`` call."""
 
     def __init__(self, reader_ref, k: int, mode: str):
         import ray as _ray
@@ -574,45 +589,18 @@ class _ClauseScorer:
         self.mode = mode
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        r = self.reader
-        out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        for _, row in batch.iterrows():
-            if self.mode == "boolean":
-                hits = r.search_boolean(
-                    row["must"], row["should"], row["must_not"], k=self.k)
-            elif self.mode == "prefix":
-                hits = r.search_prefix(
-                    row["prefix"], k=self.k,
-                    max_expansions=PREFIX_MAX_EXPANSIONS)
-            elif self.mode == "synonym":
-                hits = r.search_synonym(row["query"], k=self.k)
-            elif self.mode == "wildcard":
-                hits = r.search_wildcard(
-                    row["pattern"], k=self.k,
-                    max_expansions=WILDCARD_MAX_EXPANSIONS)
-            elif self.mode == "regex":
-                hits = r.search_regex(
-                    row["pattern"], k=self.k,
-                    max_expansions=REGEX_MAX_EXPANSIONS)
-            elif self.mode == "boosted":
-                hits = r.search_boosted(row["query"], k=self.k)
-            else:
-                hits = r.search_fuzzy(
-                    row["word"], k=self.k, max_edits=FUZZY_MAX_EDITS,
-                    max_expansions=FUZZY_MAX_EXPANSIONS)
-            for rank, (doc, score) in enumerate(hits, start=1):
-                out["qid"].append(int(row["qid"]))
-                out["rank"].append(rank)
-                out["doc_id"].append(doc)
-                out["score"].append(score)
-        return pd.DataFrame(
-            {
-                "qid": pd.Series(out["qid"], dtype="int64"),
-                "rank": pd.Series(out["rank"], dtype="int64"),
-                "doc_id": pd.Series(out["doc_id"], dtype="int64"),
-                "score": pd.Series(out["score"], dtype="float64"),
-            }
-        )
+        field, opts = _BATTERY_PLANS[self.mode]
+        hits = self.reader.topk([
+            self.reader.compile(self.mode, row[field] if field else "",
+                                {**row, **opts}, qid=int(row["qid"]))
+            for row in batch.to_dict("records")
+        ], self.k)
+        return pd.DataFrame({
+            "qid": pd.Series([h["qid"] for h in hits], dtype="int64"),
+            "rank": pd.Series([h["rank"] for h in hits], dtype="int64"),
+            "doc_id": pd.Series([h["doc_id"] for h in hits], dtype="int64"),
+            "score": pd.Series([h["score"] for h in hits], dtype="float64"),
+        })
 
 
 def _run_clause_battery(sf_dir: str, queries, k: int, mode: str) -> pd.DataFrame:
@@ -694,7 +682,11 @@ def run_collapse_queries(
     index_dir = build_documents_index(sf_dir)
     svc = ShardedQueryService(index_dir, num_actors=2)
     try:
-        rows = svc.topk_collapse(list(queries), field, k=k)
+        rows = svc.topk([
+            svc.compile("collapse", q["query"], {"collapse_field": field},
+                        qid=q["qid"])
+            for q in queries
+        ], k=k)
     finally:
         svc.shutdown()
     if not rows:
@@ -891,13 +883,13 @@ def run_mlt_queries(
         filter=pads.field("doc_id").isin(list(anchors)),
     )
     texts = dict(zip(anchor_t["doc_id"].to_pylist(), anchor_t["text"].to_pylist()))
-    queries = [
-        {"qid": a, "text": texts.get(a) or "", "exclude_doc": a}
-        for a in anchors
-    ]
     svc = ShardedQueryService(index_dir, num_actors=2)
     try:
-        hits = svc.topk_more_like_this(queries, k=k, max_terms=max_terms)
+        hits = svc.topk([
+            svc.compile("more_like_this", texts.get(a) or "",
+                        {"max_terms": max_terms, "exclude_doc": a}, qid=a)
+            for a in anchors
+        ], k=k)
     finally:
         svc.shutdown()
     if not hits:

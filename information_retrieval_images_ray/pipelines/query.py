@@ -12,11 +12,15 @@ hydrate metadata -> ranked output). Differences by design:
   clients per request (server.py:135-146), which SURVEY.md flags; our
   ``QueryScorer`` is a callable class so ``map_batches(QueryScorer,
   concurrency=N)`` gives an actor pool holding the index;
-- two scoring algorithms over the same compressed segments:
-  ``taat`` — exhaustive term-at-a-time numpy scoring (the oracle-shaped
-  fast path), and ``bmw`` — block-max WAND with skip pointers
-  (Ding & Suel, SIGIR 2011), rank-identical to taat by construction
-  (full scores are summed in the same sorted-term float64 order).
+- every query mode compiles to one plan (``compile_plan``) and runs
+  one path (``PlanRunner.topk``: feedback → expand → df → execute →
+  merge), shared with the sharded router in serving.py;
+- two scorers over the same compressed segments: the exhaustive
+  term-at-a-time accumulator (``_matches``, the oracle-shaped path
+  every non-plain plan takes) and block-max WAND with skip pointers
+  (Ding & Suel, SIGIR 2011) for plain ranked plans, rank-identical by
+  construction (full scores are summed in the same sorted-term
+  float64 order).
 
 Scale notes: shards here are doc_id ranges; every shard scores
 independently and k-way merges, so a cluster serves queries with one
@@ -31,6 +35,7 @@ import glob
 import heapq
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pandas as pd
@@ -167,6 +172,31 @@ def decode_all_blocks(row: dict, block_size: int) -> tuple[np.ndarray, np.ndarra
     return ids, tfs
 
 
+def _bisect(arr, probe: str) -> int:
+    """Index of the leftmost term >= ``probe`` in a sorted Arrow string
+    array (~log2(V) string reads, no vocab-sized python objects)."""
+    lo, hi = 0, len(arr)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if arr[mid].as_py() < probe:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _dict_range(arr, probe: str):
+    """The terms of a sorted Arrow string array that start with
+    ``probe``, in order: matches are contiguous under lexicographic
+    order, so one binary search plus a forward scan finds them (an
+    empty probe scans the whole dictionary)."""
+    for j in range(_bisect(arr, probe), len(arr)):
+        v = arr[j].as_py()
+        if not v.startswith(probe):
+            return
+        yield v
+
+
 class _ShardIndex:
     """One doc-range shard: lazy term -> posting-row access.
 
@@ -268,17 +298,8 @@ class _ShardIndex:
         arr = self._terms
         if arr is None:
             return None
-        lo, hi = 0, len(arr)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            v = arr[mid].as_py()
-            if v < term:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(arr) and arr[lo].as_py() == term:
-            return lo
-        return None
+        i = _bisect(arr, term)
+        return i if i < len(arr) and arr[i].as_py() == term else None
 
     def df_local_at(self, i: int) -> int:
         return int(self._df_local[i])
@@ -343,8 +364,377 @@ class _ShardIndex:
         return entry
 
 
-class IndexReader:
-    """Loads a built index directory; provides search().
+# -- query plans ---------------------------------------------------------------
+
+MODES = (
+    "bm25", "boolean", "prefix", "fuzzy", "wildcard", "regex", "boosted",
+    "collapse", "synonym", "more_like_this", "phrase", "proximity",
+    "span_near", "prf",
+)
+
+
+def compile_plan(mode: str, query: str, params: dict | None, tokenize,
+                 qid: int = 0) -> dict:
+    """Compile one request of any query mode into the engine's single
+    plan shape — the only place a mode name is interpreted. Every
+    layer (serial reader, shard actor, router, HTTP, CLI) runs plans
+    through ``PlanRunner.topk``; ``params`` carries the mode options
+    under their HTTP body names (``must``, ``should``, ``must_not``,
+    ``max_expansions``, ``max_edits``, ``prefix_len``, ``max_terms``,
+    ``exclude_doc``, ``fb_docs``, ``fb_terms``, ``beta``, ``window``,
+    ``search_after``, ``collapse_field``).
+
+    Plan fields:
+
+    - ``qid``;
+    - ``terms``: {term: boost} scored terms (clause boosts sum per
+      term); None while an expansion spec or a feedback step has yet
+      to supply them;
+    - ``expand``: (kind, arg, cap) dictionary-expansion spec, kind in
+      prefix | wildcard | regex | fuzzy (arg = (word, max_edits,
+      prefix_len) for fuzzy); kept after expansion as the terms'
+      provenance;
+    - ``must`` / ``must_not``: sorted terms a hit contains all of /
+      none of;
+    - ``positional``: (kind, term sequence, window), verified against
+      the positions sidecar after the merge;
+    - ``after``: (score, doc_id) cursor; ``collapse``: docmeta field
+      whose groups collapse to their best hit; ``exclude_doc``: a doc
+      dropped before the top-k cut;
+    - ``feedback``: a term-selection step that resolves ``terms`` and
+      ``weights`` first — {"kind": "mlt", "tokens", "max_terms"} or
+      {"kind": "prf", "fb_docs", "fb_terms", "beta"};
+    - ``weights``: {term: weight} resolved by the feedback step; None
+      means boost·idf from the df exchange.
+
+    Raises ValueError for an unknown mode."""
+    p = params or {}
+    plan = {
+        "qid": qid, "terms": {}, "expand": None, "must": [], "must_not": [],
+        "positional": None, "after": None, "collapse": None,
+        "exclude_doc": None, "feedback": None, "weights": None,
+    }
+    if mode in ("bm25", "collapse", "prf"):
+        plan["terms"] = dict.fromkeys(sorted(set(tokenize(query))), 1.0)
+        after = p.get("search_after") if mode == "bm25" else None
+        if after:
+            plan["after"] = (float(after[0]), int(after[1]))
+        if mode == "collapse":
+            plan["collapse"] = str(p.get("collapse_field", "lang"))
+        if mode == "prf":
+            plan["feedback"] = {
+                "kind": "prf", "fb_docs": int(p.get("fb_docs", 5)),
+                "fb_terms": int(p.get("fb_terms", 8)),
+                "beta": float(p.get("beta", 0.5)),
+            }
+    elif mode == "boolean":
+        must = sorted(set(tokenize(str(p.get("must", "")))))
+        should = tokenize(str(p.get("should", "")))
+        plan["terms"] = dict.fromkeys(sorted(set(must) | set(should)), 1.0)
+        plan["must"] = must
+        plan["must_not"] = sorted(set(tokenize(str(p.get("must_not", "")))))
+    elif mode == "boosted":
+        plan["terms"] = parse_boosted_query(query, tokenize)
+    elif mode == "synonym":
+        from .flagship import SYNONYMS
+
+        toks = tokenize(query)
+        plan["terms"] = dict.fromkeys(
+            sorted(set(toks) | {s for t in toks for s in SYNONYMS.get(t, ())}),
+            1.0)
+    elif mode in ("prefix", "fuzzy", "wildcard", "regex"):
+        # words run through the index tokenizer; wildcard / regex
+        # patterns are only lowercased (the tokenizer would strip the
+        # metacharacters)
+        if mode in ("prefix", "fuzzy"):
+            arg = (tokenize(query) or [""])[0]
+        else:
+            arg = str(query).lower()
+        if arg:
+            spec = (arg, int(p.get("max_edits", 1)),
+                    int(p.get("prefix_len", 1))) if mode == "fuzzy" else arg
+            plan["expand"] = (mode, spec, int(p.get("max_expansions", 64)))
+            plan["terms"] = None
+    elif mode == "more_like_this":
+        ex = p.get("exclude_doc")
+        plan["terms"] = None
+        plan["feedback"] = {"kind": "mlt", "tokens": list(tokenize(query)),
+                            "max_terms": int(p.get("max_terms", 8))}
+        plan["exclude_doc"] = None if ex is None else int(ex)
+    elif mode in ("phrase", "proximity", "span_near"):
+        toks = tokenize(query)
+        distinct = sorted(set(toks))
+        plan["terms"] = dict.fromkeys(distinct, 1.0)
+        plan["must"] = distinct
+        plan["positional"] = (mode, distinct if mode == "proximity" else toks,
+                              int(p.get("window", 8)))
+    else:
+        raise ValueError(f"unknown mode {mode!r}: expected {'|'.join(MODES)}")
+    return plan
+
+
+def _is_plain(plan: dict) -> bool:
+    """A plain OR of unit-boost query terms: the shape that takes the
+    ``search_bmw`` dispatch (every other plan runs the exhaustive
+    accumulator, as it always has)."""
+    return (
+        plan["expand"] is None and plan["feedback"] is None
+        and not plan["must"] and not plan["must_not"]
+        and plan["positional"] is None and plan["after"] is None
+        and plan["collapse"] is None and plan["exclude_doc"] is None
+        and all(b == 1.0 for b in plan["terms"].values())
+    )
+
+
+def _select_by_tfidf(tf: dict[str, int], dfs: dict[str, int], n_docs: int,
+                     n: int) -> list[str]:
+    """The ``n`` terms of ``tf`` with the highest tf·idf, ties
+    term-ascending; terms with df 0 never qualify — the deterministic
+    MoreLikeThis / feedback-expansion cut."""
+    scored = sorted(
+        ((t, f * idf_fn(n_docs, dfs[t])) for t, f in tf.items() if dfs.get(t)),
+        key=lambda e: (-e[1], e[0]),
+    )
+    return [t for t, _ in scored[:n]]
+
+
+def _docterms(index_dir: str, ids: list[int]) -> dict[int, dict[str, int]]:
+    """doc_id -> {term: tf} from ONE doc_id-pruned read of the index's
+    ``docterms`` checkpoint (predicate pushdown: only the row groups
+    holding ``ids`` are touched, never the corpus text)."""
+    import pyarrow.dataset as pads
+
+    if not ids:
+        return {}
+    dt_dir = os.path.join(index_dir, "docterms")
+    if not os.path.isdir(dt_dir):
+        raise FileNotFoundError(
+            f"no docterms checkpoint at {dt_dir} (present on any "
+            "build_index output)")
+    tbl = pads.dataset(dt_dir, format="parquet").to_table(
+        columns=["doc_id", "terms", "tfs"],
+        filter=pads.field("doc_id").isin(ids),
+    )
+    out: dict[int, dict[str, int]] = {}
+    for d, terms, tfs in zip(tbl["doc_id"].to_pylist(),
+                             tbl["terms"].to_pylist(),
+                             tbl["tfs"].to_pylist()):
+        m = out.setdefault(int(d), {})
+        for t, f in zip(terms, tfs):
+            m[t] = m.get(t, 0) + int(f)
+    return out
+
+
+class PlanRunner:
+    """The one query path: feedback → expand → df → execute → merge.
+
+    Shared by the serial ``IndexReader`` (its own shards are the
+    backend) and the sharded router ``serving.ShardedQueryService``
+    (RPCs to the shard actors are the backend), so serial/sharded
+    parity holds by construction: both run the same plans through the
+    same steps, and only these hooks differ —
+
+    - ``_expand_specs(specs)``: the sorted, capped term list of each
+      (kind, arg, cap) expansion spec;
+    - ``_global_df(terms)``: exact global df, terms with df > 0 only;
+    - ``_scatter(plans, weights, k, doc_filter)``: one part per shard
+      owner, a part holding one ``IndexReader.execute`` result per plan.
+
+    A backend also provides ``tokenize``, ``n_docs``, ``index_dir`` and
+    ``tombstones``."""
+
+    def compile(self, mode: str, query: str = "", params: dict | None = None,
+                qid: int = 0) -> dict:
+        """``compile_plan`` with this index's tokenizer."""
+        return compile_plan(mode, query, params, self.tokenize, qid)
+
+    def topk(self, plans: list[dict], k: int = 10, doc_filter=None,
+             offset: int = 0) -> list[dict]:
+        """Compiled plans (a bare {"qid", "query"} body is a bm25 plan)
+        -> [{"qid", "rank", "doc_id", "score"}], collapse plans adding
+        {"group", "group_n"}: per plan the absolute ranks
+        offset+1..offset+k of the (score desc, doc_id asc) total order
+        — exact deep paging, since each owner returns its own
+        top-(offset+k). ``doc_filter`` is a ("col", value) docmeta
+        predicate; it restricts membership only, stats stay global.
+
+        Steps: resolve feedback plans (MoreLikeThis: one df exchange
+        over the source terms; PRF: a base top-k call, one pruned
+        docterms read and one df exchange) into weighted-OR plans; one
+        batched expansion exchange when some plan has an expansion
+        spec; one df exchange for the plans without resolved weights;
+        one scatter; the merge (rank, collapse max-merge, or the
+        positional verify)."""
+        plans = [p if "terms" in p else self.compile("bm25", p["query"], qid=p["qid"])
+                 for p in plans]
+        if any(p["positional"] for p in plans):
+            from .positions import positions_dir
+
+            if not os.path.isdir(positions_dir(self.index_dir)):
+                raise FileNotFoundError(
+                    f"no positions sidecar under {self.index_dir} — "
+                    "run build_positions_sidecar first")
+        plans = self.expand(self._resolve_feedback(plans, doc_filter))
+        need = sorted({t for p in plans if p["weights"] is None for t in p["terms"]})
+        gdf = self._global_df(need) if need else {}
+        weights = [
+            p["weights"] if p["weights"] is not None else
+            {t: b * idf_fn(self.n_docs, gdf[t]) for t, b in p["terms"].items()
+             if t in gdf}
+            for p in plans
+        ]
+        parts = self._scatter(plans, weights, k + offset, doc_filter) if plans else []
+        return self._merge(plans, parts, k, offset)
+
+    def expand(self, plans: list[dict]) -> list[dict]:
+        """Fill in the terms of every plan with a pending expansion
+        spec — one batched expansion exchange for all of them, nothing
+        when no plan has one. Owners cap their own dictionary subsets,
+        the union is re-capped: a term in the global lexicographically
+        first N is in its own owner's first N, so the cut is exact."""
+        pending = [p["terms"] is None and p["expand"] is not None for p in plans]
+        if not any(pending):
+            return plans
+        lists = iter(self._expand_specs(
+            [p["expand"] for p, todo in zip(plans, pending) if todo]))
+        return [
+            {**p, "terms": dict.fromkeys(next(lists), 1.0)} if todo else p
+            for p, todo in zip(plans, pending)
+        ]
+
+    def _resolve_feedback(self, plans: list[dict], doc_filter) -> list[dict]:
+        """Run the term-selection step of each MoreLikeThis / PRF plan
+        and return it as a weighted-OR plan carrying its resolved
+        weights (so the main path skips its df exchange).
+
+        - mlt: the source's ``max_terms`` highest tf·idf terms (tf in
+          the source), each at idf;
+        - prf: the base query's top ``fb_docs`` hits are the feedback
+          set; the ``fb_terms`` highest (summed feedback tf)·idf terms
+          not in the query join the query terms, originals at idf,
+          expansions at ``beta``·idf. Feedback docs stay eligible for
+          the final page.
+
+        All plans share one base top-k call, one docterms read and one
+        df exchange."""
+        todo = [i for i, p in enumerate(plans)
+                if p["feedback"] and p["weights"] is None]
+        if not todo:
+            return plans
+        tf: dict[int, dict[str, int]] = {}
+        prf = [i for i in todo if plans[i]["feedback"]["kind"] == "prf"]
+        if prf:
+            base = self.topk(
+                [{**plans[i], "feedback": None, "qid": i} for i in prf],
+                max(plans[i]["feedback"]["fb_docs"] for i in prf), doc_filter)
+            fb: dict[int, list[int]] = {i: [] for i in prf}
+            for r in base:
+                if r["rank"] <= plans[r["qid"]]["feedback"]["fb_docs"]:
+                    fb[r["qid"]].append(r["doc_id"])
+            docs = _docterms(self.index_dir,
+                             sorted({d for ids in fb.values() for d in ids}))
+            for i in prf:
+                tf[i] = Counter()
+                for d in fb[i]:
+                    tf[i].update(docs.get(d, {}))
+                for t in plans[i]["terms"]:
+                    tf[i].pop(t, None)
+        for i in todo:
+            if plans[i]["feedback"]["kind"] == "mlt":
+                tf[i] = Counter(plans[i]["feedback"]["tokens"])
+        gdf = self._global_df(sorted(
+            {t for i in todo for t in tf[i]}
+            | {t for i in prf for t in plans[i]["terms"]}))
+        out = list(plans)
+        for i in todo:
+            p, fbk = plans[i], plans[i]["feedback"]
+            if fbk["kind"] == "mlt":
+                sel = _select_by_tfidf(tf[i], gdf, self.n_docs, fbk["max_terms"])
+                terms = sel
+                w = {t: idf_fn(self.n_docs, gdf[t]) for t in sel}
+            else:
+                sel = _select_by_tfidf(tf[i], gdf, self.n_docs, fbk["fb_terms"])
+                terms = sorted(p["terms"]) + sel
+                w = {t: idf_fn(self.n_docs, gdf[t]) for t in p["terms"] if t in gdf}
+                w.update({t: fbk["beta"] * idf_fn(self.n_docs, gdf[t]) for t in sel})
+            out[i] = {**p, "terms": dict.fromkeys(terms, 1.0), "weights": w}
+        return out
+
+    def _merge(self, plans: list[dict], parts, k: int, offset: int) -> list[dict]:
+        """Gather: per plan, concatenate the owners' rows, then
+        max-merge collapse leaders (summing their group counts) or
+        verify positional candidates, and rank by the engine-wide
+        (score desc, doc_id asc) tie-break. Exact, because shards
+        partition the doc space."""
+        out = []
+        for i, p in enumerate(plans):
+            rows = [r for part in parts for r in part[i]]
+            if p["collapse"]:
+                rows = _merge_groups(rows)
+            elif p["positional"]:
+                rows = self._verify(p["positional"], rows)
+            rows.sort(key=lambda r: (-r[1], r[0]))
+            for rank, r in enumerate(rows[offset:offset + k], start=offset + 1):
+                row = {"qid": p["qid"], "rank": rank, "doc_id": r[0], "score": r[1]}
+                if p["collapse"]:
+                    row["group"], row["group_n"] = r[2], r[3]
+                out.append(row)
+        return out
+
+    def _verify(self, positional, rows: list[tuple]) -> list[tuple]:
+        """Keep the conjunctive candidates whose positions satisfy the
+        plan: ONE pushdown-pruned sidecar read over the merged
+        candidates (O(candidate postings), never a corpus read)."""
+        from . import positions
+
+        if not rows:
+            return rows
+        kind, seq, window = positional
+        ids = np.sort(np.array([d for d, _ in rows], np.int64))
+        if kind == "phrase":
+            ok = positions.verify_phrase_positions(self.index_dir, seq, ids)
+        elif kind == "proximity":
+            ok = positions.verify_proximity_positions(self.index_dir, seq, window, ids)
+        else:  # span_near: terms in query order
+            ok = positions.verify_spannear_positions(self.index_dir, seq, window, ids)
+        keep = set(ok.tolist())
+        return [r for r in rows if r[0] in keep]
+
+    def term_vectors(self, doc_ids: list[int]) -> list[dict]:
+        """Per-doc term vectors (the Elasticsearch ``_termvectors``
+        shape): each requested live doc's (term, tf) pairs from one
+        pruned docterms read, joined with each term's exact global df.
+        Rows {"doc_id", "term", "tf", "df"} sorted (doc_id, term)."""
+        ids = sorted({int(d) for d in doc_ids})
+        if len(self.tombstones) and ids:
+            from .maintenance import is_tombstoned
+
+            alive = ~is_tombstoned(self.tombstones, np.asarray(ids, dtype=np.int64))
+            ids = [d for d, a in zip(ids, alive.tolist()) if a]
+        per_doc = _docterms(self.index_dir, ids)
+        dfs = self._global_df(sorted({t for m in per_doc.values() for t in m}))
+        return [
+            {"doc_id": d, "term": t, "tf": per_doc[d][t], "df": int(dfs.get(t, 0))}
+            for d in sorted(per_doc) for t in sorted(per_doc[d])
+        ]
+
+
+def _merge_groups(rows: list[tuple]) -> list[tuple]:
+    """Collapse partials (leader doc_id, score, group value, count) ->
+    one row per group: the (score desc, doc_id asc) best leader and
+    the summed count."""
+    best: dict[str, tuple[int, float]] = {}
+    count: dict[str, int] = {}
+    for doc, score, val, n in rows:
+        count[val] = count.get(val, 0) + n
+        cur = best.get(val)
+        if cur is None or (-score, doc) < (-cur[1], cur[0]):
+            best[val] = (doc, score)
+    return [(d, s, v, count[v]) for v, (d, s) in best.items()]
+
+
+class IndexReader(PlanRunner):
+    """Loads a built index directory; executes query plans over it.
 
     State loaded once (the actor-pool __init__ pattern, reference
     analogue vector_db.py:12-31).
@@ -433,26 +823,60 @@ class IndexReader:
             for s in range(self.num_shards)
         ]
 
-    # -- helpers --------------------------------------------------------------
-    def _decode_full(self, row: dict) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, tfs) fully decoded for one term in one shard."""
-        return decode_all_blocks(row, self.block_size)
+    # -- PlanRunner backend: this reader's own shards ---------------------------
+    def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
+        return self.expand_batch(specs)
 
-    def _query_terms(self, query: str) -> list[str]:
-        return sorted(set(self.tokenize(query)))
+    def _global_df(self, terms: list[str]) -> dict[str, int]:
+        # global for a whole-index reader; a shard-subset reader is one
+        # owner behind the router, which sums df across owners
+        return self.df_locals(terms)
+
+    def _scatter(self, plans, weights, k: int, doc_filter) -> list[list]:
+        return [[self.execute(p, k, w, doc_filter) for p, w in zip(plans, weights)]]
+
+    # -- helpers --------------------------------------------------------------
+    def _locs(self, term: str) -> list[tuple[int, int]]:
+        """[(shard_idx, row_idx)] of ``term`` in the owned shards — one
+        binary-search probe per shard."""
+        locs = []
+        for s, sh in enumerate(self.shards):
+            if sh is not None:
+                i = sh.find(term)
+                if i is not None:
+                    locs.append((s, i))
+        return locs
+
+    def _term_infos(
+        self, weights: dict[str, float]
+    ) -> list[tuple[str, float, list[tuple[int, int]]]]:
+        """Per weighted term present in the owned shards, in sorted
+        term order (the float64 add order every scorer shares):
+        (term, weight, [(shard_idx, row_idx), ...])."""
+        infos = []
+        for t in sorted(weights):
+            locs = self._locs(t)
+            if locs:
+                infos.append((t, weights[t], locs))
+        return infos
+
+    def _term_weights(self, terms, weights: dict[str, float] | None = None,
+                      ) -> dict[str, float]:
+        """{term: weight} over the distinct ``terms``: ``weights``
+        restricted to them when given (sharded serving's global-df
+        exchange), else idf from this reader's own df."""
+        uniq = sorted(set(terms))
+        if weights is not None:
+            return {t: weights[t] for t in uniq if t in weights}
+        return {t: idf_fn(self.n_docs, d) for t, d in self.df_locals(uniq).items()}
 
     def df_locals(self, terms: list[str]) -> dict[str, int]:
         """term -> sum of df_local over THIS reader's owned shards (the
-        df-exchange half of sharded serving)."""
+        df-exchange half of sharded serving); terms with df 0 are
+        left out."""
         out = {}
         for t in terms:
-            df = 0
-            for sh in self.shards:
-                if sh is None:
-                    continue
-                i = sh.find(t)
-                if i is not None:
-                    df += sh.df_local_at(i)
+            df = sum(self.shards[s].df_local_at(i) for s, i in self._locs(t))
             if df:
                 out[t] = df
         return out
@@ -507,44 +931,157 @@ class IndexReader:
         self._codes_cache[col] = (codes, values)
         return codes, values
 
-    def match_ids(self, query: str, doc_filter=None) -> np.ndarray:
-        """Sorted doc ids (owned shards) containing AT LEAST ONE query
-        term — the OR match set underneath ``search_taat`` before the
-        top-k cut, and the population facet counts aggregate over.
-        Presence only (``partial > 0`` ⇔ tf > 0, including the dense
-        stopword form), no score arithmetic; tombstones and the
-        optional metadata filter excluded exactly as in ranked
-        search."""
+    def _resolve_filter(self, doc_filter) -> np.ndarray | None:
+        """None | precomputed bool mask | ("col", "value") tuple."""
+        if doc_filter is None or isinstance(doc_filter, np.ndarray):
+            return doc_filter
+        col, value = doc_filter
+        return self.meta_mask(col, value)
+
+    # -- the one posting accumulator ------------------------------------------
+    def _matches(
+        self, weights: dict[str, float], must=(), must_not=(), doc_filter=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every owned doc matching a plan, with its full BM25 score:
+        (doc_ids ascending, scores). A doc matches when it contains
+        every ``must`` term and no ``must_not`` term; with no must
+        terms, when it contains at least one weighted term. Scores sum
+        ``weight * partial`` over the weighted terms in sorted-term
+        float64 order (the add order of ``search_bmw``'s window scorer
+        and of the brute-force oracle, so scores are bitwise equal
+        across paths). Per shard one dense score accumulator plus, when
+        needed, a must-presence counter and an exclusion flag — no
+        per-doc python. Presence is df-independent, so a shard-subset
+        reader decides must / must_not exactly for the docs it owns.
+        Tombstones and the optional metadata filter are excluded."""
         mask = self._resolve_filter(doc_filter)
-        uniq = sorted(set(self.tokenize(query)))
-        hit: dict[int, np.ndarray] = {}
+        must_s, not_s = set(must), set(must_not)
+        acc: dict[int, np.ndarray] = {}
+        cnt: dict[int, np.ndarray] = {}
+        exc: dict[int, np.ndarray] = {}
         k1, b = self.params.k1, self.params.b
-        for t, w, locs in self._term_infos(uniq):
-            for s, i in locs:
+        for t in sorted(set(weights) | must_s | not_s):
+            w = weights.get(t)
+            for s, i in self._locs(t):
                 sh = self.shards[s]
                 ids, part = sh.partial(i, self.block_size, self.doc_len,
                                        k1, b, self.avgdl)
-                h = hit.get(s)
-                if h is None:
-                    h = np.zeros(sh.hi - sh.lo, dtype=bool)
-                    hit[s] = h
-                if ids is None:  # dense stopword form: tf>0 <=> part>0
-                    h |= part > 0
-                else:
-                    h[ids - sh.lo] = True
-        if not hit:
-            return np.empty(0, np.int64)
-        out = np.concatenate([
-            (np.flatnonzero(h) + self.shards[s].lo).astype(np.int64)
-            for s, h in hit.items()
-        ])
+                if w is not None:
+                    if s not in acc:
+                        acc[s] = np.zeros(sh.hi - sh.lo, dtype=np.float64)
+                    if ids is None:  # dense stopword form: one SIMD add
+                        acc[s] += w * part
+                    else:
+                        acc[s][ids - sh.lo] += w * part
+                if t not in must_s and t not in not_s:
+                    continue
+                # presence; in the dense form tf > 0 <=> partial > 0
+                at = part > 0 if ids is None else ids - sh.lo
+                if t in must_s:
+                    if s not in cnt:
+                        cnt[s] = np.zeros(sh.hi - sh.lo, dtype=np.int32)
+                    cnt[s][at] += 1
+                if t in not_s:
+                    if s not in exc:
+                        exc[s] = np.zeros(sh.hi - sh.lo, dtype=bool)
+                    exc[s][at] = True
+        all_ids, all_scores = [], []
+        for s in sorted(acc):
+            a = acc[s]
+            if must_s:
+                if s not in cnt:
+                    continue
+                sel = cnt[s] == len(must_s)
+            else:
+                sel = a != 0
+            if s in exc:
+                sel &= ~exc[s]
+            nz = np.flatnonzero(sel)
+            all_ids.append((nz + self.shards[s].lo).astype(np.int64))
+            all_scores.append(a[nz])
+        if not all_ids:
+            return np.empty(0, np.int64), np.empty(0, np.float64)
+        ids = np.concatenate(all_ids)
+        scores = np.concatenate(all_scores)
         if mask is not None:
-            out = out[mask[out]]
+            keep = mask[ids]
+            ids, scores = ids[keep], scores[keep]
         if len(self.tombstones):
             from .maintenance import is_tombstoned
 
-            out = out[~is_tombstoned(self.tombstones, out)]
-        return np.sort(out)
+            live = ~is_tombstoned(self.tombstones, ids)
+            ids, scores = ids[live], scores[live]
+        return ids, scores
+
+    def execute(self, plan: dict, k: int, weights: dict[str, float],
+                doc_filter=None) -> list[tuple]:
+        """Run one resolved plan over the OWNED shards with the given
+        per-term weights (the router supplies global ones) and return
+        this owner's share of the answer for ``PlanRunner._merge``:
+
+        - its top-``k`` (doc_id, score) rows — a plain plan takes the
+          ``search_bmw`` dispatch; a cursor plan keeps only hits
+          strictly after ``after`` in the (score desc, doc_id asc)
+          order; ``exclude_doc`` leaves before the cut;
+        - for a positional plan, every (doc_id, score) conjunctive
+          candidate, uncut: verification happens after the merge;
+        - for a collapse plan, per ``docmeta[field]`` group its (score
+          desc, doc_id asc) leader as (doc_id, score, value, n), n the
+          group's full match count. Docs with a null value belong to no
+          group."""
+        if _is_plain(plan):
+            return self._bmw(weights, k, doc_filter)
+        ids, scores = self._matches(weights, plan["must"], plan["must_not"],
+                                    doc_filter)
+        if plan["positional"]:
+            return list(zip(ids.tolist(), scores.tolist()))
+        if plan["collapse"]:
+            return self._leaders(ids, scores, plan["collapse"])
+        if plan["after"]:
+            s0, d0 = plan["after"]
+            keep = (scores < s0) | ((scores == s0) & (ids > d0))
+            ids, scores = ids[keep], scores[keep]
+        if plan["exclude_doc"] is not None:
+            keep = ids != plan["exclude_doc"]
+            ids, scores = ids[keep], scores[keep]
+        return rank_topk(ids, scores, k)
+
+    def _leaders(self, ids: np.ndarray, scores: np.ndarray,
+                 field: str) -> list[tuple]:
+        codes, values = self.meta_codes(field)
+        g = codes[ids]
+        grouped = g >= 0
+        ids, scores, g = ids[grouped], scores[grouped], g[grouped]
+        if not len(ids):
+            return []
+        order = np.lexsort((ids, -scores))  # score desc, doc_id asc
+        uniq, first = np.unique(g[order], return_index=True)
+        counts = np.bincount(g, minlength=len(values))
+        return [
+            (int(ids[order[f]]), float(scores[order[f]]), values[int(c)],
+             int(counts[int(c)]))
+            for c, f in zip(uniq.tolist(), first.tolist())
+        ]
+
+    def match_ids(self, query: str, doc_filter=None) -> np.ndarray:
+        """Sorted doc ids (owned shards) containing AT LEAST ONE query
+        term — the OR match set before the top-k cut, and the
+        population facet counts aggregate over. Tombstones and the
+        optional metadata filter excluded exactly as in ranked
+        search."""
+        return self._matches(dict.fromkeys(self.tokenize(query), 1.0),
+                             doc_filter=doc_filter)[0]
+
+    def conjunctive_scores(
+        self, terms: list[str], doc_filter=None,
+        weights: dict[str, float] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Docs containing EVERY term in ``terms`` (AND semantics), with
+        their full BM25 scores — the candidate stage of the positional
+        modes; (doc_ids, scores) sorted by doc_id. A term absent from
+        the index empties the conjunction."""
+        return self._matches(self._term_weights(terms, weights),
+                             must=sorted(set(terms)), doc_filter=doc_filter)
 
     def facet_counts(
         self, query: str, facet_cols: list[str], doc_filter=None,
@@ -590,178 +1127,6 @@ class IndexReader:
             for i, n in enumerate(cnt) if n
         ]
 
-    def _full_or_scores(
-        self, query: str, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Full OR-of-terms (ids, scores) over OWNED shards — the
-        entire match set, no top-k cut, with accumulators identical to
-        ``search_taat`` (same partials, same sorted-term float64 add
-        order, so every score is bitwise equal to the ranked path).
-        Tombstones and the optional metadata filter excluded exactly
-        as in ranked search; ``weights`` overrides idf (sharded
-        serving's global-df exchange). Shared by field collapsing and
-        cursor paging."""
-        mask = self._resolve_filter(doc_filter)
-        terms = self._query_terms(query)
-        acc: dict[int, np.ndarray] = {}
-        k1, b = self.params.k1, self.params.b
-        for t, w, locs in self._term_infos(terms, weights):
-            for s, i in locs:
-                sh = self.shards[s]
-                ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                       k1, b, self.avgdl)
-                a = acc.get(s)
-                if a is None:
-                    a = np.zeros(sh.hi - sh.lo, dtype=np.float64)
-                    acc[s] = a
-                if ids is None:  # dense stopword-term form
-                    a += w * part
-                else:
-                    a[ids - sh.lo] += w * part
-        all_ids, all_scores = [], []
-        for s, a in acc.items():
-            nz = np.flatnonzero(a)
-            all_ids.append((nz + self.shards[s].lo).astype(np.int64))
-            all_scores.append(a[nz])
-        if not all_ids:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        ids = np.concatenate(all_ids)
-        scores = np.concatenate(all_scores)
-        if mask is not None:
-            keep = mask[ids]
-            ids, scores = ids[keep], scores[keep]
-        if len(self.tombstones):
-            from .maintenance import is_tombstoned
-
-            live = ~is_tombstoned(self.tombstones, ids)
-            ids, scores = ids[live], scores[live]
-        return ids, scores
-
-    def search_after(
-        self, query: str, k: int = 10,
-        after: tuple[float, int] | None = None, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Cursor paging (the Elasticsearch ``search_after`` shape):
-        the top-``k`` hits STRICTLY AFTER the ``(score, doc_id)``
-        cursor in the engine-wide (score desc, doc_id asc) total
-        order — the deep-paging form that never recomputes skipped
-        ranks (offset paging fetches offset+k and slices; a cursor
-        walk fetches k per page no matter how deep). Scores are
-        bitwise equal to ranked search (same accumulators), so the
-        cursor taken from any page's last hit continues exactly where
-        that page ended. ``after=None`` is page one (== top-k)."""
-        ids, scores = self._full_or_scores(query, doc_filter, weights)
-        if not len(ids):
-            return []
-        if after is not None:
-            s0, d0 = float(after[0]), int(after[1])
-            keep = (scores < s0) | ((scores == s0) & (ids > d0))
-            ids, scores = ids[keep], scores[keep]
-        if not len(ids):
-            return []
-        if k < len(ids):
-            # partial-select: keep everything at or above the k-th
-            # largest score (ties at the boundary INCLUDED, so the
-            # doc_id tie-break below stays exact), then sort that
-            # small survivor set instead of the whole match set
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            keep = scores >= kth
-            ids, scores = ids[keep], scores[keep]
-        order = np.lexsort((ids, -scores))[:k]
-        return [(int(ids[i]), float(scores[i])) for i in order]
-
-    def collapse_leaders(
-        self, query: str, field: str, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[dict]:
-        """Per-group best hit (field collapsing, the Elasticsearch
-        ``collapse`` / Lucene grouping shape) over OWNED shards: full
-        OR-of-terms scores (identical accumulators to ``search_taat``
-        — same partials, same sorted-term add order, so leader scores
-        are bitwise equal to ranked search), then per distinct
-        ``docmeta[field]`` value the (score desc, doc_id asc) leader
-        plus the group's FULL match-set size. No k cut here — group
-        cardinality is field cardinality, so the sharded router can
-        max-merge leaders and sum counts exactly (a doc lives wholly
-        in one shard). Docs with a null field value belong to no group
-        (they still rank in plain search). ``weights`` overrides idf
-        (sharded serving's global-df exchange)."""
-        ids, scores = self._full_or_scores(query, doc_filter, weights)
-        if not len(ids):
-            return []
-        codes, values = self.meta_codes(field)
-        g = codes[ids]
-        grouped = g >= 0
-        ids, scores, g = ids[grouped], scores[grouped], g[grouped]
-        if not len(ids):
-            return []
-        order = np.lexsort((ids, -scores))  # score desc, doc_id asc
-        uniq, first = np.unique(g[order], return_index=True)
-        counts = np.bincount(g, minlength=len(values))
-        return [
-            {"value": values[int(c)], "doc_id": int(ids[order[f]]),
-             "score": float(scores[order[f]]), "n": int(counts[int(c)])}
-            for c, f in zip(uniq.tolist(), first.tolist())
-        ]
-
-    def search_collapse(
-        self, query: str, field: str, k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[dict]:
-        """Field-collapsed top-k: rank each group's leader by the
-        engine-wide (score desc, doc_id asc) tie-break and keep the
-        best ``k`` GROUPS. Each row carries the collapse value and the
-        group's full match-set size (the "show one result per source,
-        with how many more it hides" surface)."""
-        leaders = self.collapse_leaders(query, field, doc_filter, weights)
-        leaders.sort(key=lambda r: (-r["score"], r["doc_id"]))
-        return [
-            {"rank": rank, **r}
-            for rank, r in enumerate(leaders[:k], start=1)
-        ]
-
-    def mlt_select_terms(
-        self, doc_tokens: list[str], max_terms: int = 8,
-        df_override: dict[str, int] | None = None,
-    ) -> list[str]:
-        """The Lucene MoreLikeThis term-selection step: from a source
-        doc's token stream, keep the ``max_terms`` most interesting
-        terms by tf·idf (tf in the SOURCE doc, idf from the index),
-        ties broken term-ascending (deterministic). ``df_override``
-        supplies exact global df in sharded serving (the router's df
-        exchange); otherwise this reader's own global df is used."""
-        from collections import Counter
-
-        tf = Counter(doc_tokens)
-        dfs = df_override if df_override is not None else self.df_locals(sorted(tf))
-        scored = [
-            (t, tf[t] * idf_fn(self.n_docs, d))
-            for t, d in dfs.items() if d
-        ]
-        scored.sort(key=lambda e: (-e[1], e[0]))
-        return [t for t, _ in scored[:max_terms]]
-
-    def more_like_this(
-        self, doc_tokens: list[str], exclude_doc: int | None = None,
-        k: int = 10, max_terms: int = 8, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Similar-document retrieval (Lucene MoreLikeThis): select the
-        source doc's ``max_terms`` highest-tf·idf terms, OR-score them
-        with per-term idf (``search_or_terms``), drop the source doc
-        itself, return top-k. The source's TOKENS are the input — the
-        caller owns text access (corpus read or positions sidecar), the
-        reader never touches stored text."""
-        sel = self.mlt_select_terms(doc_tokens, max_terms)
-        if not sel:
-            return []
-        hits = self.search_or_terms(sel, k + 1, doc_filter=doc_filter,
-                                    weights=weights)
-        hits = [(d, s) for d, s in hits if d != exclude_doc]
-        return hits[:k]
-
     def explain(
         self, query: str, doc_ids, weights: dict[str, float] | None = None,
         df_override: dict[str, int] | None = None,
@@ -791,10 +1156,10 @@ class IndexReader:
             targets = targets[~is_tombstoned(self.tombstones, targets)]
         if not len(targets):
             return []
-        uniq = sorted(set(self.tokenize(query)))
         k1, b = self.params.k1, self.params.b
         rows: list[dict] = []
-        for t, w, locs in self._term_infos(uniq, weights):
+        for t, w, locs in self._term_infos(
+                self._term_weights(self.tokenize(query), weights)):
             df_global = (
                 df_override[t] if df_override is not None and t in df_override
                 else sum(self.shards[s].df_local_at(i) for s, i in locs)
@@ -822,52 +1187,6 @@ class IndexReader:
         rows.sort(key=lambda r: (r["doc_id"], r["term"]))
         return rows
 
-    def term_vectors(self, doc_ids: list[int]) -> list[dict]:
-        """Per-doc term vectors (the Elasticsearch ``_termvectors``
-        shape): each requested doc's (term, tf) pairs from the index's
-        own ``docterms`` checkpoint — ONE doc_id-pruned parquet read
-        (predicate pushdown, only the row groups holding the ids are
-        touched), never the corpus text — joined with each term's
-        exact global df. Tombstoned docs return no rows. Output rows
-        {"doc_id", "term", "tf", "df"} sorted (doc_id, term)."""
-        import pyarrow.dataset as pads
-
-        ids = sorted({int(d) for d in doc_ids})
-        if len(self.tombstones):
-            from .maintenance import is_tombstoned
-
-            alive = ~is_tombstoned(
-                self.tombstones, np.asarray(ids, dtype=np.int64))
-            ids = [d for d, a in zip(ids, alive.tolist()) if a]
-        if not ids:
-            return []
-        dt_dir = os.path.join(self.index_dir, "docterms")
-        if not os.path.isdir(dt_dir):
-            raise FileNotFoundError(
-                f"term_vectors needs the docterms checkpoint at {dt_dir} "
-                "(present on any build_index output)")
-        tbl = pads.dataset(dt_dir, format="parquet").to_table(
-            columns=["doc_id", "terms", "tfs"],
-            filter=pads.field("doc_id").isin(ids),
-        )
-        per_doc: dict[int, dict[str, int]] = {}
-        all_terms: set[str] = set()
-        for d, terms, tfs in zip(tbl["doc_id"].to_pylist(),
-                                 tbl["terms"].to_pylist(),
-                                 tbl["tfs"].to_pylist()):
-            m = per_doc.setdefault(int(d), {})
-            for t, f in zip(terms, tfs):
-                m[t] = m.get(t, 0) + int(f)
-                all_terms.add(t)
-        dfs = self.df_locals(sorted(all_terms))
-        out = []
-        for d in sorted(per_doc):
-            m = per_doc[d]
-            for t in sorted(m):
-                out.append({"doc_id": d, "term": t, "tf": m[t],
-                            "df": int(dfs.get(t, 0))})
-        return out
-
     def significant_terms(
         self, query: str, k: int = 10, sample_n: int = 50, doc_filter=None,
     ) -> list[dict]:
@@ -888,365 +1207,22 @@ class IndexReader:
         dfs = self.df_locals(cand)
         return _score_significant(fg, dfs, len(ids), self.n_docs, cand, k)
 
-    def search_prf(
-        self, query: str, k: int = 10, fb_docs: int = 5, fb_terms: int = 8,
-        beta: float = 0.5, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Pseudo-relevance-feedback retrieval (Rocchio-style query
-        expansion, public IR knowledge — Rocchio 1971, RM3 family):
-
-        1. Score the original query, take the top ``fb_docs`` hits as
-           the (pseudo-)relevant set.
-        2. Pull the feedback docs' term frequencies from the index's
-           own ``docterms`` checkpoint — a doc_id-pruned parquet read
-           (predicate pushdown; only the row groups holding the
-           feedback ids are touched), never the corpus text.
-        3. Select the ``fb_terms`` expansion terms by
-           ``(sum of tf over feedback docs) * idf``, original query
-           terms excluded, ties broken term-ascending (the
-           deterministic MLT cut).
-        4. Re-score with OR-of-terms: original terms at full idf
-           weight, expansion terms at ``beta * idf`` — identical
-           accumulators to ``search_taat``.
-
-        Feedback docs stay eligible for the final page (standard PRF).
-        Returns [] when the base query matches nothing."""
-        base = self.search_taat(query, fb_docs, doc_filter=doc_filter)
-        if not base:
-            return []
-        fb_ids = sorted(int(d) for d, _ in base)
-
-        import pyarrow.dataset as pads
-
-        dt_dir = os.path.join(self.index_dir, "docterms")
-        if not os.path.isdir(dt_dir):
-            raise FileNotFoundError(
-                f"search_prf needs the docterms checkpoint at {dt_dir} "
-                "(present on any build_index output)")
-        tbl = pads.dataset(dt_dir, format="parquet").to_table(
-            columns=["doc_id", "terms", "tfs"],
-            filter=pads.field("doc_id").isin(fb_ids),
-        )
-        rel_tf: dict[str, int] = {}
-        for terms, tfs in zip(tbl["terms"].to_pylist(), tbl["tfs"].to_pylist()):
-            for t, f in zip(terms, tfs):
-                rel_tf[t] = rel_tf.get(t, 0) + int(f)
-
-        orig = sorted(set(self.tokenize(query)))
-        orig_set = set(orig)
-        cand = [t for t in rel_tf if t not in orig_set]
-        dfs = self.df_locals(sorted(cand))
-        scored = [
-            (t, rel_tf[t] * idf_fn(self.n_docs, d))
-            for t, d in dfs.items() if d
-        ]
-        scored.sort(key=lambda e: (-e[1], e[0]))
-        expansion = [t for t, _ in scored[:fb_terms]]
-
-        orig_dfs = self.df_locals(orig)
-        w = {t: idf_fn(self.n_docs, d) for t, d in orig_dfs.items()}
-        exp_dfs = self.df_locals(expansion)
-        w.update({t: beta * idf_fn(self.n_docs, d)
-                  for t, d in exp_dfs.items()})
-        return self.search_or_terms(
-            orig + expansion, k, doc_filter=doc_filter, weights=w)
-
-    def _resolve_filter(self, doc_filter) -> np.ndarray | None:
-        """None | precomputed bool mask | ("col", "value") tuple."""
-        if doc_filter is None or isinstance(doc_filter, np.ndarray):
-            return doc_filter
-        col, value = doc_filter
-        return self.meta_mask(col, value)
-
-    def _term_infos(
-        self, terms: list[str], weights: dict[str, float] | None = None
-    ) -> list[tuple[str, float, list[tuple[int, int]]]]:
-        """Per term: (term, idf weight, [(shard_idx, row_idx), ...]).
-        Global df = sum of per-shard df_local (exact; shards partition
-        the doc space). One binary-search probe per (term, shard).
-        ``weights`` overrides idf (sharded serving: the router computes
-        global idf from the pooled df exchange)."""
-        infos = []
-        for t in terms:
-            locs = []
-            df = 0
-            for s, sh in enumerate(self.shards):
-                if sh is None:
-                    continue
-                i = sh.find(t)
-                if i is not None:
-                    locs.append((s, i))
-                    df += sh.df_local_at(i)
-            if weights is not None:
-                w = weights.get(t)
-                if w is not None and locs:
-                    infos.append((t, w, locs))
-            elif df:
-                infos.append((t, idf_fn(self.n_docs, df), locs))
-        return infos
-
-    # -- exhaustive TAAT ------------------------------------------------------
-    def search_taat(
-        self, query: str, k: int = 10, weights: dict[str, float] | None = None,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """``doc_filter``: optional search-time metadata restriction —
-        ("col", "value") against docmeta, or a precomputed bool mask
-        over the doc-id span. Corpus stats (idf, avgdl) stay GLOBAL;
-        only result membership is restricted (tombstone semantics)."""
-        mask = self._resolve_filter(doc_filter)
-        terms = self._query_terms(query)
-        acc: dict[int, np.ndarray] = {}  # shard -> local score array
-        k1, b = self.params.k1, self.params.b
-        for t, w, locs in self._term_infos(terms, weights):
-            for s, i in locs:
-                sh = self.shards[s]
-                ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                       k1, b, self.avgdl)
-                a = acc.get(s)
-                if a is None:
-                    a = np.zeros(sh.hi - sh.lo, dtype=np.float64)
-                    acc[s] = a
-                if ids is None:  # dense stopword-term form: one SIMD add
-                    a += w * part
-                else:
-                    a[ids - sh.lo] += w * part
-        all_ids, all_scores = [], []
-        for s, a in acc.items():
-            nz = np.flatnonzero(a)
-            all_ids.append(nz + self.shards[s].lo)
-            all_scores.append(a[nz])
-        if not all_ids:
-            return []
-        ids = np.concatenate(all_ids)
-        scores = np.concatenate(all_scores)
-        if mask is not None:
-            keep = mask[ids.astype(np.int64)]
-            ids, scores = ids[keep], scores[keep]
-        if len(self.tombstones):
-            from .maintenance import is_tombstoned
-
-            live = ~is_tombstoned(self.tombstones, ids.astype(np.int64))
-            ids, scores = ids[live], scores[live]
-        return rank_topk(ids, scores, k)
-
-    def conjunctive_scores(
-        self, terms: list[str], doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Docs containing EVERY term in ``terms`` (AND semantics),
-        with their full BM25 scores — the candidate stage of phrase
-        search. Same TAAT accumulators as ``search_taat`` plus a
-        per-shard presence counter; returns (doc_ids, scores) sorted
-        by doc_id. A term absent from the index empties the
-        conjunction. Scores are bitwise-identical to ``search_taat``'s
-        for the same terms (same partials, same add order). ``weights``
-        overrides idf per term (sharded serving's global-df exchange);
-        a subset reader given weights still empties the conjunction on
-        terms absent from ITS shards — correct per shard, since a doc
-        lives wholly in one shard."""
-        mask = self._resolve_filter(doc_filter)
-        uniq = sorted(set(terms))
-        infos = self._term_infos(uniq, weights)
-        if len(infos) < len(uniq):  # some term has df == 0
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        acc: dict[int, np.ndarray] = {}
-        cnt: dict[int, np.ndarray] = {}
-        k1, b = self.params.k1, self.params.b
-        for t, w, locs in infos:
-            for s, i in locs:
-                sh = self.shards[s]
-                ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                       k1, b, self.avgdl)
-                a = acc.get(s)
-                if a is None:
-                    a = np.zeros(sh.hi - sh.lo, dtype=np.float64)
-                    c = np.zeros(sh.hi - sh.lo, dtype=np.int32)
-                    acc[s], cnt[s] = a, c
-                else:
-                    c = cnt[s]
-                if ids is None:  # dense stopword form: tf>0 <=> part>0
-                    a += w * part
-                    c += (part > 0).astype(np.int32)
-                else:
-                    a[ids - sh.lo] += w * part
-                    c[ids - sh.lo] += 1
-        all_ids, all_scores = [], []
-        need = len(infos)
-        for s, a in acc.items():
-            hit = np.flatnonzero(cnt[s] == need)
-            all_ids.append((hit + self.shards[s].lo).astype(np.int64))
-            all_scores.append(a[hit])
-        if not all_ids:
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        ids = np.concatenate(all_ids)
-        scores = np.concatenate(all_scores)
-        if mask is not None:
-            keep = mask[ids]
-            ids, scores = ids[keep], scores[keep]
-        if len(self.tombstones):
-            from .maintenance import is_tombstoned
-
-            live = ~is_tombstoned(self.tombstones, ids)
-            ids, scores = ids[live], scores[live]
-        order = np.argsort(ids)
-        return ids[order], scores[order]
-
-    # -- boolean / dictionary-expansion queries --------------------------------
-    def _mask_and_rank(
-        self, ids: np.ndarray, scores: np.ndarray, mask: np.ndarray | None, k: int,
-    ) -> list[tuple[int, float]]:
-        """Shared tail of the set-producing searches: metadata mask,
-        tombstone filter, deterministic (score desc, doc_id asc) top-k."""
-        if mask is not None:
-            keep = mask[ids.astype(np.int64)]
-            ids, scores = ids[keep], scores[keep]
-        if len(self.tombstones):
-            from .maintenance import is_tombstoned
-
-            live = ~is_tombstoned(self.tombstones, ids.astype(np.int64))
-            ids, scores = ids[live], scores[live]
-        return rank_topk(ids, scores, k)
-
-    def search_or_terms(
-        self, terms: list[str], k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """OR-of-terms BM25 top-k over an EXPLICIT term list (already
-        normalized — no tokenization). The scoring tail of the
-        dictionary-expansion queries (prefix/fuzzy): every term scores
-        with its own idf, docs rank by the sum over their matching
-        terms. Identical accumulators to ``search_taat`` (sorted-term
-        float64 add order). ``weights`` overrides idf per term (sharded
-        serving's global-df exchange, as in search_taat)."""
-        mask = self._resolve_filter(doc_filter)
-        uniq = sorted(set(terms))
-        acc: dict[int, np.ndarray] = {}
-        k1, b = self.params.k1, self.params.b
-        for t, w, locs in self._term_infos(uniq, weights):
-            for s, i in locs:
-                sh = self.shards[s]
-                ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                       k1, b, self.avgdl)
-                a = acc.get(s)
-                if a is None:
-                    a = np.zeros(sh.hi - sh.lo, dtype=np.float64)
-                    acc[s] = a
-                if ids is None:
-                    a += w * part
-                else:
-                    a[ids - sh.lo] += w * part
-        all_ids, all_scores = [], []
-        for s, a in acc.items():
-            nz = np.flatnonzero(a)
-            all_ids.append((nz + self.shards[s].lo).astype(np.int64))
-            all_scores.append(a[nz])
-        if not all_ids:
-            return []
-        return self._mask_and_rank(
-            np.concatenate(all_ids), np.concatenate(all_scores), mask, k,
-        )
-
-    def search_boolean(
-        self, must: str = "", should: str = "", must_not: str = "",
-        k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Boolean-clause retrieval (the Lucene BooleanQuery shape over
-        this index): a doc is a candidate iff it contains EVERY must
-        term and NO must_not term; with no must terms, any doc matching
-        at least one should term. Candidates are ranked by the BM25 sum
-        over the DISTINCT (must ∪ should) terms they contain — must_not
-        only excludes, never scores. One pass over the involved terms'
-        partials: a score accumulator plus a must-presence counter plus
-        an exclusion flag per shard, all O(shard span) dense arrays —
-        no per-doc python, no sets of doc ids.
-
-        ``weights`` overrides idf for the SCORE terms (sharded serving:
-        the router's df exchange supplies exact global idf); presence /
-        exclusion are df-independent and stay local — a doc lives in
-        exactly one shard, so per-reader must/not checks compose
-        exactly under scatter-gather."""
-        mask = self._resolve_filter(doc_filter)
-        must_t = sorted(set(self.tokenize(must)))
-        score_t = sorted(set(self.tokenize(must)) | set(self.tokenize(should)))
-        not_t = sorted(set(self.tokenize(must_not)))
-        if not score_t:
-            return []
-        infos_must = self._term_infos(must_t)
-        if len(infos_must) < len(must_t):  # a must term has df == 0
-            return []
-        k1, b = self.params.k1, self.params.b
-
-        def _accumulate(term_list, update, w_override=None):
-            for t, w, locs in self._term_infos(term_list, w_override):
-                for s, i in locs:
-                    sh = self.shards[s]
-                    ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                           k1, b, self.avgdl)
-                    update(s, sh, ids, part, w)
-
-        acc: dict[int, np.ndarray] = {}
-        cnt: dict[int, np.ndarray] = {}
-        exc: dict[int, np.ndarray] = {}
-
-        def upd_score(s, sh, ids, part, w):
-            a = acc.get(s)
-            if a is None:
-                a = np.zeros(sh.hi - sh.lo, dtype=np.float64)
-                acc[s] = a
-            if ids is None:
-                a += w * part
+    # -- dictionary expansion -------------------------------------------------
+    def expand_batch(self, specs: list[tuple]) -> list[list[str]]:
+        """The term list of each (kind, arg, cap) expansion spec (see
+        ``compile_plan``) over the owned shards."""
+        out = []
+        for kind, arg, cap in specs:
+            if kind == "fuzzy":
+                word, max_edits, prefix_len = arg
+                out.append(self.expand_fuzzy(word, max_edits, prefix_len, cap))
             else:
-                a[ids - sh.lo] += w * part
+                out.append(getattr(self, f"expand_{kind}")(arg, cap))
+        return out
 
-        def upd_count(s, sh, ids, part, w):
-            c = cnt.get(s)
-            if c is None:
-                c = np.zeros(sh.hi - sh.lo, dtype=np.int32)
-                cnt[s] = c
-            if ids is None:
-                c += (part > 0).astype(np.int32)
-            else:
-                c[ids - sh.lo] += 1
-
-        def upd_excl(s, sh, ids, part, w):
-            e = exc.get(s)
-            if e is None:
-                e = np.zeros(sh.hi - sh.lo, dtype=bool)
-                exc[s] = e
-            if ids is None:
-                e |= part > 0
-            else:
-                e[ids - sh.lo] = True
-
-        _accumulate(score_t, upd_score, weights)
-        if must_t:
-            _accumulate(must_t, upd_count)
-        if not_t:
-            _accumulate(not_t, upd_excl)
-
-        n_must = len(must_t)
-        all_ids, all_scores = [], []
-        for s, a in acc.items():
-            if must_t:
-                c = cnt.get(s)
-                if c is None:
-                    continue
-                sel = c == n_must
-            else:
-                sel = a > 0
-            e = exc.get(s)
-            if e is not None:
-                sel = sel & ~e
-            nz = np.flatnonzero(sel)
-            all_ids.append((nz + self.shards[s].lo).astype(np.int64))
-            all_scores.append(a[nz])
-        if not all_ids:
-            return []
-        return self._mask_and_rank(
-            np.concatenate(all_ids), np.concatenate(all_scores), mask, k,
-        )
+    def _dicts(self):
+        """The owned shards that hold a term dictionary."""
+        return [sh for sh in self.shards if sh is not None and sh._terms is not None]
 
     def expand_prefix(self, prefix: str, max_expansions: int = 64) -> list[str]:
         """Dictionary terms starting with ``prefix``: per shard, one
@@ -1259,38 +1235,9 @@ class IndexReader:
         ``ORDER BY term LIMIT n``. Cost: O(log V + matches) per shard —
         never a vocabulary scan."""
         out: set[str] = set()
-        for sh in self.shards:
-            if sh is None or sh._terms is None:
-                continue
-            arr = sh._terms
-            lo, hi = 0, len(arr)
-            while lo < hi:  # leftmost term >= prefix
-                mid = (lo + hi) // 2
-                if arr[mid].as_py() < prefix:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            j = lo
-            while j < len(arr):
-                v = arr[j].as_py()
-                if not v.startswith(prefix):
-                    break
-                out.add(v)
-                j += 1
+        for sh in self._dicts():
+            out.update(_dict_range(sh._terms, prefix))
         return sorted(out)[:max_expansions]
-
-    def search_prefix(
-        self, prefix: str, k: int = 10, max_expansions: int = 64, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Prefix (leading-wildcard ``pre*``) retrieval: expand against
-        the term dictionary, then OR-score the expansions — each
-        expanded term contributes with its own idf (rare completions
-        outrank stopword-ish ones)."""
-        toks = self.tokenize(prefix)
-        if not toks:
-            return []
-        terms = self.expand_prefix(toks[0], max_expansions)
-        return self.search_or_terms(terms, k, doc_filter) if terms else []
 
     def expand_wildcard(
         self, pattern: str, max_expansions: int = 64,
@@ -1318,52 +1265,14 @@ class IndexReader:
         rx = _re.compile(
             ".*".join(_re.escape(p) for p in pattern.split("*")) + r"\Z")
         out: set[str] = set()
-        for sh in self.shards:
-            if sh is None or sh._terms is None:
-                continue
-            if pfx:
-                arr = sh._terms
-                probe, flip = pfx, False
-            elif sfx:
-                arr = sh.rev_terms()
-                probe, flip = sfx[::-1], True
+        for sh in self._dicts():
+            if pfx or not sfx:
+                out.update(v for v in _dict_range(sh._terms, pfx) if rx.match(v))
             else:
-                arr = sh._terms
-                probe, flip = "", False
-            if probe:
-                lo, hi = 0, len(arr)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if arr[mid].as_py() < probe:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                j = lo
-                while j < len(arr):
-                    v = arr[j].as_py()
-                    if not v.startswith(probe):
-                        break
-                    w = v[::-1] if flip else v
-                    if rx.match(w):
-                        out.add(w)
-                    j += 1
-            else:
-                for j in range(len(arr)):
-                    v = arr[j].as_py()
-                    if rx.match(v):
-                        out.add(v)
+                for v in _dict_range(sh.rev_terms(), sfx[::-1]):
+                    if rx.match(v[::-1]):
+                        out.add(v[::-1])
         return sorted(out)[:max_expansions]
-
-    def search_wildcard(
-        self, pattern: str, k: int = 10, max_expansions: int = 64,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Wildcard retrieval: expand the pattern against the term
-        dictionary, OR-score the expansions with per-term idf (same
-        scoring tail as prefix/fuzzy). The pattern is lowercased, NOT
-        tokenized (the tokenizer would split on ``*``)."""
-        terms = self.expand_wildcard(pattern, max_expansions)
-        return self.search_or_terms(terms, k, doc_filter) if terms else []
 
     def expand_regex(self, pattern: str, max_expansions: int = 64) -> list[str]:
         """Dictionary terms fully matching a regular expression (the
@@ -1392,65 +1301,9 @@ class IndexReader:
             lit.pop()  # quantifier binds the previous atom
         pfx = "".join(lit)
         out: set[str] = set()
-        for sh in self.shards:
-            if sh is None or sh._terms is None:
-                continue
-            arr = sh._terms
-            if pfx:
-                lo, hi = 0, len(arr)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if arr[mid].as_py() < pfx:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                j = lo
-                while j < len(arr):
-                    v = arr[j].as_py()
-                    if not v.startswith(pfx):
-                        break
-                    if rx.fullmatch(v):
-                        out.add(v)
-                    j += 1
-            else:
-                for j in range(len(arr)):
-                    v = arr[j].as_py()
-                    if rx.fullmatch(v):
-                        out.add(v)
+        for sh in self._dicts():
+            out.update(v for v in _dict_range(sh._terms, pfx) if rx.fullmatch(v))
         return sorted(out)[:max_expansions]
-
-    def search_regex(
-        self, pattern: str, k: int = 10, max_expansions: int = 64,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Regex retrieval: expand the pattern against the term
-        dictionary (anchored full match), OR-score the expansions with
-        per-term idf — the same scoring tail as prefix/wildcard/fuzzy.
-        The pattern is lowercased, NOT tokenized (the tokenizer would
-        strip regex metacharacters)."""
-        terms = self.expand_regex(pattern, max_expansions)
-        return self.search_or_terms(terms, k, doc_filter) if terms else []
-
-    def search_boosted(
-        self, query: str, k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
-    ) -> list[tuple[int, float]]:
-        """Query-time term boosting (Lucene ``term^2.5`` clause
-        syntax, see ``parse_boosted_query``): each term scores with
-        boost·idf through the weighted OR path, so an all-1.0 query
-        reproduces ``search_taat`` bitwise (float multiply by 1.0 is
-        exact) and a boosted out-of-vocabulary term contributes
-        nothing. ``weights`` overrides the BASE idf per term (sharded
-        serving's global-df exchange); boosts multiply on top."""
-        boosts = parse_boosted_query(query, self.tokenize)
-        if not boosts:
-            return []
-        terms = sorted(boosts)
-        if weights is None:
-            weights = {t: w for t, w, _ in self._term_infos(terms)}
-        w = {t: boosts[t] * weights[t] for t in terms if t in weights}
-        return self.search_or_terms(sorted(w), k, doc_filter, weights=w) \
-            if w else []
 
     def expand_fuzzy(
         self, word: str, max_edits: int = 1, prefix_len: int = 1,
@@ -1466,51 +1319,151 @@ class IndexReader:
         check. Sorted + capped like ``expand_prefix``."""
         out: set[str] = set()
         wl = len(word)
-        pfx = word[:prefix_len]
-        for sh in self.shards:
-            if sh is None or sh._terms is None:
-                continue
-            arr = sh._terms
-            if prefix_len > 0:
-                lo, hi = 0, len(arr)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if arr[mid].as_py() < pfx:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                j = lo
-                while j < len(arr):
-                    v = arr[j].as_py()
-                    if not v.startswith(pfx):
-                        break
-                    if v not in out and abs(len(v) - wl) <= max_edits \
-                            and _levenshtein_leq(v, word, max_edits):
-                        out.add(v)
-                    j += 1
-            else:
-                for j in range(len(arr)):
-                    v = arr[j].as_py()
-                    if v not in out and abs(len(v) - wl) <= max_edits \
-                            and _levenshtein_leq(v, word, max_edits):
-                        out.add(v)
+        for sh in self._dicts():
+            for v in _dict_range(sh._terms, word[:prefix_len]):
+                if v not in out and abs(len(v) - wl) <= max_edits \
+                        and _levenshtein_leq(v, word, max_edits):
+                    out.add(v)
         return sorted(out)[:max_expansions]
+
+    # -- serial entry points: one plan through PlanRunner.topk ----------------
+    def _search(self, mode: str, query: str, k: int, doc_filter=None,
+                **params) -> list[tuple[int, float]]:
+        hits = self.topk([self.compile(mode, query, params)], k, doc_filter)
+        return [(h["doc_id"], h["score"]) for h in hits]
+
+    def search_boolean(
+        self, must: str = "", should: str = "", must_not: str = "",
+        k: int = 10, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Boolean-clause retrieval (the Lucene BooleanQuery shape): a
+        doc is a candidate iff it contains EVERY must term and NO
+        must_not term; with no must terms, any doc matching at least
+        one should term. Candidates rank by the BM25 sum over the
+        DISTINCT (must ∪ should) terms they contain — must_not only
+        excludes, never scores."""
+        return self._search("boolean", "", k, doc_filter, must=must,
+                            should=should, must_not=must_not)
+
+    def search_prefix(
+        self, prefix: str, k: int = 10, max_expansions: int = 64, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Prefix (``pre*``) retrieval: expand against the term
+        dictionary, then OR-score the expansions — each expanded term
+        contributes with its own idf (rare completions outrank
+        stopword-ish ones)."""
+        return self._search("prefix", prefix, k, doc_filter,
+                            max_expansions=max_expansions)
+
+    def search_wildcard(
+        self, pattern: str, k: int = 10, max_expansions: int = 64,
+        doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Wildcard retrieval: OR-score the pattern's dictionary
+        expansions (see ``expand_wildcard``) with per-term idf."""
+        return self._search("wildcard", pattern, k, doc_filter,
+                            max_expansions=max_expansions)
+
+    def search_regex(
+        self, pattern: str, k: int = 10, max_expansions: int = 64,
+        doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Regex retrieval: OR-score the pattern's anchored full-match
+        dictionary expansions (see ``expand_regex``) with per-term
+        idf."""
+        return self._search("regex", pattern, k, doc_filter,
+                            max_expansions=max_expansions)
 
     def search_fuzzy(
         self, word: str, k: int = 10, max_edits: int = 1, prefix_len: int = 1,
         max_expansions: int = 64, doc_filter=None,
     ) -> list[tuple[int, float]]:
-        """Fuzzy (edit-distance) retrieval: expand ``word`` against the
-        dictionary within ``max_edits`` Levenshtein edits (first
-        ``prefix_len`` chars pinned), then OR-score the expansions with
-        per-term idf — an exact vocabulary term ranks its own postings
-        first because rarer variants carry higher idf, the
-        tolerant-retrieval behaviour misspelled queries need."""
-        toks = self.tokenize(word)
-        if not toks:
-            return []
-        terms = self.expand_fuzzy(toks[0], max_edits, prefix_len, max_expansions)
-        return self.search_or_terms(terms, k, doc_filter) if terms else []
+        """Fuzzy (edit-distance) retrieval: OR-score the dictionary
+        terms within ``max_edits`` of ``word`` (see ``expand_fuzzy``)
+        with per-term idf — an exact vocabulary term ranks its own
+        postings first because rarer variants carry higher idf."""
+        return self._search("fuzzy", word, k, doc_filter, max_edits=max_edits,
+                            prefix_len=prefix_len,
+                            max_expansions=max_expansions)
+
+    def search_boosted(
+        self, query: str, k: int = 10, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Query-time term boosting (Lucene ``term^2.5`` clause syntax,
+        see ``parse_boosted_query``): each term scores with boost·idf,
+        so an all-1.0 query reproduces ``search_taat`` bitwise and a
+        boosted out-of-vocabulary term contributes nothing."""
+        return self._search("boosted", query, k, doc_filter)
+
+    def search_synonym(
+        self, query: str, k: int = 10, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Query-time synonym expansion (frozen ``flagship.SYNONYMS``
+        map, one hop — expansions never chain), OR-scored with
+        per-term idf. Out-of-vocabulary expansions contribute
+        nothing."""
+        return self._search("synonym", query, k, doc_filter)
+
+    def search_after(
+        self, query: str, k: int = 10,
+        after: tuple[float, int] | None = None, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Cursor paging (the Elasticsearch ``search_after`` shape):
+        the top-``k`` hits STRICTLY AFTER the ``(score, doc_id)``
+        cursor in the engine-wide (score desc, doc_id asc) total
+        order — a cursor walk fetches k per page no matter how deep.
+        ``after=None`` is page one (== top-k)."""
+        return self._search("bm25", query, k, doc_filter, search_after=after)
+
+    def search_collapse(
+        self, query: str, field: str, k: int = 10, doc_filter=None,
+    ) -> list[dict]:
+        """Field-collapsed top-k (the Elasticsearch ``collapse`` shape):
+        each ``docmeta[field]`` group is represented by its (score
+        desc, doc_id asc) leader, the best ``k`` groups ranked by their
+        leaders. Rows {"rank", "value", "doc_id", "score", "n"}, ``n``
+        the group's full match-set size."""
+        hits = self.topk([self.compile("collapse", query, {"collapse_field": field})],
+                         k, doc_filter)
+        return [
+            {"rank": h["rank"], "value": h["group"], "doc_id": h["doc_id"],
+             "score": h["score"], "n": h["group_n"]}
+            for h in hits
+        ]
+
+    def more_like_this(
+        self, doc_tokens: list[str], exclude_doc: int | None = None,
+        k: int = 10, max_terms: int = 8, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Similar-document retrieval (Lucene MoreLikeThis): OR-score
+        the source's ``max_terms`` highest-tf·idf terms, drop the
+        source doc itself, top-k. The source's TOKENS are the input —
+        the caller owns text access."""
+        plan = self.compile("more_like_this", "",
+                            {"max_terms": max_terms, "exclude_doc": exclude_doc})
+        plan["feedback"]["tokens"] = list(doc_tokens)
+        return [(h["doc_id"], h["score"]) for h in self.topk([plan], k, doc_filter)]
+
+    def search_prf(
+        self, query: str, k: int = 10, fb_docs: int = 5, fb_terms: int = 8,
+        beta: float = 0.5, doc_filter=None,
+    ) -> list[tuple[int, float]]:
+        """Pseudo-relevance-feedback retrieval (Rocchio-style query
+        expansion, public IR knowledge — Rocchio 1971, RM3 family): the
+        query's top ``fb_docs`` hits are taken as relevant, their
+        ``fb_terms`` highest (summed tf)·idf terms join the query at
+        ``beta``·idf (see ``PlanRunner._resolve_feedback``)."""
+        return self._search("prf", query, k, doc_filter, fb_docs=fb_docs,
+                            fb_terms=fb_terms, beta=beta)
+
+    def search_or_terms(
+        self, terms: list[str], k: int = 10, doc_filter=None,
+        weights: dict[str, float] | None = None,
+    ) -> list[tuple[int, float]]:
+        """Exhaustive OR-of-terms top-k over an EXPLICIT, already
+        normalized term list; ``weights`` overrides idf per term."""
+        return rank_topk(*self._matches(self._term_weights(terms, weights),
+                                        doc_filter=doc_filter), k)
 
     def search_page(
         self, query: str, k: int = 10, offset: int = 0, algo: str = "bmw",
@@ -1525,23 +1478,17 @@ class IndexReader:
             query, k + offset, doc_filter=doc_filter)
         return hits[offset : offset + k]
 
-    def search_synonym(
-        self, query: str, k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
+    # -- exhaustive TAAT ------------------------------------------------------
+    def search_taat(
+        self, query: str, k: int = 10, weights: dict[str, float] | None = None,
+        doc_filter=None,
     ) -> list[tuple[int, float]]:
-        """Query-time synonym expansion (frozen ``flagship.SYNONYMS``
-        map, one hop — expansions never chain): widen the tokenized
-        query with each term's synonyms, OR-score the set with
-        per-term idf. Out-of-vocabulary expansions have no postings
-        and contribute nothing — the SynonymGraphFilter-at-query-time
-        contract."""
-        from .flagship import SYNONYMS
-
-        toks = self.tokenize(query)
-        if not toks:
-            return []
-        terms = sorted(set(toks) | {s for t in toks for s in SYNONYMS.get(t, ())})
-        return self.search_or_terms(terms, k, doc_filter, weights=weights)
+        """Exhaustive term-at-a-time top-k. ``doc_filter``: optional
+        search-time metadata restriction — ("col", "value") against
+        docmeta, or a precomputed bool mask over the doc-id span.
+        Corpus stats (idf, avgdl) stay GLOBAL; only result membership
+        is restricted (tombstone semantics)."""
+        return self.search_or_terms(self.tokenize(query), k, doc_filter, weights)
 
     # -- block-max WAND (vectorized block-at-a-time variant) ------------------
     def search_bmw(
@@ -1557,14 +1504,18 @@ class IndexReader:
         term), accumulating each doc's terms in sorted-term float64
         order — bit-identical to search_taat, hence rank-identical to
         the brute-force oracle."""
-        terms = self._query_terms(query)
-        infos = self._term_infos(terms, weights)
+        return self._bmw(self._term_weights(self.tokenize(query), weights), k,
+                         doc_filter)
+
+    def _bmw(self, weights: dict[str, float], k: int,
+             doc_filter=None) -> list[tuple[int, float]]:
+        infos = self._term_infos(weights)
         if len(infos) <= 1:
             # single-term: no WAND pruning exists (one cursor), and on
             # flat tf distributions block-max skipping degenerates to a
             # per-block python loop — the canonical fast path is one
             # vectorized exhaustive scan (bitwise-identical scores)
-            return self.search_taat(query, k, weights, doc_filter=doc_filter)
+            return rank_topk(*self._matches(weights, doc_filter=doc_filter), k)
         # dense-query dispatch: when EVERY term is stopword-like (df
         # over this reader's shards >= dense_query_cutoff of its doc
         # span), nearly every doc matches every term, block-max tables
@@ -1579,7 +1530,7 @@ class IndexReader:
             sum(self.shards[s].df_local_at(i) for s, i in locs) >= cutoff
             for _, _, locs in infos
         ):
-            return self.search_taat(query, k, weights, doc_filter=doc_filter)
+            return rank_topk(*self._matches(weights, doc_filter=doc_filter), k)
         # masking only WITHHOLDS docs from the heap: window upper
         # bounds stay valid (they over-estimate the filtered subset),
         # so pruning remains admissible — just less tight (theta grows

@@ -7,19 +7,34 @@ a Dataset ``map_batches`` actor pool gives every actor the WHOLE index
 (right for throughput batches, see ``QueryScorer``), but cluster-scale
 serving partitions the index across actors — and then every query
 needs a result merge across actors, which the Dataset API cannot
-express as a per-batch transform. The router does a two-phase protocol:
+express as a per-batch transform.
 
-1. **df exchange**: each actor returns per-term ``sum(df_local)`` over
-   its shards; the router sums to exact global df and computes idf
-   weights (tiny: O(query terms) numbers per actor);
-2. **scatter-gather top-k**: actors score their shards with the
-   provided global weights (block-max WAND) and return per-actor
-   top-k; the router k-way merges with the engine-wide
-   ``(score desc, doc_id asc)`` tie-break.
+Every query mode runs one path, ``PlanRunner.topk`` (query.py), which
+the router shares with the serial ``IndexReader``:
+
+1. **compile**: the caller turns a request into a plan
+   (``query.compile_plan``: scored terms with boosts or an expansion
+   spec, must / must-not terms, an optional positional verifier,
+   after / collapse / exclude_doc, or a feedback step);
+2. **expand**: one batched ``expand_batch`` round trip, only when some
+   plan has a dictionary-expansion spec — each actor expands against
+   its own dictionary subset, the router unions and re-caps;
+3. **df**: ``_global_df`` sums per-actor ``df_locals`` into exact
+   global df, turned into boost·idf weights (O(query terms) numbers);
+4. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
+   runs ``IndexReader.execute`` for every plan over its owned shards;
+5. **merge**: the router ranks with the engine-wide (score desc,
+   doc_id asc) tie-break, max-merges collapse leaders, or verifies
+   positional candidates against the positions sidecar.
+
+MoreLikeThis and PRF plans first run their term selection at the
+router (a df exchange; PRF also a base top-k call and a pruned
+docterms read) and continue as weighted-OR plans that skip step 3. A
+plain bm25 search is two round trips: df, then the scatter.
 
 Rank/score identity with a single whole-index ``IndexReader`` holds by
-construction (same weights, same per-shard scoring, same merge order)
-and is asserted in tests/test_serving.py.
+construction (same plans, same weights, same per-shard executor, same
+merge) and is asserted in tests/test_serving.py.
 
 Reference analogue: the Milvus standalone server holding the
 collection while the app queries it over the wire
@@ -34,7 +49,7 @@ from collections import defaultdict
 import ray
 
 from ..functions.bm25 import idf as idf_fn
-from .query import IndexReader
+from .query import IndexReader, PlanRunner
 
 
 @ray.remote
@@ -47,77 +62,18 @@ class ShardQueryActor:
     def df_locals(self, terms: list[str]) -> dict[str, int]:
         return self.reader.df_locals(terms)
 
-    def search(
-        self,
-        queries: list[dict],
-        k: int,
-        weights_per_query: list[dict[str, float]],
-        algo: str = "bmw",
-        doc_filter=None,
-    ) -> list[tuple[int, int, float]]:
-        """[(qid, doc_id, score), ...] — top-k per query over OWNED
-        shards only. ``doc_filter`` is a ("col", value) docmeta
-        predicate; each actor masks exactly the docs it owns (the
-        reader's mask covers owned shards), so the merged result
-        equals a whole-index filtered search."""
-        search = getattr(self.reader, f"search_{algo}")
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            for doc, score in search(q["query"], k, weights=w, doc_filter=doc_filter):
-                out.append((q["qid"], doc, score))
-        return out
-
-    def expand_prefix(self, prefix: str, max_expansions: int) -> list[str]:
-        return self.reader.expand_prefix(prefix, max_expansions)
-
-    def expand_fuzzy(self, word: str, max_edits: int, prefix_len: int,
-                     max_expansions: int) -> list[str]:
-        return self.reader.expand_fuzzy(word, max_edits, prefix_len, max_expansions)
-
     def expand_batch(self, specs: list[tuple]) -> list[list[str]]:
-        """All of a battery's expansion requests in ONE round trip
-        (the per-(query, actor) RPC form capped prefix/fuzzy battery
-        throughput). specs: [("prefix", prefix, cap) |
-        ("wildcard", pattern, cap) | ("regex", pattern, cap) |
-        ("fuzzy", (word, max_edits, prefix_len), cap), ...]."""
-        out = []
-        for kind, arg, cap in specs:
-            if kind == "prefix":
-                out.append(self.reader.expand_prefix(arg, cap))
-            elif kind == "wildcard":
-                out.append(self.reader.expand_wildcard(arg, cap))
-            elif kind == "regex":
-                out.append(self.reader.expand_regex(arg, cap))
-            else:
-                w, me, pl = arg
-                out.append(self.reader.expand_fuzzy(w, me, pl, cap))
-        return out
+        """All of a batch's expansion specs in ONE round trip."""
+        return self.reader.expand_batch(specs)
 
-    def search_boolean(
-        self, queries: list[dict], k: int,
-        weights_per_query: list[dict[str, float]], doc_filter=None,
-    ) -> list[tuple[int, int, float]]:
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            for doc, score in self.reader.search_boolean(
-                q.get("must", ""), q.get("should", ""), q.get("must_not", ""),
-                k, doc_filter=doc_filter, weights=w,
-            ):
-                out.append((q["qid"], doc, score))
-        return out
-
-    def search_or_terms(
-        self, queries: list[dict], k: int,
-        weights_per_query: list[dict[str, float]], doc_filter=None,
-    ) -> list[tuple[int, int, float]]:
-        """queries carry an explicit, router-expanded ``terms`` list."""
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            for doc, score in self.reader.search_or_terms(
-                q["terms"], k, doc_filter=doc_filter, weights=w,
-            ):
-                out.append((q["qid"], doc, score))
-        return out
+    def execute(self, plans: list[dict], weights: list[dict[str, float]],
+                k: int, doc_filter=None) -> list[list[tuple]]:
+        """Per plan, ``IndexReader.execute`` over OWNED shards only.
+        ``doc_filter`` is a ("col", value) docmeta predicate; each actor
+        masks exactly the docs it owns, so the merged result equals a
+        whole-index filtered search."""
+        return [self.reader.execute(p, k, w, doc_filter)
+                for p, w in zip(plans, weights)]
 
     def facet_counts(
         self, queries: list[dict], facet_cols: list[str], doc_filter=None,
@@ -141,57 +97,6 @@ class ShardQueryActor:
             self.reader.length_facets(q["query"], edges, doc_filter)
             for q in queries
         ]
-
-    def conjunctive(
-        self, queries: list[dict], weights_per_query: list[dict[str, float]],
-        doc_filter=None,
-    ) -> list[tuple[int, int, float]]:
-        """ALL docs among owned shards containing EVERY query term
-        (the candidate stage of phrase/proximity — no k cut here:
-        position verification happens above, after the merge)."""
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            ids, scores = self.reader.conjunctive_scores(
-                q["terms"], doc_filter=doc_filter, weights=w,
-            )
-            for d, s in zip(ids.tolist(), scores.tolist()):
-                out.append((q["qid"], d, s))
-        return out
-
-    def collapse(
-        self, queries: list[dict], field: str,
-        weights_per_query: list[dict[str, float]], doc_filter=None,
-    ) -> list[tuple[int, str, int, float, int]]:
-        """Per-actor field-collapse partials over OWNED shards:
-        (qid, group value, leader doc_id, leader score, local match
-        count) per (query, group). Leaders max-merge and counts sum
-        exactly at the router because shards partition the docs."""
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            for r in self.reader.collapse_leaders(
-                q["query"], field, doc_filter=doc_filter, weights=w,
-            ):
-                out.append((q["qid"], r["value"], r["doc_id"],
-                            r["score"], r["n"]))
-        return out
-
-    def search_after(
-        self, queries: list[dict],
-        weights_per_query: list[dict[str, float]], k: int, doc_filter=None,
-    ) -> list[tuple[int, int, float]]:
-        """Per-actor cursor-paged top-k over OWNED docs (each query
-        dict may carry ``after``: (score, doc_id)); the router's
-        k-way merge stays exact because the cursor filter commutes
-        with the shard partition of the doc space."""
-        out = []
-        for q, w in zip(queries, weights_per_query):
-            a = q.get("after")
-            for doc, score in self.reader.search_after(
-                q["query"], k, after=tuple(a) if a else None,
-                doc_filter=doc_filter, weights=w,
-            ):
-                out.append((q["qid"], doc, score))
-        return out
 
     def match_prefix(
         self, queries: list[dict], n: int, doc_filter=None,
@@ -219,19 +124,27 @@ class ShardQueryActor:
         return True
 
 
-class ShardedQueryService:
-    """Router over a pool of ShardQueryActor, shards round-robined."""
+class ShardedQueryService(PlanRunner):
+    """Router over a pool of ShardQueryActor, shards round-robined.
+    Queries go through ``topk`` (see ``PlanRunner``); the hooks below
+    are its backend over the actor pool."""
 
     def __init__(self, index_dir: str, num_actors: int = 4):
         import json
         import os
+
+        from ..functions.tokenizer import get_tokenizer
+        from .maintenance import load_tombstones
 
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
             stats = json.load(f)
         nsh = stats["num_shards"]
         self.n_docs = stats["n_docs"]
-        self.tokenizer_mode = stats["tokenizer"]
+        self.tokenize = get_tokenizer(stats["tokenizer"])
+        # the pool serves one tombstone generation (the HTTP server
+        # swaps the pool when it changes), like its actors' readers
+        self.tombstones = load_tombstones(index_dir)
         num_actors = max(1, min(num_actors, nsh))
         assign: list[list[int]] = [[] for _ in range(num_actors)]
         for s in range(nsh):
@@ -240,276 +153,32 @@ class ShardedQueryService:
             ShardQueryActor.remote(index_dir, shard_ids) for shard_ids in assign
         ]
         ray.get([a.ready.remote() for a in self.actors])
-        from ..functions.tokenizer import get_tokenizer
 
-        self._tok = get_tokenizer(self.tokenizer_mode)
-
-    def topk(self, queries: list[dict], k: int = 10, algo: str = "bmw",
-             doc_filter=None, offset: int = 0) -> list[dict]:
-        """queries: [{"qid": int, "query": str}] ->
-        [{"qid", "rank", "doc_id", "score"}], rank-identical to a
-        whole-index IndexReader. ``offset`` pages deterministically:
-        actors each return their local top-(offset+k), the merged rank
-        list is sliced to ranks offset+1..offset+k (absolute ranks in
-        the output) — exact deep paging, the (score, doc_id) total
-        order makes pages stable across calls."""
-        per_query_terms = [sorted(set(self._tok(q["query"]))) for q in queries]
-        all_terms = sorted({t for ts in per_query_terms for t in ts})
-
-        # phase 1: df exchange -> exact global df -> idf weights
-        df_parts = ray.get([a.df_locals.remote(all_terms) for a in self.actors])
+    # -- PlanRunner backend: the actor pool ------------------------------------
+    def _global_df(self, terms: list[str]) -> dict[str, int]:
+        """The df exchange: exact global df (shards partition the doc
+        space, so per-actor df_local sums are exact); df 0 left out."""
         gdf: dict[str, int] = defaultdict(int)
-        for part in df_parts:
-            for t, n in part.items():
-                gdf[t] += n
-        weights_per_query = [
-            {t: idf_fn(self.n_docs, gdf[t]) for t in ts if gdf.get(t)}
-            for ts in per_query_terms
-        ]
+        if terms:
+            for part in ray.get([a.df_locals.remote(terms) for a in self.actors]):
+                for t, n in part.items():
+                    gdf[t] += n
+        return dict(gdf)
 
-        # phase 2: scatter-gather per-actor top-k, merge with the
-        # engine-wide tie-break
-        parts = ray.get(
-            [
-                a.search.remote(queries, k + offset, weights_per_query, algo,
-                                doc_filter)
-                for a in self.actors
-            ]
-        )
-        by_qid: dict[int, list[tuple[float, int]]] = defaultdict(list)
-        for rows in parts:
-            for qid, doc, score in rows:
-                by_qid[qid].append((score, doc))
-        out = []
-        for q in queries:
-            ordered = sorted(
-                by_qid.get(q["qid"], []), key=lambda e: (-e[0], e[1])
-            )[offset : offset + k]
-            for rank, (score, doc) in enumerate(ordered, start=offset + 1):
-                out.append(
-                    {"qid": q["qid"], "rank": rank, "doc_id": doc, "score": score}
-                )
-        return out
-
-    def _weights_for(self, per_query_terms: list[list[str]]) -> list[dict[str, float]]:
-        """df exchange (phase 1) for an arbitrary term-list-per-query:
-        exact global idf from summed per-actor df_local."""
-        all_terms = sorted({t for ts in per_query_terms for t in ts})
-        if not all_terms:
-            return [{} for _ in per_query_terms]
-        df_parts = ray.get([a.df_locals.remote(all_terms) for a in self.actors])
-        gdf: dict[str, int] = defaultdict(int)
-        for part in df_parts:
-            for t, n in part.items():
-                gdf[t] += n
+    def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
+        """ONE ``expand_batch`` round trip per actor for the whole
+        batch, then per spec union, sort and cap."""
+        per_actor = ray.get([a.expand_batch.remote(specs) for a in self.actors])
         return [
-            {t: idf_fn(self.n_docs, gdf[t]) for t in ts if gdf.get(t)}
-            for ts in per_query_terms
+            sorted({t for lists in per_actor for t in lists[i]})[:cap]
+            for i, (_, _, cap) in enumerate(specs)
         ]
 
-    def _merge(self, queries: list[dict], parts, k: int) -> list[dict]:
-        """Phase-2 gather: k-way merge per qid with the engine-wide
-        (score desc, doc_id asc) tie-break."""
-        by_qid: dict[int, list[tuple[float, int]]] = defaultdict(list)
-        for rows in parts:
-            for qid, doc, score in rows:
-                by_qid[qid].append((score, doc))
-        out = []
-        for q in queries:
-            hits = sorted(by_qid.get(q["qid"], []), key=lambda e: (-e[0], e[1]))[:k]
-            for rank, (score, doc) in enumerate(hits, start=1):
-                out.append(
-                    {"qid": q["qid"], "rank": rank, "doc_id": doc, "score": score}
-                )
-        return out
+    def _scatter(self, plans, weights, k: int, doc_filter) -> list[list]:
+        return ray.get([a.execute.remote(plans, weights, k, doc_filter)
+                        for a in self.actors])
 
-    def topk_boolean(self, queries: list[dict], k: int = 10,
-                     doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "must", "should", "must_not"}] — same
-        two-phase protocol as ``topk``: global idf for the DISTINCT
-        (must + should) score terms via the df exchange; presence and
-        exclusion are evaluated locally per actor (each doc lives in
-        exactly one shard, so local must/not checks compose exactly)."""
-        per_query_terms = [
-            sorted(set(self._tok(q.get("must", "")))
-                   | set(self._tok(q.get("should", ""))))
-            for q in queries
-        ]
-        weights = self._weights_for(per_query_terms)
-        parts = ray.get([
-            a.search_boolean.remote(queries, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_prefix(self, queries: list[dict], k: int = 10,
-                    max_expansions: int = 64, doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "prefix"}]. Three-phase: (0) expansion
-        exchange — each actor expands against ITS dictionary subset,
-        the router unions and applies the deterministic
-        lexicographic cap (a term in the global first-N is in its own
-        actor's first-N, so per-actor caps lose nothing); then the
-        usual df exchange + scatter-gather OR scoring. The prefix is
-        normalized through the index tokenizer first (parity with the
-        serial ``search_prefix``)."""
-        norm = [(self._tok(q["prefix"]) or [""])[0] for q in queries]
-        expansions = self._expand(
-            [("prefix", p, max_expansions) for p in norm],
-            max_expansions,
-        )
-        expansions = [ts if p else [] for p, ts in zip(norm, expansions)]
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_fuzzy(self, queries: list[dict], k: int = 10,
-                   max_edits: int = 1, prefix_len: int = 1,
-                   max_expansions: int = 64, doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "word"}] — fuzzy analogue of topk_prefix."""
-        norm = [(self._tok(q["word"]) or [""])[0] for q in queries]
-        expansions = self._expand(
-            [("fuzzy", (w, max_edits, prefix_len), max_expansions)
-             for w in norm],
-            max_expansions,
-        )
-        expansions = [ts if w else [] for w, ts in zip(norm, expansions)]
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_wildcard(self, queries: list[dict], k: int = 10,
-                      max_expansions: int = 64, doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "pattern"}] — wildcard analogue of
-        topk_prefix: per-actor dictionary expansion (a term in the
-        global lexicographically-first N is in its own actor's first N,
-        so per-actor caps lose nothing), router union + cap, then the
-        df exchange + scatter-gather OR scoring."""
-        pats = [str(q["pattern"]).lower() for q in queries]
-        expansions = self._expand(
-            [("wildcard", p, max_expansions) for p in pats],
-            max_expansions,
-        )
-        expansions = [ts if p else [] for p, ts in zip(pats, expansions)]
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_regex(self, queries: list[dict], k: int = 10,
-                   max_expansions: int = 64, doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "pattern"}] — regex analogue of
-        topk_wildcard: per-actor anchored-full-match expansion over
-        its dictionary subset (a term in the global
-        lexicographically-first N is in its own actor's first N, so
-        per-actor caps lose nothing), router union + cap, then the df
-        exchange + scatter-gather OR scoring."""
-        pats = [str(q["pattern"]).lower() for q in queries]
-        expansions = self._expand(
-            [("regex", p, max_expansions) for p in pats],
-            max_expansions,
-        )
-        expansions = [ts if p else [] for p, ts in zip(pats, expansions)]
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_boosted(self, queries: list[dict], k: int = 10,
-                     doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "query"}] with Lucene ``term^boost``
-        clause syntax — the df exchange supplies exact global idf, the
-        router multiplies in the parsed boosts
-        (query.parse_boosted_query: clause boosts SUM per repeated
-        term), the actors run the weighted OR scatter. Rank-identical
-        to the serial ``search_boosted`` by construction."""
-        from .query import parse_boosted_query
-
-        boosts_per_q = [
-            parse_boosted_query(q["query"], self._tok) for q in queries
-        ]
-        term_lists = [sorted(b) for b in boosts_per_q]
-        base = self._weights_for(term_lists)
-        scored, live_w = [], []
-        for q, b, w in zip(queries, boosts_per_q, base):
-            terms = [t for t in sorted(b) if t in w]
-            if not terms:
-                continue
-            scored.append({"qid": q["qid"], "terms": terms})
-            live_w.append({t: b[t] * w[t] for t in terms})
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, live_w, doc_filter)
-            for a in self.actors
-        ]) if scored else []
-        return self._merge(scored, parts, k)
-
-    def topk_collapse(self, queries: list[dict], field: str,
-                      k: int = 10, doc_filter=None) -> list[dict]:
-        """Distributed field collapsing. queries: [{"qid", "query"}] →
-        per query the best ``k`` GROUPS of ``docmeta[field]``, each
-        represented by its leader hit plus the group's full match-set
-        size. Protocol: the usual df exchange, then per-actor
-        (leader, local count) partials over owned docs
-        (IndexReader.collapse_leaders), router max-merge of leaders
-        with the engine (score desc, doc_id asc) tie-break + count
-        sum — both exact, since shards partition the doc space.
-        Output rows: {"qid", "rank", "doc_id", "score", "group",
-        "group_n"}."""
-        per_query_terms = [sorted(set(self._tok(q["query"]))) for q in queries]
-        weights = self._weights_for(per_query_terms)
-        parts = ray.get([
-            a.collapse.remote(queries, field, weights, doc_filter)
-            for a in self.actors
-        ])
-        best: dict[tuple[int, str], tuple[float, int]] = {}
-        cnt: dict[tuple[int, str], int] = defaultdict(int)
-        for rows in parts:
-            for qid, val, doc, score, n in rows:
-                key = (qid, val)
-                cnt[key] += n
-                cur = best.get(key)
-                if cur is None or (-score, doc) < (-cur[0], cur[1]):
-                    best[key] = (score, doc)
-        out = []
-        for q in queries:
-            groups = sorted(
-                ((s, d, v) for (qid, v), (s, d) in best.items()
-                 if qid == q["qid"]),
-                key=lambda e: (-e[0], e[1]),
-            )[:k]
-            for rank, (score, doc, val) in enumerate(groups, start=1):
-                out.append({
-                    "qid": q["qid"], "rank": rank, "doc_id": doc,
-                    "score": score, "group": val,
-                    "group_n": cnt[(q["qid"], val)],
-                })
-        return out
-
+    # -- non-ranking aggregations ------------------------------------------------
     def topk_significant(self, queries: list[dict], k: int = 10,
                          sample_n: int = 50, doc_filter=None) -> list[dict]:
         """Distributed significant-terms. queries: [{"qid", "query"}]
@@ -527,215 +196,19 @@ class ShardedQueryService:
             a.match_prefix.remote(queries, sample_n, doc_filter)
             for a in self.actors
         ])
-        out = []
-        per_q_cands: list[list[str]] = []
-        per_q_fg: list[dict[str, int]] = []
-        per_q_ids: list[list[int]] = []
+        per_q = []
         for qi, q in enumerate(queries):
             ids = sorted({d for p in prefixes for d in p[qi]})[:sample_n]
             fg = _sample_doc_freqs(self.index_dir, ids)
-            exclude = set(self._tok(q["query"]))
-            per_q_ids.append(ids)
-            per_q_fg.append(fg)
-            per_q_cands.append(sorted(t for t in fg if t not in exclude))
-        all_terms = sorted({t for ts in per_q_cands for t in ts})
-        gdf: dict[str, int] = defaultdict(int)
-        if all_terms:
-            for part in ray.get([
-                a.df_locals.remote(all_terms) for a in self.actors
-            ]):
-                for t, n in part.items():
-                    gdf[t] += n
-        for q, ids, fg, cand in zip(
-            queries, per_q_ids, per_q_fg, per_q_cands,
-        ):
-            rows = _score_significant(
-                fg, gdf, len(ids), self.n_docs, cand, k)
+            exclude = set(self.tokenize(q["query"]))
+            per_q.append((ids, fg, sorted(t for t in fg if t not in exclude)))
+        gdf = self._global_df(sorted({t for _, _, c in per_q for t in c}))
+        out = []
+        for q, (ids, fg, cand) in zip(queries, per_q):
+            rows = _score_significant(fg, gdf, len(ids), self.n_docs, cand, k)
             for rank, r in enumerate(rows, start=1):
                 out.append({"qid": q["qid"], "rank": rank, **r})
         return out
-
-    def topk_after(self, queries: list[dict], k: int = 10,
-                   doc_filter=None) -> list[dict]:
-        """Cursor paging through the router. queries: [{"qid",
-        "query", "after"?: (score, doc_id)}] — the usual df exchange,
-        per-actor cursor-filtered top-k over owned docs, k-way merge
-        with the engine tie-break. Bitwise-consistent with ``topk``:
-        a cursor taken from any page's last hit yields exactly the
-        next k ranks of the same total order."""
-        per_query_terms = [sorted(set(self._tok(q["query"]))) for q in queries]
-        weights = self._weights_for(per_query_terms)
-        parts = ray.get([
-            a.search_after.remote(queries, weights, k, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_synonym(self, queries: list[dict], k: int = 10,
-                     doc_filter=None) -> list[dict]:
-        """queries: [{"qid", "query"}] — query-time synonym expansion.
-        The expansion is corpus-free (frozen flagship.SYNONYMS map,
-        one hop) so it happens on the router — no expansion exchange;
-        then the usual df exchange + scatter-gather OR scoring,
-        rank-identical to the serial ``search_synonym``."""
-        from .flagship import SYNONYMS
-
-        expansions = []
-        for q in queries:
-            toks = self._tok(q["query"])
-            expansions.append(
-                sorted(set(toks) | {s for t in toks for s in SYNONYMS.get(t, ())})
-                if toks else []
-            )
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def topk_more_like_this(
-        self, queries: list[dict], k: int = 10, max_terms: int = 8,
-        doc_filter=None,
-    ) -> list[dict]:
-        """Similar-document retrieval through the pool. queries:
-        [{"qid", "text", "exclude_doc"?}] — ``text`` is the source
-        doc's stored text (the caller owns text access). Protocol: one
-        df exchange over each source's DISTINCT terms → router-side
-        tf·idf term selection (exact global idf, ties term-asc — the
-        same deterministic cut a whole-index reader makes) → the usual
-        scatter-gather OR scoring of the selected terms at k+1 → merge,
-        drop the source doc, cut to k."""
-        toks_per_q = [self._tok(q.get("text", "")) for q in queries]
-        distinct = [sorted(set(ts)) for ts in toks_per_q]
-        all_terms = sorted({t for ts in distinct for t in ts})
-        gdf: dict[str, int] = defaultdict(int)
-        if all_terms:
-            for part in ray.get(
-                [a.df_locals.remote(all_terms) for a in self.actors]
-            ):
-                for t, n in part.items():
-                    gdf[t] += n
-        from collections import Counter
-
-        selections = []
-        for toks in toks_per_q:
-            tf = Counter(toks)
-            scored = [
-                (t, tf[t] * idf_fn(self.n_docs, gdf[t]))
-                for t in tf if gdf.get(t)
-            ]
-            scored.sort(key=lambda e: (-e[1], e[0]))
-            selections.append([t for t, _ in scored[:max_terms]])
-        weights = [
-            {t: idf_fn(self.n_docs, gdf[t]) for t in sel}
-            for sel in selections
-        ]
-        scored_q = [
-            {"qid": q["qid"], "terms": sel}
-            for q, sel in zip(queries, selections) if sel
-        ]
-        live_w = [w for sel, w in zip(selections, weights) if sel]
-        parts = ray.get([
-            a.search_or_terms.remote(scored_q, k + 1, live_w, doc_filter)
-            for a in self.actors
-        ]) if scored_q else []
-        merged = self._merge(scored_q, parts, k + 1)
-        excl = {q["qid"]: q.get("exclude_doc") for q in queries}
-        out = []
-        for qid in [q["qid"] for q in scored_q]:
-            rows = [r for r in merged
-                    if r["qid"] == qid and r["doc_id"] != excl.get(qid)][:k]
-            for rank, r in enumerate(rows, start=1):
-                out.append({"qid": qid, "rank": rank,
-                            "doc_id": r["doc_id"], "score": r["score"]})
-        return out
-
-    def topk_prf(
-        self, queries: list[dict], k: int = 10, fb_docs: int = 5,
-        fb_terms: int = 8, beta: float = 0.5, doc_filter=None,
-    ) -> list[dict]:
-        """Pseudo-relevance feedback through the pool (the sharded
-        form of IndexReader.search_prf — rank-identical by
-        construction). Protocol: (1) base scatter-gather top-fb_docs;
-        (2) ONE doc_id-pruned parquet read of the index's docterms
-        checkpoint for all queries' feedback docs (router-side,
-        feedback-sized — never corpus-sized); (3) one df exchange over
-        original + candidate terms -> exact global idf -> router-side
-        expansion cut (summed-tf·idf, term-asc ties); (4) weighted
-        OR-of-terms scatter-gather (originals at idf, expansions at
-        beta·idf) and the usual merge."""
-        import os
-
-        base = self.topk(queries, k=fb_docs, algo="taat",
-                         doc_filter=doc_filter)
-        fb_per_q: dict[int, list[int]] = defaultdict(list)
-        for r in base:
-            fb_per_q[r["qid"]].append(int(r["doc_id"]))
-        all_fb = sorted({d for ids in fb_per_q.values() for d in ids})
-        per_doc: dict[int, tuple[list, list]] = {}
-        if all_fb:
-            import pyarrow.dataset as pads
-
-            tbl = pads.dataset(
-                os.path.join(self.index_dir, "docterms"), format="parquet",
-            ).to_table(columns=["doc_id", "terms", "tfs"],
-                       filter=pads.field("doc_id").isin(all_fb))
-            for d, ts, fs in zip(tbl["doc_id"].to_pylist(),
-                                 tbl["terms"].to_pylist(),
-                                 tbl["tfs"].to_pylist()):
-                per_doc[int(d)] = (ts, fs)
-
-        orig = {q["qid"]: sorted(set(self._tok(q["query"]))) for q in queries}
-        rel: dict[int, dict[str, int]] = {}
-        for q in queries:
-            acc: dict[str, int] = {}
-            for d in fb_per_q.get(q["qid"], []):
-                ts, fs = per_doc.get(d, ((), ()))
-                for t, f in zip(ts, fs):
-                    acc[t] = acc.get(t, 0) + int(f)
-            rel[q["qid"]] = acc
-
-        all_terms = sorted({
-            t for q in queries
-            for t in (set(orig[q["qid"]]) | set(rel[q["qid"]]))
-        })
-        gdf: dict[str, int] = defaultdict(int)
-        if all_terms:
-            for part in ray.get(
-                [a.df_locals.remote(all_terms) for a in self.actors]
-            ):
-                for t, n in part.items():
-                    gdf[t] += n
-
-        scored_q, live_w = [], []
-        for q in queries:
-            qid = q["qid"]
-            o = orig[qid]
-            o_set = set(o)
-            cand = [
-                (t, rel[qid][t] * idf_fn(self.n_docs, gdf[t]))
-                for t in rel[qid] if t not in o_set and gdf.get(t)
-            ]
-            cand.sort(key=lambda e: (-e[1], e[0]))
-            expansion = [t for t, _ in cand[:fb_terms]]
-            terms = o + expansion
-            if not any(gdf.get(t) for t in terms):
-                continue
-            w = {t: idf_fn(self.n_docs, gdf[t]) for t in o if gdf.get(t)}
-            w.update({t: beta * idf_fn(self.n_docs, gdf[t])
-                      for t in expansion})
-            scored_q.append({"qid": qid, "terms": terms})
-            live_w.append(w)
-        parts = ray.get([
-            a.search_or_terms.remote(scored_q, k, live_w, doc_filter)
-            for a in self.actors
-        ]) if scored_q else []
-        return self._merge(scored_q, parts, k)
 
     def explain(self, query: str, doc_ids: list[int]) -> list[dict]:
         """Whole-pool scoring explanation: one df exchange for exact
@@ -743,114 +216,15 @@ class ShardedQueryService:
         OWNS (shards partition the doc space, so the concatenation is
         exactly a whole-index reader's explain). Rows come back
         (doc_id asc, term asc)."""
-        terms = sorted(set(self._tok(query)))
-        gdf: dict[str, int] = defaultdict(int)
-        if terms:
-            for part in ray.get(
-                [a.df_locals.remote(terms) for a in self.actors]
-            ):
-                for t, n in part.items():
-                    gdf[t] += n
+        gdf = self._global_df(sorted(set(self.tokenize(query))))
         weights = {t: idf_fn(self.n_docs, d) for t, d in gdf.items()}
         parts = ray.get([
-            a.explain.remote(query, doc_ids, weights, dict(gdf))
+            a.explain.remote(query, doc_ids, weights, gdf)
             for a in self.actors
         ])
         rows = [r for p in parts for r in p]
         rows.sort(key=lambda r: (r["doc_id"], r["term"]))
         return rows
-
-    def _verify_rank_positional(self, queries: list[dict], term_lists,
-                                verify_fns, k: int,
-                                doc_filter=None) -> list[dict]:
-        """Shared tail of the positional modes (phrase / proximity /
-        span-near): sidecar presence check, per-actor conjunctive
-        candidates over each query's DISTINCT terms (a doc lives wholly
-        in one shard, so local all-terms checks compose exactly), ONE
-        pushdown-pruned sidecar verify per query over the merged
-        candidates, then (BM25 desc, doc_id asc) rank truncated to k.
-        ``term_lists[i]`` is query i's tokenized term sequence;
-        ``verify_fns[i](ids)`` returns the verified doc-id array."""
-        import os
-
-        import numpy as np
-
-        from .positions import positions_dir
-
-        if not os.path.isdir(positions_dir(self.index_dir)):
-            raise FileNotFoundError(
-                f"no positions sidecar under {self.index_dir} — "
-                "run build_positions_sidecar first"
-            )
-        cands = self._conjunctive(
-            queries, [sorted(set(ts)) for ts in term_lists], doc_filter)
-        out = []
-        for q, terms, verify in zip(queries, term_lists, verify_fns):
-            hits = cands.get(q["qid"], [])
-            if not terms or not hits:
-                continue
-            ids = np.array([d for _, d in hits], np.int64)
-            ok = set(verify(ids).tolist())
-            kept = sorted(
-                ((s, d) for s, d in hits if d in ok),
-                key=lambda e: (-e[0], e[1]),
-            )[:k]
-            for rank, (score, doc) in enumerate(kept, start=1):
-                out.append(
-                    {"qid": q["qid"], "rank": rank, "doc_id": doc, "score": score}
-                )
-        return out
-
-    def topk_phrase(self, queries: list[dict], k: int = 10,
-                    doc_filter=None) -> list[dict]:
-        """Exact-phrase top-k through the sharded pool. queries:
-        [{"qid", "phrase"}]. Protocol: df exchange for global idf →
-        per-actor conjunctive candidates → ONE positional-sidecar
-        adjacency verify over the merged candidate set
-        (pushdown-pruned — O(candidate postings), never a corpus
-        read) → rank the verified by (BM25 desc, doc_id asc).
-        Requires the positions sidecar (``build_positions_sidecar``)."""
-        from .positions import verify_phrase_positions
-
-        phrases = [self._tok(q["phrase"]) for q in queries]
-        return self._verify_rank_positional(
-            queries, phrases,
-            [(lambda ids, p=p: verify_phrase_positions(
-                self.index_dir, p, ids)) for p in phrases],
-            k, doc_filter=doc_filter)
-
-    def topk_proximity(self, queries: list[dict], k: int = 10,
-                       doc_filter=None) -> list[dict]:
-        """Unordered within-window top-k (all terms inside a
-        ``window``-token span). queries: [{"qid", "terms", "window"}].
-        Same candidate protocol as ``topk_phrase``; verification is
-        the minimal-cover sweep over the sidecar position lists."""
-        from .positions import verify_proximity_positions
-
-        term_lists = [sorted(set(self._tok(q["terms"]))) for q in queries]
-        return self._verify_rank_positional(
-            queries, term_lists,
-            [(lambda ids, t=t, w=int(q["window"]):
-              verify_proximity_positions(self.index_dir, t, w, ids))
-             for q, t in zip(queries, term_lists)],
-            k, doc_filter=doc_filter)
-
-    def topk_spannear(self, queries: list[dict], k: int = 10,
-                      doc_filter=None) -> list[dict]:
-        """Ordered within-window top-k (terms IN QUERY ORDER inside a
-        ``window``-token span — Lucene span_near in_order=true).
-        queries: [{"qid", "terms", "window"}]. Candidates come from
-        the DISTINCT terms (order-free); verification is the greedy
-        ordered-chain sweep over the terms in their original order."""
-        from .positions import verify_spannear_positions
-
-        ordered_lists = [self._tok(q["terms"]) for q in queries]
-        return self._verify_rank_positional(
-            queries, ordered_lists,
-            [(lambda ids, o=o, w=int(q["window"]):
-              verify_spannear_positions(self.index_dir, o, w, ids))
-             for q, o in zip(queries, ordered_lists)],
-            k, doc_filter=doc_filter)
 
     def facets(self, queries: list[dict], facet_cols: list[str],
                doc_filter=None) -> list[dict[str, dict[str, int]]]:
@@ -891,94 +265,6 @@ class ShardedQueryService:
                 for row in p[qi]:
                     merged[row["lo"]] = merged.get(row["lo"], 0) + row["n"]
             out.append([{"lo": lo, "n": merged[lo]} for lo in sorted(merged)])
-        return out
-
-    def _conjunctive(
-        self, queries: list[dict], term_lists: list[list[str]], doc_filter,
-    ) -> dict[int, list[tuple[float, int]]]:
-        """df exchange + scatter conjunctive-candidate gather, keyed by
-        qid as (score, doc_id) pairs. A query with an out-of-vocabulary
-        term (global df 0) is dropped here — the conjunction is empty
-        by definition."""
-        weights = self._weights_for(term_lists)
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts, w in zip(queries, term_lists, weights)
-            if ts and all(t in w for t in ts)
-        ]
-        if not scored:
-            return {}
-        live_w = [w for ts, w in zip(term_lists, weights)
-                  if ts and all(t in w for t in ts)]
-        parts = ray.get([
-            a.conjunctive.remote(scored, live_w, doc_filter)
-            for a in self.actors
-        ])
-        by_qid: dict[int, list[tuple[float, int]]] = defaultdict(list)
-        for rows in parts:
-            for qid, doc, score in rows:
-                by_qid[qid].append((score, doc))
-        return by_qid
-
-    def topk_terms(self, queries: list[dict], k: int = 10,
-                   doc_filter=None) -> list[dict]:
-        """OR-score EXPLICIT pre-expanded term lists — the shared
-        scoring tail of the expansion modes, callable directly so a
-        caller that already holds the expansion set (e.g. snippet
-        highlighting, which needs the terms anyway) pays ONE
-        dictionary-expansion round instead of two. queries:
-        [{"qid", "terms": [str, ...]}]. Bitwise identical to the
-        corresponding topk_prefix/fuzzy/wildcard/regex call whose
-        expansion produced ``terms``."""
-        expansions = [list(q.get("terms") or []) for q in queries]
-        scored = [
-            {"qid": q["qid"], "terms": ts}
-            for q, ts in zip(queries, expansions)
-        ]
-        weights = self._weights_for(expansions)
-        parts = ray.get([
-            a.search_or_terms.remote(scored, k, weights, doc_filter)
-            for a in self.actors
-        ])
-        return self._merge(queries, parts, k)
-
-    def expansion_terms(self, mode: str, value: str,
-                        max_expansions: int = 64, max_edits: int = 1,
-                        prefix_len: int = 1) -> list[str]:
-        """Union of the per-actor dictionary expansions for ONE query —
-        the highlight-able matched-term set for the expansion modes
-        (prefix/fuzzy/wildcard/regex). Same normalization and
-        deterministic lexicographic cap as the corresponding topk_*
-        method, so the set is exactly the terms that scored."""
-        if mode == "prefix":
-            norm = (self._tok(value) or [""])[0]
-            spec = ("prefix", norm, max_expansions)
-        elif mode == "fuzzy":
-            norm = (self._tok(value) or [""])[0]
-            spec = ("fuzzy", (norm, max_edits, prefix_len), max_expansions)
-        elif mode in ("wildcard", "regex"):
-            norm = str(value).lower()
-            spec = (mode, norm, max_expansions)
-        else:
-            raise ValueError(f"not an expansion mode: {mode!r}")
-        if not norm:
-            return []
-        return self._expand([spec], max_expansions)[0]
-
-    def _expand(self, specs, max_expansions: int) -> list[list[str]]:
-        """Phase 0 for the dictionary-expansion queries: ONE
-        ``expand_batch`` RPC per actor carrying the whole battery's
-        specs (the per-(spec, actor) fan-out capped prefix/fuzzy
-        battery throughput on tiny-message latency), then per-spec
-        union, sort, cap — the same deterministic term set a
-        whole-index reader produces."""
-        per_actor = ray.get([a.expand_batch.remote(specs) for a in self.actors])
-        out = []
-        for i in range(len(specs)):
-            union: set[str] = set()
-            for lists in per_actor:
-                union.update(lists[i])
-            out.append(sorted(union)[:max_expansions])
         return out
 
     def shutdown(self) -> None:

@@ -129,6 +129,48 @@ def _best_window_tokens(
     return best_s, best_n
 
 
+def plan_terms(plan: dict) -> set[str]:
+    """The terms a snippet marks for a compiled (and expanded) plan:
+    exactly its scored terms — the literal query terms, or the
+    deterministic dictionary expansions for prefix / fuzzy / wildcard
+    / regex. Feedback plans (more_like_this, prf) mark nothing: their
+    terms come from per-anchor docterms reads the page doesn't carry."""
+    return set() if plan["feedback"] else set(plan["terms"] or ())
+
+
+def attach_snippets(rows: list[dict], corpus_path: str, qterms: set[str],
+                    window: int, tokenize) -> None:
+    """Add {snippet, snip_start, n_match} to each hit row in place —
+    q_snippets semantics (best distinct-term window, leftmost tie),
+    ``qterms`` wrapped in <em></em>. One doc_id-pruned read of the
+    page's texts; hits without corpus text (e.g. /extend'd docs) are
+    left untouched."""
+    if not qterms or not rows:
+        return
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(corpus_path, format="parquet").to_table(
+        columns=["doc_id", "text"],
+        filter=pads.field("doc_id").isin([int(r["doc_id"]) for r in rows]),
+    )
+    texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
+    for r in rows:
+        text = texts.get(int(r["doc_id"]))
+        if text is None:
+            continue
+        tokens = tokenize(text)
+        got = _best_window_tokens(tokens, qterms, window)
+        if got is None:
+            continue
+        start, n_match = got
+        r["snip_start"] = start
+        r["n_match"] = n_match
+        r["snippet"] = " ".join(
+            f"<em>{w}</em>" if w in qterms else w
+            for w in tokens[start:start + window]
+        )
+
+
 class IndexHTTPServer:
     """Threaded JSON API over one index. ``port=0`` binds an ephemeral
     port (tests); ``start()`` serves in a daemon thread, ``close()``
@@ -145,16 +187,28 @@ class IndexHTTPServer:
         # per page, never a scan. Docs ingested later over /extend are
         # not in this file, so their hits render without snippets.
         self.corpus_path = corpus_path
-        self._ivf = None  # lazy IVFIndexReader over vector_index_dir
-        # server-side query embedder (reference embeds query TEXT at
-        # search time, server.py:135-140): any object with
-        # .embed([str]) -> (1, dim); default = the engine's own
-        # HashedNgramEmbedder at the attached index's dim, built
-        # lazily on the first text query
-        self.embedder = embedder
         self.service: ShardedQueryService | None = ShardedQueryService(
             index_dir, num_actors=num_actors
         )
+        # the persisted IVF index's cluster-actor pool and the
+        # server-side query embedder (reference embeds query TEXT at
+        # search time, server.py:135-140) are built here, never inside
+        # a request: the pool lives for the server's lifetime, so
+        # cluster caches warm across requests. ``embedder`` is any
+        # object with .embed([str]) -> (1, dim); the default is the
+        # engine's own HashedNgramEmbedder at the index's dim, matching
+        # an index built by similarity.embed_text_pipeline.
+        self._ivf = None
+        self.embedder = embedder
+        if vector_index_dir is not None:
+            from .similarity import IVFIndexReader, _read_ivf_meta
+
+            self._ivf = IVFIndexReader(vector_index_dir, num_actors=num_actors)
+            if embedder is None:
+                from ..functions.embedder import HashedNgramEmbedder
+
+                self.embedder = HashedNgramEmbedder(
+                    dim=int(_read_ivf_meta(vector_index_dir)["dim"]))
         self._tomb_count = -1  # force tombstone sync on first search
         # ThreadingHTTPServer handles requests concurrently; the
         # tombstone re-sync swaps the shared actor pool, so it must be
@@ -348,338 +402,131 @@ class IndexHTTPServer:
     def search(self, query: str, k: int = 10, hydrate: bool = True,
                lang: str | None = None, mode: str = "bm25",
                **params) -> list[dict]:
-        """``lang`` restricts results to docs with that docmeta lang
-        (query-time filter; global stats — see IndexReader.search_*).
-
-        ``mode`` multiplexes the full sharded query surface over one
-        route (the Lucene query-type dispatch): ``bm25`` (default
-        ranked search), ``boolean`` (params ``must``/``should``/
-        ``must_not``; ``query`` is ignored), ``prefix``, ``fuzzy``
-        (params ``max_edits``, ``prefix_len``, ``max_expansions``),
-        ``more_like_this`` (``query`` is the source doc's text; params
-        ``max_terms``, ``exclude_doc``), ``phrase`` and ``proximity``
-        (param ``window``; both need the positions sidecar — 409
-        without it), and ``prf`` (pseudo-relevance-feedback expansion;
-        params ``fb_docs``, ``fb_terms``, ``beta``). ``explain``: true
-        (bm25 only) attaches a per-hit ``explanation`` list — the
-        Lucene-style per-term BM25 breakdown whose contributions sum
-        to the hit's score. Every mode runs the same
-        two-phase df-exchange + scatter-gather protocol and is
-        rank-identical to the serial reader."""
+        """One ranked request: ``query.compile_plan`` turns ``mode`` +
+        ``params`` (the ``_SEARCH_PARAM_KEYS`` body keys) into a plan,
+        then one ``ShardedQueryService.topk`` call serves it — every
+        mode is rank-identical to the serial reader by construction.
+        ``lang`` restricts results to docs with that docmeta lang
+        (query-time filter; global stats); ``offset`` pages by rank in
+        every mode. Per-hit extras: ``explain`` (bm25 only) attaches
+        the Lucene-style per-term breakdown whose contributions sum to
+        the hit's score; ``snippet`` (needs ``corpus_path``) the best
+        highlighted window. Raises ValueError for a bad mode or
+        option, FileNotFoundError for a positional mode without the
+        positions sidecar."""
         with self._lock:
             self._sync_tombstones()
             svc = self.service
-        doc_filter = ("lang", lang) if lang else None
-        _exp_terms = None
-        if mode in ("prefix", "fuzzy", "wildcard", "regex") \
-                and params.get("snippet"):
-            # snippet highlighting needs the expansion set anyway —
-            # expand ONCE and OR-score the explicit terms (bitwise
-            # equal to the mode's own call, which would re-run the
-            # same per-actor dictionary expansion a second time)
-            _exp_terms = svc.expansion_terms(
-                mode, query,
-                max_expansions=int(params.get("max_expansions", 64)),
-                max_edits=int(params.get("max_edits", 1)),
-                prefix_len=int(params.get("prefix_len", 1)),
-            )
-            hits = svc.topk_terms([{"qid": 0, "terms": _exp_terms}], k=k,
-                                  doc_filter=doc_filter)
-        elif mode == "bm25":
-            after = params.get("search_after")
-            if after:
-                # cursor paging: [score, doc_id] of the last hit seen
-                hits = svc.topk_after(
-                    [{"qid": 0, "query": query,
-                      "after": (float(after[0]), int(after[1]))}],
-                    k=k, doc_filter=doc_filter)
-            else:
-                hits = svc.topk([{"qid": 0, "query": query}], k=k,
-                                doc_filter=doc_filter,
-                                offset=int(params.get("offset", 0)))
-        elif mode == "boolean":
-            hits = svc.topk_boolean([{
-                "qid": 0,
-                "must": str(params.get("must", "")),
-                "should": str(params.get("should", "")),
-                "must_not": str(params.get("must_not", "")),
-            }], k=k, doc_filter=doc_filter)
-        elif mode == "prefix":
-            hits = svc.topk_prefix(
-                [{"qid": 0, "prefix": query}], k=k,
-                max_expansions=int(params.get("max_expansions", 64)),
-                doc_filter=doc_filter,
-            )
-        elif mode == "fuzzy":
-            hits = svc.topk_fuzzy(
-                [{"qid": 0, "word": query}], k=k,
-                max_edits=int(params.get("max_edits", 1)),
-                prefix_len=int(params.get("prefix_len", 1)),
-                max_expansions=int(params.get("max_expansions", 64)),
-                doc_filter=doc_filter,
-            )
-        elif mode == "wildcard":
-            hits = svc.topk_wildcard(
-                [{"qid": 0, "pattern": query}], k=k,
-                max_expansions=int(params.get("max_expansions", 64)),
-                doc_filter=doc_filter,
-            )
-        elif mode == "synonym":
-            hits = svc.topk_synonym([{"qid": 0, "query": query}], k=k,
-                                    doc_filter=doc_filter)
-        elif mode == "more_like_this":
-            hits = svc.topk_more_like_this([{
-                "qid": 0, "text": query,
-                "exclude_doc": params.get("exclude_doc"),
-            }], k=k, max_terms=int(params.get("max_terms", 8)),
-                doc_filter=doc_filter)
-        elif mode == "phrase":
-            hits = svc.topk_phrase([{"qid": 0, "phrase": query}], k=k,
-                                   doc_filter=doc_filter)
-        elif mode == "proximity":
-            hits = svc.topk_proximity([{
-                "qid": 0, "terms": query,
-                "window": int(params.get("window", 8)),
-            }], k=k, doc_filter=doc_filter)
-        elif mode == "span_near":
-            hits = svc.topk_spannear([{
-                "qid": 0, "terms": query,
-                "window": int(params.get("window", 8)),
-            }], k=k, doc_filter=doc_filter)
-        elif mode == "prf":
-            hits = svc.topk_prf(
-                [{"qid": 0, "query": query}], k=k,
-                fb_docs=int(params.get("fb_docs", 5)),
-                fb_terms=int(params.get("fb_terms", 8)),
-                beta=float(params.get("beta", 0.5)),
-                doc_filter=doc_filter)
-        elif mode == "regex":
-            hits = svc.topk_regex(
-                [{"qid": 0, "pattern": query}], k=k,
-                max_expansions=int(params.get("max_expansions", 64)),
-                doc_filter=doc_filter,
-            )
-        elif mode == "boosted":
-            hits = svc.topk_boosted([{"qid": 0, "query": query}], k=k,
-                                    doc_filter=doc_filter)
-        elif mode == "collapse":
-            hits = svc.topk_collapse(
-                [{"qid": 0, "query": query}],
-                field=str(params.get("collapse_field", "lang")),
-                k=k, doc_filter=doc_filter,
-            )
-        else:
-            raise ValueError(
-                f"unknown mode {mode!r}: expected bm25|boolean|prefix|"
-                "fuzzy|wildcard|regex|boosted|collapse|synonym|"
-                "more_like_this|phrase|proximity|span_near|prf"
-            )
-        rows = [
-            {"rank": h["rank"], "doc_id": int(h["doc_id"]), "score": h["score"],
-             **({"group": h["group"], "group_n": h["group_n"]}
-                if "group" in h else {})}
-            for h in hits
-        ]
-        if params.get("explain") and rows:
-            if mode != "bm25":
-                raise ValueError(
-                    "explain is only available for mode=bm25 (the "
-                    "breakdown mirrors the literal ranked query)")
-            # per-hit Lucene-style breakdown: one pool explain call for
-            # the whole page, grouped back onto the hit rows
-            by_doc: dict[int, list[dict]] = {}
-            for e in svc.explain(query, [r["doc_id"] for r in rows]):
-                by_doc.setdefault(e["doc_id"], []).append({
-                    "term": e["term"], "tf": e["tf"], "df": e["df"],
-                    "idf": e["idf"], "contribution": e["contribution"],
-                })
-            for r in rows:
-                r["explanation"] = by_doc.get(r["doc_id"], [])
-        if hydrate and rows:
-            meta = {m["doc_id"]: m for m in self._hydrate([r["doc_id"] for r in rows])}
-            for r in rows:
-                for key, val in meta.get(r["doc_id"], {}).items():
-                    if key not in r:
-                        r[key] = val
-        if params.get("snippet") and rows:
-            self._attach_snippets(
-                rows, mode, query, params,
-                window=int(params.get("snippet_window", 8)),
-                qterms=set(_exp_terms) if _exp_terms is not None else None,
-            )
-        return rows
+        body = {**params, "query": query, "mode": mode}
+        plan = self._compile(svc, body)
+        return self._answer(svc, [plan], [body], k, lang,
+                            int(params.get("offset", 0)), hydrate)[0]
 
     def msearch(self, searches: list[dict]) -> list:
         """Elasticsearch-style ``_msearch``: N search bodies in one
-        POST, one response list per body (order preserved). Bodies are
-        grouped by (mode, limit, lang, hydrate) and every group of the
-        POOLABLE literal modes (bm25 / boolean / synonym / boosted —
-        modes whose router entry points natively take query BATCHES)
-        with two or more members rides ONE pooled call: the group
-        shares a single df exchange and a single scatter-gather across
-        the shard actors, and hydration is ONE doc-id-pruned read per
-        group (the round-trip amortization that is the point of
-        msearch). Results are bitwise identical to per-body dispatch
-        because the df exchange is query-independent. Everything else
-        — expansion/positional/paged/explain/snippet bodies, and
-        singleton groups — falls back to per-body ``search`` with
-        per-body error isolation (a bad mode in body 3 yields
-        ``{"error": ...}`` at index 3, not a failed batch — the ES
-        contract)."""
+        POST, one response per body (order preserved). Bodies that
+        share (limit, lang, offset, hydrate) — whatever their modes —
+        ride ONE pooled ``topk`` call: a single expansion exchange when
+        any needs one, a single df exchange, a single scatter, and ONE
+        doc-id-pruned hydration read per group. Results are bitwise
+        identical to per-body ``search`` because every step is
+        per-plan independent. A body that fails to compile (bad mode)
+        or a group that fails (positional mode without a sidecar)
+        yields ``{"error": ...}`` at that body's index only — the ES
+        contract."""
         if not isinstance(searches, list) or not searches:
             raise ValueError("msearch needs a non-empty 'searches' list")
-
-        POOLABLE = ("bm25", "boolean", "synonym", "boosted")
-
-        def group_key(s: dict):
-            mode = str(s.get("mode", "bm25"))
-            if (mode in POOLABLE and not s.get("search_after")
-                    and not int(s.get("offset", 0))
-                    and not s.get("explain") and not s.get("snippet")):
-                return (mode, int(s.get("limit", 10)), s.get("lang"),
-                        bool(s.get("hydrate", True)))
-            return None
-
-        groups: dict[tuple, list[int]] = {}
-        for i, s in enumerate(searches):
-            gk = group_key(s)
-            if gk is not None:
-                groups.setdefault(gk, []).append(i)
-
-        out: list = [None] * len(searches)
-        pooled: set[int] = set()
         with self._lock:
             self._sync_tombstones()
             svc = self.service
-        for (mode, k, lang, hyd), ixs in groups.items():
-            if len(ixs) < 2:
-                continue  # singleton: per-body path below costs the same
-            doc_filter = ("lang", lang) if lang else None
-            try:
-                if mode == "bm25":
-                    hits = svc.topk(
-                        [{"qid": i, "query": str(searches[i].get("query", ""))}
-                         for i in ixs], k=k, doc_filter=doc_filter)
-                elif mode == "boolean":
-                    hits = svc.topk_boolean(
-                        [{"qid": i,
-                          "must": str(searches[i].get("must", "")),
-                          "should": str(searches[i].get("should", "")),
-                          "must_not": str(searches[i].get("must_not", ""))}
-                         for i in ixs], k=k, doc_filter=doc_filter)
-                elif mode == "synonym":
-                    hits = svc.topk_synonym(
-                        [{"qid": i, "query": str(searches[i].get("query", ""))}
-                         for i in ixs], k=k, doc_filter=doc_filter)
-                else:
-                    hits = svc.topk_boosted(
-                        [{"qid": i, "query": str(searches[i].get("query", ""))}
-                         for i in ixs], k=k, doc_filter=doc_filter)
-            except (ValueError, FileNotFoundError):
-                continue  # leave the group to per-body error isolation
-            per: dict[int, list[dict]] = {i: [] for i in ixs}
-            for h in hits:
-                per[int(h["qid"])].append({
-                    "rank": h["rank"], "doc_id": int(h["doc_id"]),
-                    "score": h["score"],
-                })
-            if hyd:
-                all_ids = sorted(
-                    {r["doc_id"] for rows in per.values() for r in rows})
-                if all_ids:
-                    meta = {m["doc_id"]: m for m in self._hydrate(all_ids)}
-                    for rows in per.values():
-                        for r in rows:
-                            for key, val in meta.get(r["doc_id"], {}).items():
-                                if key not in r:
-                                    r[key] = val
-            for i in ixs:
-                out[i] = per[i]
-                pooled.add(i)
+        out: list = [None] * len(searches)
+        groups: dict[tuple, list[tuple[int, dict, dict]]] = {}
         for i, s in enumerate(searches):
-            if i in pooled:
-                continue
+            body = {kk: s[kk] for kk in _SEARCH_PARAM_KEYS if kk in s}
+            body.update(query=s.get("query", ""), mode=str(s.get("mode", "bm25")))
             try:
-                out[i] = self.search(
-                    s.get("query", ""), int(s.get("limit", 10)),
-                    bool(s.get("hydrate", True)), lang=s.get("lang"),
-                    mode=str(s.get("mode", "bm25")),
-                    **{kk: s[kk] for kk in _SEARCH_PARAM_KEYS if kk in s},
-                )
-            except (ValueError, FileNotFoundError) as e:
+                plan = self._compile(svc, body, qid=i)
+            except ValueError as e:
                 out[i] = {"error": str(e)}
+                continue
+            key = (int(s.get("limit", 10)), s.get("lang"),
+                   int(s.get("offset", 0)), bool(s.get("hydrate", True)))
+            groups.setdefault(key, []).append((i, plan, body))
+
+        def run(members, key):
+            try:
+                return self._answer(svc, [m[1] for m in members],
+                                    [m[2] for m in members], *key)
+            except (ValueError, FileNotFoundError) as e:
+                if len(members) == 1:
+                    return [{"error": str(e)}]
+                return [r for m in members for r in run([m], key)]
+
+        for key, members in groups.items():
+            for (i, _, _), resp in zip(members, run(members, key)):
+                out[i] = resp
         return out
 
-    def _snippet_terms(self, mode: str, query: str, params: dict) -> set[str]:
-        """The matched-term set a highlighter can mark for this mode:
-        the literal query terms for the literal modes, the router's
-        deterministic dictionary-expansion set for the expansion modes
-        (prefix/fuzzy/wildcard/regex — exactly the terms that scored).
-        Empty only for more_like_this/prf, whose matched terms come
-        from per-anchor docterms reads the page doesn't carry."""
-        tok = self.service._tok
-        if mode in ("bm25", "phrase", "proximity", "span_near", "collapse"):
-            return set(tok(query))
-        if mode == "boosted":
-            from .query import parse_boosted_query
-
-            return set(parse_boosted_query(query, tok))
-        if mode == "boolean":
-            return set(tok(str(params.get("must", "")))) | set(
-                tok(str(params.get("should", "")))
-            )
-        if mode == "synonym":
-            from .flagship import SYNONYMS
-
-            toks = set(tok(query))
-            return toks | {s for t in toks for s in SYNONYMS.get(t, ())}
-        if mode in ("prefix", "fuzzy", "wildcard", "regex"):
-            return set(self.service.expansion_terms(
-                mode, query,
-                max_expansions=int(params.get("max_expansions", 64)),
-                max_edits=int(params.get("max_edits", 1)),
-                prefix_len=int(params.get("prefix_len", 1)),
-            ))
-        return set()
-
-    def _attach_snippets(self, rows: list[dict], mode: str, query: str,
-                         params: dict, window: int = 8,
-                         qterms: set | None = None) -> None:
-        """Add {snippet, snip_start, n_match} to each hit in place —
-        q_snippets semantics (best distinct-term window, leftmost tie),
-        query terms wrapped in <em></em>. One doc_id-pruned read of the
-        page's texts; hits without corpus text (e.g. /extend'd docs) or
-        in expansion modes are left untouched."""
-        if not self.corpus_path:
+    def _compile(self, svc: ShardedQueryService, body: dict, qid: int = 0) -> dict:
+        """Plan for one request body; per-hit options are validated up
+        front so a batch isolates their errors per body."""
+        mode = body["mode"]
+        if body.get("explain") and mode != "bm25":
             raise ValueError(
-                "snippet requested but the server has no corpus_path")
-        if qterms is None:
-            qterms = self._snippet_terms(mode, query, params)
-        if not qterms:
-            return
-        import pyarrow.dataset as pads
+                "explain is only available for mode=bm25 (the breakdown "
+                "mirrors the literal ranked query)")
+        if body.get("snippet") and not self.corpus_path:
+            raise ValueError("snippet requested but the server has no corpus_path")
+        return svc.compile(mode, body["query"], body, qid=qid)
 
-        t = pads.dataset(self.corpus_path, format="parquet").to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin([r["doc_id"] for r in rows]),
-        )
-        texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-        tok = self.service._tok
+    def _answer(self, svc: ShardedQueryService, plans: list[dict],
+                bodies: list[dict], k: int, lang: str | None, offset: int,
+                hydrate: bool) -> list[list[dict]]:
+        """One ``topk`` call for a group of plans, then the per-body
+        extras: explain, one hydration read for the group, snippets.
+        Expansion runs first, on its own, so a snippet marks exactly
+        the expanded terms that scored (topk then has nothing left to
+        expand — still one expansion round trip)."""
+        plans = svc.expand(plans)
+        hits = svc.topk(plans, k=k, doc_filter=("lang", lang) if lang else None,
+                        offset=offset)
+        rows: dict[int, list[dict]] = {p["qid"]: [] for p in plans}
+        for h in hits:
+            rows[h["qid"]].append({
+                "rank": h["rank"], "doc_id": int(h["doc_id"]), "score": h["score"],
+                **({"group": h["group"], "group_n": h["group_n"]}
+                   if "group" in h else {}),
+            })
+        out = [rows[p["qid"]] for p in plans]
+        for body, page in zip(bodies, out):
+            if body.get("explain") and page:
+                # one pool explain call per page, grouped onto the hits
+                by_doc: dict[int, list[dict]] = {}
+                for e in svc.explain(body["query"], [r["doc_id"] for r in page]):
+                    by_doc.setdefault(e["doc_id"], []).append({
+                        "term": e["term"], "tf": e["tf"], "df": e["df"],
+                        "idf": e["idf"], "contribution": e["contribution"],
+                    })
+                for r in page:
+                    r["explanation"] = by_doc.get(r["doc_id"], [])
+        if hydrate:
+            self._attach_meta([r for page in out for r in page])
+        for plan, body, page in zip(plans, bodies, out):
+            if body.get("snippet") and page:
+                attach_snippets(page, self.corpus_path, plan_terms(plan),
+                                int(body.get("snippet_window", 8)), svc.tokenize)
+        return out
+
+    def _attach_meta(self, rows: list[dict]) -> None:
+        """Hydrate hit rows in place with ONE doc-id-pruned docmeta read
+        (fields the row already carries win)."""
+        if not rows:
+            return
+        meta = {m["doc_id"]: m for m in self._hydrate(sorted({r["doc_id"] for r in rows}))}
         for r in rows:
-            text = texts.get(r["doc_id"])
-            if text is None:
-                continue
-            tokens = tok(text)
-            got = _best_window_tokens(tokens, qterms, window)
-            if got is None:
-                continue
-            start, n_match = got
-            r["snip_start"] = start
-            r["n_match"] = n_match
-            r["snippet"] = " ".join(
-                f"<em>{w}</em>" if w in qterms else w
-                for w in tokens[start:start + window]
-            )
+            for key, val in meta.get(r["doc_id"], {}).items():
+                if key not in r:
+                    r[key] = val
 
     def facets(self, query: str, cols: list[str],
                lang: str | None = None) -> dict:
@@ -709,60 +556,14 @@ class IndexHTTPServer:
 
     def termvectors(self, doc_ids: list[int]) -> list[dict]:
         """Per-doc term vectors (POST /termvectors {"doc_ids": [...]},
-        the Elasticsearch ``_termvectors`` analogue): the (term, tf)
-        pairs come from one doc_id-pruned read of the docterms
-        checkpoint on the router, the exact global df from the actor
-        pool's df exchange — the same protocol every ranked mode
-        uses."""
-        import os
-
-        import numpy as np
-        import pyarrow.dataset as pads
-        import ray
-
+        the Elasticsearch ``_termvectors`` analogue): (term, tf) pairs
+        from one doc_id-pruned docterms read on the router, exact
+        global df from the pool's df exchange (``PlanRunner.term_vectors``,
+        shared with the serial reader)."""
         with self._lock:
             self._sync_tombstones()
             svc = self.service
-        if svc is None:
-            raise FileNotFoundError("no index attached")
-        ids = sorted({int(d) for d in doc_ids})
-        dt_dir = os.path.join(self.index_dir, "docterms")
-        tbl = pads.dataset(dt_dir, format="parquet").to_table(
-            columns=["doc_id", "terms", "tfs"],
-            filter=pads.field("doc_id").isin(ids),
-        ) if ids else None
-        per_doc: dict[int, dict[str, int]] = {}
-        all_terms: set[str] = set()
-        if tbl is not None:
-            from .maintenance import is_tombstoned, load_tombstones
-
-            tomb = load_tombstones(self.index_dir)
-            for d, terms, tfs in zip(tbl["doc_id"].to_pylist(),
-                                     tbl["terms"].to_pylist(),
-                                     tbl["tfs"].to_pylist()):
-                if len(tomb) and bool(is_tombstoned(
-                        tomb, np.asarray([int(d)], dtype=np.int64))[0]):
-                    continue
-                m = per_doc.setdefault(int(d), {})
-                for t, f in zip(terms, tfs):
-                    m[t] = m.get(t, 0) + int(f)
-                    all_terms.add(t)
-        terms_sorted = sorted(all_terms)
-        gdf: dict[str, int] = {}
-        if terms_sorted:
-            parts = ray.get([
-                a.df_locals.remote(terms_sorted) for a in svc.actors
-            ])
-            for p in parts:
-                for t, n in p.items():
-                    gdf[t] = gdf.get(t, 0) + n
-        out = []
-        for d in sorted(per_doc):
-            m = per_doc[d]
-            for t in sorted(m):
-                out.append({"doc_id": d, "term": t, "tf": m[t],
-                            "df": int(gdf.get(t, 0))})
-        return out
+        return svc.term_vectors(doc_ids)
 
     def length_facets(self, query: str, edges: list[int],
                       lang: str | None = None) -> list[dict]:
@@ -776,30 +577,12 @@ class IndexHTTPServer:
         return svc.length_facets(
             [{"qid": 0, "query": query}], edges, doc_filter)[0]
 
-    def _ivf_reader(self):
-        """Lazily attach the persisted IVF index's cluster-actor pool
-        (caller holds ``_lock``). Lives for the server's lifetime —
-        cluster caches warm across requests."""
-        if self._ivf is None:
-            from .similarity import IVFIndexReader
-
-            self._ivf = IVFIndexReader(self.vector_index_dir, num_actors=self.num_actors)
-        return self._ivf
-
     def embed_text(self, text: str) -> list[float]:
         """Server-side query embedding (the reference's search-time
-        text embed, server.py:135-140 -> embeddings.py:12-31): embed
-        with the configured embedder, or default to the engine's own
-        HashedNgramEmbedder at the attached IVF index's dim — matching
-        an index built by similarity.embed_text_pipeline with default
-        seed. Deterministic, so server-embedded text and a client
-        embedding the same text rank identically."""
-        if self.embedder is None:
-            from ..functions.embedder import HashedNgramEmbedder
-            from .similarity import _read_ivf_meta
-
-            dim = int(_read_ivf_meta(self.vector_index_dir)["dim"])
-            self.embedder = HashedNgramEmbedder(dim=dim)
+        text embed, server.py:135-140 -> embeddings.py:12-31) with the
+        embedder attached at start-up. Deterministic, so
+        server-embedded text and a client embedding the same text rank
+        identically."""
         return self.embedder.embed([text])[0].tolist()
 
     def _vector_topk(self, ivf, vector, n: int, nprobe: int, tombs,
@@ -836,10 +619,8 @@ class IndexHTTPServer:
 
         if self.vector_index_dir is None:
             raise RuntimeError("no vector index attached (vector_index_dir)")
-        with self._lock:
-            ivf = self._ivf_reader()
         tombs = load_tombstones(self.index_dir)
-        vec = self._vector_topk(ivf, vector, k, nprobe, tombs,
+        vec = self._vector_topk(self._ivf, vector, k, nprobe, tombs,
                                 filter_col, filter_value)
         rows = [
             {
@@ -849,12 +630,8 @@ class IndexHTTPServer:
             }
             for _, r in vec.iterrows()
         ]
-        if hydrate and rows:
-            meta = {m["doc_id"]: m for m in self._hydrate([r["doc_id"] for r in rows])}
-            for r in rows:
-                for key, val in meta.get(r["doc_id"], {}).items():
-                    if key not in r:
-                        r[key] = val
+        if hydrate:
+            self._attach_meta(rows)
         return rows
 
     def hybrid(self, query: str, vector: list[float], k: int = 10,
@@ -874,16 +651,15 @@ class IndexHTTPServer:
         with self._lock:
             self._sync_tombstones()
             svc = self.service
-            ivf = self._ivf_reader()
         tombs = load_tombstones(self.index_dir)
 
-        hits = svc.topk([{"qid": 0, "query": query}], k=n_each)
+        hits = svc.topk([svc.compile("bm25", query)], k=n_each)
         lex = pd.DataFrame({
             "qid": np.zeros(len(hits), np.int64),
             "doc_id": np.array([h["doc_id"] for h in hits], np.int64),
             "rank": np.array([h["rank"] for h in hits], np.int64),
         })
-        vec = self._vector_topk(ivf, vector, n_each, nprobe, tombs)
+        vec = self._vector_topk(self._ivf, vector, n_each, nprobe, tombs)
 
         fused = rrf_fuse(lex, vec, k=k)
         lex_rank = dict(zip(lex["doc_id"], lex["rank"]))
@@ -898,12 +674,8 @@ class IndexHTTPServer:
             }
             for _, r in fused.iterrows()
         ]
-        if hydrate and rows:
-            meta = {m["doc_id"]: m for m in self._hydrate([r["doc_id"] for r in rows])}
-            for r in rows:
-                for key, val in meta.get(r["doc_id"], {}).items():
-                    if key not in r:
-                        r[key] = val
+        if hydrate:
+            self._attach_meta(rows)
         return rows
 
     def extend(self, docs: list[dict], skip_existing_content: bool = False) -> dict:

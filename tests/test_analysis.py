@@ -807,13 +807,15 @@ def test_tfidf_cosine_pairs_vs_dense():
             assert abs(got[(a, b)] - want) < 1e-4, (a, b, got.get((a, b)), want)
     assert all(r.doc_a != 3 and r.doc_b != 3 for r in out.itertuples())
 
-    # hot-term cap: max_group=1 drops every shared term -> no pairs,
-    # sentinel logged (not raised)
-    capped = tfidf_cosine_pairs(
-        ray.data.from_items(rows), max_df=3, min_df=2, threshold=0.0,
-        max_group=1,
-    )
-    assert capped.empty
+    # a max_df above the hot-term cap is rejected: a dropped group
+    # would still count in its members' norms
+    import pytest
+
+    with pytest.raises(ValueError, match="max_group"):
+        tfidf_cosine_pairs(
+            ray.data.from_items(rows), max_df=3, min_df=2, threshold=0.0,
+            max_group=1,
+        )
 
 
 def test_length_entropy_correlation_moments():
@@ -842,6 +844,37 @@ def test_length_entropy_correlation_moments():
     assert int(out1["n_docs"].iloc[0]) == 5
     assert abs(int(out1["r_e6"].iloc[0]) - round(want * 1e6)) <= 1
     assert out1.equals(out5)  # partition-count invariance
+
+
+def test_length_entropy_correlation_exact_past_int64(monkeypatch):
+    """Moment sums past int64 stay exact: five docs whose y^2 is
+    ~4e18 each (one fits int64, their sum does not) give the Pearson r
+    of exact integer arithmetic, not of a wrapped int64 sum."""
+    import numpy as np
+    import ray
+
+    from information_retrieval_images_ray.pipelines import analysis
+
+    xs = [3, 7, 11, 20, 41]
+    ys = [2_000_000_000 + 37 * x * x for x in xs]
+    fake = ray.data.from_items(
+        [{"n_tokens": x, "entropy_e6": y} for x, y in zip(xs, ys)],
+        override_num_blocks=5,
+    )
+    monkeypatch.setattr(analysis, "doc_token_entropy", lambda ds, tok: fake)
+    assert sum(y * y for y in ys) > np.iinfo(np.int64).max
+
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sx2, sy2 = sum(x * x for x in xs), sum(y * y for y in ys)
+    num = float(n * sxy - sx * sy)
+    den = np.sqrt(float(n * sx2 - sx * sx) * float(n * sy2 - sy * sy))
+    want = int(np.floor(num / den * 1e6 + 0.5))
+
+    out = analysis.length_entropy_correlation(ray.data.from_items([{"text": ""}]))
+    assert int(out["n_docs"].iloc[0]) == n
+    assert int(out["r_e6"].iloc[0]) == want
 
 
 def test_tfidf_related_docs_ranks():

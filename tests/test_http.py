@@ -847,7 +847,7 @@ def test_search_snippet_expansion_modes_and_no_corpus(server, tmp_path):
             assert m.startswith("alp")
             marked_any = True
     assert marked_any
-    # the expand-once path (snippet=true goes through topk_terms) is
+    # the expand-once path (snippet=true expands before topk) is
     # bitwise rank-identical to the mode's own expansion call
     _, plain = _req(srv.port, "/search", {
         "query": "alp", "mode": "prefix", "limit": 3,
@@ -950,9 +950,10 @@ def test_msearch_mixed_modes_and_error_isolation(server):
 
 
 def test_msearch_pooled_groups_match_per_body(server):
-    """Same-mode subgroups of a MIXED batch ride pooled calls and must
-    be bitwise-identical to per-body /search — bm25 x2 and boolean x2
-    pooled, a prefix body and a bad mode interleaved and isolated."""
+    """Same-key groups of a MIXED batch ride pooled calls and must
+    be bitwise-identical to per-body /search — bm25 x2, boolean x2,
+    prefix x3 and fuzzy x2 pooled (the expansion bodies share one
+    expansion exchange), a bad mode interleaved and isolated."""
     srv, idx = server
     bodies = [
         {"query": "alpha delta", "limit": 4},                      # bm25 pool
@@ -962,18 +963,25 @@ def test_msearch_pooled_groups_match_per_body(server):
         {"query": "zebra", "limit": 4},                            # bm25 pool
         {"mode": "boolean", "must": "zebra", "should": "",
          "must_not": "alpha", "limit": 4},                         # bool pool
-        {"query": "alp", "mode": "prefix", "limit": 4},            # fallback
+        {"query": "alp", "mode": "prefix", "limit": 4},            # prefix
+        {"query": "br", "mode": "prefix", "limit": 4},             # prefix
+        {"query": "ech", "mode": "prefix", "limit": 4,
+         "max_expansions": 1},                                     # prefix
+        {"query": "alphq", "mode": "fuzzy", "limit": 4},           # fuzzy
+        {"query": "zebru", "mode": "fuzzy", "limit": 4,
+         "max_edits": 1},                                          # fuzzy
     ]
     status, out = _req(srv.port, "/msearch", {"searches": bodies})
     assert status == 200
     r = out["responses"]
     assert isinstance(r[2], dict) and "error" in r[2]
-    for i in (0, 1, 3, 4, 5):
+    for i in (0, 1, 3, 4, 5, 6, 7, 8, 9):
         body = dict(bodies[i])
         _, want = _req(srv.port, "/search", body)
         assert r[i] == want, i
     # r[4] may legitimately be empty (must_not excludes all must hits)
     assert r[0] and r[1] and r[3] and r[5]
+    assert r[6] and r[7] and r[8] and r[9]
 
 
 def test_msearch_empty_batch_rejected(server):

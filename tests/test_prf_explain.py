@@ -1,6 +1,6 @@
 """Scoring explanations (IndexReader.explain — the Lucene explain
 shape) and pseudo-relevance-feedback retrieval (search_prf / router
-topk_prf): component exactness vs brute-force counts, sum-equals-score
+prf plans): component exactness vs brute-force counts, sum-equals-score
 bitwise, and sharded-router parity."""
 
 import collections
@@ -172,7 +172,10 @@ def test_router_prf_rank_identical(prf_index, num_actors):
     svc = ShardedQueryService(prf_index, num_actors=num_actors)
     try:
         qs = [{"qid": i, "query": q} for i, q in enumerate(QUERIES)]
-        got = svc.topk_prf(qs, k=10, fb_docs=5, fb_terms=6, beta=0.5)
+        got = svc.topk([svc.compile("prf", q["query"],
+                                    {"fb_docs": 5, "fb_terms": 6, "beta": 0.5},
+                                    qid=q["qid"])
+                        for q in qs], k=10)
         for i, q in enumerate(QUERIES):
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == i]
             want = reader.search_prf(q, 10, fb_docs=5, fb_terms=6, beta=0.5)

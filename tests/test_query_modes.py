@@ -292,12 +292,12 @@ def test_sharded_search_after_matches_serial(modes_index, num_actors):
     try:
         page1 = svc.topk([{"qid": 0, "query": "get"}], k=5)
         cursor = (page1[-1]["score"], page1[-1]["doc_id"])
-        got = svc.topk_after(
-            [{"qid": 0, "query": "get", "after": cursor}], k=5)
+        got = svc.topk(
+            [svc.compile("bm25", "get", {"search_after": cursor})], k=5)
         assert [(r["doc_id"], r["score"]) for r in got] == \
             reader.search_after("get", 5, after=cursor)
         # no cursor == page one == plain topk
-        got0 = svc.topk_after([{"qid": 0, "query": "get"}], k=5)
+        got0 = svc.topk([svc.compile("bm25", "get")], k=5)
         assert [(r["doc_id"], r["score"]) for r in got0] == \
             [(r["doc_id"], r["score"]) for r in page1]
     finally:
@@ -354,7 +354,9 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
     svc = ShardedQueryService(modes_index, num_actors=num_actors)
     try:
         rq = [{"qid": i, "pattern": p} for i, p in enumerate(REGEX_PATTERNS)]
-        got = svc.topk_regex(rq, k=10, max_expansions=8)
+        got = svc.topk([svc.compile("regex", q["pattern"],
+                                    {"max_expansions": 8}, qid=q["qid"])
+                        for q in rq], k=10)
         for q in rq:
             mine = [(r["doc_id"], r["score"]) for r in got
                     if r["qid"] == q["qid"]]
@@ -364,7 +366,8 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
         bq = [{"qid": i, "query": s} for i, s in enumerate(
             ["get^2 merge", "sort^0.5 hash^3", "merge sort",
              "get^2 get", "zzznope^4 read"])]
-        got = svc.topk_boosted(bq, k=10)
+        got = svc.topk([svc.compile("boosted", q["query"], qid=q["qid"])
+                        for q in bq], k=10)
         for q in bq:
             mine = [(r["doc_id"], r["score"]) for r in got
                     if r["qid"] == q["qid"]]
@@ -372,7 +375,9 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
 
         cq = [{"qid": i, "query": s} for i, s in enumerate(
             ["merge sort hash", "get", "zzz_nohit"])]
-        got = svc.topk_collapse(cq, "lang", k=10)
+        got = svc.topk([svc.compile("collapse", q["query"],
+                                    {"collapse_field": "lang"}, qid=q["qid"])
+                        for q in cq], k=10)
         for q in cq:
             mine = [(r["doc_id"], r["score"], r["group"], r["group_n"])
                     for r in got if r["qid"] == q["qid"]]

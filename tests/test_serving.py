@@ -114,7 +114,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
             {"qid": 2, "must": "parse", "should": "", "must_not": "zz_nohit"},
             {"qid": 3, "must": "zzz_nohit", "should": "get", "must_not": ""},
         ]
-        got = svc.topk_boolean(bqs, k=10)
+        got = svc.topk([svc.compile("boolean", "", q, qid=q["qid"])
+                        for q in bqs], k=10)
         for q in bqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
             want = reader.search_boolean(q["must"], q["should"], q["must_not"], 10)
@@ -122,7 +123,9 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
 
         pqs = [{"qid": 0, "prefix": "get"}, {"qid": 1, "prefix": "pa"},
                {"qid": 2, "prefix": "zzz_nohit"}]
-        got = svc.topk_prefix(pqs, k=10, max_expansions=8)
+        got = svc.topk([svc.compile("prefix", q["prefix"],
+                                    {"max_expansions": 8}, qid=q["qid"])
+                        for q in pqs], k=10)
         for q in pqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
             want = reader.search_prefix(q["prefix"], 10, max_expansions=8)
@@ -130,8 +133,10 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
 
         fqs = [{"qid": 0, "word": "getx"}, {"qid": 1, "word": "mergE"},
                {"qid": 2, "word": "qqqqqq"}]
-        got = svc.topk_fuzzy(fqs, k=10, max_edits=1, prefix_len=1,
-                             max_expansions=16)
+        got = svc.topk([svc.compile("fuzzy", q["word"],
+                                    {"max_edits": 1, "prefix_len": 1,
+                                     "max_expansions": 16}, qid=q["qid"])
+                        for q in fqs], k=10)
         for q in fqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
             want = reader.search_fuzzy(q["word"], 10, max_edits=1,
@@ -142,7 +147,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
         # expands, the df exchange covers OOV expansions with df=0
         sqs = [{"qid": 0, "query": "fast merge"}, {"qid": 1, "query": "get user"},
                {"qid": 2, "query": "zzz_nohit"}]
-        got = svc.topk_synonym(sqs, k=10)
+        got = svc.topk([svc.compile("synonym", q["query"], qid=q["qid"])
+                        for q in sqs], k=10)
         for q in sqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
             want = reader.search_synonym(q["query"], 10)
@@ -152,7 +158,9 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
         # no-hit — per-actor expansion caps compose like prefix
         wqs = [{"qid": 0, "pattern": "ge*"}, {"qid": 1, "pattern": "*er"},
                {"qid": 2, "pattern": "g*t"}, {"qid": 3, "pattern": "zz*q"}]
-        got = svc.topk_wildcard(wqs, k=10, max_expansions=8)
+        got = svc.topk([svc.compile("wildcard", q["pattern"],
+                                    {"max_expansions": 8}, qid=q["qid"])
+                        for q in wqs], k=10)
         for q in wqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
             want = reader.search_wildcard(q["pattern"], 10, max_expansions=8)
@@ -192,7 +200,7 @@ def test_sharded_phrase_proximity_rank_identical(served_index, num_actors):
     try:
         for phrase_text in ["get user", "merge sort", "zzz_nohit token"]:
             toks = tokenize_code(phrase_text)
-            got = svc.topk_phrase([{"qid": 0, "phrase": phrase_text}], k=10)
+            got = svc.topk([svc.compile("phrase", phrase_text)], k=10)
             mine = [(r["doc_id"], r["score"]) for r in got]
             want = serial(
                 toks,
@@ -202,8 +210,8 @@ def test_sharded_phrase_proximity_rank_identical(served_index, num_actors):
 
         for terms_text, window in [("get user", 4), ("merge hash", 6)]:
             toks = sorted(set(tokenize_code(terms_text)))
-            got = svc.topk_proximity(
-                [{"qid": 0, "terms": terms_text, "window": window}], k=10)
+            got = svc.topk([svc.compile("proximity", terms_text,
+                                        {"window": window})], k=10)
             mine = [(r["doc_id"], r["score"]) for r in got]
             want = serial(
                 toks,
@@ -219,8 +227,8 @@ def test_sharded_phrase_proximity_rank_identical(served_index, num_actors):
         for terms_text, window in [("get user", 4), ("user get", 4),
                                    ("merge hash", 6)]:
             ordered = tokenize_code(terms_text)
-            got = svc.topk_spannear(
-                [{"qid": 0, "terms": terms_text, "window": window}], k=10)
+            got = svc.topk([svc.compile("span_near", terms_text,
+                                        {"window": window})], k=10)
             mine = [(r["doc_id"], r["score"]) for r in got]
             want = serial(
                 ordered,
@@ -281,14 +289,14 @@ def test_sharded_more_like_this_matches_serial(served_index, num_actors):
             toks = tokenize_code(text)
             want = reader.more_like_this(toks, exclude_doc=None, k=10,
                                          max_terms=6)
-            got = svc.topk_more_like_this(
-                [{"qid": 0, "text": text}], k=10, max_terms=6)
+            got = svc.topk([svc.compile("more_like_this", text,
+                                        {"max_terms": 6})], k=10)
             assert [(r["doc_id"], r["score"]) for r in got] == want, i
             # exclusion drops exactly the anchor and backfills to k
             anchor = want[0][0]
-            got_ex = svc.topk_more_like_this(
-                [{"qid": 0, "text": text, "exclude_doc": anchor}],
-                k=10, max_terms=6)
+            got_ex = svc.topk([svc.compile(
+                "more_like_this", text,
+                {"max_terms": 6, "exclude_doc": anchor})], k=10)
             want_ex = reader.more_like_this(toks, exclude_doc=anchor, k=10,
                                             max_terms=6)
             assert [(r["doc_id"], r["score"]) for r in got_ex] == want_ex
@@ -311,4 +319,39 @@ def test_paging_offset_matches_serial_tail(served_index):
         deep = svc.topk([{"qid": 0, "query": "zzz_nohit"}], k=5, offset=5)
         assert deep == []
     finally:
+        svc.shutdown()
+
+
+def test_router_round_trips_per_mode(served_index, monkeypatch):
+    """Actor round trips per router call: a plain bm25 search is two
+    (df exchange, then the scatter); an expansion mode adds one
+    batched expansion exchange; more_like_this pays its selection df
+    exchange instead of the main one; prf adds a base top-k call and
+    a selection df exchange. A batch of plans costs what one plan
+    does."""
+    import ray
+
+    svc = ShardedQueryService(served_index, num_actors=2)
+    real_get = ray.get
+    calls = []
+
+    def counting_get(refs, *a, **kw):
+        calls.append(1)
+        return real_get(refs, *a, **kw)
+
+    try:
+        monkeypatch.setattr(ray, "get", counting_get)
+        for mode, query, params, want in [
+            ("bm25", "merge sort hash", {}, 2),
+            ("prefix", "ge", {"max_expansions": 8}, 3),
+            ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 2),
+            ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 4),
+        ]:
+            for n in (1, 3):
+                calls.clear()
+                svc.topk([svc.compile(mode, query, params, qid=i)
+                          for i in range(n)], k=5)
+                assert len(calls) == want, (mode, n, len(calls))
+    finally:
+        monkeypatch.undo()
         svc.shutdown()
