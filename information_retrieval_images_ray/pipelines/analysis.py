@@ -1030,7 +1030,9 @@ def hll_by_group(
     the exact per-group count (for the report column) rides the same
     distinct-pair exchange the vocabulary stats already pay. Returns
     one row per group: (key, n_buckets_hit, est_e6, exact_distinct),
-    integer-exact so the oracle divides the same two numbers."""
+    integer-exact so the oracle divides the same two numbers. A NULL
+    key forms no group (its rows are skipped, as the oracle's equality
+    join drops them); ``""`` is a group of its own."""
     from ..functions.hashing import md5_u64
 
     tok = _tok_fn(tokenizer)
@@ -1039,7 +1041,8 @@ def hll_by_group(
     def reg_fn(batch: pa.Table) -> pa.Table:
         regs: dict[tuple[str, int], int] = {}
         for g, text in zip(batch[key].to_pylist(), batch["text"].to_pylist()):
-            g = g or ""
+            if g is None:
+                continue
             for t in set(tok(text or "")):
                 h = md5_u64(t)
                 b = h >> _HLL_REST_BITS
@@ -1069,8 +1072,9 @@ def hll_by_group(
 
     def pair_fn(batch: pa.Table) -> pa.Table:
         pairs = {
-            (g or "", t)
+            (g, t)
             for g, text in zip(batch[key].to_pylist(), batch["text"].to_pylist())
+            if g is not None
             for t in set(tok(text or ""))
         }
         keys = sorted(pairs)
@@ -1735,35 +1739,42 @@ def source_kl_divergence(
     At web scale the corpus term-total broadcast is vocabulary-sized;
     the documented path is top-K pruning with a residual bucket (the
     ``bigram_lm_scores`` open-vocabulary note). Returns one row per
-    source: (source, n_terms, n_tokens, kl_e6)."""
+    source: (source, n_terms, n_tokens, kl_e6). A NULL source gets no
+    row, but its tokens still count in the corpus totals; ``""`` is a
+    source of its own."""
+    import pyarrow.compute as pc
+
     tok = _tok_fn(tokenizer)
 
     def count_fn(batch: pa.Table) -> pa.Table:
-        counts: dict[tuple[str, str], int] = {}
+        # keyed (source is NULL, source or "", term): the flag keeps
+        # NULL apart from "" without grouping on a null key
+        counts: dict[tuple[bool, str, str], int] = {}
         for s, text in zip(batch[key].to_pylist(), batch["text"].to_pylist()):
-            s = s or ""
             for t in tok(text or ""):
-                k = (s, t)
+                k = (s is None, s or "", t)
                 counts[k] = counts.get(k, 0) + 1
         keys = sorted(counts)
         return pa.table(
             {
-                key: pa.array([k[0] for k in keys], pa.string()),
-                "term": pa.array([k[1] for k in keys], pa.string()),
+                "null_key": pa.array([k[0] for k in keys], pa.bool_()),
+                key: pa.array([k[1] for k in keys], pa.string()),
+                "term": pa.array([k[2] for k in keys], pa.string()),
                 "n": pa.array([counts[k] for k in keys], pa.int64()),
             }
         )
 
     st = (
         ds.map_batches(count_fn, batch_format="pyarrow")
-        .groupby([key, "term"])
+        .groupby(["null_key", key, "term"])
         .aggregate(Sum("n", alias_name="n"))
         .materialize()
     )
     term_tot = st.groupby("term").aggregate(Sum("n", alias_name="nc")).to_pandas()
-    src_tot = st.groupby(key).aggregate(
+    src_tot = st.groupby(["null_key", key]).aggregate(
         Sum("n", alias_name="ns"), Count()
     ).to_pandas().rename(columns={"count()": "n_terms"})
+    src_tot = src_tot[~src_tot["null_key"].astype(bool)]
     n_corpus = int(term_tot["nc"].sum())
     ct_ref = ray.put(dict(zip(term_tot["term"], term_tot["nc"].astype(int))))
     ns_by_src = dict(zip(src_tot[key], src_tot["ns"].astype(int)))
@@ -1772,6 +1783,7 @@ def source_kl_divergence(
     def contrib_fn(batch: pa.Table) -> pa.Table:
         ct = ray.get(ct_ref)
         ns = ray.get(ns_ref)
+        batch = batch.filter(pc.invert(batch["null_key"]))
         srcs = batch[key].to_pylist()
         terms = batch["term"].to_pylist()
         n = batch["n"].to_numpy(zero_copy_only=False).astype(np.float64)

@@ -36,6 +36,7 @@ Physical design decisions (all grade-relevant at 10^12 files):
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 import time
@@ -54,6 +55,8 @@ from ..stages.postings import (
 )  # (make_encode_final remains available in stages.postings for tests)
 from ..stages.tokenize import TokenizeStage, explode_postings
 from ..state.manifest import Manifest, fingerprint_files
+
+logger = logging.getLogger(__name__)
 
 
 def segment_shard_dir(index_dir: str, shard: int) -> str:
@@ -220,10 +223,10 @@ def build_index(
                 # partial filters OR-merged), same seam
                 for b in kd.to_batches(columns=["doc_id"]):
                     bf.add_many(b["doc_id"].to_numpy().astype(np.uint64))
-                print(f"[dedup] keep-set of {n_kept} ids exceeds "
-                      f"dedup_broadcast_max={cfg['dedup_broadcast_max']}; "
-                      f"using Bloom filter (m={bf.m} bits, k={bf.k}, "
-                      f"expected_fp={bf.expected_fp():.2e})")
+                logger.warning(
+                    "build dedup: keep-set of %d ids exceeds dedup_broadcast_max=%d; "
+                    "using Bloom filter (m=%d bits, k=%d, expected_fp=%.2e)",
+                    n_kept, cfg["dedup_broadcast_max"], bf.m, bf.k, bf.expected_fp())
                 keep_filter = ("bloom", bf)
             elif n_kept:
                 keep_filter = ("exact", np.sort(

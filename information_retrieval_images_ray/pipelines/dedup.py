@@ -34,6 +34,7 @@ contract and mirrored in the SQL oracle.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 
 import numpy as np
@@ -45,6 +46,8 @@ from ray.data.aggregate import Count, Min, Sum
 from ..functions.hashing import md5_u64, stable_u64
 from ..functions.tokenizer import get_tokenizer
 from .analysis import e6
+
+logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -209,8 +212,8 @@ def ngram_jaccard_pairs(
     sentinel = out["doc_a"] < 0
     n_dropped = int(out.loc[sentinel, "common"].sum())
     if n_dropped:
-        print(f"[ngram_jaccard_pairs] {n_dropped} hot shingles over "
-              f"max_group={max_group} dropped from pair emission")
+        logger.warning("ngram_jaccard_pairs: %d hot shingles over max_group=%d "
+                       "dropped from pair emission", n_dropped, max_group)
     return (
         out[~sentinel]
         .sort_values(["doc_a", "doc_b"])
@@ -309,8 +312,9 @@ def decontaminate(
         if max_group is not None:
             hot = int((test_stats["n_sh"] > max_group).sum())
             if hot:
-                print(f"[decontaminate] {hot} hot test-carried shingles over "
-                      f"max_group={max_group} dropped from the collision check")
+                logger.warning("decontaminate: %d hot test-carried shingles over "
+                               "max_group=%d dropped from the collision check",
+                               hot, max_group)
             test_stats = test_stats[test_stats["n_sh"] <= max_group]
         contaminated = np.sort(test_stats["sh"].to_numpy(np.uint64))
         if not len(contaminated):
@@ -562,8 +566,8 @@ def minhash_near_dups(
         cand.map_batches(only(lambda c: pc.less(c, 0)), batch_format="pyarrow").count()
     )
     if n_dropped:
-        print(f"[minhash_near_dups] {n_dropped} hot band buckets over "
-              f"max_group={max_group} dropped from verification")
+        logger.warning("minhash_near_dups: %d hot band buckets over max_group=%d "
+                       "dropped from verification", n_dropped, max_group)
 
     empty = pd.DataFrame(
         {"doc_a": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64"),
@@ -777,8 +781,8 @@ def simhash_near_dups(
     sentinel = pairs["doc_a"] < 0
     n_dropped = int(sentinel.sum())
     if n_dropped:
-        print(f"[simhash_near_dups] {n_dropped} hot band buckets over "
-              f"max_group={max_group} dropped from verification")
+        logger.warning("simhash_near_dups: %d hot band buckets over max_group=%d "
+                       "dropped from verification", n_dropped, max_group)
     return (
         pairs[~sentinel]
         .drop_duplicates(["doc_a", "doc_b"])
@@ -894,8 +898,8 @@ def winnow_overlap_pairs(
     sentinel = out["doc_a"] < 0
     n_dropped = int(out.loc[sentinel, "common"].sum())
     if n_dropped:
-        print(f"[winnow_overlap_pairs] {n_dropped} hot fingerprints over "
-              f"max_group={max_group} dropped from pair emission")
+        logger.warning("winnow_overlap_pairs: %d hot fingerprints over max_group=%d "
+                       "dropped from pair emission", n_dropped, max_group)
     out = out[~sentinel]
     out = out[out["common"] >= min_common]
     return out.sort_values(["doc_a", "doc_b"]).reset_index(drop=True).astype("int64")
@@ -1264,8 +1268,8 @@ def ngram_containment_pairs(
     sentinel = out["doc_a"] < 0
     n_dropped = int(out.loc[sentinel, "common"].sum())
     if n_dropped:
-        print(f"[ngram_containment_pairs] {n_dropped} hot shingles over "
-              f"max_group={max_group} dropped from pair emission")
+        logger.warning("ngram_containment_pairs: %d hot shingles over max_group=%d "
+                       "dropped from pair emission", n_dropped, max_group)
     return (
         out[~sentinel]
         .sort_values(["doc_a", "doc_b"])
@@ -1818,8 +1822,8 @@ def check_against_store(
     n_dropped = cand.map_batches(
         only(lambda c: pc.less(c, 0)), batch_format="pyarrow").count()
     if n_dropped:
-        print(f"[check_against_store] {n_dropped} hot band buckets over "
-              f"max_group={max_group} dropped from verification")
+        logger.warning("check_against_store: %d hot band buckets over max_group=%d "
+                       "dropped from verification", n_dropped, max_group)
 
     empty = pd.DataFrame(
         {"doc_id": pd.Series(dtype="int64"),

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import shutil
 
@@ -49,6 +50,8 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from .analysis import quality_filter
 from ..functions.hashing import md5_u64
+
+logger = logging.getLogger(__name__)
 
 
 def export_training_data(
@@ -135,8 +138,8 @@ def export_training_data(
         with open(tmp, "w") as f:
             json.dump(manifest, f, indent=1)
         os.replace(tmp, manifest_path)
-        print(f"[export] quality filter kept 0 of the input docs; "
-              f"wrote an empty export to {out_dir}")
+        logger.warning("export: quality filter kept 0 of the input docs; "
+                       "wrote an empty export to %s", out_dir)
         return summary
 
     # -- pass 2: dedup keep-set over the spill (thin md5/doc_id stream) ----
@@ -153,9 +156,9 @@ def export_training_data(
         for b in keep_tbl.iter_batches(batch_format="pyarrow"):
             bf.add_many(b["doc_id"].to_numpy().astype(np.uint64))
         keep_filter = ("bloom", bf)
-        print(f"[export] keep-set of {n_kept} ids exceeds "
-              f"dedup_broadcast_max={dedup_broadcast_max}; using Bloom "
-              f"filter (expected_fp={bf.expected_fp():.2e})")
+        logger.warning("export: keep-set of %d ids exceeds dedup_broadcast_max=%d; "
+                       "using Bloom filter (expected_fp=%.2e)",
+                       n_kept, dedup_broadcast_max, bf.expected_fp())
     else:
         ids = np.sort(np.concatenate([
             b["doc_id"].to_numpy()

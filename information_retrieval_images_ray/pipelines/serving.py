@@ -20,7 +20,10 @@ the router shares with the serial ``IndexReader``:
    plan has a dictionary-expansion spec — each actor expands against
    its own dictionary subset, the router unions and re-caps;
 3. **df**: ``_global_df`` sums per-actor ``df_locals`` into exact
-   global df, turned into boost·idf weights (O(query terms) numbers);
+   global df, turned into boost·idf weights (O(query terms) numbers).
+   A pool caches every df > 0 it has learned: the index is immutable
+   for the pool's lifetime, so a cached df stays exact, and only terms
+   the pool has not seen yet cost an exchange;
 4. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
    runs ``IndexReader.execute`` for every plan over its owned shards;
 5. **merge**: the router ranks with the engine-wide (score desc,
@@ -30,7 +33,14 @@ the router shares with the serial ``IndexReader``:
 MoreLikeThis and PRF plans first run their term selection at the
 router (a df exchange; PRF also a base top-k call and a pruned
 docterms read) and continue as weighted-OR plans that skip step 3. A
-plain bm25 search is two round trips: df, then the scatter.
+plain bm25 search is one round trip (the scatter) once its terms' df
+are cached, two (df, then the scatter) before.
+
+A pool is one immutable generation of the index: the HTTP server
+builds a new one on every /extend, /delete and /reload. Besides its
+actors it owns the index's docmeta, loaded once into memory sorted by
+doc_id (``docmeta``), which ``serving_http.hydrate_hits`` serves from
+with no disk read.
 
 Rank/score identity with a single whole-index ``IndexReader`` holds by
 construction (same plans, same weights, same per-shard executor, same
@@ -44,12 +54,35 @@ collection while the app queries it over the wire
 
 from __future__ import annotations
 
+import glob
+import json
+import os
 from collections import defaultdict
 
+import pyarrow as pa
 import ray
 
 from ..functions.bm25 import idf as idf_fn
 from .query import IndexReader, PlanRunner
+
+
+def load_docmeta(index_dir: str) -> pa.Table:
+    """The whole docmeta table in memory, sorted by an int64
+    ``doc_id`` that comes first, without the hive ``shard`` key. Its
+    columns are the union over all partitions: an extend that brought
+    columns the base build lacked leaves them null on the base docs."""
+    import pyarrow.parquet as pq
+
+    files = sorted(glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"),
+                             recursive=True))
+    if not files:
+        return pa.table({"doc_id": pa.array([], pa.int64())})
+    t = pa.concat_tables([pq.read_table(f) for f in files],
+                         promote_options="permissive")
+    rest = [c for c in t.column_names if c not in ("doc_id", "shard")]
+    t = pa.table([t["doc_id"].cast(pa.int64())] + [t[c] for c in rest],
+                 names=["doc_id", *rest])
+    return t.sort_by("doc_id").combine_chunks()
 
 
 @ray.remote
@@ -130,9 +163,6 @@ class ShardedQueryService(PlanRunner):
     are its backend over the actor pool."""
 
     def __init__(self, index_dir: str, num_actors: int = 4):
-        import json
-        import os
-
         from ..functions.tokenizer import get_tokenizer
         from .maintenance import load_tombstones
 
@@ -145,6 +175,8 @@ class ShardedQueryService(PlanRunner):
         # the pool serves one tombstone generation (the HTTP server
         # swaps the pool when it changes), like its actors' readers
         self.tombstones = load_tombstones(index_dir)
+        # global df per term, df > 0 only (bounded by the vocabulary)
+        self._df: dict[str, int] = {}
         num_actors = max(1, min(num_actors, nsh))
         assign: list[list[int]] = [[] for _ in range(num_actors)]
         for s in range(nsh):
@@ -152,18 +184,24 @@ class ShardedQueryService(PlanRunner):
         self.actors = [
             ShardQueryActor.remote(index_dir, shard_ids) for shard_ids in assign
         ]
+        # loaded while the actors start
+        self.docmeta = load_docmeta(index_dir)
         ray.get([a.ready.remote() for a in self.actors])
 
     # -- PlanRunner backend: the actor pool ------------------------------------
     def _global_df(self, terms: list[str]) -> dict[str, int]:
-        """The df exchange: exact global df (shards partition the doc
-        space, so per-actor df_local sums are exact); df 0 left out."""
-        gdf: dict[str, int] = defaultdict(int)
-        if terms:
-            for part in ray.get([a.df_locals.remote(terms) for a in self.actors]):
+        """Exact global df (shards partition the doc space, so
+        per-actor df_local sums are exact); df 0 left out. Only terms
+        missing from the pool's cache go to the actors, so a search
+        whose terms are all cached makes no df exchange."""
+        miss = [t for t in terms if t not in self._df]
+        if miss:
+            gdf: dict[str, int] = defaultdict(int)
+            for part in ray.get([a.df_locals.remote(miss) for a in self.actors]):
                 for t, n in part.items():
                     gdf[t] += n
-        return dict(gdf)
+            self._df.update(gdf)
+        return {t: self._df[t] for t in terms if t in self._df}
 
     def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
         """ONE ``expand_batch`` round trip per actor for the whole

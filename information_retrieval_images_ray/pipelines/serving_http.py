@@ -26,7 +26,10 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
   GET  /stats         -> index stats (the --show-db verb over HTTP)
   POST /delete        {"doc_ids": [int, ...]} -> tombstone count
                       (reference delete_record, vector_db.py:54-58;
-                      actors re-sync tombstones on the next /search)
+                      the pool is swapped for one that honours the
+                      deletes before the call returns. Deletes or
+                      docmeta updates made outside the server need
+                      POST /reload)
   POST /extend        {"docs": [{"content": str, ...meta}, ...],
                        "skip_existing_content": bool=false}
                       -> {"added": n, "n_docs": total} (reference's
@@ -78,7 +81,13 @@ per request (server.py:135-146). The HTTP layer itself is a thin
 threaded router: all scoring runs in the Ray actors, so one process
 serves concurrent requests with scatter-gather parallelism. At
 cluster scale N of these routers sit behind any TCP load balancer —
-the routers are stateless (tokenize + merge only).
+the routers hold no request state (tokenize + merge + hydrate).
+
+The query path reads nothing from disk (snippets, PRF feedback docs
+and positional verification excepted): hydration is a lookup in the
+serving pool's in-memory docmeta (``hydrate_hits``), and tombstones
+come with the pool. Every index write made through the server
+(/extend, /delete, /reload) swaps in a new pool before it returns.
 """
 
 from __future__ import annotations
@@ -90,7 +99,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pandas as pd
 
-from .query import hydrate_hits
 from .serving import ShardedQueryService
 
 # request-body keys /search and /msearch pass through to search()
@@ -171,6 +179,36 @@ def attach_snippets(rows: list[dict], corpus_path: str, qterms: set[str],
         )
 
 
+def hydrate_hits(svc: ShardedQueryService, doc_ids) -> list[dict]:
+    """The docmeta rows of ``doc_ids`` (ascending, unknown ids left
+    out) from the pool's in-memory snapshot: a ``searchsorted`` and a
+    ``take``, no disk read. Python values, ``None`` for nulls,
+    ``content_sha256`` as hex."""
+    meta = svc.docmeta
+    known = meta["doc_id"].to_numpy()
+    ids = np.unique(np.asarray(doc_ids, np.int64))
+    pos = np.searchsorted(known, ids)
+    found = pos < len(known)
+    found[found] = known[pos[found]] == ids[found]
+    rows = meta.take(pos[found]).to_pylist()
+    for r in rows:
+        if r.get("content_sha256") is not None:
+            r["content_sha256"] = r["content_sha256"].hex()
+    return rows
+
+
+def _attach_meta(svc: ShardedQueryService, rows: list[dict]) -> None:
+    """Hydrate hit rows in place with ONE ``hydrate_hits`` lookup
+    (fields the row already carries win)."""
+    if not rows:
+        return
+    meta = {m["doc_id"]: m for m in hydrate_hits(svc, [r["doc_id"] for r in rows])}
+    for r in rows:
+        for key, val in meta.get(r["doc_id"], {}).items():
+            if key not in r:
+                r[key] = val
+
+
 class IndexHTTPServer:
     """Threaded JSON API over one index. ``port=0`` binds an ephemeral
     port (tests); ``start()`` serves in a daemon thread, ``close()``
@@ -209,17 +247,16 @@ class IndexHTTPServer:
 
                 self.embedder = HashedNgramEmbedder(
                     dim=int(_read_ivf_meta(vector_index_dir)["dim"]))
-        self._tomb_count = -1  # force tombstone sync on first search
-        # ThreadingHTTPServer handles requests concurrently; the
-        # tombstone re-sync swaps the shared actor pool, so it must be
-        # serialized (two racing deletes+searches would otherwise both
-        # shut the pool down and leak one replacement)
+        # ThreadingHTTPServer handles requests concurrently; ``_lock``
+        # guards the ``service`` reference (a request takes the pool
+        # once and serves its whole answer from it)
         self._lock = threading.Lock()
-        # Serializes ingests against each other and against /reset
-        # WITHOUT blocking searches: the extend's Ray delta job runs
-        # under this lock only, and ``_lock`` is taken just for the
-        # O(actors) pool swap at the end — the rolling-index-update
-        # form. Lock order is always _extend_lock -> _lock.
+        # Serializes the index writers (/extend, /delete, /reset,
+        # /reload) against each other WITHOUT blocking searches: an
+        # extend's Ray delta job and the next pool's start-up run
+        # under this lock only, and ``_lock`` is taken just to swap
+        # the reference — the rolling-index-update form. Lock order
+        # is always _extend_lock -> _lock.
         self._extend_lock = threading.Lock()
         outer = self
 
@@ -265,7 +302,7 @@ class IndexHTTPServer:
                             self._json(200, json.load(f))
                     elif self.path.startswith("/doc/"):
                         doc_id = int(self.path.split("/doc/", 1)[1])
-                        rows = outer._hydrate([doc_id])
+                        rows = hydrate_hits(outer._pool(), [doc_id])
                         if not rows:
                             self._json(404, {"error": f"doc {doc_id} not found"})
                         else:
@@ -340,10 +377,7 @@ class IndexHTTPServer:
                             lang=req.get("lang"),
                         ))
                     elif self.path == "/delete":
-                        from .maintenance import delete_docs
-
-                        n_del = delete_docs(outer.index_dir, req.get("doc_ids", []))
-                        self._json(200, {"tombstoned": n_del})
+                        self._json(200, outer.delete(req.get("doc_ids", [])))
                     elif self.path == "/extend":
                         self._json(200, outer.extend(
                             req.get("docs", []),
@@ -414,9 +448,7 @@ class IndexHTTPServer:
         highlighted window. Raises ValueError for a bad mode or
         option, FileNotFoundError for a positional mode without the
         positions sidecar."""
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         body = {**params, "query": query, "mode": mode}
         plan = self._compile(svc, body)
         return self._answer(svc, [plan], [body], k, lang,
@@ -427,8 +459,9 @@ class IndexHTTPServer:
         POST, one response per body (order preserved). Bodies that
         share (limit, lang, offset, hydrate) — whatever their modes —
         ride ONE pooled ``topk`` call: a single expansion exchange when
-        any needs one, a single df exchange, a single scatter, and ONE
-        doc-id-pruned hydration read per group. Results are bitwise
+        any needs one, a single df exchange for the terms the pool has
+        not cached, a single scatter, and ONE in-memory hydration
+        lookup per group. Results are bitwise
         identical to per-body ``search`` because every step is
         per-plan independent. A body that fails to compile (bad mode)
         or a group that fails (positional mode without a sidecar)
@@ -436,9 +469,7 @@ class IndexHTTPServer:
         contract."""
         if not isinstance(searches, list) or not searches:
             raise ValueError("msearch needs a non-empty 'searches' list")
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         out: list = [None] * len(searches)
         groups: dict[tuple, list[tuple[int, dict, dict]]] = {}
         for i, s in enumerate(searches):
@@ -483,7 +514,7 @@ class IndexHTTPServer:
                 bodies: list[dict], k: int, lang: str | None, offset: int,
                 hydrate: bool) -> list[list[dict]]:
         """One ``topk`` call for a group of plans, then the per-body
-        extras: explain, one hydration read for the group, snippets.
+        extras: explain, one hydration lookup for the group, snippets.
         Expansion runs first, on its own, so a snippet marks exactly
         the expanded terms that scored (topk then has nothing left to
         expand — still one expansion round trip)."""
@@ -510,23 +541,12 @@ class IndexHTTPServer:
                 for r in page:
                     r["explanation"] = by_doc.get(r["doc_id"], [])
         if hydrate:
-            self._attach_meta([r for page in out for r in page])
+            _attach_meta(svc, [r for page in out for r in page])
         for plan, body, page in zip(plans, bodies, out):
             if body.get("snippet") and page:
                 attach_snippets(page, self.corpus_path, plan_terms(plan),
                                 int(body.get("snippet_window", 8)), svc.tokenize)
         return out
-
-    def _attach_meta(self, rows: list[dict]) -> None:
-        """Hydrate hit rows in place with ONE doc-id-pruned docmeta read
-        (fields the row already carries win)."""
-        if not rows:
-            return
-        meta = {m["doc_id"]: m for m in self._hydrate(sorted({r["doc_id"] for r in rows}))}
-        for r in rows:
-            for key, val in meta.get(r["doc_id"], {}).items():
-                if key not in r:
-                    r[key] = val
 
     def facets(self, query: str, cols: list[str],
                lang: str | None = None) -> dict:
@@ -534,9 +554,7 @@ class IndexHTTPServer:
         {"query", "cols": ["lang", ...], "lang"?}) — the whole-result-
         set distribution next to the ranked page, via the sharded
         service's per-actor partial counts."""
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.facets(
             [{"qid": 0, "query": query}], list(cols), doc_filter)[0]
@@ -546,9 +564,7 @@ class IndexHTTPServer:
         """Significant-terms aggregation (POST /significant): what the
         query's whole match set is ABOUT, via the sharded router's
         match-prefix scatter + pruned docterms read + df exchange."""
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.topk_significant(
             [{"qid": 0, "query": query}], k=k, sample_n=sample_n,
@@ -560,9 +576,7 @@ class IndexHTTPServer:
         from one doc_id-pruned docterms read on the router, exact
         global df from the pool's df exchange (``PlanRunner.term_vectors``,
         shared with the serial reader)."""
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         return svc.term_vectors(doc_ids)
 
     def length_facets(self, query: str, edges: list[int],
@@ -570,9 +584,7 @@ class IndexHTTPServer:
         """Numeric range-facet counts of the match set's token lengths
         (POST /facets with "length_edges") via the sharded service's
         per-actor bucket partials."""
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
+        svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.length_facets(
             [{"qid": 0, "query": query}], edges, doc_filter)[0]
@@ -615,12 +627,10 @@ class IndexHTTPServer:
         the attached persisted IVF index (reference
         search_by_embedding, vector_db.py:93-103). Tombstone contract
         shared with /hybrid via ``_vector_topk``."""
-        from .maintenance import load_tombstones
-
         if self.vector_index_dir is None:
             raise RuntimeError("no vector index attached (vector_index_dir)")
-        tombs = load_tombstones(self.index_dir)
-        vec = self._vector_topk(self._ivf, vector, k, nprobe, tombs,
+        svc = self._pool()
+        vec = self._vector_topk(self._ivf, vector, k, nprobe, svc.tombstones,
                                 filter_col, filter_value)
         rows = [
             {
@@ -631,7 +641,7 @@ class IndexHTTPServer:
             for _, r in vec.iterrows()
         ]
         if hydrate:
-            self._attach_meta(rows)
+            _attach_meta(svc, rows)
         return rows
 
     def hybrid(self, query: str, vector: list[float], k: int = 10,
@@ -644,14 +654,10 @@ class IndexHTTPServer:
         over live docs before fusing. Rows carry provenance
         (bm25_rank / vec_rank, null when only the other side hit)."""
         from .hybrid import rrf_fuse
-        from .maintenance import load_tombstones
 
         if self.vector_index_dir is None:
             raise RuntimeError("no vector index attached (vector_index_dir)")
-        with self._lock:
-            self._sync_tombstones()
-            svc = self.service
-        tombs = load_tombstones(self.index_dir)
+        svc = self._pool()
 
         hits = svc.topk([svc.compile("bm25", query)], k=n_each)
         lex = pd.DataFrame({
@@ -659,7 +665,7 @@ class IndexHTTPServer:
             "doc_id": np.array([h["doc_id"] for h in hits], np.int64),
             "rank": np.array([h["rank"] for h in hits], np.int64),
         })
-        vec = self._vector_topk(self._ivf, vector, n_each, nprobe, tombs)
+        vec = self._vector_topk(self._ivf, vector, n_each, nprobe, svc.tombstones)
 
         fused = rrf_fuse(lex, vec, k=k)
         lex_rank = dict(zip(lex["doc_id"], lex["rank"]))
@@ -675,7 +681,7 @@ class IndexHTTPServer:
             for _, r in fused.iterrows()
         ]
         if hydrate:
-            self._attach_meta(rows)
+            _attach_meta(svc, rows)
         return rows
 
     def extend(self, docs: list[dict], skip_existing_content: bool = False) -> dict:
@@ -684,10 +690,11 @@ class IndexHTTPServer:
         normal ``extend_index`` path, then the actor pool is swapped
         for one that owns the new shards. ``delta_id`` is the content
         hash, so the same payload extends at most once. The Ray delta
-        job runs under ``_extend_lock`` only — searches keep flowing
-        against the CURRENT pool for its whole duration (they see the
-        pre-extend index, exactly a rolling index update's semantics);
-        ``_lock`` is taken just for the O(actors) swap at the end.
+        job and the new pool's start-up run under ``_extend_lock``
+        only — searches keep flowing against the CURRENT pool for
+        their whole duration (they see the pre-extend index, exactly a
+        rolling index update's semantics); ``_lock`` is taken just to
+        swap the pool reference at the end.
         Concurrent extends serialize on ``_extend_lock`` (both the
         doc-id span read and the delta build must not interleave)."""
         import hashlib
@@ -728,56 +735,40 @@ class IndexHTTPServer:
             )
             added = int(stats["n_docs"]) - int(before["n_docs"])
             if added:
-                with self._lock:
-                    num = max(1, len(self.service.actors))
-                    # swap by DROPPING the old pool's handles (no
-                    # ray.kill): a search mid-flight on the old pool
-                    # holds its own reference, so its actors drain
-                    # naturally and are GC-collected once the last
-                    # in-flight call returns — killing them here turned
-                    # concurrent searches into 500s
-                    self.service = ShardedQueryService(self.index_dir, num_actors=num)
+                self._swap_pool()
         return {"added": added, "n_docs": int(stats["n_docs"])}
 
-    def _hydrate(self, doc_ids: list[int]) -> list[dict]:
-        df = hydrate_hits(pd.DataFrame({"doc_id": doc_ids}), self.index_dir)
-        out = []
-        for _, row in df.iterrows():
-            d = {}
-            for key, val in row.items():
-                if isinstance(val, (np.integer,)):
-                    val = int(val)
-                elif isinstance(val, (np.floating,)):
-                    val = float(val)
-                elif isinstance(val, bytes):
-                    val = val.hex()
-                elif val is not None and not isinstance(val, (str, int, float, bool)):
-                    val = str(val)
-                if isinstance(val, float) and val != val:  # NaN -> null
-                    val = None
-                d[key] = val
-            # an unknown doc_id left-joins to all-null metadata
-            if d.get("content_sha256") is not None:
-                out.append(d)
-        return out
+    def delete(self, doc_ids: list[int]) -> dict:
+        """Tombstone ``doc_ids`` (POST /delete) and swap in a pool
+        that honours them before returning, so the next request sees
+        the deletes. Serialized with the other index writers on
+        ``_extend_lock``."""
+        from .maintenance import delete_docs
 
-    def _sync_tombstones(self) -> None:
-        """Deletes issued while serving become visible on the next
-        search: when the tombstone set grew, the actor pool is
-        replaced (cheap at actor count; at scale this is a rolling
-        restart or a tombstone broadcast). Caller holds ``_lock``.
-        The old pool is not killed — its handles are dropped, so a
-        search already mid-flight on it completes normally and the
-        actors are GC-collected afterwards (a graceful rolling swap
-        with no 500 window)."""
-        from .maintenance import load_tombstones
+        with self._extend_lock:
+            if self.service is None:  # reset raced in before us
+                raise RuntimeError("index was reset; rebuild and POST /reload")
+            n = delete_docs(self.index_dir, doc_ids)
+            if n:
+                self._swap_pool()
+        return {"tombstoned": n}
 
-        n = len(load_tombstones(self.index_dir))
-        if n != self._tomb_count:
-            if self._tomb_count >= 0:
-                num = max(1, len(self.service.actors))
-                self.service = ShardedQueryService(self.index_dir, num_actors=num)
-            self._tomb_count = n
+    def _pool(self) -> ShardedQueryService | None:
+        """The current pool generation; a request takes it once and
+        scores, hydrates and filters tombstones against that one."""
+        with self._lock:
+            return self.service
+
+    def _swap_pool(self) -> None:
+        """Start a pool over the index as it is on disk now, then swap
+        it in under ``_lock``. Caller holds ``_extend_lock``. The old
+        pool is DROPPED, not killed: a search mid-flight on it holds
+        its own reference, so its actors drain and are GC-collected
+        once the last in-flight call returns (killing them turned
+        concurrent searches into 500s)."""
+        new = ShardedQueryService(self.index_dir, num_actors=self.num_actors)
+        with self._lock:
+            self.service = new
 
     def reset(self) -> dict:
         """Delete the index and retire the pool (reference POST
@@ -790,26 +781,20 @@ class IndexHTTPServer:
 
         with self._extend_lock, self._lock:
             self.service = None
-            self._tomb_count = -1
             shutil.rmtree(self.index_dir, ignore_errors=True)
         return {"removed": self.index_dir}
 
     def reload(self) -> dict:
         """(Re-)attach the on-disk index with a fresh actor pool —
-        used after an out-of-band rebuild following /reset."""
+        used after an out-of-band rebuild following /reset, and after
+        deletes or docmeta updates made outside the server."""
         import os
 
-        with self._lock:
+        with self._extend_lock:
             if not os.path.exists(os.path.join(self.index_dir, "stats.json")):
                 raise FileNotFoundError(f"{self.index_dir} has no built index")
-            self.service = ShardedQueryService(
-                self.index_dir, num_actors=self.num_actors
-            )
-            self._tomb_count = -1
-        import json as _json
-
-        with open(os.path.join(self.index_dir, "stats.json")) as f:
-            return {"n_docs": int(_json.load(f)["n_docs"])}
+            self._swap_pool()
+            return {"n_docs": int(self.service.n_docs)}
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "IndexHTTPServer":

@@ -760,6 +760,39 @@ def test_source_kl_divergence_hand_computed():
     assert int(out.loc["s1", "n_terms"]) == 1
 
 
+def test_null_and_empty_group_keys_match_oracle_sql():
+    """A NULL group key emits no row and "" stays its own group, in
+    ``hll_by_group`` and ``source_kl_divergence`` exactly as in their
+    oracle SQL; NULL-source tokens still count in the KL corpus
+    totals."""
+    import duckdb
+    import pandas as pd
+    import ray
+
+    import __ray_entry__ as E
+    from information_retrieval_images_ray.pipelines.analysis import (
+        hll_by_group, source_kl_divergence,
+    )
+
+    texts = ["alpha beta gamma", "beta delta delta", "uno dos tres uno",
+             "dos cuatro alpha", "zeta eta alpha alpha", "theta beta"]
+    keys = ["en", None, "", "es", None, ""]
+    for key, fn, sql in [
+        ("lang", hll_by_group, E._HLL_BY_LANG_SQL),
+        ("source", source_kl_divergence, E._SOURCE_KL_SQL),
+    ]:
+        docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts,
+                             key: keys})
+        con = duckdb.connect()
+        con.register("documents", docs)
+        want = con.sql(sql).df().sort_values(key).reset_index(drop=True)
+        got = fn(ray.data.from_pandas(docs), key=key)
+        got = got.sort_values(key).reset_index(drop=True)
+        assert got[key].tolist() == ["", "en", "es"], key
+        assert got.astype("object").values.tolist() == \
+            want[list(got.columns)].astype("object").values.tolist(), key
+
+
 def test_tfidf_cosine_pairs_vs_dense():
     """The sparse shared-term pipeline equals a dense numpy TF-IDF
     cosine over the pruned term space; df-pruning excludes df=1 and

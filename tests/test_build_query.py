@@ -295,6 +295,30 @@ def test_dedup_build_equals_plain_build_of_distinct(tmp_path):
         assert r_b.search_bmw(q, 40) == r_p.search_bmw(q, 40), q
 
 
+def test_build_bloom_keep_set_logs_warning(tmp_path, caplog):
+    """The build's Bloom keep-set switch is a logging WARNING record
+    (not a stdout print) naming the keep-set size and the cap."""
+    import logging
+
+    import pyarrow as pa
+    import ray.data
+
+    src = tmp_path / "src"
+    src.mkdir()
+    texts = ["alpha beta", "gamma delta", "alpha beta"]
+    pq.write_table(pa.table({"doc_id": pa.array(range(3), pa.uint64()),
+                             "content": texts}), str(src / "p.parquet"))
+    with caplog.at_level(logging.WARNING,
+                         logger="information_retrieval_images_ray.pipelines.build"):
+        build_index(ray.data.read_parquet(str(src)), str(tmp_path / "idx"),
+                    source_files=[str(src / "p.parquet")], num_shards=1,
+                    dedup=True, dedup_broadcast_max=1)
+    recs = [r for r in caplog.records
+            if r.name == "information_retrieval_images_ray.pipelines.build"]
+    assert len(recs) == 1 and recs[0].levelno == logging.WARNING
+    assert "keep-set of 2 ids exceeds dedup_broadcast_max=1" in recs[0].getMessage()
+
+
 def test_degenerate_corpora(tmp_path):
     """Single-doc and all-empty-content corpora build and query
     cleanly (no postings -> no hits, never an exception)."""

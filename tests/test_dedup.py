@@ -118,21 +118,25 @@ def test_frequent_shingle_cutoff():
     assert len(capped) == 0
 
 
-def test_minhash_simhash_hot_band_cap(capsys):
+def test_minhash_simhash_hot_band_cap(caplog):
     """A duplicate-heavy corpus puts every copy in the same band
     buckets; with max_group set the bucket is dropped (logged sentinel)
     instead of emitting O(N^2) pairs, and the job still completes."""
+    import logging
+
     rows = [
         {"doc_id": i, "text": "same words repeated here again and again ok"}
         for i in range(12)  # 2x max_group identical docs
     ]
     ds = ray.data.from_items(rows)
+    caplog.set_level(logging.WARNING, logger=dedup.__name__)
     capped = dedup.minhash_near_dups(ds, threshold=0.5, max_group=6)
     assert len(capped) == 0
-    assert "hot band buckets" in capsys.readouterr().out
+    assert "minhash_near_dups" in caplog.text and "hot band buckets" in caplog.text
+    caplog.clear()
     capped = dedup.simhash_near_dups(ds, max_hamming=3, max_group=6)
     assert len(capped) == 0
-    assert "hot band buckets" in capsys.readouterr().out
+    assert "simhash_near_dups" in caplog.text and "hot band buckets" in caplog.text
     # uncapped: all 66 identical pairs surface
     full = dedup.minhash_near_dups(ds, threshold=0.5, max_group=None)
     assert len(full) == 66

@@ -991,3 +991,137 @@ def test_msearch_empty_batch_rejected(server):
     with pytest.raises(urllib.error.HTTPError) as ei:
         _req(srv.port, "/msearch", {"searches": []})
     assert ei.value.code == 400
+
+
+# ---------------------------------------------------------------------------
+# The pool generation owns the df cache and the docmeta snapshot
+
+
+def _small_index(path, n=60, seed=51):
+    rng = np.random.default_rng(seed)
+    rows = [
+        {
+            "doc_id": i,
+            "content": " ".join(WORDS[j] for j in rng.integers(0, len(WORDS), 30)),
+            "repo": f"r{i % 4}", "path": f"p{i}.txt", "commit": "c0",
+            "lang": "en" if i % 3 else None,
+        }
+        for i in range(n)
+    ]
+    build_index(ray.data.from_items(rows), path, tokenizer="simple", num_shards=2)
+    return path
+
+
+def test_df_cache_exact_across_extend_and_delete(tmp_path):
+    """After /extend adds docs holding an already-cached term, and
+    after a /delete, the next /search is bitwise equal in ranks and
+    scores to a fresh serial reader on the index at that point. A df
+    cache that outlived its pool would score the extended index with
+    the old df."""
+    idx = _small_index(str(tmp_path / "dfidx"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    query = "alpha bravo"
+
+    def check():
+        _, hits = _req(srv.port, "/search", {"query": query, "limit": 10})
+        want = IndexReader(idx).search_bmw(query, 10)
+        assert want and [(h["doc_id"], h["score"]) for h in hits] == \
+            [(d, s) for d, s in want]
+        return hits
+
+    try:
+        check()
+        check()  # served with alpha/bravo df cached
+        status, out = _req(srv.port, "/extend", {"docs": [
+            {"content": f"alpha alpha charlie extended{i}"} for i in range(8)]})
+        assert status == 200 and out["added"] == 8
+        hits = check()
+        status, out = _req(srv.port, "/delete", {"doc_ids": [hits[0]["doc_id"]]})
+        assert status == 200 and out["tombstoned"] == 1
+        assert hits[0]["doc_id"] not in {h["doc_id"] for h in check()}
+    finally:
+        srv.close()
+
+
+def _reference_meta(idx, ids):
+    """``query.hydrate_hits`` rows as the server shaped them before:
+    numpy scalars to Python, NaN to None."""
+    import pandas as pd
+
+    from information_retrieval_images_ray.pipelines.query import hydrate_hits
+
+    out = {}
+    for rec in hydrate_hits(pd.DataFrame({"doc_id": sorted(ids)}), idx).to_dict("records"):
+        rec = {k: v.item() if isinstance(v, np.generic) else v for k, v in rec.items()}
+        out[rec["doc_id"]] = {
+            k: None if isinstance(v, float) and v != v else v for k, v in rec.items()}
+    return out
+
+
+def _assert_hydrated(idx, rows):
+    ref = _reference_meta(idx, {r["doc_id"] for r in rows})
+    assert rows and len(ref) == len({r["doc_id"] for r in rows})
+    for r in rows:
+        for k, v in ref[r["doc_id"]].items():
+            assert r[k] == v and type(r[k]) is type(v), (r["doc_id"], k, r[k], v)
+
+
+def test_hydration_matches_offline_hydrate_and_reads_no_disk(tmp_path, monkeypatch):
+    """Every hydrated row of /search, /msearch, /doc/<id> and /knn
+    equals ``query.hydrate_hits`` on the same ids, field for field and
+    type for type, before and after an /extend. A warm hydrated bm25
+    /search and an /msearch then run with every file, glob, parquet
+    and dataset read patched to raise."""
+    import builtins
+    import glob
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from information_retrieval_images_ray.pipelines.similarity import build_ivf_index
+
+    idx = _small_index(str(tmp_path / "hyd"))
+    vidx = str(tmp_path / "hydvec")
+    rng = np.random.default_rng(52)
+    emb = [{"vec_id": i, "embedding": rng.normal(size=8).astype(np.float32).tolist()}
+           for i in range(60)]
+    build_ivf_index(ray.data.from_items(emb), vidx, nlist=4)
+    srv = IndexHTTPServer(idx, num_actors=2, port=0, vector_index_dir=vidx).start()
+    bodies = [{"query": "alpha delta", "limit": 5}, {"query": "zebra", "limit": 5},
+              {"query": "ech", "mode": "prefix", "limit": 5}]
+    try:
+        for step in ("built", "extended"):
+            _assert_hydrated(idx, srv.search("alpha delta", 8))
+            for page in srv.msearch(bodies):
+                _assert_hydrated(idx, page)
+            _assert_hydrated(idx, srv.knn(emb[7]["embedding"], k=6, nprobe=4))
+            for d in (0, 3, 59):
+                _, doc = _req(srv.port, f"/doc/{d}")
+                assert doc == _reference_meta(idx, [d])[d]
+            if step == "built":
+                status, out = _req(srv.port, "/extend", {"docs": [
+                    {"content": "alpha delta fresh", "lang": "en"},
+                    {"content": "alpha zebra fresh"}]})
+                assert status == 200 and out["added"] == 2
+        _, doc = _req(srv.port, "/doc/61")
+        assert doc == _reference_meta(idx, [61])[61] and doc["lang"] == ""
+        assert 60 in {r["doc_id"] for r in srv.search("fresh", 5)}
+
+        want_search = srv.search("alpha delta", 8)
+        want_msearch = srv.msearch(bodies)
+
+        def boom(*a, **kw):
+            raise AssertionError("disk read on the request path")
+
+        monkeypatch.setattr(builtins, "open", boom)
+        monkeypatch.setattr(glob, "glob", boom)
+        monkeypatch.setattr(pq, "read_table", boom)
+        monkeypatch.setattr(pads, "dataset", boom)
+        got_search = srv.search("alpha delta", 8)
+        got_msearch = srv.msearch(bodies)
+        monkeypatch.undo()
+        assert got_search == want_search
+        assert got_msearch == want_msearch
+    finally:
+        monkeypatch.undo()
+        srv.close()

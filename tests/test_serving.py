@@ -323,15 +323,16 @@ def test_paging_offset_matches_serial_tail(served_index):
 
 
 def test_router_round_trips_per_mode(served_index, monkeypatch):
-    """Actor round trips per router call: a plain bm25 search is two
-    (df exchange, then the scatter); an expansion mode adds one
-    batched expansion exchange; more_like_this pays its selection df
-    exchange instead of the main one; prf adds a base top-k call and
-    a selection df exchange. A batch of plans costs what one plan
-    does."""
+    """Actor round trips per router call. On a fresh pool (cold df
+    cache) a plain bm25 search is two (df exchange, then the scatter);
+    an expansion mode adds one batched expansion exchange;
+    more_like_this pays its selection df exchange instead of the main
+    one; prf adds a base top-k call and a selection df exchange. Once
+    the same terms' df are cached, every df exchange goes: bm25 and
+    more_like_this are one scatter, prefix and prf two round trips. A
+    batch of plans costs what one plan does."""
     import ray
 
-    svc = ShardedQueryService(served_index, num_actors=2)
     real_get = ray.get
     calls = []
 
@@ -339,19 +340,22 @@ def test_router_round_trips_per_mode(served_index, monkeypatch):
         calls.append(1)
         return real_get(refs, *a, **kw)
 
-    try:
-        monkeypatch.setattr(ray, "get", counting_get)
-        for mode, query, params, want in [
-            ("bm25", "merge sort hash", {}, 2),
-            ("prefix", "ge", {"max_expansions": 8}, 3),
-            ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 2),
-            ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 4),
-        ]:
-            for n in (1, 3):
-                calls.clear()
-                svc.topk([svc.compile(mode, query, params, qid=i)
-                          for i in range(n)], k=5)
-                assert len(calls) == want, (mode, n, len(calls))
-    finally:
-        monkeypatch.undo()
-        svc.shutdown()
+    cases = [
+        ("bm25", "merge sort hash", {}, 2, 1),
+        ("prefix", "ge", {"max_expansions": 8}, 3, 2),
+        ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 2, 1),
+        ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 4, 2),
+    ]
+    for mode, query, params, cold, warm in cases:
+        for n in (1, 3):
+            svc = ShardedQueryService(served_index, num_actors=2)
+            try:
+                monkeypatch.setattr(ray, "get", counting_get)
+                for want in (cold, warm):
+                    calls.clear()
+                    svc.topk([svc.compile(mode, query, params, qid=i)
+                              for i in range(n)], k=5)
+                    assert len(calls) == want, (mode, n, len(calls))
+            finally:
+                monkeypatch.undo()
+                svc.shutdown()
