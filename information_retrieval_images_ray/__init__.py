@@ -9,9 +9,8 @@ evaluation — see /root/repo/SURVEY.md) as an idiomatic
 
 - read Parquet source-code corpora (``repo, path, commit, lang, content``)
 - ``map_batches`` over zero-copy Arrow for sha256 + code-aware tokenize
-- ``groupby``-shuffle of (term -> posting) pairs into per-shard posting
-  lists, delta + varbyte compressed, with explicit salting for skewed
-  (stopword-like) terms
+- one ``groupby("shard")`` group per doc-range shard, encoded into
+  per-term posting lists, delta + varbyte compressed
 - block-max WAND top-k over the compressed postings, served by stateful
   actors holding loaded index shards
 - checkpoint manifest with per-partition lineage so a killed build

@@ -69,8 +69,6 @@ def cmd_build(args) -> int:
         source_files=corpus_files(args.corpus),
         tokenizer=args.tokenizer,
         num_shards=args.shards,
-        hot_df_threshold=args.hot_df_threshold,
-        salt_factor=args.salt_factor,
         dedup=args.dedup,
     )
     print(json.dumps(stats))
@@ -480,8 +478,6 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--index", required=True)
     b.add_argument("--tokenizer", default="code", choices=["code", "simple"])
     b.add_argument("--shards", type=int, default=16)
-    b.add_argument("--hot-df-threshold", type=int, default=1 << 30)
-    b.add_argument("--salt-factor", type=int, default=8)
     b.add_argument("--num-cpus", type=int, default=None)
     b.add_argument(
         "--no-assign-ids",

@@ -3,7 +3,7 @@
 Schema exactly matches BASELINE.json ``input_hint``:
 ``(repo: string, path: string, commit: string, lang: string,
 content: string)``. Identifier vocabulary is Zipf-distributed so
-stopword-like hot terms exist (exercising skew salting); names mix
+stopword-like hot terms exist (long per-shard postings); names mix
 camelCase and snake_case (exercising the code-aware tokenizer); a few
 exact-duplicate, empty and unicode-bearing docs exercise edge paths.
 

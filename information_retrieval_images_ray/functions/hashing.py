@@ -33,7 +33,7 @@ def sha256_column(texts) -> list[bytes]:
 
 
 def stable_u64(data: str | bytes) -> int:
-    """Deterministic 64-bit hash (blake2b) for salting / sharding keys."""
+    """Deterministic 64-bit hash (blake2b) for sharding keys."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")

@@ -7,9 +7,8 @@ and main.py:190-228):
   read Parquet corpus
     -> map_batches(TokenizeStage)                 [phase docterms]
     -> footer stats + doc_len sum                 [phase stats]
-    -> partial-count combiner + groupby(bucket)   [phase termstats: df]
-    -> per doc-shard: groupby(term[, salt])
-         .map_groups(encode) (+ salted merge)     [phase segment:k]
+    -> add shard, keep pending shards
+       -> groupby(shard).map_groups(encode_shard) [phase segment:k]
     -> docmeta projection                         [phase docmeta]
 
 Physical design decisions (all grade-relevant at 10^12 files):
@@ -17,20 +16,21 @@ Physical design decisions (all grade-relevant at 10^12 files):
 - **Doc-partitioned index**: shard = contiguous doc_id range. Every
   query fans out over shards and merges top-k (the standard web-search
   layout); per-shard doc_len arrays stay dense and local.
-- **Skew**: per-term groups are bounded by the shard's doc count, and
-  stopword-like terms whose global df exceeds ``hot_df_threshold`` are
-  salted ``(term, doc_id % salt_factor)`` so no single encode task sees
-  the whole hot posting; a merge stage re-combines sub-postings
-  (byte-identical to unsalted — tested).
-- **df combiner**: per-batch partial counts BEFORE the groupby, so the
-  df shuffle moves one row per (batch, term), not one per posting.
+- **Skew**: the shard is the unit of encode work. A shard's segment
+  rows depend only on its own postings and the global avgdl, so each
+  pending shard is ONE group, encoded in one vectorized pass. No group
+  is larger than the shard an actor must hold in memory anyway, and
+  even a stopword's posting is bounded by the shard's doc count.
+- **Global df** is never materialized at build time: the reader sums
+  per-shard ``df_local`` at query time.
 - **Resume**: every phase records an entry in manifest.json keyed by
   input fingerprint + config hash; segment phases are per-shard, so a
   killed job recomputes only unfinished shards
   (tests/test_resume.py). Mirrors the reference's md5-presence
   idempotency (db.py:114-116) at partition granularity.
-- **content is dropped** right after tokenize; only (term, doc, tf, dl)
-  rows enter the shuffle (SURVEY.md §7.4e).
+- **content is dropped** right after tokenize; only docterms rows
+  (doc_id, doc_len, terms, tfs — one per doc, list columns) enter the
+  segment exchange (SURVEY.md §7.4e).
 """
 
 from __future__ import annotations
@@ -47,16 +47,15 @@ import ray.data
 from ray.data.aggregate import Count, Max, Sum
 
 from ..functions.bm25 import BM25Params
-from ..stages.postings import (
-    BLOCK_SIZE,
-    encode_sub,
-    make_encode_bucket,
-    make_merge_salted,
-)  # (make_encode_final remains available in stages.postings for tests)
-from ..stages.tokenize import TokenizeStage, explode_postings
+from ..stages.postings import BLOCK_SIZE, encode_shard
+from ..stages.tokenize import TokenizeStage
 from ..state.manifest import Manifest, fingerprint_files
 
 logger = logging.getLogger(__name__)
+
+
+# docterms columns a segment encode reads
+SEGMENT_INPUT_COLUMNS = ["doc_id", "doc_len", "terms", "tfs"]
 
 
 def segment_shard_dir(index_dir: str, shard: int) -> str:
@@ -101,18 +100,6 @@ class IndexBuildConfig(dict):
         b=0.75,
         num_shards=4,
         block_size=BLOCK_SIZE,
-        hot_df_threshold=1 << 30,  # effectively off unless set
-        salt_factor=8,
-        num_buckets=64,  # term-hash buckets per encode group
-        # exact_termstats=True: full-scan df table (vocab stats +
-        # exact hot-term set). False: hot terms estimated from a
-        # sample of docterms files with a scaled threshold — salting
-        # is a load-balancing strategy, so an approximate hot set
-        # changes nothing about index bytes (merge path is
-        # byte-identical, tested); query-time df never reads this
-        # table (reader sums per-shard df_local).
-        exact_termstats=True,
-        hot_sample_files=8,
         # parquet codec for all index artifacts. zstd halves the bytes
         # of the text-heavy docterms checkpoint vs snappy for ~equal
         # CPU — at cluster scale the build is storage-bandwidth-bound,
@@ -132,7 +119,17 @@ class IndexBuildConfig(dict):
         dedup_bloom_fp=1e-4,
     )
 
+    # Knobs of the removed hot-term salting, term-hash buckets and
+    # termstats table. They are accepted and dropped because
+    # perfbench/run.py passes hot_df_threshold and exact_termstats, and
+    # because every manifest written while they existed stores all five,
+    # and extend_index, compact_index and merge_indexes rebuild their
+    # config from the manifest.
+    RETIRED = ("hot_df_threshold", "salt_factor", "num_buckets",
+               "exact_termstats", "hot_sample_files")
+
     def __init__(self, **kw):
+        kw = {k: v for k, v in kw.items() if k not in self.RETIRED}
         bad = set(kw) - set(self.DEFAULTS)
         if bad:
             raise ValueError(f"unknown config keys: {bad}")
@@ -151,17 +148,13 @@ def build_index(
     string) plus optional metadata. Returns the stats dict.
     """
     cfg = IndexBuildConfig(**config_kw)
-    params = BM25Params(cfg["k1"], cfg["b"])
     os.makedirs(index_dir, exist_ok=True)
     man = Manifest.load_or_create(index_dir, dict(cfg))
     fp = fingerprint_files(source_files) if source_files else ""
 
     docterms_dir = os.path.join(index_dir, "docterms")
-    segments_dir = os.path.join(index_dir, "segments")
     docmeta_dir = os.path.join(index_dir, "docmeta")
     stats_path = os.path.join(index_dir, "stats.json")
-    termstats_dir = os.path.join(index_dir, "termstats")
-    hot_path = os.path.join(index_dir, "hot_terms.json")
 
     # ---- phase: dedup keep-set (optional, BEFORE tokenize) ------------------
     # Content dedup at build time (cfg["dedup"]): a thin pre-pass maps
@@ -171,7 +164,7 @@ def build_index(
     # in one task — only its min id), and the surviving id set is
     # broadcast to a searchsorted filter in front of the tokenizer.
     # Costs one extra content-column scan; everything downstream
-    # (stats, termstats, segments, docmeta, compaction, extend) sees a
+    # (stats, segments, docmeta, compaction, extend) sees a
     # docterms checkpoint that simply never contained the dups. When
     # the survivor-id set outgrows ``dedup_broadcast_max`` the filter
     # becomes a Bloom filter (functions/bloom.py) — survivors can
@@ -356,6 +349,9 @@ def build_index(
         with open(stats_path + ".tmp", "w") as f:
             json.dump(stats, f, indent=1)
         os.replace(stats_path + ".tmp", stats_path)
+        # perfbench/run.py reads entries["termstats"]["duration_s"] as
+        # build.termstats_s; no termstats work is left, so it is 0.0
+        man.mark_done("termstats", input_fingerprint=fp, duration_s=0.0)
         man.mark_done("stats", input_fingerprint=fp,
                       duration_s=round(time.perf_counter() - _t, 3),
                       **{k: v for k, v in stats.items() if k != "shard_bounds"})
@@ -364,156 +360,13 @@ def build_index(
     nsh = stats["num_shards"]
     shard_of = make_shard_of(stats["shard_bounds"])
 
-    # NB: there is deliberately NO persisted "staged" exploded-postings
-    # table. Exploding (term, doc, tf, dl) multiplies the corpus into
-    # its largest intermediate (~one row per posting); persisting it
-    # doubles the job's disk traffic for a recompute that is pure CPU
-    # over docterms. Both consumers below re-derive it in-stream from
-    # the docterms checkpoint (flatten is zero-copy Arrow).
-
-    # ---- phase: termstats (global df) + hot-term set ------------------------
-    if not cfg["exact_termstats"]:
-        if not man.is_done("termstats", fp):
-            _t = time.perf_counter()
-            # sampled hot-term detection: read a prefix of docterms
-            # files, count df, scale the threshold by the sampled
-            # fraction. (At cluster scale this is a small Ray job over
-            # a file sample; locally a driver-side read suffices.)
-            import glob as _glob
-
-            import pyarrow.parquet as pq
-
-            files = sorted(_glob.glob(os.path.join(docterms_dir, "*.parquet")))
-            sample = files[: max(1, int(cfg["hot_sample_files"]))]
-            sampled_docs = 0
-            counts: dict[str, int] = {}
-            for f in sample:
-                t = pq.read_table(f, columns=["terms"])
-                sampled_docs += t.num_rows
-                flat = t["terms"].combine_chunks().flatten()
-                tc = pa.TableGroupBy(pa.table({"t": flat}), "t").aggregate([("t", "count")])
-                for term, n in zip(tc["t"].to_pylist(), tc["t_count"].to_pylist()):
-                    counts[term] = counts.get(term, 0) + n
-            frac = sampled_docs / max(1, stats["n_docs"])
-            thr = cfg["hot_df_threshold"] * frac
-            hot = [t for t, n in counts.items() if n > thr]
-            with open(hot_path, "w") as f:
-                json.dump(sorted(hot), f)
-            man.mark_done(
-                "termstats", input_fingerprint=fp, mode="sampled",
-                sampled_docs=sampled_docs, hot_terms=len(hot),
-                duration_s=round(time.perf_counter() - _t, 3),
-            )
-    elif not man.is_done("termstats", fp):
-        _t = time.perf_counter()
-        _clean(termstats_dir)
-        st = ray.data.read_parquet(docterms_dir, columns=["terms"])
-
-        import pandas as _pd
-
-        def partial_df(batch: pa.Table) -> pa.Table:
-            # terms lists are unique per doc, so the flattened stream
-            # has one entry per (doc, term): counting it IS df.
-            # Per-block partial counts + int32 hash bucket, so the
-            # reduce exchange shuffles (vocab x blocks) rows keyed by a
-            # small int instead of sorting the full term-string stream
-            flat = batch["terms"].combine_chunks().flatten()
-            counts = pa.TableGroupBy(pa.table({"term": flat}), "term").aggregate(
-                [("term", "count")]
-            )
-            terms = counts["term"].to_pandas()
-            pid = (
-                _pd.util.hash_pandas_object(terms, index=False).to_numpy()
-                % np.uint64(64)
-            ).astype(np.int32)
-            return pa.table(
-                {
-                    "term": counts["term"],
-                    "n": counts["term_count"],
-                    "pid": pa.array(pid, pa.int32()),
-                }
-            )
-
-        def reduce_df(g: _pd.DataFrame) -> pa.Table:
-            agg = g.groupby("term", sort=False)["n"].sum()
-            return pa.table(
-                {
-                    "term": pa.array(agg.index.to_numpy(), pa.string()),
-                    "df": pa.array(agg.to_numpy(np.int64), pa.int64()),
-                }
-            )
-
-        (
-            st.map_batches(partial_df, batch_format="pyarrow", batch_size=None)
-            .groupby("pid")
-            .map_groups(reduce_df, batch_format="pandas")
-            .write_parquet(termstats_dir)
-        )
-        # Hot-term extraction: driver-side filtered read of the term
-        # stats we just wrote. The filter pushes down to parquet row
-        # groups; at 10^12-file scale this becomes a distributed
-        # ds.filter(df > thr).take_all() — the hot set itself is tiny
-        # (stopword-like terms) either way.
-        os.makedirs(termstats_dir, exist_ok=True)  # 0-row write creates no dir
-        import pyarrow.dataset as pads
-
-        tds = pads.dataset(termstats_dir, format="parquet")
-        vocab = tds.count_rows()
-        if vocab:
-            hot_tbl = tds.to_table(
-                columns=["term"],
-                filter=pads.field("df") > int(cfg["hot_df_threshold"]),
-            )
-            hot = hot_tbl["term"].to_pylist()
-        else:  # empty vocabulary (e.g. all-empty documents)
-            hot = []
-        with open(hot_path, "w") as f:
-            json.dump(sorted(hot), f)
-        stats["vocab_size"] = vocab
-        with open(stats_path + ".tmp", "w") as f:
-            json.dump(stats, f, indent=1)
-        os.replace(stats_path + ".tmp", stats_path)
-        man.mark_done("termstats", input_fingerprint=fp, vocab=vocab,
-                      hot_terms=len(hot),
-                      duration_s=round(time.perf_counter() - _t, 3))
-    with open(hot_path) as f:
-        hot_terms = set(json.load(f))
-
-    # ---- phase: posting segments (ONE pipeline over pending shards) ---------
-    # All pending shards are encoded by a single streaming pipeline:
-    # groupby (shard, term-hash-bucket) -> per-bucket batch encode ->
-    # hive-partitioned write. One all-to-all exchange total, no
-    # per-shard sequential pipelines; resume granularity stays
-    # per-shard via the manifest + partitioned output dirs.
-    avgdl = stats["avgdl"]
+    # ---- phase: posting segments (one group per pending shard) -------------
     pending = [s for s in range(nsh) if not man.is_done(f"segment:{s}", fp)]
-    if pending:
-        _t = time.perf_counter()
-        os.makedirs(segments_dir, exist_ok=True)
-        for s in pending:
-            _clean(segment_shard_dir(index_dir, s))
-        st = ray.data.read_parquet(
-            docterms_dir, columns=["doc_id", "doc_len", "terms", "tfs"]
-        ).map_batches(explode_postings(shard_of), batch_format="pyarrow", batch_size=None)
-        seg = _encode_segments(st, avgdl, params, cfg, hot_terms, pending, nsh)
-        seg.write_parquet(
-            segments_dir, partition_cols=["shard"], compression=cfg["compression"]
-        )
-        import glob as _glob
-
-        import pyarrow.parquet as pq
-
-        for s in pending:
-            nterms = sum(
-                pq.read_metadata(f).num_rows
-                for f in _glob.glob(
-                    os.path.join(segment_shard_dir(index_dir, s), "*.parquet")
-                )
-            )
-            man.mark_done(
-                f"segment:{s}", input_fingerprint=fp, terms=nterms,
-                pipeline_duration_s=round(time.perf_counter() - _t, 3),
-            )
+    _encode_segments(
+        ray.data.read_parquet(docterms_dir, columns=SEGMENT_INPUT_COLUMNS),
+        index_dir, shard_of, pending, stats["avgdl"], cfg, man,
+        input_fingerprint=fp,
+    )
 
     # ---- phase: docmeta -----------------------------------------------------
     if not man.is_done("docmeta", fp):
@@ -578,9 +431,7 @@ def extend_index(
       into NEW shards appended to ``shard_bounds`` — existing segment /
       docmeta partitions are never rewritten (tested via mtimes);
     - global stats (n_docs, avgdl, total_tokens) are re-aggregated
-      from the cheap (doc_id, doc_len) columns; the exact termstats
-      table, when present, is merged incrementally (delta partial df +
-      old table -> one small groupby), never recomputed from raw text;
+      from the cheap (doc_id, doc_len) columns, never from raw text;
     - **block-max safety across avgdl drift**: old shards' block-max
       tables were encoded with the old avgdl. The BM25 partial is
       monotone increasing in avgdl, so the reader rescales each
@@ -618,7 +469,6 @@ def extend_index(
     with open(man_path) as f:
         man = Manifest(path=man_path, data=json.load(f))
     cfg = IndexBuildConfig(**man.data["config"])
-    params = BM25Params(cfg["k1"], cfg["b"])
     with open(stats_path) as f:
         stats = json.load(f)
 
@@ -627,9 +477,7 @@ def extend_index(
 
     docterms_dir = os.path.join(index_dir, "docterms")
     ddir = os.path.join(docterms_dir, f"delta={delta_id}")
-    segments_dir = os.path.join(index_dir, "segments")
     docmeta_dir = os.path.join(index_dir, "docmeta")
-    hot_path = os.path.join(index_dir, "hot_terms.json")
 
     # ---- phase: delta docterms ---------------------------------------------
     if not man.is_done(f"delta_docterms:{delta_id}"):
@@ -798,128 +646,19 @@ def extend_index(
     if stats["doc_id_span"] != entry["stats"]["doc_id_span"]:
         # first pass, or resume after a kill before the stats.json
         # write: (re-)derive stats.json from the recorded entry.
-        # (When spans already match we keep the on-disk version — it
-        # may carry later-phase updates like vocab_size.)
         stats = dict(entry["stats"])
         with open(stats_path + ".tmp", "w") as f:
             json.dump(stats, f, indent=1)
         os.replace(stats_path + ".tmp", stats_path)
 
-    # ---- phase: termstats incremental merge (exact mode only) ---------------
-    # Crash-safety: merged tables are generation dirs selected by a
-    # ``termstats_dirname`` pointer in stats.json (an atomic write)
-    # rather than directory renames — a kill can never leave the
-    # active table missing, and a resume always merges the delta into
-    # the PRE-delta generation (never into its own half/finished
-    # output, which the old rename dance could double-count).
-    active_ts = os.path.join(index_dir, stats.get("termstats_dirname", "termstats"))
-    if (
-        cfg["exact_termstats"]
-        and os.path.exists(active_ts)
-        and not man.is_done(f"delta_termstats:{delta_id}")
-    ):
-        _t = time.perf_counter()
-        merged_name = f"termstats-{delta_id}"
-        merged_dir = os.path.join(index_dir, merged_name)
-        if stats.get("termstats_dirname") != merged_name:
-            import pandas as _pd
-
-            st = _kept(ray.data.read_parquet(ddir, columns=["doc_id", "terms"]))
-
-            def partial_df(batch: pa.Table) -> pa.Table:
-                flat = batch["terms"].combine_chunks().flatten()
-                counts = pa.TableGroupBy(pa.table({"term": flat}), "term").aggregate(
-                    [("term", "count")]
-                )
-                return pa.table(
-                    {"term": counts["term"], "df": counts["term_count"].cast(pa.int64())}
-                )
-
-            def reduce_df(g: _pd.DataFrame) -> pa.Table:
-                agg2 = g.groupby("term", sort=False)["df"].sum()
-                return pa.table(
-                    {
-                        "term": pa.array(agg2.index.to_numpy(), pa.string()),
-                        "df": pa.array(agg2.to_numpy(np.int64), pa.int64()),
-                    }
-                )
-
-            old_ts = ray.data.read_parquet(active_ts, columns=["term", "df"])
-            _clean(merged_dir)
-            (
-                st.map_batches(partial_df, batch_format="pyarrow", batch_size=None)
-                .union(old_ts)
-                .groupby("term")
-                .map_groups(reduce_df, batch_format="pandas")
-                .write_parquet(merged_dir)
-            )
-        # (pointer already == merged_name means a kill landed between
-        # the stats.json write and mark_done: the merge is complete,
-        # only the bookkeeping below re-runs)
-
-        import pyarrow.dataset as pads
-
-        tds = pads.dataset(merged_dir, format="parquet")
-        vocab = tds.count_rows()
-        hot = (
-            tds.to_table(
-                columns=["term"], filter=pads.field("df") > int(cfg["hot_df_threshold"])
-            )["term"].to_pylist()
-            if vocab
-            else []
-        )
-        with open(hot_path + ".tmp", "w") as f:
-            json.dump(sorted(hot), f)
-        os.replace(hot_path + ".tmp", hot_path)
-        prev_name = stats.get("termstats_dirname", "termstats")
-        stats["vocab_size"] = vocab
-        stats["termstats_dirname"] = merged_name
-        with open(stats_path + ".tmp", "w") as f:
-            json.dump(stats, f, indent=1)
-        os.replace(stats_path + ".tmp", stats_path)
-        man.mark_done(
-            f"delta_termstats:{delta_id}", vocab=vocab, hot_terms=len(hot),
-            duration_s=round(time.perf_counter() - _t, 3),
-        )
-        if prev_name != merged_name:  # retire the pre-delta generation
-            shutil.rmtree(os.path.join(index_dir, prev_name), ignore_errors=True)
-    hot_terms = set()
-    if os.path.exists(hot_path):
-        with open(hot_path) as f:
-            hot_terms = set(json.load(f))
-
     # ---- phase: delta posting segments (new shards only) --------------------
     shard_of = make_shard_of(stats["shard_bounds"])
-    enc_avgdl = stats["encode_avgdl"][str(new_shards[0])]
     pending = [s for s in new_shards if not man.is_done(f"segment:{s}")]
-    if pending:
-        _t = time.perf_counter()
-        for s in pending:
-            _clean(segment_shard_dir(index_dir, s))
-        st = _kept(
-            ray.data.read_parquet(ddir, columns=["doc_id", "doc_len", "terms", "tfs"])
-        ).map_batches(explode_postings(shard_of), batch_format="pyarrow", batch_size=None)
-        seg = _encode_segments(
-            st, enc_avgdl, params, cfg, hot_terms, pending, len(new_shards)
-        )
-        seg.write_parquet(
-            segments_dir, partition_cols=["shard"], compression=cfg["compression"]
-        )
-        import glob as _glob
-
-        import pyarrow.parquet as pq
-
-        for s in pending:
-            nterms = sum(
-                pq.read_metadata(f).num_rows
-                for f in _glob.glob(
-                    os.path.join(segment_shard_dir(index_dir, s), "*.parquet")
-                )
-            )
-            man.mark_done(
-                f"segment:{s}", terms=nterms, delta=delta_id,
-                pipeline_duration_s=round(time.perf_counter() - _t, 3),
-            )
+    _encode_segments(
+        _kept(ray.data.read_parquet(ddir, columns=SEGMENT_INPUT_COLUMNS)),
+        index_dir, shard_of, pending,
+        stats["encode_avgdl"][str(new_shards[0])], cfg, man, delta=delta_id,
+    )
 
     # ---- phase: delta docmeta ----------------------------------------------
     if not man.is_done(f"delta_docmeta:{delta_id}"):
@@ -975,91 +714,65 @@ def extend_index(
 
 
 def _encode_segments(
-    st: ray.data.Dataset,
-    avgdl: float,
-    params: BM25Params,
-    cfg: dict,
-    hot_terms: set[str],
+    docterms: ray.data.Dataset,
+    index_dir: str,
+    shard_of,
     pending: list[int],
-    total_shards_in_stream: int,
-) -> ray.data.Dataset:
-    """Shared encode pipeline: exploded postings -> per-(shard, bucket)
-    batch encode (+ salted hot-term path) -> segment rows. Used by both
-    the initial build and the delta extend."""
-    import pandas as pd
+    avgdl: float,
+    cfg: dict,
+    man: Manifest,
+    **entry,
+) -> None:
+    """Encode each pending shard in one Ray Data group and record its
+    ``segment:{s}`` entry. Shared by the initial build and the delta
+    extend.
 
-    nbuckets = cfg["num_buckets"]
-    salt_factor = cfg["salt_factor"]
-    if len(pending) < total_shards_in_stream:
-        pending_arr = np.array(sorted(pending), dtype=np.int32)
+    The exchange moves docterms rows (one per doc, list columns), and
+    ``encode_shard`` explodes and encodes a whole shard in one pass: a
+    shard is a contiguous doc range and its segment rows depend only on
+    its own postings and ``avgdl``, so no group is larger than the shard
+    an actor must hold in memory anyway."""
+    if not pending:
+        return
+    _t = time.perf_counter()
+    for s in pending:
+        _clean(segment_shard_dir(index_dir, s))
+    pending_arr = np.asarray(pending, dtype=np.int32)
 
-        def only_pending(b: pa.Table) -> pa.Table:
-            mask = np.isin(b["shard"].to_numpy(zero_copy_only=False), pending_arr)
-            return b.filter(pa.array(mask))
+    def tag_shard(batch: pa.Table) -> pa.Table:
+        shard = shard_of(batch["doc_id"].to_numpy(zero_copy_only=False))
+        batch = batch.append_column("shard", pa.array(shard, pa.int32()))
+        return batch.filter(pa.array(np.isin(shard, pending_arr)))
 
-        st = st.map_batches(only_pending, batch_format="pyarrow")
-
-    if hot_terms:
-        import pyarrow.compute as pc
-
-        hot_arr = pa.array(sorted(hot_terms), pa.string())
-    else:
-        hot_arr = None
-
-    def tag_bucket(batch: pa.Table) -> pa.Table:
-        shard = batch["shard"].combine_chunks().cast(pa.int32())
-        terms = batch["term"].to_pandas()
-        bucket = (
-            pd.util.hash_pandas_object(terms, index=False).to_numpy()
-            % np.uint64(nbuckets)
-        ).astype(np.int32)
-        cols = {
-            "term": batch["term"],
-            "doc_id": batch["doc_id"],
-            "tf": batch["tf"],
-            "dl": batch["dl"],
-            "shard": shard,
-            "bucket": pa.array(bucket, pa.int32()),
-        }
-        if hot_arr is not None:
-            # salt = -1 for cold terms (whole bucket in one encode
-            # group, exactly the unsalted grouping), doc_id % factor
-            # for hot terms (no single encode task sees a hot term's
-            # whole per-shard posting)
-            salt = np.full(batch.num_rows, -1, np.int32)
-            hot_mask = pc.is_in(batch["term"], value_set=hot_arr).to_numpy(
-                zero_copy_only=False
-            )
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            salt[hot_mask] = (ids[hot_mask] % np.uint64(salt_factor)).astype(np.int32)
-            cols["salt"] = pa.array(salt, pa.int32())
-        return pa.table(cols)
-
-    base = st.map_batches(tag_bucket, batch_format="pyarrow", batch_size=None)
-    if hot_arr is not None:
-        # ONE pass, two exchanges: every term (cold salt=-1, hot
-        # salted) goes groupby(shard,bucket,salt) -> per-term
-        # sub-postings -> groupby(shard,bucket) -> blocked merge.
-        # The second exchange moves ENCODED bytes (~index size), not
-        # raw exploded postings; the old design instead ran the whole
-        # read->explode->tag chain twice (cold + hot filter branches —
-        # Ray Data has no DAG sharing) plus a third exchange, which
-        # measured ~4x slower on the salted flagship build. Output is
-        # byte-identical to the unsalted encode (the merge re-blocks
-        # from scratch; tests/test_build_query.py::test_salting_equivalence).
-        return (
-            base.groupby(["shard", "bucket", "salt"])
-            .map_groups(encode_sub, batch_format="pandas")
-            .groupby(["shard", "bucket"])
-            .map_groups(
-                make_merge_salted(avgdl, params, cfg["block_size"]),
-                batch_format="pandas",
-            )
+    (
+        docterms.map_batches(tag_shard, batch_format="pyarrow")
+        .groupby("shard")
+        .map_groups(
+            encode_shard,
+            fn_args=(avgdl, BM25Params(cfg["k1"], cfg["b"]), cfg["block_size"]),
+            batch_format="pyarrow",
         )
-    return base.groupby(["shard", "bucket"]).map_groups(
-        make_encode_bucket(avgdl, params, cfg["block_size"]),
-        batch_format="pandas",
+        .write_parquet(
+            os.path.join(index_dir, "segments"),
+            partition_cols=["shard"], compression=cfg["compression"],
+        )
     )
+    import glob as _glob
+
+    import pyarrow.parquet as pq
+
+    for s in pending:
+        files = _glob.glob(os.path.join(segment_shard_dir(index_dir, s), "*.parquet"))
+        df_local = [pq.read_table(f, columns=["df_local"])["df_local"] for f in files]
+        man.mark_done(
+            f"segment:{s}",
+            terms=sum(len(c) for c in df_local),
+            postings=sum(int(pa.compute.sum(c).as_py() or 0) for c in df_local),
+            bytes=sum(os.path.getsize(f) for f in files),
+            # perfbench/run.py reads this as build.segments_s
+            pipeline_duration_s=round(time.perf_counter() - _t, 3),
+            **entry,
+        )
 
 
 def _clean(path: str) -> None:

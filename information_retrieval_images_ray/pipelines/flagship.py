@@ -32,8 +32,6 @@ BM25_QUERIES = [
 ]
 
 NUM_SHARDS = 4
-HOT_DF_THRESHOLD = 150  # hot at sf>=0.01 scale -> exercises salting
-SALT_FACTOR = 4
 
 
 def documents_index_dir(sf_dir: str, variant: str = "v1") -> str:
@@ -44,7 +42,7 @@ def documents_index_dir(sf_dir: str, variant: str = "v1") -> str:
     src = f"{sf_dir}/documents.parquet"
     ffp = fingerprint_file(src) if os.path.exists(src) else "missing"
     key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}|{ffp}|simple|{NUM_SHARDS}|{HOT_DF_THRESHOLD}|{variant}".encode()
+        f"{os.path.abspath(sf_dir)}|{ffp}|simple|{NUM_SHARDS}|{variant}".encode()
     ).hexdigest()[:16]
     return os.path.join("/tmp", "iri_ray_cache", f"docindex_{key}")
 
@@ -58,17 +56,6 @@ def build_documents_index(sf_dir: str) -> str:
         source_files=[f"{sf_dir}/documents.parquet"],
         tokenizer="simple",
         num_shards=NUM_SHARDS,
-        hot_df_threshold=HOT_DF_THRESHOLD,
-        salt_factor=SALT_FACTOR,
-        # sampled hot-term detection (the scale default): the exact df
-        # table is statistics-only — query-time df is the sum of
-        # per-shard df_local and index bytes are identical either way
-        # (salting merge is byte-identical, tested) — so the flagship
-        # comparable doesn't pay a full vocab scan it never reads.
-        # The exact path stays covered: build_index defaults to
-        # exact_termstats=True and every non-flagship pytest build
-        # exercises it.
-        exact_termstats=False,
     )
     return index_dir
 
@@ -158,8 +145,6 @@ def run_bm25_queries_merged(
             read_documents_table(sf_dir).filter(expr=expr),
             d, source_files=[src], tokenizer="simple",
             num_shards=max(1, NUM_SHARDS // 2),
-            hot_df_threshold=HOT_DF_THRESHOLD, salt_factor=SALT_FACTOR,
-            exact_termstats=False,
         )
         halves.append(d)
     merged = documents_index_dir(sf_dir, variant="merged")
@@ -207,8 +192,6 @@ def run_bm25_queries_delta(
         source_files=[f"{sf_dir}/documents.parquet"],
         tokenizer="simple",
         num_shards=NUM_SHARDS,
-        hot_df_threshold=HOT_DF_THRESHOLD,
-        salt_factor=SALT_FACTOR,
     )
     extend_index(
         ds.filter(expr=f"doc_id >= {half}"),
@@ -236,8 +219,6 @@ def build_documents_index_deleted(sf_dir: str) -> str:
         source_files=[f"{sf_dir}/documents.parquet"],
         tokenizer="simple",
         num_shards=NUM_SHARDS,
-        hot_df_threshold=HOT_DF_THRESHOLD,
-        salt_factor=SALT_FACTOR,
     )
     n = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     delete_docs(index_dir, range(0, n, DELETE_MOD))
@@ -292,8 +273,6 @@ def run_bm25_queries_delta_dedup(
         source_files=[f"{sf_dir}/documents.parquet"],
         tokenizer="simple",
         num_shards=NUM_SHARDS,
-        hot_df_threshold=HOT_DF_THRESHOLD,
-        salt_factor=SALT_FACTOR,
     )
 
     def shift_ids(batch: pa.Table) -> pa.Table:
@@ -346,8 +325,6 @@ def run_bm25_queries_dedup_build(
         source_files=[f"{sf_dir}/documents.parquet"],
         tokenizer="simple",
         num_shards=NUM_SHARDS,
-        hot_df_threshold=HOT_DF_THRESHOLD,
-        salt_factor=SALT_FACTOR,
         dedup=True,
     )
     return _run_battery(index_dir, queries, k, algo)

@@ -207,7 +207,7 @@ $("prev").addEventListener("click", () => {
 });
 fetch("/stats").then((r) => r.json()).then((s) => {
   $("stats").textContent = "index: " + (s.n_docs ?? "?") + " docs, " +
-    (s.vocab_size ?? "?") + " terms, " + (s.num_shards ?? "?") + " shards";
+    (s.num_shards ?? "?") + " shards";
 }).catch(() => { $("stats").textContent = "no index stats"; });
 </script>
 </body>

@@ -24,7 +24,7 @@ Scale notes: tombstones are a sorted int64 column, membership checks
 are vectorized searchsorted over the loaded array; at web scale the
 tombstone files shard by doc range exactly like docmeta. Compaction is
 one streaming pipeline over docterms (filter -> the normal
-stats/termstats/segment phases), resumable via the new dir's manifest.
+stats/segment phases), resumable via the new dir's manifest.
 """
 
 from __future__ import annotations
@@ -123,19 +123,21 @@ def update_doc_meta(index_dir: str, doc_id: int, **fields) -> bool:
 def compact_index(index_dir: str, out_dir: str) -> dict:
     """Materialize the tombstones: rebuild into ``out_dir`` without the
     deleted docs, reusing the tokenized docterms checkpoint (no raw
-    text is ever re-read). Stats, term stats, hot set, segments and
-    docmeta are all recomputed over the surviving docs, so the result
+    text is ever re-read). Stats, segments and docmeta are all
+    recomputed over the surviving docs, so the result
     is logically identical to a fresh build of the corpus minus the
     deletions (tests/test_maintenance.py proves segment-level
     equality). Resumable and idempotent via ``out_dir``'s manifest."""
     import shutil
 
-    from .build import _parquet_rows, build_index
+    from .build import IndexBuildConfig, _parquet_rows, build_index
 
     if os.path.abspath(out_dir) == os.path.abspath(index_dir):
         raise ValueError("compact_index writes to a NEW directory")
     with open(os.path.join(index_dir, "manifest.json")) as f:
-        cfg = json.load(f)["config"]
+        # normalized, so out_dir's manifest hashes the same config that
+        # build_index will (an older manifest may carry retired keys)
+        cfg = dict(IndexBuildConfig(**json.load(f)["config"]))
 
     tomb = load_tombstones(index_dir)
     tomb_hash = hashlib.sha256(tomb.tobytes()).hexdigest()[:16]
@@ -210,7 +212,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     bounds)."""
     import shutil
 
-    from .build import _parquet_rows, build_index
+    from .build import IndexBuildConfig, _parquet_rows, build_index
 
     if len(index_dirs) < 2:
         raise ValueError("merge_indexes needs at least two inputs")
@@ -221,7 +223,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     cfgs, stats_list, tombs = [], [], []
     for d in index_dirs:
         with open(os.path.join(d, "manifest.json")) as f:
-            cfgs.append(json.load(f)["config"])
+            cfgs.append(dict(IndexBuildConfig(**json.load(f)["config"])))
         with open(os.path.join(d, "stats.json")) as f:
             stats_list.append(json.load(f))
         tombs.append(load_tombstones(d))

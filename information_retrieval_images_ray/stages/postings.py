@@ -21,23 +21,19 @@ Final segment row layout per (shard, term):
                       WAND safety); multiplied by idf at query time
 - ``max_partial``     float32 term-level upper bound
 
-Salted sub-postings (hot terms) are an intermediate form: plain
-delta+varbyte blobs of (docs, tfs, dls) with no block structure; the
-merge stage decodes, concatenates (salt groups hold disjoint doc sets),
-re-sorts and produces the final blocked form — byte-identical to an
-unsalted encode (tests/test_build_query.py::test_salting_equivalence).
+A whole shard is encoded in one vectorized pass (``encode_shard`` ->
+``encode_terms_stream``), byte-identical to encoding each term alone
+with ``encode_posting`` (tests/test_codec.py).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..functions.bm25 import BM25Params
 from ..functions.codec import (
     decode_varbyte,
-    delta_decode,
     delta_encode,
     encode_varbyte,
     encode_varbyte_with_lengths,
@@ -111,8 +107,6 @@ def decode_posting_blocks(docs: bytes, df: int, block_doc_off: np.ndarray,
     return out
 
 
-# ---- groupby callables ------------------------------------------------------
-
 # Explicit Arrow schema for final segment rows: plain list columns, so
 # every written Parquet file has an identical, portable schema (letting
 # Ray infer from pandas ndarray cells yields per-block tensor extension
@@ -133,84 +127,40 @@ SEGMENT_SCHEMA = pa.schema(
     ]
 )
 
-SUB_SCHEMA = pa.schema(
-    [
-        ("term", pa.string()),
-        ("shard", pa.int32()),
-        ("bucket", pa.int32()),
-        ("n", pa.uint32()),
-        ("docs_sub", pa.binary()),
-        ("tfs_sub", pa.binary()),
-        ("dls_sub", pa.binary()),
-    ]
-)
 
+def encode_shard(
+    group: pa.Table,
+    avgdl: float,
+    params: BM25Params,
+    block_size: int = BLOCK_SIZE,
+) -> pa.Table:
+    """map_groups fn for one doc-shard: its docterms rows (doc_id,
+    doc_len, terms, tfs, shard) -> one SEGMENT_SCHEMA row per term.
 
-def _segment_table(term: str, shard: int, row: dict) -> pa.Table:
-    return pa.Table.from_pydict(
+    The rows are exploded to one posting per (term, doc) with Arrow list
+    flattening, sorted by (term, doc_id) and encoded in ONE
+    ``encode_terms_stream`` pass."""
+    terms = group["terms"].combine_chunks()
+    lens = terms.value_lengths().to_numpy(zero_copy_only=False).astype(np.int64)
+    if lens.sum() == 0:  # no doc of this shard has a token
+        return SEGMENT_SCHEMA.empty_table()
+    postings = pa.table(
         {
-            "term": [term],
-            "shard": [shard],
-            "df_local": [int(row["df_local"])],
-            "docs": [row["docs"]],
-            "tfs": [row["tfs"]],
-            "block_last_doc": [row["block_last_doc"].tolist()],
-            "block_doc_off": [row["block_doc_off"].tolist()],
-            "block_tf_off": [row["block_tf_off"].tolist()],
-            "block_max_partial": [row["block_max_partial"].tolist()],
-            "max_partial": [float(row["max_partial"])],
-        },
-        schema=SEGMENT_SCHEMA,
+            "term": terms.flatten(),
+            "doc_id": np.repeat(
+                group["doc_id"].to_numpy().astype(np.uint64), lens),
+            "tf": group["tfs"].combine_chunks().flatten().cast(pa.uint64()),
+            "dl": np.repeat(
+                group["doc_len"].to_numpy().astype(np.float64), lens),
+        }
+    ).sort_by([("term", "ascending"), ("doc_id", "ascending")])
+    return encode_terms_stream(
+        postings["term"].to_numpy(zero_copy_only=False),
+        postings["doc_id"].to_numpy(),
+        postings["tf"].to_numpy(),
+        postings["dl"].to_numpy(),
+        int(group["shard"][0].as_py()), avgdl, params, block_size,
     )
-
-
-def make_encode_final(avgdl: float, params: BM25Params, block_size: int = BLOCK_SIZE):
-    """map_groups fn for UNSALTED (term) groups -> final segment row."""
-
-    def fn(g: pd.DataFrame) -> pa.Table:
-        row = encode_posting(
-            g["doc_id"].to_numpy(np.uint64),
-            g["tf"].to_numpy(np.uint64),
-            g["dl"].to_numpy(np.uint64),
-            avgdl, params, block_size,
-        )
-        return _segment_table(g["term"].iloc[0], int(g["shard"].iloc[0]), row)
-
-    return fn
-
-
-def make_encode_bucket(avgdl: float, params: BM25Params, block_size: int = BLOCK_SIZE):
-    """map_groups fn for a (shard, bucket) group holding MANY terms —
-    the WHOLE bucket is encoded in one vectorized pass.
-
-    Bucketing amortizes Ray's per-group dispatch over ~vocab/num_buckets
-    terms; vectorizing amortizes numpy-call overhead the same way: the
-    bucket's full posting stream is lex-sorted by (term, doc_id) once,
-    the delta/restart gap stream is computed with ONE np.where (a
-    restart — absolute doc_id — at every term start and every
-    block_size-th posting within a term, exactly the per-block format
-    ``encode_posting`` emits), and ONE varbyte pass encodes all terms'
-    docs (and one more all tfs). Block skip tables and score bounds
-    fall out of reduceat/searchsorted over the restart positions. This
-    replaces ~40 numpy calls PER TERM with ~30 per BUCKET; output is
-    byte-identical to the per-term ``make_encode_final`` path (same
-    tests cover both, plus a property test in tests/test_codec.py).
-    """
-    def fn(g: pd.DataFrame) -> pa.Table:
-        shard = int(g["shard"].iloc[0])
-        terms = g["term"].to_numpy()
-        # lexsort: doc_id secondary (stable), term primary
-        order = np.argsort(g["doc_id"].to_numpy(np.uint64), kind="stable")
-        order = order[np.argsort(terms[order], kind="stable")]
-        return encode_terms_stream(
-            terms[order],
-            g["doc_id"].to_numpy(np.uint64)[order],
-            g["tf"].to_numpy(np.uint64)[order],
-            g["dl"].to_numpy(np.uint64)[order].astype(np.float64),
-            shard, avgdl, params, block_size,
-        )
-
-    return fn
 
 
 def encode_terms_stream(
@@ -224,8 +174,15 @@ def encode_terms_stream(
     block_size: int = BLOCK_SIZE,
 ) -> pa.Table:
     """Vectorized core: a posting stream ALREADY lex-sorted by
-    (term, doc_id) -> one SEGMENT_SCHEMA row per term. Shared by the
-    cold bucket encoder and the salted merge."""
+    (term, doc_id) -> one SEGMENT_SCHEMA row per term.
+
+    A restart (absolute doc_id) is placed at every term start and every
+    block_size-th posting within a term, exactly the per-block format
+    ``encode_posting`` emits, so the gap stream is ONE np.where and ONE
+    varbyte pass encodes all terms' docs (and one more all tfs). Block
+    skip tables and score bounds fall out of reduceat/searchsorted over
+    the restart positions: ~30 numpy calls per shard instead of ~40 per
+    term."""
     k1, b = params.k1, params.b
     n = len(terms)
     uniq, term_starts = np.unique(terms, return_index=True)
@@ -311,83 +268,3 @@ def encode_terms_stream(
         ],
         schema=SEGMENT_SCHEMA,
     )
-
-
-def encode_sub(g: pd.DataFrame) -> pa.Table:
-    """map_groups fn for SALTED (shard, bucket, salt) groups — MANY
-    terms per group (coarse salt groups amortize Ray's per-group
-    dispatch the same way the cold bucket encode does; the fine
-    per-(term, salt) grouping dispatched thousands of single-row
-    python calls). Emits one sub-posting row per term: whole-term
-    delta+varbyte streams, no block structure (intermediate form
-    only)."""
-    terms = g["term"].to_numpy()
-    order = np.argsort(g["doc_id"].to_numpy(np.uint64), kind="stable")
-    order = order[np.argsort(terms[order], kind="stable")]
-    terms = terms[order]
-    ids = g["doc_id"].to_numpy(np.uint64)[order]
-    tfs = g["tf"].to_numpy(np.uint64)[order]
-    dls = g["dl"].to_numpy(np.uint64)[order]
-    shard = int(g["shard"].iloc[0])
-    n = len(terms)
-    uniq, term_starts = np.unique(terms, return_index=True)
-    tbounds = np.append(term_starts, n)
-    # delta with restart at every term start, in ONE vectorized pass
-    is_start = np.zeros(n, dtype=bool)
-    is_start[term_starts] = True
-    prev = np.empty_like(ids)
-    prev[0] = 0
-    prev[1:] = ids[:-1]
-    gaps = np.where(is_start, ids, ids - prev)
-    doc_bytes, doc_nb = encode_varbyte_with_lengths(gaps)
-    tf_bytes, tf_nb = encode_varbyte_with_lengths(tfs)
-    dl_bytes, dl_nb = encode_varbyte_with_lengths(dls)
-    cums = [np.concatenate(([0], np.cumsum(x))) for x in (doc_nb, tf_nb, dl_nb)]
-    cols = []
-    for blob, cum in zip((doc_bytes, tf_bytes, dl_bytes), cums):
-        cols.append(
-            [blob[cum[tbounds[i]]: cum[tbounds[i + 1]]] for i in range(len(uniq))]
-        )
-    bucket = int(g["bucket"].iloc[0])
-    return pa.Table.from_arrays(
-        [
-            pa.array(uniq, pa.string()),
-            pa.array(np.full(len(uniq), shard, np.int32), pa.int32()),
-            pa.array(np.full(len(uniq), bucket, np.int32), pa.int32()),
-            pa.array(np.diff(tbounds).astype(np.uint32), pa.uint32()),
-            pa.array(cols[0], pa.binary()),
-            pa.array(cols[1], pa.binary()),
-            pa.array(cols[2], pa.binary()),
-        ],
-        schema=SUB_SCHEMA,
-    )
-
-
-def make_merge_salted(avgdl: float, params: BM25Params, block_size: int = BLOCK_SIZE):
-    """map_groups fn merging a (shard, bucket) group's salted
-    sub-postings (several terms x salt_factor sub rows) into final
-    segment rows via the shared vectorized core — byte-identical to an
-    unsalted encode of the same postings (tested)."""
-
-    def fn(g: pd.DataFrame) -> pa.Table:
-        counts = g["n"].to_numpy(np.int64)
-        terms_rep = np.repeat(g["term"].to_numpy(), counts)
-        ids = np.concatenate(
-            [delta_decode(decode_varbyte(buf, int(n)))
-             for buf, n in zip(g["docs_sub"], counts)]
-        )
-        tfs = np.concatenate(
-            [decode_varbyte(buf, int(n)) for buf, n in zip(g["tfs_sub"], counts)]
-        )
-        dls = np.concatenate(
-            [decode_varbyte(buf, int(n)) for buf, n in zip(g["dls_sub"], counts)]
-        )
-        order = np.argsort(ids, kind="stable")
-        order = order[np.argsort(terms_rep[order], kind="stable")]
-        return encode_terms_stream(
-            terms_rep[order], ids[order], tfs[order],
-            dls[order].astype(np.float64),
-            int(g["shard"].iloc[0]), avgdl, params, block_size,
-        )
-
-    return fn

@@ -55,38 +55,3 @@ class TokenizeStage:
                 cols[name] = batch[name]
         return pa.table(cols)
 
-
-def explode_postings(shard_of):
-    """Returns a map_batches fn exploding docterms rows into
-    one row per (term, doc) with tf + dl + doc-shard, fully via Arrow
-    list flattening + numpy repeat (no per-row python in the hot path
-    beyond the list value buffers Arrow already holds).
-    """
-    import numpy as np
-
-    def fn(batch: pa.Table) -> pa.Table:
-        terms = batch["terms"].combine_chunks()
-        tfs = batch["tfs"].combine_chunks()
-        lens = terms.value_lengths().to_numpy(zero_copy_only=False).astype(np.int64)
-        doc_ids = np.repeat(batch["doc_id"].to_numpy(zero_copy_only=False), lens)
-        dls = np.repeat(batch["doc_len"].to_numpy(zero_copy_only=False), lens)
-        # NB: the term column is deliberately a PLAIN string array.
-        # Dictionary-encoding it (tempting — a term repeats once per
-        # posting) makes Ray's sort exchange unify dictionaries on
-        # every block concat, which measured ~10x SLOWER than moving
-        # the raw strings (1.6M-doc corpus: segment exchange 26s ->
-        # 260s). Plain strings + zstd'd parquet at rest is the right
-        # trade.
-        flat_terms = terms.flatten()
-        flat_tfs = tfs.flatten()
-        return pa.table(
-            {
-                "term": flat_terms,
-                "doc_id": pa.array(doc_ids, pa.uint64()),
-                "tf": flat_tfs.cast(pa.uint32()),
-                "dl": pa.array(dls, pa.uint32()),
-                "shard": pa.array(shard_of(doc_ids), pa.int32()),
-            }
-        )
-
-    return fn

@@ -1,7 +1,7 @@
 """End-to-end: build the index with Ray Data, query it, and demand
 rank-identity against the frozen brute-force BM25 fixtures, for both
 the exhaustive TAAT scorer and block-max WAND. Also checks the per-row
-content_sha256 invariant and salting equivalence."""
+content_sha256 invariant."""
 
 import glob
 import hashlib
@@ -50,8 +50,6 @@ def built_index(tmp_path_factory, fixture_spec):
         index_dir,
         source_files=corpus_files(corpus_dir),
         num_shards=3,
-        hot_df_threshold=80,  # force the salted path for hot terms
-        salt_factor=4,
     )
     return corpus_dir, index_dir, stats
 
@@ -179,36 +177,6 @@ def test_hydration_reads_only_hit_shards(built_index):
         for f, data in backup.items():
             with open(f, "wb") as fh:
                 fh.write(data)
-
-
-def test_salting_equivalence(tmp_path_factory, fixture_spec):
-    """Salted build output must be byte-identical to unsalted."""
-    spec, _ = fixture_spec
-    corpus_dir = str(tmp_path_factory.mktemp("corpus_salt"))
-    write_corpus(corpus_dir, 120, seed=7, rows_per_file=60)
-    segs = {}
-    for name, threshold in [("salted", 30), ("plain", 1 << 30)]:
-        index_dir = str(tmp_path_factory.mktemp(f"index_{name}"))
-        ds = assign_dense_doc_ids(read_code_corpus(corpus_dir), num_partitions=2)
-        build_index(
-            ds, index_dir, source_files=corpus_files(corpus_dir),
-            num_shards=2, hot_df_threshold=threshold, salt_factor=4,
-        )
-        rows = {}
-        for f in glob.glob(os.path.join(index_dir, "segments", "**", "*.parquet"), recursive=True):
-            t = pq.read_table(f).to_pandas()
-            shard = os.path.basename(os.path.dirname(f))
-            for _, r in t.iterrows():
-                rows[(shard, r["term"])] = (
-                    bytes(r["docs"]), bytes(r["tfs"]), int(r["df_local"]),
-                    list(r["block_last_doc"]), list(r["block_max_partial"]),
-                )
-        segs[name] = rows
-    assert segs["salted"].keys() == segs["plain"].keys()
-    assert segs["salted"] == segs["plain"]
-    # sanity: the salted run actually salted something
-    with open(os.path.join(corpus_dir, "_CORPUS_META")) as f:
-        pass
 
 
 def test_duplicate_and_empty_docs(built_index, fixture_spec):

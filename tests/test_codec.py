@@ -55,48 +55,84 @@ def test_count_mismatch_raises():
         decode_varbyte(buf, 2)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=2**31))
-def test_vectorized_bucket_encode_matches_per_term(seed):
-    """The one-pass vectorized bucket encoder must be byte-identical,
-    column for column, to the per-term encode_posting reference path
-    (same property the salting-equivalence test checks end-to-end)."""
-    import pandas as pd
+def _docterms_group(docs, shard):
+    """A map_groups input for encode_shard: one docterms row per
+    (doc_id, {term: tf}, doc_len), split over two chunks."""
+    import pyarrow as pa
 
+    t = pa.table(
+        {
+            "doc_id": pa.array([d for d, _, _ in docs], pa.uint64()),
+            "doc_len": pa.array([dl for _, _, dl in docs], pa.uint32()),
+            "terms": pa.array([list(tf) for _, tf, _ in docs], pa.large_list(pa.string())),
+            "tfs": pa.array([list(tf.values()) for _, tf, _ in docs],
+                            pa.large_list(pa.uint32())),
+            "shard": pa.array([shard] * len(docs), pa.int32()),
+        }
+    )
+    half = len(docs) // 2
+    return pa.concat_tables([t.slice(0, half), t.slice(half)])
+
+
+def _assert_matches_per_term(docs, shard, avgdl, block_size):
+    """encode_shard's rows equal encode_posting over each term's
+    postings, column for column."""
     from information_retrieval_images_ray.functions.bm25 import BM25Params
     from information_retrieval_images_ray.stages.postings import (
-        make_encode_bucket,
-        make_encode_final,
+        SEGMENT_SCHEMA,
+        encode_posting,
+        encode_shard,
     )
 
-    rng = np.random.default_rng(seed)
-    nterms = int(rng.integers(1, 12))
-    rows = []
-    for t in range(nterms):
-        df = int(rng.integers(1, 400))
-        ids = np.unique(rng.integers(0, 5000, size=df).astype(np.uint64))
-        for d in ids:
-            rows.append(
-                {
-                    "term": f"t{t:03d}",
-                    "doc_id": int(d),
-                    "tf": int(rng.integers(1, 50)),
-                    "dl": int(rng.integers(1, 500)),
-                    "shard": 0,
-                }
-            )
-    g = pd.DataFrame(rows).sample(frac=1.0, random_state=1).reset_index(drop=True)
     params = BM25Params()
-    avgdl = 120.0
-    bucket = make_encode_bucket(avgdl, params, 16)(g).to_pandas()
-    ref_rows = []
-    for _, sub in g.groupby("term", sort=True):
-        ref_rows.append(make_encode_final(avgdl, params, 16)(sub).to_pandas())
-    ref = pd.concat(ref_rows).reset_index(drop=True)
-    bucket = bucket.sort_values("term").reset_index(drop=True)
-    assert list(bucket["term"]) == list(ref["term"])
-    for col in ("df_local", "docs", "tfs", "max_partial"):
-        assert list(bucket[col]) == list(ref[col]), col
-    for col in ("block_last_doc", "block_doc_off", "block_tf_off", "block_max_partial"):
-        for x, y in zip(bucket[col], ref[col]):
-            assert np.array_equal(np.asarray(x), np.asarray(y)), col
+    got = encode_shard(_docterms_group(docs, shard), avgdl, params, block_size)
+    assert got.schema == SEGMENT_SCHEMA
+    postings: dict[str, list] = {}
+    for d, tf, dl in docs:
+        for term, n in tf.items():
+            postings.setdefault(term, []).append((d, n, dl))
+    assert got["term"].to_pylist() == sorted(postings)
+    for row in got.to_pylist():
+        ids, tfs, dls = (np.array(c) for c in zip(*postings[row["term"]]))
+        ref = encode_posting(ids.astype(np.uint64), tfs, dls, avgdl, params, block_size)
+        assert row["shard"] == shard
+        for col in ("df_local", "docs", "tfs", "max_partial"):
+            assert row[col] == ref[col], (row["term"], col)
+        for col in ("block_last_doc", "block_doc_off", "block_tf_off", "block_max_partial"):
+            assert np.array_equal(np.asarray(row[col]), ref[col]), (row["term"], col)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2**31))
+def test_vectorized_shard_encode_matches_per_term(seed):
+    """The one-pass shard encoder must be byte-identical, column for
+    column, to the per-term encode_posting reference path. Term names
+    mix ASCII, upper case and non-ASCII, so Arrow's sort order must
+    agree with the term order of the encoded stream."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"t{t:03d}" for t in range(int(rng.integers(1, 12)))] + ["Zeta", "é", "ß", "日本"]
+    ids = np.unique(rng.integers(0, 5000, size=int(rng.integers(1, 400))))
+    docs = []
+    for d in rng.permutation(ids):
+        picked = rng.choice(len(vocab), size=int(rng.integers(0, len(vocab) + 1)),
+                            replace=False)
+        tf = {vocab[j]: int(rng.integers(1, 50)) for j in picked}
+        docs.append((int(d), tf, sum(tf.values()) + int(rng.integers(0, 500))))
+    if not any(tf for _, tf, _ in docs):
+        docs[0][1]["t000"] = 1
+    _assert_matches_per_term(docs, int(rng.integers(0, 8)), 120.0, 16)
+
+
+def test_shard_encode_edge_inputs():
+    """A shard whose docs have no tokens encodes to zero rows; a term
+    with a single posting is one one-entry block."""
+    from information_retrieval_images_ray.functions.bm25 import BM25Params
+    from information_retrieval_images_ray.stages.postings import SEGMENT_SCHEMA, encode_shard
+
+    empty = encode_shard(_docterms_group([(3, {}, 0), (4, {}, 0)], 1), 10.0, BM25Params())
+    assert empty.num_rows == 0 and empty.schema == SEGMENT_SCHEMA
+    got = _assert_matches_per_term(
+        [(7, {"solo": 2, "pair": 1}, 5), (9, {"pair": 3}, 4)], 2, 4.5, 16)
+    solo = got.to_pylist()[got["term"].to_pylist().index("solo")]
+    assert solo["df_local"] == 1 and solo["block_last_doc"] == [7]

@@ -49,7 +49,7 @@ def corpora():
     return base, delta
 
 
-CFG = dict(tokenizer="simple", num_shards=3, hot_df_threshold=60, salt_factor=4)
+CFG = dict(tokenizer="simple", num_shards=3)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,53 @@ def test_delta_global_df_exact(built):
     fresh, inc = IndexReader(fresh_dir), IndexReader(inc_dir)
     terms = sorted({t for q in QUERIES for t in q.split()})
     assert fresh.df_locals(terms) == inc.df_locals(terms)
+
+
+def _regathered_segments_match(index_dir):
+    """Every segment row equals encode_posting over that (shard, term)'s
+    postings regathered from the docterms checkpoint (base + deltas),
+    encoded with the avgdl the shard was built with."""
+    import pyarrow.parquet as pq
+
+    from information_retrieval_images_ray.functions.bm25 import BM25Params
+    from information_retrieval_images_ray.pipelines.build import make_shard_of
+    from information_retrieval_images_ray.stages.postings import encode_posting
+
+    with open(os.path.join(index_dir, "stats.json")) as fh:
+        stats = json.load(fh)
+    shard_of = make_shard_of(stats["shard_bounds"])
+    postings: dict = {}
+    for f in glob.glob(os.path.join(index_dir, "docterms", "**", "*.parquet"), recursive=True):
+        t = pq.read_table(f, columns=["doc_id", "doc_len", "terms", "tfs"])
+        ids = t["doc_id"].to_numpy()
+        for d, s, dl, terms, tfs in zip(ids, shard_of(ids), t["doc_len"].to_pylist(),
+                                        t["terms"].to_pylist(), t["tfs"].to_pylist()):
+            for term, tf in zip(terms, tfs):
+                postings.setdefault((int(s), term), []).append((int(d), tf, dl))
+    params = BM25Params(stats["k1"], stats["b"])
+    seen = set()
+    for f in glob.glob(os.path.join(index_dir, "segments", "**", "*.parquet"), recursive=True):
+        shard = int(os.path.basename(os.path.dirname(f)).split("=")[1])
+        for row in pq.read_table(f).to_pylist():
+            key = (shard, row["term"])
+            assert key not in seen, key
+            seen.add(key)
+            ids, tfs, dls = (np.array(c) for c in zip(*postings[key]))
+            ref = encode_posting(ids.astype(np.uint64), tfs, dls,
+                                 stats["encode_avgdl"][str(shard)], params,
+                                 stats["block_size"])
+            for col in ("df_local", "docs", "tfs", "max_partial"):
+                assert row[col] == ref[col], (key, col)
+            for col in ("block_last_doc", "block_doc_off", "block_tf_off",
+                        "block_max_partial"):
+                assert np.array_equal(np.asarray(row[col]), ref[col]), (key, col)
+    assert seen == set(postings)
+
+
+def test_segments_equal_per_term_encode_after_build_and_extend(built):
+    fresh_dir, inc_dir, _ = built
+    _regathered_segments_match(fresh_dir)
+    _regathered_segments_match(inc_dir)  # base shards + the extend's shards
 
 
 def test_delta_leaves_old_partitions_untouched(built):
@@ -165,7 +212,7 @@ def test_extend_resumes_after_simulated_crashes(tmp_path, corpora):
     # simulate window (a): only delta_stats survived; stats.json still
     # pre-delta (the new ordering writes it AFTER the manifest entry)
     for k in list(man["entries"]):
-        if k.startswith(("delta_termstats", "delta_docmeta", "delta:")) or (
+        if k.startswith(("delta_docmeta", "delta:")) or (
             k.startswith("segment:") and man["entries"][k].get("delta") == "d1"
         ):
             del man["entries"][k]
@@ -208,9 +255,9 @@ def test_ingested_files_excludes_incomplete_delta(tmp_path, corpora):
 
 
 def test_two_chained_deltas_equal_fresh_build(tmp_path, corpora):
-    """extend -> extend again: the second delta merges into the first
-    delta's term-stats generation, appends more shards, and the final
-    index still matches a from-scratch build of all three parts."""
+    """extend -> extend again: the second delta appends more shards,
+    and the final index still matches a from-scratch build of all three
+    parts."""
     base, delta = corpora
     delta2 = _mk_rows(150, 180, seed=7, min_len=10, max_len=25)  # avgdl drops
 
@@ -228,15 +275,6 @@ def test_two_chained_deltas_equal_fresh_build(tmp_path, corpora):
         f = fresh.search_taat(q, 10)
         assert f == inc.search_taat(q, 10), q
         assert f == inc.search_bmw(q, 10), q
-    # term-stats generation chain: the active pointer is d2's
-    with open(os.path.join(inc_dir, "stats.json")) as fh:
-        stats = json.load(fh)
-    assert stats["termstats_dirname"] == "termstats-d2"
-    assert os.path.exists(os.path.join(inc_dir, "termstats-d2"))
-    assert not os.path.exists(os.path.join(inc_dir, "termstats-d1"))  # retired
-    # vocab equals the fresh build's
-    with open(os.path.join(fresh_dir, "stats.json")) as fh:
-        assert stats["vocab_size"] == json.load(fh)["vocab_size"]
 
 
 def test_extend_skip_existing_content(tmp_path, corpora):

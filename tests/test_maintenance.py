@@ -24,7 +24,7 @@ WORDS = (
     "lima mike november oscar papa quebec romeo sierra tango dup zebra"
 ).split()
 
-CFG = dict(tokenizer="simple", num_shards=3, hot_df_threshold=60, salt_factor=4)
+CFG = dict(tokenizer="simple", num_shards=3)
 QUERIES = ["alpha", "dup zebra", "charlie echo golf", "bravo kilo"]
 
 
@@ -231,3 +231,48 @@ def test_compact_resume_repairs_interrupted_sidecar(tmp_path):
     assert os.path.exists(marker), "resume did not repair the sidecar"
     ids = np.array([r["doc_id"] for r in rows[2:]], dtype=np.int64)
     assert len(verify_phrase_positions(out, ["dup", "zebra"], ids)) >= 0
+
+
+def test_retired_config_keys_still_extend_and_compact(tmp_path, rows):
+    """The five knobs of the removed hot-term salting, term-hash buckets
+    and termstats table are stored in every manifest written while they
+    existed. Such an index must still extend and compact, and the
+    benchmark's build config, which passes two of them, must build."""
+    import json
+
+    from perfbench.run import BUILD_CONFIG
+
+    from information_retrieval_images_ray.pipelines.build import (
+        IndexBuildConfig,
+        extend_index,
+    )
+    from information_retrieval_images_ray.state.manifest import config_hash
+
+    cfg = {**CFG, **BUILD_CONFIG}
+    old = str(tmp_path / "old")
+    build_index(ray.data.from_items(rows[:80]), old, **cfg)
+    man_path = os.path.join(old, "manifest.json")
+    with open(man_path) as f:
+        man = json.load(f)
+    retired = dict(hot_df_threshold=1 << 30, salt_factor=8, num_buckets=64,
+                   exact_termstats=True, hot_sample_files=8)
+    assert set(retired) == set(IndexBuildConfig.RETIRED)
+    assert not set(retired) & set(man["config"])
+    man["config"].update(retired)
+    man["config_hash"] = config_hash(man["config"])
+    with open(man_path, "w") as f:
+        json.dump(man, f)
+
+    extend_index(ray.data.from_items(rows[80:]), old, delta_id="d1")
+    out = str(tmp_path / "compacted")
+    compact_index(old, out)
+    fresh = str(tmp_path / "fresh")
+    build_index(ray.data.from_items(rows), fresh, **cfg)
+    want = IndexReader(fresh)
+    for d in (old, out):
+        got = IndexReader(d)
+        assert got.n_docs == len(rows)
+        for q in QUERIES:
+            assert got.search_taat(q, 10) == want.search_taat(q, 10), (d, q)
+    with open(os.path.join(out, "manifest.json")) as f:
+        assert not set(retired) & set(json.load(f)["config"])

@@ -32,7 +32,7 @@ def prf_index(tmp_path_factory):
     write_corpus(corpus, N_DOCS, seed=SEED, rows_per_file=50)
     ds = assign_dense_doc_ids(read_code_corpus(corpus), num_partitions=2)
     build_index(ds, index, source_files=corpus_files(corpus),
-                num_shards=3, hot_df_threshold=60, salt_factor=4)
+                num_shards=3)
     return index
 
 

@@ -31,7 +31,7 @@ def modes_index(tmp_path_factory):
     write_corpus(corpus, 160, seed=29, rows_per_file=80)
     ds = assign_dense_doc_ids(read_code_corpus(corpus), num_partitions=2)
     build_index(ds, index, source_files=corpus_files(corpus),
-                num_shards=4, hot_df_threshold=60, salt_factor=4)
+                num_shards=4)
     _CORPUS_OF[index] = corpus
     return index
 

@@ -42,7 +42,7 @@ def _build(corpus_dir, index_dir):
     ds = assign_dense_doc_ids(read_code_corpus(corpus_dir), num_partitions=2)
     return build_index(
         ds, index_dir, source_files=corpus_files(corpus_dir),
-        num_shards=3, hot_df_threshold=60, salt_factor=4,
+        num_shards=3,
     )
 
 
@@ -155,6 +155,15 @@ def test_lineage_metrics_recorded(tmp_path):
     e = man["entries"]
     assert e["docterms"]["rows"] == 60
     assert e["docterms"]["input_fingerprint"]
+    import pyarrow.dataset as pads
+
+    dt = pads.dataset(os.path.join(index_dir, "docterms")).to_table(columns=["terms"])
+    assert sum(e[f"segment:{s}"]["postings"] for s in range(2)) == sum(
+        len(t) for t in dt["terms"].to_pylist())
     for s in range(2):
-        assert e[f"segment:{s}"]["terms"] > 0
-    assert "vocab" in e["termstats"]
+        seg = e[f"segment:{s}"]
+        assert seg["terms"] > 0
+        assert seg["postings"] >= seg["terms"]
+        files = glob.glob(os.path.join(index_dir, "segments", f"shard={s}", "*.parquet"))
+        assert seg["bytes"] == sum(os.path.getsize(f) for f in files) > 0
+        assert seg["pipeline_duration_s"] >= 0

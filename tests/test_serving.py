@@ -34,7 +34,7 @@ def served_index(tmp_path_factory):
     write_corpus(corpus, 180, seed=13, rows_per_file=60)
     ds = assign_dense_doc_ids(read_code_corpus(corpus), num_partitions=2)
     build_index(ds, index, source_files=corpus_files(corpus),
-                num_shards=5, hot_df_threshold=60, salt_factor=4)
+                num_shards=5)
     _CORPUS_OF[index] = corpus
     return index
 
