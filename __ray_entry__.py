@@ -216,21 +216,21 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     return {
         # -- inverted index / BM25 (S1-S6, M1-M5, T1-T2, A7, G-extras) -------
-        "q_bm25_topk": lambda sf: flagship.run_bm25_queries(sf, k=10, algo="bmw"),
+        "q_bm25_topk": lambda sf: flagship.run_bm25_queries(sf, k=10),
         # incremental delta build (S5/S7 family): lower half built,
         # upper half appended via extend_index; results must equal the
         # full-corpus build, so its oracle is the same BM25 SQL
-        "q_bm25_delta": lambda sf: flagship.run_bm25_queries_delta(sf, k=10, algo="bmw"),
+        "q_bm25_delta": lambda sf: flagship.run_bm25_queries_delta(sf, k=10),
         # S7 maintenance: tombstone delete honored by the scorers, and
         # compaction (rebuild-without-deleted) equal to a fresh build
-        "q_bm25_deleted": lambda sf: flagship.run_bm25_queries_deleted(sf, k=10, algo="bmw"),
+        "q_bm25_deleted": lambda sf: flagship.run_bm25_queries_deleted(sf, k=10),
         # content-level dedup on extend: a delta of re-sent content is
         # skipped entirely, so the index equals the plain full build
-        "q_bm25_delta_dedup": lambda sf: flagship.run_bm25_queries_delta_dedup(sf, k=10, algo="bmw"),
+        "q_bm25_delta_dedup": lambda sf: flagship.run_bm25_queries_delta_dedup(sf, k=10),
         # content dedup wired into the INITIAL build (dedup=True):
         # every doc sent twice, one survivor per distinct content
-        "q_bm25_dedup_build": lambda sf: flagship.run_bm25_queries_dedup_build(sf, k=10, algo="bmw"),
-        "q_bm25_compacted": lambda sf: flagship.run_bm25_queries_compacted(sf, k=10, algo="bmw"),
+        "q_bm25_dedup_build": lambda sf: flagship.run_bm25_queries_dedup_build(sf, k=10),
+        "q_bm25_compacted": lambda sf: flagship.run_bm25_queries_compacted(sf, k=10),
         # query-time metadata filter: rank only docs whose docmeta
         # lang matches; corpus stats stay GLOBAL (tombstone-style
         # semantics), so the oracle is ranked_where on the full CTE
@@ -260,7 +260,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_bm25_explain": lambda sf: flagship.run_bm25_explain(
             sf, top_docs=3
         ),
-        "q_bm25_filtered": lambda sf: flagship.run_bm25_queries_filtered(sf, lang="fr", k=10, algo="bmw"),
+        "q_bm25_filtered": lambda sf: flagship.run_bm25_queries_filtered(sf, lang="fr", k=10),
         # phrase search: conjunctive candidates from the postings, then
         # distributed adjacency verification over a doc-id-pruned read
         # phrase length 2 so every battery entry fills its top-10

@@ -11,8 +11,9 @@ evaluation — see /root/repo/SURVEY.md) as an idiomatic
 - ``map_batches`` over zero-copy Arrow for sha256 + code-aware tokenize
 - one ``groupby("shard")`` group per doc-range shard, encoded into
   per-term posting lists, delta + varbyte compressed
-- block-max WAND top-k over the compressed postings, served by stateful
-  actors holding loaded index shards
+- exhaustive term-at-a-time BM25 top-k over the compressed postings
+  (one accumulator for every query mode), served by stateful actors
+  holding loaded index shards
 - checkpoint manifest with per-partition lineage so a killed build
   resumes without recomputing completed partitions
 

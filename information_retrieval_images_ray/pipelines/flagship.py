@@ -61,21 +61,20 @@ def build_documents_index(sf_dir: str) -> str:
 
 
 def run_bm25_queries(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """(qid, rank, doc_id, score_e6) for the frozen battery, scored by
     the actor-pool QueryScorer over a queries Dataset."""
-    return _run_battery(build_documents_index(sf_dir), queries, k, algo)
+    return _run_battery(build_documents_index(sf_dir), queries, k)
 
 
 def run_bm25_queries_page(
     sf_dir: str, queries=BM25_QUERIES, k: int = 10, offset: int = 10,
-    algo: str = "bmw",
 ) -> pd.DataFrame:
     """Page 2 of the battery: absolute ranks offset+1..offset+k of the
     (score desc, doc_id asc) total order — deterministic deep paging
     (fetch top-(offset+k), keep the tail slice)."""
-    out = _run_battery(build_documents_index(sf_dir), queries, k + offset, algo)
+    out = _run_battery(build_documents_index(sf_dir), queries, k + offset)
     out = out[out["rank"] > offset]
     return out.sort_values(["qid", "rank"]).reset_index(drop=True)
 
@@ -122,7 +121,7 @@ def run_bm25_cursor_queries(
 
 
 def run_bm25_queries_merged(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """The battery over a MERGED index: the documents table is built
     as two disjoint half indexes (split at the midpoint doc_id) and
@@ -149,12 +148,11 @@ def run_bm25_queries_merged(
         halves.append(d)
     merged = documents_index_dir(sf_dir, variant="merged")
     merge_indexes(halves, merged)
-    return _run_battery(merged, queries, k, algo)
+    return _run_battery(merged, queries, k)
 
 
 def run_bm25_queries_filtered(
     sf_dir: str, lang: str = "fr", queries=BM25_QUERIES, k: int = 10,
-    algo: str = "bmw",
 ) -> pd.DataFrame:
     """The battery with a query-time metadata filter: only docs whose
     docmeta ``lang`` matches are ranked; corpus stats (idf, avgdl)
@@ -164,13 +162,12 @@ def run_bm25_queries_filtered(
     metadata-predicate retrieval an LLM-data pipeline needs. Oracle:
     the full-corpus BM25 CTE with ranked_where on documents.lang."""
     return _run_battery(
-        build_documents_index(sf_dir), queries, k, algo,
-        doc_filter=("lang", lang),
+        build_documents_index(sf_dir), queries, k, doc_filter=("lang", lang),
     )
 
 
 def run_bm25_queries_delta(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """The same battery over an index built INCREMENTALLY: initial
     build on the lower half of the documents table, then
@@ -198,7 +195,7 @@ def run_bm25_queries_delta(
         index_dir,
         delta_id=f"upper-{half}",
     )
-    return _run_battery(index_dir, queries, k, algo)
+    return _run_battery(index_dir, queries, k)
 
 
 DELETE_MOD = 7  # the deterministic driver delete set: doc_id % 7 == 0
@@ -226,18 +223,18 @@ def build_documents_index_deleted(sf_dir: str) -> str:
 
 
 def run_bm25_queries_deleted(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """Battery over the tombstoned index: deleted docs never appear in
     any top-k, remaining docs keep their pre-delete scores (stats stay
     stale until compaction — the tombstone contract). Oracle: BM25
     over the FULL corpus stats with deleted docs filtered before
     ranking."""
-    return _run_battery(build_documents_index_deleted(sf_dir), queries, k, algo)
+    return _run_battery(build_documents_index_deleted(sf_dir), queries, k)
 
 
 def run_bm25_queries_compacted(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """Battery after ``compact_index`` materializes the tombstones:
     scores now equal a fresh build of the corpus WITHOUT the deleted
@@ -247,11 +244,11 @@ def run_bm25_queries_compacted(
     src = build_documents_index_deleted(sf_dir)
     out = documents_index_dir(sf_dir, variant="del7-compacted")
     compact_index(src, out)
-    return _run_battery(out, queries, k, algo)
+    return _run_battery(out, queries, k)
 
 
 def run_bm25_queries_delta_dedup(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """Full build, then an extend whose delta is RE-SENT content
     (copies of the lower half under fresh doc_ids) with
@@ -288,11 +285,11 @@ def run_bm25_queries_delta_dedup(
     extend_index(
         resent, index_dir, delta_id=f"resent-{n}", skip_existing_content=True
     )
-    return _run_battery(index_dir, queries, k, algo)
+    return _run_battery(index_dir, queries, k)
 
 
 def run_bm25_queries_dedup_build(
-    sf_dir: str, queries=BM25_QUERIES, k: int = 10, algo: str = "bmw"
+    sf_dir: str, queries=BM25_QUERIES, k: int = 10
 ) -> pd.DataFrame:
     """Initial build with ``dedup=True`` over a corpus where every doc
     arrives TWICE (full documents table + a doc_id-shifted copy) — the
@@ -327,11 +324,12 @@ def run_bm25_queries_dedup_build(
         num_shards=NUM_SHARDS,
         dedup=True,
     )
-    return _run_battery(index_dir, queries, k, algo)
+    return _run_battery(index_dir, queries, k)
 
 
 def _run_battery(
-    index_dir: str, queries, k: int, algo: str, doc_filter=None, **scorer_kw
+    index_dir: str, queries, k: int, mode: str = "bm25", params: dict | None = None,
+    doc_filter=None,
 ) -> pd.DataFrame:
     import numpy as np
     import ray
@@ -344,8 +342,8 @@ def _run_battery(
     out = qds.map_batches(
         QueryScorer,
         fn_constructor_kwargs={
-            "reader_ref": reader_ref, "k": k, "algo": algo,
-            "doc_filter": doc_filter, **scorer_kw,
+            "reader_ref": reader_ref, "k": k, "mode": mode, "params": params,
+            "doc_filter": doc_filter,
         },
         batch_format="pandas",
         concurrency=2,
@@ -371,8 +369,8 @@ def run_bm25_queries_prf(
     every step (base ranking, term selection, weighted re-score) is a
     pure function of the tf/df/dl tables."""
     return _run_battery(
-        build_documents_index(sf_dir), queries, k, "prf",
-        fb_docs=fb_docs, fb_terms=fb_terms, beta=beta,
+        build_documents_index(sf_dir), queries, k, mode="prf",
+        params={"fb_docs": fb_docs, "fb_terms": fb_terms, "beta": beta},
     )
 
 

@@ -99,7 +99,6 @@ def hybrid_rrf_documents(
     k: int = 10,
     n_each: int = 20,
     k0: int = 60,
-    algo: str = "bmw",
 ) -> pd.DataFrame:
     """The frozen battery, hybrid: per qid, BM25 top-``n_each`` over
     ``documents`` fused with cosine top-``n_each`` over ``embeddings``
@@ -108,7 +107,7 @@ def hybrid_rrf_documents(
     queries = flagship.BM25_QUERIES if queries is None else queries
     qids = [q["qid"] for q in queries]
 
-    lex = flagship.run_bm25_queries(sf_dir, queries=queries, k=n_each, algo=algo)
+    lex = flagship.run_bm25_queries(sf_dir, queries=queries, k=n_each)
 
     qmat = fetch_anchor_vectors(f"{sf_dir}/embeddings.parquet", qids)
     emb_ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")

@@ -130,7 +130,7 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
     equality). Resumable and idempotent via ``out_dir``'s manifest."""
     import shutil
 
-    from .build import IndexBuildConfig, _parquet_rows, build_index
+    from .build import IndexBuildConfig, _parquet_size, build_index
 
     if os.path.abspath(out_dir) == os.path.abspath(index_dir):
         raise ValueError("compact_index writes to a NEW directory")
@@ -181,7 +181,7 @@ def compact_index(index_dir: str, out_dir: str) -> dict:
             return batch.filter(pa.array(~is_tombstoned(tomb, ids)))
 
         src.map_batches(drop_tombstoned, batch_format="pyarrow").write_parquet(out_dt)
-        man.mark_done("docterms", rows=_parquet_rows(out_dt),
+        man.mark_done("docterms", **_parquet_size(out_dt),
                       compacted_from=os.path.abspath(index_dir),
                       n_tombstoned=int(len(tomb)), tomb_hash=tomb_hash)
 
@@ -212,7 +212,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
     bounds)."""
     import shutil
 
-    from .build import IndexBuildConfig, _parquet_rows, build_index
+    from .build import IndexBuildConfig, _parquet_size, build_index
 
     if len(index_dirs) < 2:
         raise ValueError("merge_indexes needs at least two inputs")
@@ -318,7 +318,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str) -> dict:
             return batch.filter(pa.array(~is_tombstoned(tomb_all, ids)))
 
         src.map_batches(drop_tombstoned, batch_format="pyarrow").write_parquet(out_dt)
-        man.mark_done("docterms", rows=_parquet_rows(out_dt),
+        man.mark_done("docterms", **_parquet_size(out_dt),
                       merged_from=[os.path.abspath(d) for d in index_dirs],
                       merge_hash=merge_hash)
 

@@ -15,12 +15,13 @@ hydrate metadata -> ranked output). Differences by design:
 - every query mode compiles to one plan (``compile_plan``) and runs
   one path (``PlanRunner.topk``: feedback → expand → df → execute →
   merge), shared with the sharded router in serving.py;
-- two scorers over the same compressed segments: the exhaustive
-  term-at-a-time accumulator (``_matches``, the oracle-shaped path
-  every non-plain plan takes) and block-max WAND with skip pointers
-  (Ding & Suel, SIGIR 2011) for plain ranked plans, rank-identical by
-  construction (full scores are summed in the same sorted-term
-  float64 order).
+- one scorer for every plan: the exhaustive term-at-a-time
+  accumulator (``_matches``) over decoded, LRU-cached BM25 partials,
+  summing each doc's terms in the brute-force oracle's sorted-term
+  float64 order, then one ``rank_topk`` cut. Block-max WAND (Ding &
+  Suel, SIGIR 2011) used to serve plain ranked plans; it measured
+  slower than this accumulator on both serving workloads at every
+  corpus size tried, so it was removed with its skip and bound columns.
 
 Scale notes: shards here are doc_id ranges; every shard scores
 independently and k-way merges, so a cluster serves queries with one
@@ -32,7 +33,6 @@ dictionary read becomes a pushdown read of the query's terms only.
 from __future__ import annotations
 
 import glob
-import heapq
 import json
 import os
 from collections import Counter
@@ -208,16 +208,7 @@ class _ShardIndex:
     O(vocab) python-object heap.
     """
 
-    def __init__(self, seg_dir: str, lo: int, hi: int, bound_scale: float = 1.0,
-                 cache_bytes: int = 0):
-        """``bound_scale`` >= 1 rescales the stored block-max tables:
-        after a delta extend raises global avgdl, bounds encoded with
-        the older (smaller) avgdl are no longer upper bounds of the
-        live BM25 partial (which is monotone increasing in avgdl);
-        multiplying by avgdl_now/encode_avgdl restores admissibility
-        (the ratio partial_new/partial_old is < avgdl_new/avgdl_old
-        for every (tf, dl)). Scores themselves always use live stats —
-        only pruning is affected, and only by slack."""
+    def __init__(self, seg_dir: str, lo: int, hi: int, cache_bytes: int = 0):
         import pyarrow.compute as pc
 
         from collections import OrderedDict
@@ -235,14 +226,18 @@ class _ShardIndex:
         )
         self._cache_budget = int(cache_bytes)
         self._cache_used = 0
-        scale = max(1.0, float(bound_scale))
         files = sorted(glob.glob(os.path.join(seg_dir, "*.parquet")))
         if not files:
             self.n_terms = 0
             self.df_local_sum = 0
             self._terms = None
             return
-        t = pa.concat_tables([pq.read_table(f) for f in files])
+        # only the columns scoring reads: an index written with the
+        # block-max WAND skip and bound columns loads the same way
+        t = pa.concat_tables([
+            pq.read_table(f, columns=["term", "df_local", "docs", "tfs"])
+            for f in files
+        ])
         # sort rows by term ONCE (C-speed); lookups are then O(log V)
         # binary searches touching ~17 strings — no vocab-sized python
         # dict is ever built, so reader/actor startup is O(bytes read)
@@ -251,24 +246,6 @@ class _ShardIndex:
         self._df_local = t["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
         self._docs = t["docs"].combine_chunks()
         self._tfs = t["tfs"].combine_chunks()
-        self._lists = {}
-        for name, dtype in (
-            ("block_last_doc", np.uint64),
-            ("block_doc_off", np.int64),
-            ("block_tf_off", np.int64),
-            ("block_max_partial", np.float64),
-        ):
-            col = t[name].combine_chunks()
-            vals = col.values.to_numpy(zero_copy_only=False).astype(dtype)
-            if name == "block_max_partial" and scale != 1.0:
-                vals = vals * scale
-            self._lists[name] = (
-                vals,
-                col.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
-            )
-        self._max_partial = t["max_partial"].to_numpy(zero_copy_only=False).astype(
-            np.float64
-        ) * scale
         self.n_terms = len(self._terms)
         self.df_local_sum = int(self._df_local.sum())
 
@@ -305,19 +282,11 @@ class _ShardIndex:
         return int(self._df_local[i])
 
     def row(self, i: int) -> dict:
-        out = {
+        return {
             "df_local": int(self._df_local[i]),
             "docs": self._docs[i].as_py(),
             "tfs": self._tfs[i].as_py(),
-            "max_partial": float(self._max_partial[i]),
         }
-        for name, (flat, offs) in self._lists.items():
-            out[name] = flat[offs[i]: offs[i + 1]]
-        return out
-
-    def get(self, term: str) -> dict | None:
-        i = self.find(term)
-        return None if i is None else self.row(i)
 
     def partial(
         self, i: int, block_size: int, doc_len: np.ndarray,
@@ -471,19 +440,6 @@ def compile_plan(mode: str, query: str, params: dict | None, tokenize,
     else:
         raise ValueError(f"unknown mode {mode!r}: expected {'|'.join(MODES)}")
     return plan
-
-
-def _is_plain(plan: dict) -> bool:
-    """A plain OR of unit-boost query terms: the shape that takes the
-    ``search_bmw`` dispatch (every other plan runs the exhaustive
-    accumulator, as it always has)."""
-    return (
-        plan["expand"] is None and plan["feedback"] is None
-        and not plan["must"] and not plan["must_not"]
-        and plan["positional"] is None and plan["after"] is None
-        and plan["collapse"] is None and plan["exclude_doc"] is None
-        and all(b == 1.0 for b in plan["terms"].values())
-    )
 
 
 def _select_by_tfidf(tf: dict[str, int], dfs: dict[str, int], n_docs: int,
@@ -758,9 +714,6 @@ class IndexReader(PlanRunner):
         self.tokenize = get_tokenizer(self.stats["tokenizer"])
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
-        # df/doc-span ratio above which a term is "dense" (stopword-
-        # like); an all-dense query routes to the exhaustive scan
-        self.dense_query_cutoff = 0.1
         bounds = self.stats["shard_bounds"]
         self.num_shards = self.stats["num_shards"]
         self.owned = list(range(self.num_shards)) if shards is None else sorted(shards)
@@ -802,21 +755,12 @@ class IndexReader(PlanRunner):
 
         from .build import segment_shard_dir
 
-        # per-shard block-max rescale for delta-extended indexes (see
-        # _ShardIndex.__init__); fresh builds have encode_avgdl ==
-        # avgdl everywhere -> scale 1.0
-        enc = self.stats.get("encode_avgdl", {})
-
-        def _scale(s: int) -> float:
-            v = float(enc.get(str(s), self.avgdl))
-            return self.avgdl / v if v > 0 else 1.0  # avgdl 0 = empty corpus
-
         owned_set = set(self.owned)
         per_shard_cache = int(cache_bytes) // max(1, len(self.owned))
         self.shards = [
             _ShardIndex(
                 segment_shard_dir(index_dir, s), bounds[s], bounds[s + 1],
-                bound_scale=_scale(s), cache_bytes=per_shard_cache,
+                cache_bytes=per_shard_cache,
             )
             if s in owned_set
             else None
@@ -851,7 +795,7 @@ class IndexReader(PlanRunner):
         self, weights: dict[str, float]
     ) -> list[tuple[str, float, list[tuple[int, int]]]]:
         """Per weighted term present in the owned shards, in sorted
-        term order (the float64 add order every scorer shares):
+        term order (the float64 add order of ``_matches``):
         (term, weight, [(shard_idx, row_idx), ...])."""
         infos = []
         for t in sorted(weights):
@@ -947,11 +891,10 @@ class IndexReader(PlanRunner):
         every ``must`` term and no ``must_not`` term; with no must
         terms, when it contains at least one weighted term. Scores sum
         ``weight * partial`` over the weighted terms in sorted-term
-        float64 order (the add order of ``search_bmw``'s window scorer
-        and of the brute-force oracle, so scores are bitwise equal
-        across paths). Per shard one dense score accumulator plus, when
-        needed, a must-presence counter and an exclusion flag — no
-        per-doc python. Presence is df-independent, so a shard-subset
+        float64 order (the add order of the brute-force oracle, so
+        scores are bitwise equal to it). Per shard one dense score
+        accumulator plus, when needed, a must-presence counter and an
+        exclusion flag — no per-doc python. Presence is df-independent, so a shard-subset
         reader decides must / must_not exactly for the docs it owns.
         Tombstones and the optional metadata filter are excluded."""
         mask = self._resolve_filter(doc_filter)
@@ -1019,18 +962,15 @@ class IndexReader(PlanRunner):
         per-term weights (the router supplies global ones) and return
         this owner's share of the answer for ``PlanRunner._merge``:
 
-        - its top-``k`` (doc_id, score) rows — a plain plan takes the
-          ``search_bmw`` dispatch; a cursor plan keeps only hits
-          strictly after ``after`` in the (score desc, doc_id asc)
-          order; ``exclude_doc`` leaves before the cut;
+        - its top-``k`` (doc_id, score) rows — a cursor plan keeps
+          only hits strictly after ``after`` in the (score desc, doc_id
+          asc) order; ``exclude_doc`` leaves before the cut;
         - for a positional plan, every (doc_id, score) conjunctive
           candidate, uncut: verification happens after the merge;
         - for a collapse plan, per ``docmeta[field]`` group its (score
           desc, doc_id asc) leader as (doc_id, score, value, n), n the
           group's full match count. Docs with a null value belong to no
           group."""
-        if _is_plain(plan):
-            return self._bmw(weights, k, doc_filter)
         ids, scores = self._matches(weights, plan["must"], plan["must_not"],
                                     doc_filter)
         if plan["positional"]:
@@ -1466,16 +1406,14 @@ class IndexReader(PlanRunner):
                                         doc_filter=doc_filter), k)
 
     def search_page(
-        self, query: str, k: int = 10, offset: int = 0, algo: str = "bmw",
-        doc_filter=None,
+        self, query: str, k: int = 10, offset: int = 0, doc_filter=None,
     ) -> list[tuple[int, float]]:
         """Deterministic deep paging: ranks offset+1..offset+k of the
         (score desc, doc_id asc) total order — fetch top-(offset+k)
         and slice, the standard exact form (the total order makes a
         page stable across calls; cursor/search_after is the same slice
         keyed by the last (score, doc_id) seen)."""
-        hits = getattr(self, f"search_{algo}")(
-            query, k + offset, doc_filter=doc_filter)
+        hits = self.search_taat(query, k + offset, doc_filter=doc_filter)
         return hits[offset : offset + k]
 
     # -- exhaustive TAAT ------------------------------------------------------
@@ -1490,225 +1428,9 @@ class IndexReader(PlanRunner):
         is restricted (tombstone semantics)."""
         return self.search_or_terms(self.tokenize(query), k, doc_filter, weights)
 
-    # -- block-max WAND (vectorized block-at-a-time variant) ------------------
-    def search_bmw(
-        self, query: str, k: int = 10, weights: dict[str, float] | None = None,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Block-max top-k (Ding & Suel BMW, windowed variant): the doc
-        space is swept in windows ending at the nearest block boundary
-        (skip pointer) among the live terms; a window whose summed
-        block-max upper bound cannot beat the heap threshold is skipped
-        WITHOUT decoding any postings; a surviving window is decoded and
-        scored fully-vectorized (numpy over <= block_size postings per
-        term), accumulating each doc's terms in sorted-term float64
-        order — bit-identical to search_taat, hence rank-identical to
-        the brute-force oracle."""
-        return self._bmw(self._term_weights(self.tokenize(query), weights), k,
-                         doc_filter)
-
-    def _bmw(self, weights: dict[str, float], k: int,
-             doc_filter=None) -> list[tuple[int, float]]:
-        infos = self._term_infos(weights)
-        if len(infos) <= 1:
-            # single-term: no WAND pruning exists (one cursor), and on
-            # flat tf distributions block-max skipping degenerates to a
-            # per-block python loop — the canonical fast path is one
-            # vectorized exhaustive scan (bitwise-identical scores)
-            return rank_topk(*self._matches(weights, doc_filter=doc_filter), k)
-        # dense-query dispatch: when EVERY term is stopword-like (df
-        # over this reader's shards >= dense_query_cutoff of its doc
-        # span), nearly every doc matches every term, block-max tables
-        # are flat, and no window's upper bound ever drops below the
-        # heap threshold — BMW then pays its per-window bookkeeping on
-        # top of a full decode. The vectorized exhaustive scan wins
-        # (and is bitwise rank/score-identical by construction; with
-        # one selective term present, WAND's skipping stays worth it).
-        owned_docs = sum(sh.hi - sh.lo for sh in self.shards if sh is not None)
-        cutoff = self.dense_query_cutoff * max(1, owned_docs)
-        if all(
-            sum(self.shards[s].df_local_at(i) for s, i in locs) >= cutoff
-            for _, _, locs in infos
-        ):
-            return rank_topk(*self._matches(weights, doc_filter=doc_filter), k)
-        # masking only WITHHOLDS docs from the heap: window upper
-        # bounds stay valid (they over-estimate the filtered subset),
-        # so pruning remains admissible — just less tight (theta grows
-        # from filtered survivors only). Scores of survivors are
-        # accumulated identically, hence still bitwise == search_taat.
-        mask = self._resolve_filter(doc_filter)
-        heap: list[tuple[float, int]] = []  # (score, -doc_id) min-heap of top-k
-        for s, sh in enumerate(self.shards):
-            if sh is None:
-                continue
-            cursors = [
-                _BlockCursor(t, w, sh.row(i), self.block_size)
-                for (t, w, locs) in infos
-                for (ss, i) in locs
-                if ss == s
-            ]  # infos follow sorted `terms` -> cursors stay term-sorted
-            self._bmw_shard(sh, cursors, k, heap, mask)
-        out = sorted(heap, key=lambda e: (-e[0], -e[1]))[:k]
-        return [(-negid, score) for score, negid in out]
-
-    def _bmw_shard(self, sh: _ShardIndex, cursors: list["_BlockCursor"], k: int,
-                   heap: list[tuple[float, int]],
-                   mask: np.ndarray | None = None) -> None:
-        if not cursors:
-            return
-        k1, b = self.params.k1, self.params.b
-        avgdl = self.avgdl
-        doc_len = self.doc_len
-
-        stride = 1  # adaptive window width in blocks of the min cursor:
-        # doubles while windows keep being scored (pruning ineffective ->
-        # amortize the python loop), resets to 1 after a skip (pruning
-        # effective -> keep block-granular skipping)
-        while True:
-            live = [c for c in cursors if not c.exhausted]
-            if not live:
-                return
-            theta = heap[0][0] if len(heap) >= k else -np.inf
-            if sum(c.max_score for c in live) <= theta:
-                return  # no remaining doc in this shard can beat theta
-            cmin = min(live, key=lambda c: c.cur_block_last())
-            j = min(cmin.bi + stride - 1, cmin.nblocks - 1)
-            window_end = int(cmin.block_last[j])
-            ub = sum(c.window_max(window_end) for c in live)
-            if ub <= theta:
-                # skip: nothing in (floor, window_end] can make top-k
-                for c in live:
-                    c.skip_to(window_end)
-                stride = 1
-                continue
-            stride = min(stride * 2, 64)
-            # score the window: decode each live term's slice, then
-            # accumulate per-doc in sorted-term order (== TAAT order)
-            slices = []
-            for c in live:
-                ids, tfs = c.take_upto(window_end)
-                if len(ids):
-                    slices.append((c.weight, ids, tfs))
-            if slices:
-                all_ids = (
-                    slices[0][1]
-                    if len(slices) == 1
-                    else np.unique(np.concatenate([s[1] for s in slices]))
-                )
-                scores = np.zeros(len(all_ids), dtype=np.float64)
-                for w, ids, tfs in slices:
-                    idx = np.searchsorted(all_ids, ids)
-                    tfs_f = tfs.astype(np.float64)
-                    dl = doc_len[ids.astype(np.int64)]
-                    scores[idx] += w * (
-                        tfs_f * (k1 + 1.0)
-                        / (tfs_f + k1 * (1.0 - b + b * dl / avgdl))
-                    )
-                if mask is not None:  # filtered-out docs never enter the heap
-                    keepm = mask[all_ids.astype(np.int64)]
-                    all_ids, scores = all_ids[keepm], scores[keepm]
-                if len(self.tombstones):  # deleted docs never enter the heap
-                    from .maintenance import is_tombstoned
-
-                    live = ~is_tombstoned(
-                        self.tombstones, all_ids.astype(np.int64)
-                    )
-                    all_ids, scores = all_ids[live], scores[live]
-                if len(heap) >= k:  # vectorized pre-filter vs current theta
-                    sel = scores > heap[0][0]
-                    all_ids, scores = all_ids[sel], scores[sel]
-                for doc, score in zip(all_ids, scores):
-                    entry = (float(score), -int(doc))
-                    if len(heap) < k:
-                        heapq.heappush(heap, entry)
-                    elif entry > heap[0]:
-                        heapq.heapreplace(heap, entry)
-
-
-class _BlockCursor:
-    """Posting cursor over one term's blocks: skip pointers + per-block
-    score bounds come from the block metadata (no decode needed to
-    skip); the posting payload is bulk-decoded lazily in one vectorized
-    pass on first contact (decode_all_blocks), after which window
-    slices are searchsorted views."""
-
-    __slots__ = ("term", "weight", "row", "block_last", "bmax", "nblocks",
-                 "bi", "floor", "pos", "ids", "tfs", "bs", "max_score")
-
-    def __init__(self, term: str, weight: float, row: dict, block_size: int):
-        self.term = term
-        self.weight = weight
-        self.row = row
-        self.bs = block_size
-        self.block_last = np.asarray(row["block_last_doc"], dtype=np.uint64)
-        self.bmax = np.asarray(row["block_max_partial"], dtype=np.float64)
-        self.nblocks = len(self.block_last)
-        self.bi = 0  # first block whose last doc exceeds `floor`
-        self.floor = -1  # docs <= floor are pruned/consumed
-        self.pos = 0  # decoded-array position (valid once decoded)
-        self.ids = None
-        self.tfs = None
-        self.max_score = weight * row["max_partial"]
-
-    @property
-    def exhausted(self) -> bool:
-        return self.bi >= self.nblocks
-
-    def cur_block_last(self) -> int:
-        return int(self.block_last[self.bi])
-
-    def cur_block_max(self) -> float:
-        return self.weight * float(self.bmax[self.bi])
-
-    def window_max(self, window_end: int) -> float:
-        """Upper bound of this term's partial over docs in
-        (floor, window_end] — max block_max over the touched blocks
-        (conservatively includes the current block even when it only
-        partially overlaps)."""
-        if self.exhausted:
-            return 0.0
-        bl = self.block_last
-        bi = self.bi
-        if bl[bi] >= window_end:
-            return self.weight * float(self.bmax[bi])
-        j = int(np.searchsorted(bl, np.uint64(window_end), side="left"))
-        j = min(j, self.nblocks - 1)
-        return self.weight * float(self.bmax[bi: j + 1].max())
-
-    def skip_to(self, boundary: int) -> None:
-        """Prune all docs <= boundary — block-metadata only, O(log nb),
-        the payload of fully-skipped cursors is never decoded."""
-        if boundary > self.floor:
-            self.floor = boundary
-            if self.ids is not None:
-                self.pos = max(
-                    self.pos,
-                    int(np.searchsorted(self.ids, np.uint64(boundary), side="right")),
-                )
-            if not self.exhausted and self.block_last[self.bi] <= boundary:
-                self.bi = int(
-                    np.searchsorted(self.block_last, np.uint64(boundary), side="right")
-                )
-
-    def take_upto(self, boundary: int) -> tuple[np.ndarray, np.ndarray]:
-        """Consume and return (ids, tfs) views with floor < doc <=
-        boundary."""
-        if self.exhausted:
-            return _EMPTY_U64, _EMPTY_U64
-        if self.ids is None:
-            self.ids, self.tfs = decode_all_blocks(self.row, self.bs)
-            self.pos = int(
-                np.searchsorted(self.ids, np.uint64(max(self.floor, 0)), side="right")
-            ) if self.floor >= 0 else 0
-        start = self.pos
-        end = int(np.searchsorted(self.ids, np.uint64(boundary), side="right"))
-        out = (self.ids[start:end], self.tfs[start:end])
-        self.pos = end
-        self.skip_to(boundary)
-        return out
-
-
-_EMPTY_U64 = np.empty(0, dtype=np.uint64)
+    # perfbench/run.py:585 (``replay``, reached by ``--trace 1`` and
+    # ``--smoke``) is the only caller left from when this was block-max WAND
+    search_bmw = search_taat
 
 
 class QueryScorer:
@@ -1716,7 +1438,9 @@ class QueryScorer:
 
     Usage: ``queries_ds.map_batches(QueryScorer,
     fn_constructor_kwargs={"index_dir": ..., "k": 10},
-    batch_format="pandas", concurrency=N)``.
+    batch_format="pandas", concurrency=N)``. Every query of a batch is
+    compiled as ``mode`` with ``params`` (``compile_plan``), and the
+    batch is one ``IndexReader.topk`` call.
 
     ``reader_ref`` (an ``ray.ObjectRef`` of an already-loaded
     ``IndexReader``, from ``ray.put(IndexReader(index_dir))``; the
@@ -1734,12 +1458,10 @@ class QueryScorer:
         self,
         index_dir: str | None = None,
         k: int = 10,
-        algo: str = "taat",
+        mode: str = "bm25",
+        params: dict | None = None,
         reader_ref=None,
         doc_filter=None,
-        fb_docs: int = 5,
-        fb_terms: int = 8,
-        beta: float = 0.5,
     ):
         if reader_ref is not None:
             import ray as _ray
@@ -1748,8 +1470,7 @@ class QueryScorer:
         else:
             self.reader = IndexReader(index_dir)
         self.k = k
-        self.algo = algo
-        self.fb_docs, self.fb_terms, self.beta = fb_docs, fb_terms, beta
+        self.mode, self.params = mode, params
         # resolve ("col", value) -> mask ONCE per actor, not per batch
         # (the plasma-shared reader's mask cache is per-actor local)
         self.doc_filter = (
@@ -1757,36 +1478,18 @@ class QueryScorer:
         )
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self.algo == "prf":
-            def search(query, k, doc_filter=None):
-                return self.reader.search_prf(
-                    query, k, fb_docs=self.fb_docs, fb_terms=self.fb_terms,
-                    beta=self.beta, doc_filter=doc_filter)
-        else:
-            search = (
-                self.reader.search_bmw if self.algo == "bmw"
-                else self.reader.search_taat
-            )
-        out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        for qid, query in zip(batch["qid"], batch["query"]):
-            for rank, (doc, score) in enumerate(
-                search(query, self.k, doc_filter=self.doc_filter), start=1
-            ):
-                out["qid"].append(qid)
-                out["rank"].append(rank)
-                out["doc_id"].append(doc)
-                out["score"].append(score)
+        """One ``reader.topk`` call over the batch's compiled plans."""
+        plans = [self.reader.compile(self.mode, query, self.params, qid=int(qid))
+                 for qid, query in zip(batch["qid"], batch["query"])]
+        hits = self.reader.topk(plans, self.k, self.doc_filter)
         # explicit dtypes: an all-empty batch must emit the SAME schema
         # as a non-empty one (pandas infers float64 for empty lists,
         # which makes Ray warn about mixed block schemas downstream)
-        return pd.DataFrame(
-            {
-                "qid": pd.Series(out["qid"], dtype="int64"),
-                "rank": pd.Series(out["rank"], dtype="int64"),
-                "doc_id": pd.Series(out["doc_id"], dtype="int64"),
-                "score": pd.Series(out["score"], dtype="float64"),
-            }
-        )
+        return pd.DataFrame({
+            c: pd.Series([h[c] for h in hits], dtype=dtype)
+            for c, dtype in (("qid", "int64"), ("rank", "int64"),
+                             ("doc_id", "int64"), ("score", "float64"))
+        })
 
 
 def hydrate_hits(hits_df: pd.DataFrame, index_dir: str) -> pd.DataFrame:

@@ -1,7 +1,6 @@
 """End-to-end: build the index with Ray Data, query it, and demand
-rank-identity against the frozen brute-force BM25 fixtures, for both
-the exhaustive TAAT scorer and block-max WAND. Also checks the per-row
-content_sha256 invariant."""
+rank-identity against the frozen brute-force BM25 fixtures. Also checks
+the per-row content_sha256 invariant."""
 
 import glob
 import hashlib
@@ -62,18 +61,17 @@ def test_stats(built_index, fixture_spec):
     assert stats["avgdl"] > 0
 
 
-def test_rank_identity_taat_and_bmw(built_index, fixture_spec):
+def test_rank_identity_with_golden_brute_force(built_index, fixture_spec):
     spec, golden = fixture_spec
     _, index_dir, _ = built_index
     reader = IndexReader(index_dir)
     for q in spec["queries"]:
         want = golden[str(q["qid"])]
-        for algo in ("taat", "bmw"):
-            got = getattr(reader, f"search_{algo}")(q["query"], 10)
-            assert [d for d, _ in got] == [d for d, _ in want], (q, algo)
-            np.testing.assert_allclose(
-                [s for _, s in got], [s for _, s in want], rtol=1e-9, atol=1e-12
-            )
+        got = reader.search_taat(q["query"], 10)
+        assert [d for d, _ in got] == [d for d, _ in want], q
+        np.testing.assert_allclose(
+            [s for _, s in got], [s for _, s in want], rtol=1e-9, atol=1e-12
+        )
 
 
 def test_partial_cache_warm_equals_cold(built_index, fixture_spec):
@@ -90,7 +88,6 @@ def test_partial_cache_warm_equals_cold(built_index, fixture_spec):
         warm = cached.search_taat(q["query"], 10)   # cache-hit path
         off = plain.search_taat(q["query"], 10)
         assert cold == warm == off, q
-        assert cached.search_bmw(q["query"], 10) == off, q
     # the dense form actually engaged for at least one hot term
     assert any(
         ids is None
@@ -238,7 +235,7 @@ def test_dedup_build_equals_plain_build_of_distinct(tmp_path):
     assert s_d["doc_id_span"] == s_p["doc_id_span"] == 30
     r_d, r_p = IndexReader(idx_d), IndexReader(idx_p)
     for q in ("alpha", "doc5", "beta doc17 gamma"):
-        assert r_d.search_bmw(q, 40) == r_p.search_bmw(q, 40), q
+        assert r_d.search_taat(q, 40) == r_p.search_taat(q, 40), q
 
     # Bloom keep-set path: a forced-tiny broadcast cap routes the same
     # dedup build through the Bloom filter (manifest-recorded, expected
@@ -260,7 +257,7 @@ def test_dedup_build_equals_plain_build_of_distinct(tmp_path):
     assert 0 < entry["dedup_expected_fp"] <= 1e-3
     r_b = IndexReader(idx_b)
     for q in ("alpha", "doc5", "beta doc17 gamma"):
-        assert r_b.search_bmw(q, 40) == r_p.search_bmw(q, 40), q
+        assert r_b.search_taat(q, 40) == r_p.search_taat(q, 40), q
 
 
 def test_build_bloom_keep_set_logs_warning(tmp_path, caplog):
@@ -307,9 +304,7 @@ def test_degenerate_corpora(tmp_path):
     build_index(ray.data.read_parquet(str(one)), idx1,
                 source_files=[str(one / "p.parquet")], num_shards=2)
     r = IndexReader(idx1)
-    hits = r.search_bmw("merge", 5)
-    assert [d for d, _ in hits] == [0]
-    assert hits == r.search_taat("merge", 5)
+    assert [d for d, _ in r.search_taat("merge", 5)] == [0]
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -321,7 +316,7 @@ def test_degenerate_corpora(tmp_path):
     build_index(ray.data.read_parquet(str(empty)), idx2,
                 source_files=[str(empty / "p.parquet")], num_shards=2)
     r2 = IndexReader(idx2)
-    assert r2.search_bmw("anything", 5) == []
+    assert r2.search_taat("anything", 5) == []
     assert r2.search_taat("", 5) == []
 
 

@@ -198,7 +198,7 @@ def test_query_modes(cli_index, capsys):
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_page("get", 5, offset=5, algo="taat") and hits
+        reader.search_page("get", 5, offset=5) and hits
 
     rc = main(["query", "g.t", "--index", cli_index, "-k", "5",
                "--mode", "regex", "--max-expansions", "8"])

@@ -74,32 +74,28 @@ def _docterms_group(docs, shard):
     return pa.concat_tables([t.slice(0, half), t.slice(half)])
 
 
-def _assert_matches_per_term(docs, shard, avgdl, block_size):
+def _assert_matches_per_term(docs, shard, block_size):
     """encode_shard's rows equal encode_posting over each term's
     postings, column for column."""
-    from information_retrieval_images_ray.functions.bm25 import BM25Params
     from information_retrieval_images_ray.stages.postings import (
         SEGMENT_SCHEMA,
         encode_posting,
         encode_shard,
     )
 
-    params = BM25Params()
-    got = encode_shard(_docterms_group(docs, shard), avgdl, params, block_size)
+    got = encode_shard(_docterms_group(docs, shard), block_size)
     assert got.schema == SEGMENT_SCHEMA
     postings: dict[str, list] = {}
     for d, tf, dl in docs:
         for term, n in tf.items():
-            postings.setdefault(term, []).append((d, n, dl))
+            postings.setdefault(term, []).append((d, n))
     assert got["term"].to_pylist() == sorted(postings)
     for row in got.to_pylist():
-        ids, tfs, dls = (np.array(c) for c in zip(*postings[row["term"]]))
-        ref = encode_posting(ids.astype(np.uint64), tfs, dls, avgdl, params, block_size)
+        ids, tfs = (np.array(c) for c in zip(*postings[row["term"]]))
+        ref = encode_posting(ids.astype(np.uint64), tfs, block_size)
         assert row["shard"] == shard
-        for col in ("df_local", "docs", "tfs", "max_partial"):
+        for col in ("df_local", "docs", "tfs"):
             assert row[col] == ref[col], (row["term"], col)
-        for col in ("block_last_doc", "block_doc_off", "block_tf_off", "block_max_partial"):
-            assert np.array_equal(np.asarray(row[col]), ref[col]), (row["term"], col)
     return got
 
 
@@ -121,18 +117,19 @@ def test_vectorized_shard_encode_matches_per_term(seed):
         docs.append((int(d), tf, sum(tf.values()) + int(rng.integers(0, 500))))
     if not any(tf for _, tf, _ in docs):
         docs[0][1]["t000"] = 1
-    _assert_matches_per_term(docs, int(rng.integers(0, 8)), 120.0, 16)
+    _assert_matches_per_term(docs, int(rng.integers(0, 8)), 16)
 
 
 def test_shard_encode_edge_inputs():
     """A shard whose docs have no tokens encodes to zero rows; a term
     with a single posting is one one-entry block."""
-    from information_retrieval_images_ray.functions.bm25 import BM25Params
+    from information_retrieval_images_ray.pipelines.query import decode_all_blocks
     from information_retrieval_images_ray.stages.postings import SEGMENT_SCHEMA, encode_shard
 
-    empty = encode_shard(_docterms_group([(3, {}, 0), (4, {}, 0)], 1), 10.0, BM25Params())
+    empty = encode_shard(_docterms_group([(3, {}, 0), (4, {}, 0)], 1))
     assert empty.num_rows == 0 and empty.schema == SEGMENT_SCHEMA
     got = _assert_matches_per_term(
-        [(7, {"solo": 2, "pair": 1}, 5), (9, {"pair": 3}, 4)], 2, 4.5, 16)
+        [(7, {"solo": 2, "pair": 1}, 5), (9, {"pair": 3}, 4)], 2, 16)
     solo = got.to_pylist()[got["term"].to_pylist().index("solo")]
-    assert solo["df_local"] == 1 and solo["block_last_doc"] == [7]
+    ids, tfs = decode_all_blocks(solo, 16)
+    assert solo["df_local"] == 1 and ids.tolist() == [7] and tfs.tolist() == [2]

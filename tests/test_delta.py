@@ -42,9 +42,8 @@ def _mk_rows(lo: int, hi: int, seed: int, min_len: int, max_len: int):
 @pytest.fixture(scope="module")
 def corpora():
     base = _mk_rows(0, 100, seed=5, min_len=20, max_len=40)
-    # delta docs are much LONGER on average -> global avgdl rises ->
-    # exercises the block-max rescale path (old bounds would otherwise
-    # under-estimate and break WAND admissibility)
+    # delta docs are much LONGER on average -> global avgdl rises, so
+    # the base shards are scored with an avgdl they were not built with
     delta = _mk_rows(100, 150, seed=6, min_len=60, max_len=120)
     return base, delta
 
@@ -77,8 +76,6 @@ def test_delta_rank_and_score_identical_to_fresh(built):
     for q in QUERIES:
         f = fresh.search_taat(q, 10)
         assert f == inc.search_taat(q, 10), q
-        assert f == inc.search_bmw(q, 10), q          # delta WAND == exact
-        assert f == fresh.search_bmw(q, 10), q
 
 
 def test_delta_global_df_exact(built):
@@ -92,11 +89,9 @@ def test_delta_global_df_exact(built):
 
 def _regathered_segments_match(index_dir):
     """Every segment row equals encode_posting over that (shard, term)'s
-    postings regathered from the docterms checkpoint (base + deltas),
-    encoded with the avgdl the shard was built with."""
+    postings regathered from the docterms checkpoint (base + deltas)."""
     import pyarrow.parquet as pq
 
-    from information_retrieval_images_ray.functions.bm25 import BM25Params
     from information_retrieval_images_ray.pipelines.build import make_shard_of
     from information_retrieval_images_ray.stages.postings import encode_posting
 
@@ -105,13 +100,12 @@ def _regathered_segments_match(index_dir):
     shard_of = make_shard_of(stats["shard_bounds"])
     postings: dict = {}
     for f in glob.glob(os.path.join(index_dir, "docterms", "**", "*.parquet"), recursive=True):
-        t = pq.read_table(f, columns=["doc_id", "doc_len", "terms", "tfs"])
+        t = pq.read_table(f, columns=["doc_id", "terms", "tfs"])
         ids = t["doc_id"].to_numpy()
-        for d, s, dl, terms, tfs in zip(ids, shard_of(ids), t["doc_len"].to_pylist(),
-                                        t["terms"].to_pylist(), t["tfs"].to_pylist()):
+        for d, s, terms, tfs in zip(ids, shard_of(ids), t["terms"].to_pylist(),
+                                    t["tfs"].to_pylist()):
             for term, tf in zip(terms, tfs):
-                postings.setdefault((int(s), term), []).append((int(d), tf, dl))
-    params = BM25Params(stats["k1"], stats["b"])
+                postings.setdefault((int(s), term), []).append((int(d), tf))
     seen = set()
     for f in glob.glob(os.path.join(index_dir, "segments", "**", "*.parquet"), recursive=True):
         shard = int(os.path.basename(os.path.dirname(f)).split("=")[1])
@@ -119,15 +113,11 @@ def _regathered_segments_match(index_dir):
             key = (shard, row["term"])
             assert key not in seen, key
             seen.add(key)
-            ids, tfs, dls = (np.array(c) for c in zip(*postings[key]))
-            ref = encode_posting(ids.astype(np.uint64), tfs, dls,
-                                 stats["encode_avgdl"][str(shard)], params,
-                                 stats["block_size"])
-            for col in ("df_local", "docs", "tfs", "max_partial"):
+            ids, tfs = (np.array(c) for c in zip(*postings[key]))
+            ref = encode_posting(ids.astype(np.uint64), tfs, stats["block_size"])
+            assert set(row) == {"term", "df_local", "docs", "tfs"}, key
+            for col in ("df_local", "docs", "tfs"):
                 assert row[col] == ref[col], (key, col)
-            for col in ("block_last_doc", "block_doc_off", "block_tf_off",
-                        "block_max_partial"):
-                assert np.array_equal(np.asarray(row[col]), ref[col]), (key, col)
     assert seen == set(postings)
 
 
@@ -146,6 +136,26 @@ def test_delta_leaves_old_partitions_untouched(built):
         stats = json.load(fh)
     assert stats["num_shards"] > 3
     assert stats["shard_bounds"][3] == 100  # first delta shard starts at old span
+
+
+def test_delta_manifest_records_rows_and_bytes(built):
+    """The extend's docterms and docmeta entries record the rows and
+    Parquet bytes it wrote: its own delta dir, its own new shards."""
+    _, inc_dir, _ = built
+    with open(os.path.join(inc_dir, "manifest.json")) as fh:
+        e = json.load(fh)["entries"]
+
+    def parquet_bytes(*dirs):
+        return sum(os.path.getsize(f) for d in dirs for f in glob.glob(
+            os.path.join(inc_dir, d, "*.parquet")))
+
+    new_shards = e["delta:d1"]["new_shards"]
+    assert new_shards
+    assert e["delta_docterms:d1"]["rows"] == 50
+    assert e["delta_docterms:d1"]["bytes"] == parquet_bytes("docterms/delta=d1") > 0
+    assert e["delta_docmeta:d1"]["rows"] == 50
+    assert e["delta_docmeta:d1"]["bytes"] == parquet_bytes(
+        *(f"docmeta/shard={s}" for s in new_shards)) > 0
 
 
 def test_delta_is_idempotent(built, corpora):
@@ -233,7 +243,6 @@ def test_extend_resumes_after_simulated_crashes(tmp_path, corpora):
     assert got.n_docs == ref.n_docs and abs(got.avgdl - ref.avgdl) < 1e-9
     for q in QUERIES:
         assert got.search_taat(q, 10) == ref.search_taat(q, 10), q
-        assert got.search_bmw(q, 10) == ref.search_bmw(q, 10), q
 
 
 def test_ingested_files_excludes_incomplete_delta(tmp_path, corpora):
@@ -274,7 +283,6 @@ def test_two_chained_deltas_equal_fresh_build(tmp_path, corpora):
     for q in QUERIES:
         f = fresh.search_taat(q, 10)
         assert f == inc.search_taat(q, 10), q
-        assert f == inc.search_bmw(q, 10), q
 
 
 def test_extend_skip_existing_content(tmp_path, corpora):
@@ -305,7 +313,6 @@ def test_extend_skip_existing_content(tmp_path, corpora):
     assert abs(a.avgdl - b.avgdl) < 1e-9
     for q in QUERIES:
         assert a.search_taat(q, 10) == b.search_taat(q, 10), q
-        assert a.search_bmw(q, 10) == a.search_taat(q, 10), q
 
     # an all-duplicate delta is a complete no-op
     stats2 = extend_index(

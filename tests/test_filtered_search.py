@@ -37,13 +37,13 @@ def lang_of(sf_dir):
     return dict(rows)
 
 
-def test_filtered_taat_bmw_identity_and_membership(doc_index, lang_of):
+def test_filtered_membership_tuple_and_mask(doc_index, lang_of):
     r = IndexReader(doc_index)
     saw_hits = False
     for q in QUERIES:
         taat = r.search_taat(q, 10, doc_filter=("lang", "fr"))
-        bmw = r.search_bmw(q, 10, doc_filter=("lang", "fr"))
-        assert taat == bmw, q  # bitwise score + rank identity
+        # a precomputed mask is the same filter
+        assert taat == r.search_taat(q, 10, doc_filter=r.meta_mask("lang", "fr")), q
         for doc, _ in taat:
             assert lang_of[doc] == "fr", (q, doc)
         saw_hits = saw_hits or bool(taat)
@@ -58,13 +58,13 @@ def test_filtered_equals_postfiltered_full_ranking(doc_index, lang_of):
     for q in QUERIES:
         full = r.search_taat(q, k=10**9)
         expect = [(d, s) for d, s in full if lang_of[d] == "fr"][:10]
-        got = r.search_bmw(q, 10, doc_filter=("lang", "fr"))
+        got = r.search_taat(q, 10, doc_filter=("lang", "fr"))
         assert got == expect, q
 
 
 def test_filter_no_match_value_returns_empty(doc_index):
     r = IndexReader(doc_index)
-    assert r.search_bmw("merge sort", 10, doc_filter=("lang", "no-such")) == []
+    assert r.search_taat("merge sort", 10, doc_filter=("lang", "no-such")) == []
 
 
 def test_filtered_sharded_service_matches_whole_index(doc_index):
@@ -86,7 +86,7 @@ def test_filtered_sharded_service_matches_whole_index(doc_index):
                 (row["doc_id"], row["score"])
             )
         for i, q in enumerate(QUERIES):
-            assert by_qid.get(i, []) == r.search_bmw(
+            assert by_qid.get(i, []) == r.search_taat(
                 q, 10, doc_filter=("lang", "fr")
             ), q
     finally:

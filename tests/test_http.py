@@ -61,7 +61,7 @@ def test_search_matches_reader(server):
     reader = IndexReader(idx)
     status, hits = _req(srv.port, "/search", {"query": "alpha dup", "limit": 5})
     assert status == 200
-    want = reader.search_bmw("alpha dup", 5)
+    want = reader.search_taat("alpha dup", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == [(d, s) for d, s in want]
     assert all("content_sha256" in h and "lang" in h for h in hits)  # hydrated
 
@@ -73,7 +73,7 @@ def test_search_lang_filter(server):
         srv.port, "/search", {"query": "alpha dup", "limit": 5, "lang": "fr"}
     )
     assert status == 200
-    want = reader.search_bmw("alpha dup", 5, doc_filter=("lang", "fr"))
+    want = reader.search_taat("alpha dup", 5, doc_filter=("lang", "fr"))
     assert [(h["doc_id"], h["score"]) for h in hits] == [(d, s) for d, s in want]
     assert hits and all(h["lang"] == "fr" for h in hits)  # hydrated + filtered
 
@@ -271,7 +271,7 @@ def test_hybrid_matches_reference_fusion(hybrid_server):
     assert status == 200 and len(hits) == 10
 
     reader = IndexReader(idx)
-    lex_hits = reader.search_bmw("alpha dup", 20)
+    lex_hits = reader.search_taat("alpha dup", 20)
     lex = pd.DataFrame({
         "qid": 0,
         "doc_id": [d for d, _ in lex_hits],
@@ -1024,7 +1024,7 @@ def test_df_cache_exact_across_extend_and_delete(tmp_path):
 
     def check():
         _, hits = _req(srv.port, "/search", {"query": query, "limit": 10})
-        want = IndexReader(idx).search_bmw(query, 10)
+        want = IndexReader(idx).search_taat(query, 10)
         assert want and [(h["doc_id"], h["score"]) for h in hits] == \
             [(d, s) for d, s in want]
         return hits

@@ -57,12 +57,8 @@ def _segment_content(index_dir, shard):
     for f in sorted(
         glob.glob(os.path.join(index_dir, "segments", f"shard={shard}", "*.parquet"))
     ):
-        t = pq.read_table(f).to_pandas()
-        for _, r in t.iterrows():
-            out[r["term"]] = (
-                bytes(r["docs"]), bytes(r["tfs"]), int(r["df_local"]),
-                tuple(r["block_last_doc"]), tuple(r["block_max_partial"]),
-            )
+        for r in pq.read_table(f).to_pylist():
+            out[r["term"]] = (r["docs"], r["tfs"], r["df_local"])
     return out
 
 
@@ -76,8 +72,6 @@ def test_delete_excludes_docs_from_topk(index):
     assert set(after.tombstones) == set(victims)
     for q in QUERIES:
         taat = after.search_taat(q, 10)
-        bmw = after.search_bmw(q, 10)
-        assert taat == bmw, q  # WAND still rank-identical under tombstones
         hit_ids = {d for d, _ in taat}
         assert not (hit_ids & set(victims)), q
         # survivors keep their exact pre-delete scores (stale stats)
@@ -127,7 +121,7 @@ def test_compaction_equals_fresh_build(index, rows, tmp_path_factory):
     a, b = IndexReader(out), IndexReader(fresh_dir)
     assert len(a.tombstones) == 0  # materialized, not inherited
     for q in QUERIES:
-        assert a.search_taat(q, 10) == b.search_taat(q, 10) == a.search_bmw(q, 10), q
+        assert a.search_taat(q, 10) == b.search_taat(q, 10), q
 
     # idempotent: second call is a no-op returning the same stats
     assert compact_index(index, out)["n_docs"] == stats["n_docs"]
@@ -177,13 +171,13 @@ def test_merge_indexes_equals_single_build(tmp_path):
     merge_indexes([a, b], merged)
     rm, rf = IndexReader(merged), IndexReader(full)
     for q in ("alpha beta", "beta", "tail7 alpha"):
-        assert rm.search_bmw(q, 10) == rf.search_bmw(q, 10), q
+        assert rm.search_taat(q, 10) == rf.search_taat(q, 10), q
 
     # tombstones materialize through the merge
     delete_docs(a, [0, 3])
     merged2 = str(tmp_path / "m2")
     merge_indexes([a, b], merged2)
-    hits = {d for d, _ in IndexReader(merged2).search_bmw("alpha", 40)}
+    hits = {d for d, _ in IndexReader(merged2).search_taat("alpha", 40)}
     assert not ({0, 3} & hits) and 1 in hits
 
     # config mismatch refuses
@@ -276,3 +270,110 @@ def test_retired_config_keys_still_extend_and_compact(tmp_path, rows):
             assert got.search_taat(q, 10) == want.search_taat(q, 10), (d, q)
     with open(os.path.join(out, "manifest.json")) as f:
         assert not set(retired) & set(json.load(f)["config"])
+
+
+# segment file columns (the shard is the hive partition) now, and while
+# block-max WAND existed
+NARROW = frozenset({"term", "df_local", "docs", "tfs"})
+WIDE = NARROW | {"block_last_doc", "block_doc_off", "block_tf_off",
+                 "block_max_partial", "max_partial"}
+
+
+def _add_retired_columns(index_dir):
+    """Rewrite a fresh index into the layout every index had while
+    block-max WAND served plain queries: five more segment columns (the
+    per-block skip list and byte offsets, per-block and per-term score
+    bounds) and each shard's encode avgdl in stats.json."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from information_retrieval_images_ray.functions.codec import delta_encode, encode_varbyte
+    from information_retrieval_images_ray.pipelines.query import decode_all_blocks
+
+    stats_path = os.path.join(index_dir, "stats.json")
+    with open(stats_path) as f:
+        stats = json.load(f)
+    bs, avgdl, k1, b = stats["block_size"], stats["avgdl"], stats["k1"], stats["b"]
+    doc_len = IndexReader(index_dir).doc_len
+    files = glob.glob(os.path.join(index_dir, "segments", "shard=*", "*.parquet"))
+    assert files
+    for path in files:
+        t = pq.read_table(path)
+        cols = {n: [] for n in ("block_last_doc", "block_doc_off", "block_tf_off",
+                                "block_max_partial")}
+        for row in t.to_pylist():
+            ids, tfs = decode_all_blocks(row, bs)
+            tf = tfs.astype(np.float64)
+            part = tf * (k1 + 1) / (tf + k1 * (1 - b + b * doc_len[ids.astype(np.int64)] / avgdl))
+            starts = range(0, len(ids), bs)
+            cols["block_last_doc"].append(
+                [int(ids[min(s + bs, len(ids)) - 1]) for s in starts])
+            cols["block_doc_off"].append(np.cumsum(
+                [0] + [len(encode_varbyte(delta_encode(ids[s:s + bs]))) for s in starts]).tolist())
+            cols["block_tf_off"].append(np.cumsum(
+                [0] + [len(encode_varbyte(tfs[s:s + bs])) for s in starts]).tolist())
+            cols["block_max_partial"].append([float(part[s:s + bs].max()) for s in starts])
+        for name, vals in cols.items():
+            elem = pa.float32() if name == "block_max_partial" else pa.uint64()
+            t = t.append_column(name, pa.array(vals, pa.list_(elem)))
+        t = t.append_column("max_partial", pa.array(
+            [max(v) for v in cols["block_max_partial"]], pa.float32()))
+        pq.write_table(t, path, compression="zstd")
+    stats["encode_avgdl"] = {str(s): avgdl for s in range(stats["num_shards"])}
+    with open(stats_path, "w") as f:
+        json.dump(stats, f)
+
+
+def _segment_columns(index_dir, shard):
+    import pyarrow.parquet as pq
+
+    return {frozenset(pq.read_schema(f).names) for f in glob.glob(
+        os.path.join(index_dir, "segments", f"shard={shard}", "*.parquet"))}
+
+
+def test_wand_era_index_searches_extends_compacts_and_merges(tmp_path, rows):
+    """An index written while block-max WAND existed carries five more
+    segment columns and an ``encode_avgdl`` map in stats.json. It must
+    search bitwise like the same index without them, and after an
+    extend (old shards keep the wide layout, new shards get the narrow
+    one) it must compact and merge to the same results as fresh builds."""
+    import shutil
+
+    from information_retrieval_images_ray.pipelines.build import extend_index
+    from information_retrieval_images_ray.pipelines.maintenance import merge_indexes
+
+    cur, old = str(tmp_path / "cur"), str(tmp_path / "old")
+    build_index(ray.data.from_items(rows[:80]), cur, **CFG)
+    shutil.copytree(cur, old)
+    _add_retired_columns(old)
+    assert _segment_columns(cur, 0) == {NARROW} and _segment_columns(old, 0) == {WIDE}
+
+    want, got = IndexReader(cur), IndexReader(old)
+    for q in QUERIES:
+        hits = want.search_taat(q, 10)
+        assert got.search_taat(q, 10) == hits, q
+        ids = [d for d, _ in hits[:3]]
+        assert got.explain(q, ids) == want.explain(q, ids), q
+    plans = [want.compile("boolean", "", {"must": "alpha", "should": "dup zebra"}),
+             want.compile("prefix", "ch"), want.compile("collapse", "alpha")]
+    assert got.topk(plans, 10) == want.topk(plans, 10)
+
+    extend_index(ray.data.from_items(rows[80:100]), old, delta_id="d1")
+    assert [_segment_columns(old, s) for s in range(4)] == [{WIDE}] * 3 + [{NARROW}]
+
+    compacted, rest, merged = (str(tmp_path / n) for n in ("compacted", "rest", "merged"))
+    fresh, fresh_all = str(tmp_path / "fresh"), str(tmp_path / "fresh_all")
+    compact_index(old, compacted)
+    build_index(ray.data.from_items(rows[100:]), rest, **CFG)
+    merge_indexes([old, rest], merged)
+    build_index(ray.data.from_items(rows[:100]), fresh, **CFG)
+    build_index(ray.data.from_items(rows), fresh_all, **CFG)
+    for d, ref in ((old, fresh), (compacted, fresh), (merged, fresh_all)):
+        a, b = IndexReader(d), IndexReader(ref)
+        assert a.n_docs == b.n_docs, d
+        for q in QUERIES:
+            assert a.search_taat(q, 10) == b.search_taat(q, 10), (d, q)
+    for s in range(CFG["num_shards"]):
+        assert _segment_content(compacted, s) == _segment_content(fresh, s), s

@@ -268,8 +268,7 @@ def test_search_after_walks_the_total_order(modes_index):
         cursor, walked = None, []
         for page in range(5):
             hits = reader.search_after(q, k, after=cursor)
-            assert hits == reader.search_page(
-                q, k, offset=page * k, algo="taat"), (q, page)
+            assert hits == reader.search_page(q, k, offset=page * k), (q, page)
             walked.extend(hits)
             if len(hits) < k:
                 break

@@ -28,13 +28,8 @@ def _segment_content(index_dir, shard):
 
     rows = {}
     for f in sorted(glob.glob(os.path.join(index_dir, "segments", f"shard={shard}", "*.parquet"))):
-        t = pq.read_table(f).to_pandas()
-        for _, r in t.iterrows():
-            rows[r["term"]] = (
-                bytes(r["docs"]), bytes(r["tfs"]), int(r["df_local"]),
-                tuple(r["block_last_doc"]), tuple(r["block_max_partial"]),
-                tuple(r["block_doc_off"]), tuple(r["block_tf_off"]),
-            )
+        for r in pq.read_table(f).to_pylist():
+            rows[r["term"]] = (r["docs"], r["tfs"], r["df_local"])
     return rows
 
 
@@ -153,8 +148,16 @@ def test_lineage_metrics_recorded(tmp_path):
     with open(os.path.join(index_dir, "manifest.json")) as f:
         man = json.load(f)
     e = man["entries"]
+
+    def parquet_bytes(sub):
+        return sum(os.path.getsize(f) for f in glob.glob(
+            os.path.join(index_dir, sub, "**", "*.parquet"), recursive=True))
+
     assert e["docterms"]["rows"] == 60
+    assert e["docterms"]["bytes"] == parquet_bytes("docterms") > 0
     assert e["docterms"]["input_fingerprint"]
+    assert e["docmeta"]["rows"] == 60
+    assert e["docmeta"]["bytes"] == parquet_bytes("docmeta") > 0
     import pyarrow.dataset as pads
 
     dt = pads.dataset(os.path.join(index_dir, "docterms")).to_table(columns=["terms"])

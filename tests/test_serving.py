@@ -47,7 +47,7 @@ def test_sharded_service_rank_identical(served_index, num_actors):
         got = svc.topk(QUERIES, k=10)
         for q in QUERIES:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_bmw(q["query"], 10)
+            want = reader.search_taat(q["query"], 10)
             assert [d for d, _ in mine] == [d for d, _ in want], q
             assert all(a == b for (_, a), (_, b) in zip(mine, want)), q
     finally:
@@ -69,7 +69,7 @@ def test_shared_reader_pool_rank_identical(served_index):
         ray.data.from_items(QUERIES)
         .map_batches(
             QueryScorer,
-            fn_constructor_kwargs={"reader_ref": reader_ref, "k": 10, "algo": "bmw"},
+            fn_constructor_kwargs={"reader_ref": reader_ref, "k": 10},
             batch_format="pandas",
             concurrency=2,
         )
@@ -77,7 +77,7 @@ def test_shared_reader_pool_rank_identical(served_index):
     )
     for q in QUERIES:
         got = out[out["qid"] == q["qid"]].sort_values("rank")
-        want = reader.search_bmw(q["query"], 10)
+        want = reader.search_taat(q["query"], 10)
         assert list(got["doc_id"]) == [d for d, _ in want], q
         assert list(got["score"]) == [s for _, s in want], q
 
@@ -315,7 +315,7 @@ def test_paging_offset_matches_serial_tail(served_index):
         want = reader.search_page("get", k=5, offset=5)
         assert [(r["doc_id"], r["score"]) for r in got] == want
         assert [r["rank"] for r in got] == [6, 7, 8, 9, 10]
-        assert want == reader.search_bmw("get", 10)[5:10]
+        assert want == reader.search_taat("get", 10)[5:10]
         deep = svc.topk([{"qid": 0, "query": "zzz_nohit"}], k=5, offset=5)
         assert deep == []
     finally:
