@@ -649,8 +649,13 @@ def extend_index(
         # partial files (every other resumable phase cleans its output)
         for s in new_shards:
             _clean(os.path.join(docmeta_dir, f"shard={s}"))
+        import pyarrow.parquet as pq
+
         cols = ["doc_id", "content_sha256", "doc_len"]
-        schema_names = ray.data.read_parquet(ddir).schema().names
+        # one footer read: every delta file has the columns the delta
+        # source had
+        first = min(f for f in os.listdir(ddir) if f.endswith(".parquet"))
+        schema_names = pq.read_schema(os.path.join(ddir, first)).names
         for extra in ("repo", "path", "commit", "lang"):
             if extra in schema_names:
                 cols.append(extra)

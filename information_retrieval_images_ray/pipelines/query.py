@@ -32,6 +32,7 @@ dictionary read becomes a pushdown read of the query's terms only.
 
 from __future__ import annotations
 
+import copy
 import glob
 import json
 import os
@@ -214,18 +215,22 @@ class _ShardIndex:
         from collections import OrderedDict
 
         self.lo, self.hi = lo, hi
-        # LRU of per-term decoded BM25 partials, keyed by row index:
-        # (doc_ids int64, tf_partial float64) — everything score-side
-        # except the per-query idf weight, which just scales it. Zipf
-        # query workloads hit the same hot terms constantly; decoding
-        # a 1M-posting stopword list (varbyte + cumsum + gather) per
-        # query was the large-corpus latency floor. Budget-bounded
-        # (``cache_bytes`` total per shard), evicts least-recent.
-        self._part_cache: "OrderedDict[int, tuple[np.ndarray, np.ndarray]]" = (
+        # LRU of per-term decoded BM25 partials, keyed by (row index,
+        # avgdl): (doc_ids int64, tf_partial float64) — everything
+        # score-side except the per-query idf weight, which just
+        # scales it. Zipf query workloads hit the same hot terms
+        # constantly; decoding a 1M-posting stopword list (varbyte +
+        # cumsum + gather) per query was the large-corpus latency
+        # floor. avgdl is in the key because readers of two index
+        # generations share this shard (``IndexReader.attach``).
+        # Budget-bounded (``cache_bytes`` total per shard), evicts
+        # least-recent.
+        self._part_cache: "OrderedDict[tuple[int, float], tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
         self._cache_budget = int(cache_bytes)
         self._cache_used = 0
+        self.hits = self.misses = 0
         files = sorted(glob.glob(os.path.join(seg_dir, "*.parquet")))
         if not files:
             self.n_terms = 0
@@ -294,8 +299,9 @@ class _ShardIndex:
     ) -> tuple[np.ndarray | None, np.ndarray]:
         """BM25 tf-partial for row ``i`` — decoded+computed once and
         LRU-cached within the budget. The partial depends only on
-        index-constant state (tf, dl, avgdl, k1, b); a query's
-        contribution is ``idf_weight * partial``.
+        (tf, dl, avgdl, k1, b), of which only avgdl changes between
+        index generations; a query's contribution is ``idf_weight *
+        partial``.
 
         Returns ``(doc_ids int64, partial)`` sparse form, or
         ``(None, dense partial over the shard span)`` for stopword-like
@@ -304,10 +310,13 @@ class _ShardIndex:
         AND is smaller (span*8 < df*16 bytes). Non-matching docs hold
         0.0, which is never a valid BM25 partial (tf>=1 => partial>0),
         so they can't leak into results."""
-        hit = self._part_cache.get(i)
+        key = (i, avgdl)
+        hit = self._part_cache.get(key)
         if hit is not None:
-            self._part_cache.move_to_end(i)
+            self.hits += 1
+            self._part_cache.move_to_end(key)
             return hit
+        self.misses += 1
         ids_u, tfs = decode_all_blocks(self.row(i), block_size)
         ids = ids_u.astype(np.int64)
         tfs_f = tfs.astype(np.float64)
@@ -328,7 +337,7 @@ class _ShardIndex:
                 self._cache_used -= old_part.nbytes + (
                     old_ids.nbytes if old_ids is not None else 0
                 )
-            self._part_cache[i] = entry
+            self._part_cache[key] = entry
             self._cache_used += nbytes
         return entry
 
@@ -689,6 +698,12 @@ def _merge_groups(rows: list[tuple]) -> list[tuple]:
     return [(d, s, v, count[v]) for v, (d, s) in best.items()]
 
 
+def shard_docmeta_files(index_dir: str, shards) -> list[str]:
+    """The docmeta parquet files of ``shards`` (hive ``shard=s``)."""
+    return [f for s in shards for f in sorted(glob.glob(
+        os.path.join(index_dir, "docmeta", f"shard={s}", "*.parquet")))]
+
+
 class IndexReader(PlanRunner):
     """Loads a built index directory; executes query plans over it.
 
@@ -708,64 +723,96 @@ class IndexReader(PlanRunner):
         postings decode once, repeat queries reuse them."""
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
-            self.stats = json.load(f)
-        self.params = BM25Params(self.stats["k1"], self.stats["b"])
-        self.block_size = self.stats["block_size"]
-        self.tokenize = get_tokenizer(self.stats["tokenizer"])
-        self.n_docs = self.stats["n_docs"]
-        self.avgdl = self.stats["avgdl"]
-        bounds = self.stats["shard_bounds"]
-        self.num_shards = self.stats["num_shards"]
-        self.owned = list(range(self.num_shards)) if shards is None else sorted(shards)
+            stats = json.load(f)
+        self.params = BM25Params(stats["k1"], stats["b"])
+        self.block_size = stats["block_size"]
+        self.tokenize = get_tokenizer(stats["tokenizer"])
+        owned = list(range(stats["num_shards"])) if shards is None else sorted(shards)
+        # a shard attached later (``attach``) gets the same share
+        self._shard_cache_bytes = int(cache_bytes) // max(1, len(owned))
 
         # NB: no global df table is loaded — exact global df(term) is
         # the sum of per-shard df_local over this reader's shards (the
         # shards partition the doc space), so startup cost stays
         # O(index bytes), not O(vocab) python objects.
 
-        # doc_len array, dense over the doc_id span but filled only for
-        # owned shards (docmeta is hive-partitioned by shard)
-        span = self.stats["doc_id_span"]
-        self.doc_len = np.zeros(span, dtype=np.float64)
-        meta_files: list[str] = []
-        for s in self.owned:
-            meta_files.extend(
-                sorted(glob.glob(os.path.join(index_dir, "docmeta", f"shard={s}", "*.parquet")))
-            )
-        if not meta_files and shards is None:  # non-partitioned legacy layout
-            meta_files = sorted(
-                glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)
-            )
-        for f in meta_files:
-            t = pq.read_table(f, columns=["doc_id", "doc_len"])
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            self.doc_len[ids] = t["doc_len"].to_numpy(zero_copy_only=False)
-        # kept for lazy metadata-filter masks (meta_mask); building one
-        # is a column-pruned docmeta read, done only when a filtered
-        # search is actually issued, then cached per (col, value)
-        self._meta_files = meta_files
-        self._mask_cache: dict[tuple[str, str], np.ndarray] = {}
-        self._codes_cache: dict[str, tuple[np.ndarray, list[str]]] = {}
-
         # tombstoned docs (pipelines/maintenance.delete_docs) are
         # excluded from every top-k; stats stay stale until compaction
         from .maintenance import load_tombstones
 
-        self.tombstones = load_tombstones(index_dir)
+        self._set_stats(stats, load_tombstones(index_dir))
+        self.owned: list[int] = []
+        self.shards: list[_ShardIndex | None] = [None] * self.num_shards
+        # doc_len array, dense over the doc_id span but filled only for
+        # owned shards (docmeta is hive-partitioned by shard)
+        self.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
+        # kept for lazy metadata-filter masks (meta_mask); building one
+        # is a column-pruned docmeta read, done only when a filtered
+        # search is actually issued, then cached per (col, value)
+        self._meta_files: list[str] = []
+        self._mask_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._codes_cache: dict[str, tuple[np.ndarray, list[str]]] = {}
+        self._load(owned)
+        if not self._meta_files and shards is None:  # non-partitioned legacy layout
+            self._meta_files = sorted(
+                glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)
+            )
+            self._read_doc_len(self._meta_files)
 
+    def _set_stats(self, stats: dict, tombstones: np.ndarray) -> None:
+        self.stats = stats
+        self.n_docs = stats["n_docs"]
+        self.avgdl = stats["avgdl"]
+        self.num_shards = stats["num_shards"]
+        self.tombstones = tombstones
+
+    def _read_doc_len(self, files: list[str]) -> None:
+        for f in files:
+            t = pq.read_table(f, columns=["doc_id", "doc_len"])
+            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            self.doc_len[ids] = t["doc_len"].to_numpy(zero_copy_only=False)
+
+    def _load(self, shards: list[int]) -> None:
+        """Take ownership of ``shards``: their segments and their docs'
+        lengths."""
         from .build import segment_shard_dir
 
-        owned_set = set(self.owned)
-        per_shard_cache = int(cache_bytes) // max(1, len(self.owned))
-        self.shards = [
-            _ShardIndex(
-                segment_shard_dir(index_dir, s), bounds[s], bounds[s + 1],
-                cache_bytes=per_shard_cache,
+        bounds = self.stats["shard_bounds"]
+        files = shard_docmeta_files(self.index_dir, shards)
+        for s in shards:
+            self.shards[s] = _ShardIndex(
+                segment_shard_dir(self.index_dir, s), bounds[s], bounds[s + 1],
+                cache_bytes=self._shard_cache_bytes,
             )
-            if s in owned_set
-            else None
-            for s in range(self.num_shards)
-        ]
+        self._read_doc_len(files)
+        self._meta_files = self._meta_files + files
+        self.owned = sorted(self.owned + list(shards))
+
+    def attach(self, stats: dict, shards: list[int],
+               tombstones: np.ndarray | None = None) -> "IndexReader":
+        """This reader's view of a later generation of its index:
+        global ``stats`` after an extend (or the same stats after a
+        delete), ``shards`` newly owned, ``tombstones`` the new set
+        (None keeps this one's). Only ``shards`` are read from disk;
+        every shard already loaded is shared with this reader, which
+        keeps serving its own generation unchanged."""
+        nxt = copy.copy(self)
+        nxt._set_stats(stats, self.tombstones if tombstones is None else tombstones)
+        nxt.shards = self.shards + [None] * (nxt.num_shards - len(self.shards))
+        if shards:
+            nxt.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
+            nxt.doc_len[:len(self.doc_len)] = self.doc_len
+            nxt._mask_cache, nxt._codes_cache = {}, {}
+            nxt._load(shards)
+        return nxt
+
+    def term_dfs(self, shards: list[int]) -> pa.Table:
+        """(term, df_local) rows of the given owned shards, one per
+        (shard, term): what an attach adds to every cached global df."""
+        parts = [pa.table({"term": sh._terms, "df_local": sh._df_local})
+                 for sh in (self.shards[s] for s in shards) if sh._terms is not None]
+        return pa.concat_tables(parts) if parts else pa.table(
+            {"term": pa.array([], pa.string()), "df_local": pa.array([], pa.int64())})
 
     # -- PlanRunner backend: this reader's own shards ---------------------------
     def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:

@@ -21,9 +21,9 @@ the router shares with the serial ``IndexReader``:
    its own dictionary subset, the router unions and re-caps;
 3. **df**: ``_global_df`` sums per-actor ``df_locals`` into exact
    global df, turned into boost·idf weights (O(query terms) numbers).
-   A pool caches every df > 0 it has learned: the index is immutable
-   for the pool's lifetime, so a cached df stays exact, and only terms
-   the pool has not seen yet cost an exchange;
+   A generation caches every df > 0 it has learned: its index is
+   immutable, so a cached df stays exact, and only terms it has not
+   seen yet cost an exchange;
 4. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
    runs ``IndexReader.execute`` for every plan over its owned shards;
 5. **merge**: the router ranks with the engine-wide (score desc,
@@ -36,11 +36,22 @@ docterms read) and continue as weighted-OR plans that skip step 3. A
 plain bm25 search is one round trip (the scatter) once its terms' df
 are cached, two (df, then the scatter) before.
 
-A pool is one immutable generation of the index: the HTTP server
-builds a new one on every /extend, /delete and /reload. Besides its
-actors it owns the index's docmeta, loaded once into memory sorted by
-doc_id (``docmeta``), which ``serving_http.hydrate_hits`` serves from
-with no disk read.
+A ``ShardedQueryService`` is one immutable generation of the served
+index: the actor handles and each actor's shards, ``n_docs`` /
+``avgdl`` / shard bounds (``stats``), the tombstones, the docmeta
+table (held in memory sorted by doc_id, which
+``serving_http.hydrate_hits`` serves from with no disk read) and the
+df cache. A request takes one generation and uses it for every call
+it makes; each actor call names that generation, and an actor keeps
+one ``IndexReader`` view per live generation, the views sharing the
+loaded shards. Constructing the service starts a fresh actor set (the
+HTTP server does that at start and on /reload). ``extended`` and
+``deleted`` derive the next generation on the SAME actors: an extend
+loads only the new shards, onto the least-loaded actor, appends their
+docmeta rows and adds their df to every cached df; a delete only
+swaps the tombstones. When the last reference to a generation drops,
+its actor views are retired, and an actor set is killed once no live
+generation uses it.
 
 Rank/score identity with a single whole-index ``IndexReader`` holds by
 construction (same plans, same weights, same per-shard executor, same
@@ -54,27 +65,33 @@ collection while the app queries it over the wire
 
 from __future__ import annotations
 
+import copy
 import glob
+import itertools
 import json
 import os
+import weakref
 from collections import defaultdict
 
+import numpy as np
 import pyarrow as pa
 import ray
 
 from ..functions.bm25 import idf as idf_fn
-from .query import IndexReader, PlanRunner
+from .query import IndexReader, PlanRunner, shard_docmeta_files
+
+# generation ids, unique per process: an actor's views are keyed by
+# them, and a server never reports the same id for two generations,
+# not even across /reload's fresh actor sets
+_GENERATIONS = itertools.count(1)
 
 
-def load_docmeta(index_dir: str) -> pa.Table:
-    """The whole docmeta table in memory, sorted by an int64
-    ``doc_id`` that comes first, without the hive ``shard`` key. Its
-    columns are the union over all partitions: an extend that brought
-    columns the base build lacked leaves them null on the base docs."""
+def _docmeta_table(files: list[str]) -> pa.Table:
+    """The docmeta rows of ``files``, sorted by an int64 ``doc_id``
+    that comes first, without the hive ``shard`` key. Its columns are
+    the union over the files."""
     import pyarrow.parquet as pq
 
-    files = sorted(glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"),
-                             recursive=True))
     if not files:
         return pa.table({"doc_id": pa.array([], pa.int64())})
     t = pa.concat_tables([pq.read_table(f) for f in files],
@@ -85,82 +102,142 @@ def load_docmeta(index_dir: str) -> pa.Table:
     return t.sort_by("doc_id").combine_chunks()
 
 
+def load_docmeta(index_dir: str) -> pa.Table:
+    """The whole docmeta table in memory (see ``_docmeta_table``): an
+    extend that brought columns the base build lacked leaves them null
+    on the base docs."""
+    return _docmeta_table(sorted(glob.glob(
+        os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)))
+
+
 @ray.remote
 class ShardQueryActor:
-    """Owns a subset of shards; state loaded once in __init__."""
+    """Owns a subset of shards, with one ``IndexReader`` view per live
+    pool generation; the views share every loaded shard. Each query
+    method runs on the view of the generation ``gen`` it is given, so a
+    request that started before an attach neither scores nor counts df
+    in the shards attached after it."""
 
-    def __init__(self, index_dir: str, shard_ids: list[int]):
-        self.reader = IndexReader(index_dir, shards=shard_ids)
+    def __init__(self, index_dir: str, shard_ids: list[int], gen: int):
+        self.views = {gen: IndexReader(index_dir, shards=shard_ids)}
 
-    def df_locals(self, terms: list[str]) -> dict[str, int]:
-        return self.reader.df_locals(terms)
+    def attach(self, gen: int, base: int, stats: dict, shard_ids: list[int],
+               tombstones: np.ndarray | None) -> pa.Table:
+        """Add the view of generation ``gen``, derived from ``base``'s
+        (``IndexReader.attach``: only ``shard_ids`` are read). Returns
+        the (term, df_local) rows of ``shard_ids``."""
+        view = self.views[base].attach(stats, shard_ids, tombstones)
+        self.views[gen] = view
+        return view.term_dfs(shard_ids)
 
-    def expand_batch(self, specs: list[tuple]) -> list[list[str]]:
+    def retire(self, gen: int) -> None:
+        self.views.pop(gen, None)
+
+    def counters(self) -> dict:
+        """Live generation views, shards held, partial-cache hits and
+        misses (over the held shards' lifetime)."""
+        held = {s: sh for v in self.views.values()
+                for s, sh in enumerate(v.shards) if sh is not None}
+        return {
+            "views": len(self.views), "shards": sorted(held),
+            "partial_hits": sum(sh.hits for sh in held.values()),
+            "partial_misses": sum(sh.misses for sh in held.values()),
+        }
+
+    def df_locals(self, gen: int, terms: list[str]) -> dict[str, int]:
+        return self.views[gen].df_locals(terms)
+
+    def expand_batch(self, gen: int, specs: list[tuple]) -> list[list[str]]:
         """All of a batch's expansion specs in ONE round trip."""
-        return self.reader.expand_batch(specs)
+        return self.views[gen].expand_batch(specs)
 
-    def execute(self, plans: list[dict], weights: list[dict[str, float]],
+    def execute(self, gen: int, plans: list[dict], weights: list[dict[str, float]],
                 k: int, doc_filter=None) -> list[list[tuple]]:
         """Per plan, ``IndexReader.execute`` over OWNED shards only.
         ``doc_filter`` is a ("col", value) docmeta predicate; each actor
         masks exactly the docs it owns, so the merged result equals a
         whole-index filtered search."""
-        return [self.reader.execute(p, k, w, doc_filter)
+        return [self.views[gen].execute(p, k, w, doc_filter)
                 for p, w in zip(plans, weights)]
 
     def facet_counts(
-        self, queries: list[dict], facet_cols: list[str], doc_filter=None,
+        self, gen: int, queries: list[dict], facet_cols: list[str], doc_filter=None,
     ) -> list[dict[str, dict[str, int]]]:
         """Per-query facet partials over OWNED shards (presence is
         df-independent, so no weight exchange is needed; the router
         sums value counts — exact, since shards partition docs)."""
         return [
-            self.reader.facet_counts(q["query"], facet_cols, doc_filter)
+            self.views[gen].facet_counts(q["query"], facet_cols, doc_filter)
             for q in queries
         ]
 
     def length_facets(
-        self, queries: list[dict], edges: list[int], doc_filter=None,
+        self, gen: int, queries: list[dict], edges: list[int], doc_filter=None,
     ) -> list[list[dict]]:
         """Per-query numeric range-facet partials over OWNED shards
         (presence-only like ``facet_counts`` — no weight exchange; the
         router sums bucket counts, exact since shards partition
         docs)."""
         return [
-            self.reader.length_facets(q["query"], edges, doc_filter)
+            self.views[gen].length_facets(q["query"], edges, doc_filter)
             for q in queries
         ]
 
     def match_prefix(
-        self, queries: list[dict], n: int, doc_filter=None,
+        self, gen: int, queries: list[dict], n: int, doc_filter=None,
     ) -> list[list[int]]:
         """Per query the first ``n`` OWNED matched doc ids ascending —
         the router's global ascending sample is the merged cut of
         these prefixes (exact: a global first-n id is in its own
         actor's first n)."""
         return [
-            self.reader.match_ids(q["query"], doc_filter)[:n].tolist()
+            self.views[gen].match_ids(q["query"], doc_filter)[:n].tolist()
             for q in queries
         ]
 
     def explain(
-        self, query: str, doc_ids: list[int],
+        self, gen: int, query: str, doc_ids: list[int],
         weights: dict[str, float], df_override: dict[str, int],
     ) -> list[dict]:
         """Per-(owned doc, term) BM25 breakdown; the router supplies
         global idf weights and global df from its df exchange (this
         reader's own df would be shard-local)."""
-        return self.reader.explain(query, doc_ids, weights=weights,
-                                   df_override=df_override)
+        return self.views[gen].explain(query, doc_ids, weights=weights,
+                                       df_override=df_override)
 
     def ready(self) -> bool:
         return True
 
 
+def _kill(actors: list) -> None:
+    if ray.is_initialized():
+        for a in actors:
+            ray.kill(a)
+
+
+class _ActorSet:
+    """The actors of one fresh pool, shared by every generation derived
+    from it. They are killed when the last of those generations is
+    collected, or by ``ShardedQueryService.shutdown``."""
+
+    def __init__(self, actors: list):
+        self.actors = actors
+        self.kill = weakref.finalize(self, _kill, actors)
+        self.kill.atexit = False
+
+
+def _retire(actor_set: _ActorSet, gen: int) -> None:
+    """Drop generation ``gen``'s views (fire and forget)."""
+    if actor_set.kill.alive and ray.is_initialized():
+        for a in actor_set.actors:
+            a.retire.remote(gen)
+
+
 class ShardedQueryService(PlanRunner):
-    """Router over a pool of ShardQueryActor, shards round-robined.
-    Queries go through ``topk`` (see ``PlanRunner``); the hooks below
-    are its backend over the actor pool."""
+    """Router over a pool of ShardQueryActor, shards round-robined; one
+    instance is one generation of the served index (see the module
+    docstring). Queries go through ``topk`` (see ``PlanRunner``); the
+    hooks below are its backend over the actor pool."""
 
     def __init__(self, index_dir: str, num_actors: int = 4):
         from ..functions.tokenizer import get_tokenizer
@@ -168,25 +245,87 @@ class ShardedQueryService(PlanRunner):
 
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
-            stats = json.load(f)
-        nsh = stats["num_shards"]
-        self.n_docs = stats["n_docs"]
-        self.tokenize = get_tokenizer(stats["tokenizer"])
-        # the pool serves one tombstone generation (the HTTP server
-        # swaps the pool when it changes), like its actors' readers
+            self.stats = json.load(f)
+        nsh = self.stats["num_shards"]
+        self.n_docs = self.stats["n_docs"]
+        self.tokenize = get_tokenizer(self.stats["tokenizer"])
         self.tombstones = load_tombstones(index_dir)
         # global df per term, df > 0 only (bounded by the vocabulary)
         self._df: dict[str, int] = {}
         num_actors = max(1, min(num_actors, nsh))
-        assign: list[list[int]] = [[] for _ in range(num_actors)]
-        for s in range(nsh):
-            assign[s % num_actors].append(s)
-        self.actors = [
-            ShardQueryActor.remote(index_dir, shard_ids) for shard_ids in assign
-        ]
+        # actor i -> the shards it owns in this generation
+        self.assign = [list(range(i, nsh, num_actors)) for i in range(num_actors)]
+        self.generation = next(_GENERATIONS)
+        self._set = _ActorSet([
+            ShardQueryActor.remote(index_dir, shard_ids, self.generation)
+            for shard_ids in self.assign
+        ])
+        self._track()
         # loaded while the actors start
         self.docmeta = load_docmeta(index_dir)
         ray.get([a.ready.remote() for a in self.actors])
+
+    @property
+    def actors(self) -> list:
+        return self._set.actors
+
+    def _track(self) -> None:
+        weakref.finalize(self, _retire, self._set, self.generation).atexit = False
+
+    def _derive(self, stats: dict, tombstones: np.ndarray,
+                assign: list[list[int]]) -> tuple["ShardedQueryService", list]:
+        """The next generation on the same actors, with one ``attach``
+        per actor (its newly assigned shards, if any); also returns
+        each actor's (term, df_local) rows of those shards."""
+        nxt = copy.copy(self)
+        nxt.generation = next(_GENERATIONS)
+        nxt.stats, nxt.n_docs = stats, stats["n_docs"]
+        nxt.tombstones, nxt.assign = tombstones, assign
+        nxt._track()  # retires any view made even if an attach fails
+        send = None if tombstones is self.tombstones else tombstones
+        parts = ray.get([
+            a.attach.remote(nxt.generation, self.generation, stats,
+                            new[len(old):], send)
+            for a, old, new in zip(self.actors, self.assign, assign)
+        ])
+        return nxt, parts
+
+    def extended(self, stats: dict) -> "ShardedQueryService":
+        """The generation after an extend that committed ``stats``.
+        Each new shard goes to the actor owning the fewest docs; only
+        that actor reads anything. Docmeta gains the new shards' rows
+        (their ids lie above the old span, so it stays sorted) and
+        every cached df gains their df_local, so the cache stays exact
+        and warm."""
+        bounds = stats["shard_bounds"]
+        new_shards = range(self.stats["num_shards"], stats["num_shards"])
+        assign = [list(a) for a in self.assign]
+        load = [sum(bounds[s + 1] - bounds[s] for s in a) for a in assign]
+        for s in new_shards:
+            i = load.index(min(load))
+            assign[i].append(s)
+            load[i] += bounds[s + 1] - bounds[s]
+        nxt, parts = self._derive(stats, self.tombstones, assign)
+        df = dict(self._df)
+        for part in parts:
+            for t, n in zip(part["term"].to_pylist(), part["df_local"].to_pylist()):
+                if t in df:
+                    df[t] += n
+        nxt._df = df
+        nxt.docmeta = pa.concat_tables(
+            [self.docmeta, _docmeta_table(shard_docmeta_files(self.index_dir, new_shards))],
+            promote_options="permissive").combine_chunks()
+        return nxt
+
+    def deleted(self, tombstones: np.ndarray) -> "ShardedQueryService":
+        """The generation after a delete: ``tombstones`` replace this
+        one's, everything else (df cache included — stats stay stale
+        until compaction) is shared."""
+        return self._derive(self.stats, tombstones, self.assign)[0]
+
+    def counters(self) -> list[dict]:
+        """``ShardQueryActor.counters`` of every actor."""
+        return ray.get([a.counters.remote() for a in self.actors])
 
     # -- PlanRunner backend: the actor pool ------------------------------------
     def _global_df(self, terms: list[str]) -> dict[str, int]:
@@ -197,7 +336,7 @@ class ShardedQueryService(PlanRunner):
         miss = [t for t in terms if t not in self._df]
         if miss:
             gdf: dict[str, int] = defaultdict(int)
-            for part in ray.get([a.df_locals.remote(miss) for a in self.actors]):
+            for part in ray.get([a.df_locals.remote(self.generation, miss) for a in self.actors]):
                 for t, n in part.items():
                     gdf[t] += n
             self._df.update(gdf)
@@ -206,14 +345,14 @@ class ShardedQueryService(PlanRunner):
     def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
         """ONE ``expand_batch`` round trip per actor for the whole
         batch, then per spec union, sort and cap."""
-        per_actor = ray.get([a.expand_batch.remote(specs) for a in self.actors])
+        per_actor = ray.get([a.expand_batch.remote(self.generation, specs) for a in self.actors])
         return [
             sorted({t for lists in per_actor for t in lists[i]})[:cap]
             for i, (_, _, cap) in enumerate(specs)
         ]
 
     def _scatter(self, plans, weights, k: int, doc_filter) -> list[list]:
-        return ray.get([a.execute.remote(plans, weights, k, doc_filter)
+        return ray.get([a.execute.remote(self.generation, plans, weights, k, doc_filter)
                         for a in self.actors])
 
     # -- non-ranking aggregations ------------------------------------------------
@@ -231,7 +370,7 @@ class ShardedQueryService(PlanRunner):
         from .query import _sample_doc_freqs, _score_significant
 
         prefixes = ray.get([
-            a.match_prefix.remote(queries, sample_n, doc_filter)
+            a.match_prefix.remote(self.generation, queries, sample_n, doc_filter)
             for a in self.actors
         ])
         per_q = []
@@ -257,7 +396,7 @@ class ShardedQueryService(PlanRunner):
         gdf = self._global_df(sorted(set(self.tokenize(query))))
         weights = {t: idf_fn(self.n_docs, d) for t, d in gdf.items()}
         parts = ray.get([
-            a.explain.remote(query, doc_ids, weights, gdf)
+            a.explain.remote(self.generation, query, doc_ids, weights, gdf)
             for a in self.actors
         ])
         rows = [r for p in parts for r in p]
@@ -271,7 +410,7 @@ class ShardedQueryService(PlanRunner):
         router sums by value string. Returns one {col: {value: n}} per
         query, aligned with ``queries``."""
         parts = ray.get([
-            a.facet_counts.remote(queries, facet_cols, doc_filter)
+            a.facet_counts.remote(self.generation, queries, facet_cols, doc_filter)
             for a in self.actors
         ])
         out: list[dict[str, dict[str, int]]] = []
@@ -293,7 +432,7 @@ class ShardedQueryService(PlanRunner):
         ascending [{lo, n}, ...] (non-empty buckets only) per query,
         aligned with ``queries``."""
         parts = ray.get([
-            a.length_facets.remote(queries, edges, doc_filter)
+            a.length_facets.remote(self.generation, queries, edges, doc_filter)
             for a in self.actors
         ])
         out: list[list[dict]] = []
@@ -306,6 +445,5 @@ class ShardedQueryService(PlanRunner):
         return out
 
     def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
+        """Kill the actors now, for every generation that shares them."""
+        self._set.kill()

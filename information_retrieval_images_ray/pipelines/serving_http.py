@@ -24,15 +24,18 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
   GET  /doc/<doc_id>  -> the doc's metadata row (GET /get-image
                       analogue: the stored artifact for one hit)
   GET  /stats         -> index stats (the --show-db verb over HTTP)
-  POST /delete        {"doc_ids": [int, ...]} -> tombstone count
+                      plus the serving pool ``generation``
+  POST /delete        {"doc_ids": [int, ...]}
+                      -> {"tombstoned": n, "generation": g}
                       (reference delete_record, vector_db.py:54-58;
-                      the pool is swapped for one that honours the
-                      deletes before the call returns. Deletes or
+                      a pool generation that honours the deletes is
+                      installed before the call returns. Deletes or
                       docmeta updates made outside the server need
                       POST /reload)
   POST /extend        {"docs": [{"content": str, ...meta}, ...],
                        "skip_existing_content": bool=false}
-                      -> {"added": n, "n_docs": total} (reference's
+                      -> {"added": n, "n_docs": total, "generation": g}
+                      (reference's
                       POST /label-images ingest, server.py:46-63:
                       push new content through the pipeline over HTTP;
                       delta_id is the content hash, so re-POSTing the
@@ -46,8 +49,9 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
                       without confirm it's a 400 no-op). Afterwards
                       /search//stats return 409 until a rebuilt index
                       is re-attached via POST /reload (or a restart).
-  POST /reload        {} -> {"n_docs": n} — attach a (re)built index
-                      from disk by swapping in a fresh actor pool.
+  POST /reload        {} -> {"n_docs": n, "generation": g} — attach a
+                      (re)built index from disk by swapping in a
+                      fresh actor pool.
   POST /knn           {"vector": [float, ...] | "text": str,
                        "limit": int=10,
                        "nprobe": int=4, "filter_col": str|null,
@@ -75,19 +79,23 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
 
 Design notes, deliberately NOT the reference's shape where the
 reference got it wrong: the heavy state (index shards) lives in the
-long-lived ShardedQueryService actor pool, constructed ONCE at server
-start — the reference constructs its Milvus/SQLite/embedding clients
-per request (server.py:135-146). The HTTP layer itself is a thin
-threaded router: all scoring runs in the Ray actors, so one process
-serves concurrent requests with scatter-gather parallelism. At
+long-lived ShardQueryActor pool, started ONCE at server start (and
+again only on /reload) — the reference constructs its
+Milvus/SQLite/embedding clients per request (server.py:135-146). The
+HTTP layer itself is a thin threaded router: all scoring runs in the
+Ray actors, so one process serves concurrent requests with
+scatter-gather parallelism. At
 cluster scale N of these routers sit behind any TCP load balancer —
 the routers hold no request state (tokenize + merge + hydrate).
 
 The query path reads nothing from disk (snippets, PRF feedback docs
 and positional verification excepted): hydration is a lookup in the
-serving pool's in-memory docmeta (``hydrate_hits``), and tombstones
-come with the pool. Every index write made through the server
-(/extend, /delete, /reload) swaps in a new pool before it returns.
+serving generation's in-memory docmeta (``hydrate_hits``), and
+tombstones come with the generation. Every index write made through
+the server installs a new pool generation (``ShardedQueryService``)
+before it returns: /extend attaches only the new shards to the
+running actors, /delete swaps only the tombstones, and /reload alone
+starts a fresh actor set.
 """
 
 from __future__ import annotations
@@ -249,11 +257,11 @@ class IndexHTTPServer:
                     dim=int(_read_ivf_meta(vector_index_dir)["dim"]))
         # ThreadingHTTPServer handles requests concurrently; ``_lock``
         # guards the ``service`` reference (a request takes the pool
-        # once and serves its whole answer from it)
+        # generation once and serves its whole answer from it)
         self._lock = threading.Lock()
         # Serializes the index writers (/extend, /delete, /reset,
         # /reload) against each other WITHOUT blocking searches: an
-        # extend's Ray delta job and the next pool's start-up run
+        # extend's Ray delta job and the next generation's attach run
         # under this lock only, and ``_lock`` is taken just to swap
         # the reference — the rolling-index-update form. Lock order
         # is always _extend_lock -> _lock.
@@ -299,7 +307,10 @@ class IndexHTTPServer:
                             self._json(404, {"error": "no index (reset or never built)"})
                             return
                         with open(path) as f:
-                            self._json(200, json.load(f))
+                            stats = json.load(f)
+                        svc = outer._pool()
+                        stats["generation"] = svc.generation if svc else None
+                        self._json(200, stats)
                     elif self.path.startswith("/doc/"):
                         doc_id = int(self.path.split("/doc/", 1)[1])
                         rows = hydrate_hits(outer._pool(), [doc_id])
@@ -687,16 +698,19 @@ class IndexHTTPServer:
     def extend(self, docs: list[dict], skip_existing_content: bool = False) -> dict:
         """Append new docs over HTTP (reference POST /label-images):
         ids assigned after the current span, delta built through the
-        normal ``extend_index`` path, then the actor pool is swapped
-        for one that owns the new shards. ``delta_id`` is the content
-        hash, so the same payload extends at most once. The Ray delta
-        job and the new pool's start-up run under ``_extend_lock``
-        only — searches keep flowing against the CURRENT pool for
-        their whole duration (they see the pre-extend index, exactly a
+        normal ``extend_index`` path, then the next pool generation
+        (``ShardedQueryService.extended``) attaches the new shards to
+        the running actors — no actor starts and no other shard is
+        reloaded. ``delta_id`` is the content hash, so the same
+        payload extends at most once (and installs nothing). The Ray
+        delta job and the attach run under ``_extend_lock`` only —
+        searches keep flowing against the CURRENT generation for their
+        whole duration (they see the pre-extend index, exactly a
         rolling index update's semantics); ``_lock`` is taken just to
-        swap the pool reference at the end.
-        Concurrent extends serialize on ``_extend_lock`` (both the
-        doc-id span read and the delta build must not interleave)."""
+        swap the generation reference at the end. Returns the
+        generation serving afterwards. Concurrent extends serialize on
+        ``_extend_lock`` (both the doc-id span read and the delta
+        build must not interleave)."""
         import hashlib
         import json as _json
         import os
@@ -735,23 +749,26 @@ class IndexHTTPServer:
             )
             added = int(stats["n_docs"]) - int(before["n_docs"])
             if added:
-                self._swap_pool()
-        return {"added": added, "n_docs": int(stats["n_docs"])}
+                self._install(self.service.extended(stats))
+            return {"added": added, "n_docs": int(stats["n_docs"]),
+                    "generation": self.service.generation}
 
     def delete(self, doc_ids: list[int]) -> dict:
-        """Tombstone ``doc_ids`` (POST /delete) and swap in a pool
-        that honours them before returning, so the next request sees
-        the deletes. Serialized with the other index writers on
-        ``_extend_lock``."""
-        from .maintenance import delete_docs
+        """Tombstone ``doc_ids`` (POST /delete) and install a
+        tombstone-only generation (``ShardedQueryService.deleted``:
+        same actors, same shards, same docmeta and df cache) before
+        returning, so the next request sees the deletes. Returns the
+        generation serving afterwards. Serialized with the other index
+        writers on ``_extend_lock``."""
+        from .maintenance import delete_docs, load_tombstones
 
         with self._extend_lock:
             if self.service is None:  # reset raced in before us
                 raise RuntimeError("index was reset; rebuild and POST /reload")
             n = delete_docs(self.index_dir, doc_ids)
             if n:
-                self._swap_pool()
-        return {"tombstoned": n}
+                self._install(self.service.deleted(load_tombstones(self.index_dir)))
+            return {"tombstoned": n, "generation": self.service.generation}
 
     def _pool(self) -> ShardedQueryService | None:
         """The current pool generation; a request takes it once and
@@ -759,21 +776,22 @@ class IndexHTTPServer:
         with self._lock:
             return self.service
 
-    def _swap_pool(self) -> None:
-        """Start a pool over the index as it is on disk now, then swap
-        it in under ``_lock``. Caller holds ``_extend_lock``. The old
-        pool is DROPPED, not killed: a search mid-flight on it holds
-        its own reference, so its actors drain and are GC-collected
-        once the last in-flight call returns (killing them turned
-        concurrent searches into 500s)."""
-        new = ShardedQueryService(self.index_dir, num_actors=self.num_actors)
+    def _install(self, new: ShardedQueryService) -> None:
+        """Swap in the next generation under ``_lock``. Caller holds
+        ``_extend_lock``. The old generation is DROPPED, not killed: a
+        search mid-flight on it holds its own reference, and its actor
+        views are retired once the last such reference goes (killing
+        actors under a running search turned it into a 500). Its actor
+        set is killed then only if no live generation shares it, i.e.
+        after /reload or /reset."""
         with self._lock:
             self.service = new
 
     def reset(self) -> dict:
         """Delete the index and retire the pool (reference POST
         /reset-db). Confirmation is enforced by the HTTP handler; the
-        old pool's handles are dropped (in-flight searches drain).
+        generation is dropped, and its actors are killed once in-flight
+        searches have drained.
         Takes ``_extend_lock`` first (the global lock order), so a
         reset waits for an in-flight ingest rather than deleting the
         index directory out from under its delta job."""
@@ -785,16 +803,19 @@ class IndexHTTPServer:
         return {"removed": self.index_dir}
 
     def reload(self) -> dict:
-        """(Re-)attach the on-disk index with a fresh actor pool —
-        used after an out-of-band rebuild following /reset, and after
-        deletes or docmeta updates made outside the server."""
+        """(Re-)attach the on-disk index with a fresh actor set — used
+        after an out-of-band rebuild following /reset, after compact or
+        merge, and after deletes or docmeta updates made outside the
+        server. The previous actor set is killed once its last
+        generation is released."""
         import os
 
         with self._extend_lock:
             if not os.path.exists(os.path.join(self.index_dir, "stats.json")):
                 raise FileNotFoundError(f"{self.index_dir} has no built index")
-            self._swap_pool()
-            return {"n_docs": int(self.service.n_docs)}
+            self._install(ShardedQueryService(self.index_dir, num_actors=self.num_actors))
+            return {"n_docs": int(self.service.n_docs),
+                    "generation": self.service.generation}
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> "IndexHTTPServer":

@@ -1125,3 +1125,213 @@ def test_hydration_matches_offline_hydrate_and_reads_no_disk(tmp_path, monkeypat
     finally:
         monkeypatch.undo()
         srv.close()
+
+
+# ---------------------------------------------------------------------------
+# Pool generations: /extend and /delete derive the next generation on the
+# running actors
+
+
+def _hits(svc, query, k=10):
+    """(doc_id, score) top-k of ``query`` served by generation ``svc``."""
+    return [(h["doc_id"], h["score"])
+            for h in svc.topk([svc.compile("bm25", query)], k=k)]
+
+
+def test_held_generation_keeps_serving_its_index(tmp_path):
+    """A request that took its generation before an /extend or a
+    /delete keeps the pre-write index: searches on the held generation
+    are bitwise equal to a serial reader over a copy of the index taken
+    before the write, the new generation's to a reader over the index
+    after it. The held generation's hot term is warmed first, so the
+    new generation must not reuse partials computed under the old
+    avgdl."""
+    import shutil
+
+    idx = _small_index(str(tmp_path / "pin"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    queries = ["alpha", "alpha bravo", "zebra dup"]
+    try:
+        for write in ("extend", "delete"):
+            held = srv._pool()
+            before = str(tmp_path / f"before_{write}")
+            shutil.copytree(idx, before)
+            _hits(held, "alpha")
+            warm = held.counters()
+            _hits(held, "alpha")
+            assert sum(c["partial_hits"] for c in held.counters()) > \
+                sum(c["partial_hits"] for c in warm)
+            if write == "extend":
+                status, out = _req(srv.port, "/extend", {"docs": [
+                    {"content": f"alpha alpha zebra pinned{i}"} for i in range(6)]})
+                assert status == 200 and out["added"] == 6
+            else:
+                victim = _hits(held, "alpha", 1)[0][0]
+                status, out = _req(srv.port, "/delete", {"doc_ids": [victim]})
+                assert status == 200 and out["tombstoned"] == 1
+            new = srv._pool()
+            assert out["generation"] == new.generation != held.generation
+            assert _req(srv.port, "/stats")[1]["generation"] == new.generation
+            old_reader, new_reader = IndexReader(before), IndexReader(idx)
+            for q in queries:
+                assert _hits(held, q) == old_reader.search_taat(q, 10), (write, q)
+                assert _hits(new, q) == new_reader.search_taat(q, 10), (write, q)
+                _, page = _req(srv.port, "/search", {"query": q, "limit": 10})
+                assert [(h["doc_id"], h["score"]) for h in page] == \
+                    new_reader.search_taat(q, 10)
+            del held
+    finally:
+        srv.close()
+
+
+def _alive_query_actors() -> set[str]:
+    import ray._private.state
+
+    return {a["ActorID"] for a in ray._private.state.actors().values()
+            if a["ActorClassName"] == "ShardQueryActor" and a["State"] == "ALIVE"}
+
+
+def test_extend_and_delete_start_no_actor(tmp_path, monkeypatch):
+    """Ten /extend and three /delete calls start no actor process and
+    leave one view per actor. Compacting the index and a /reload then
+    start a fresh actor set that serves the compacted index, and the
+    old set is killed, so exactly ``num_actors`` ShardQueryActors of
+    this server are ALIVE."""
+    import shutil
+    import time
+
+    from information_retrieval_images_ray.pipelines import serving
+    from information_retrieval_images_ray.pipelines.maintenance import compact_index
+
+    before = _alive_query_actors()
+    idx = _small_index(str(tmp_path / "leak"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    started = []
+    real_remote = serving.ShardQueryActor.remote
+
+    def counting_remote(*a, **kw):
+        started.append(a)
+        return real_remote(*a, **kw)
+
+    try:
+        monkeypatch.setattr(serving.ShardQueryActor, "remote", counting_remote)
+        for i in range(10):
+            status, out = _req(srv.port, "/extend", {"docs": [
+                {"content": f"alpha leak{i} bravo"}, {"content": f"charlie leak{i}"}]})
+            assert status == 200 and out["added"] == 2
+            if i % 3 == 2:
+                _, hits = _req(srv.port, "/search", {"query": f"leak{i}", "limit": 1})
+                status, out = _req(srv.port, "/delete", {"doc_ids": [hits[0]["doc_id"]]})
+                assert status == 200 and out["tombstoned"] == 1
+        assert started == []
+        svc = srv._pool()
+        deadline = time.time() + 30
+        while any(c["views"] != 1 for c in svc.counters()) and time.time() < deadline:
+            time.sleep(0.1)
+        counters = svc.counters()
+        assert [c["views"] for c in counters] == [1, 1]
+        held = sorted(s for c in counters for s in c["shards"])
+        assert held == list(range(svc.stats["num_shards"]))
+        assert len(held) == 12  # 2 base shards + one per extend
+        del svc
+        compacted = str(tmp_path / "compacted")
+        compact_index(idx, compacted)
+        shutil.rmtree(idx)
+        shutil.copytree(compacted, idx)
+        status, out = _req(srv.port, "/reload", {})
+        assert status == 200 and out["generation"] == srv._pool().generation
+        assert out["n_docs"] == 60 + 20 - 3
+        assert len(started) == 2
+        for q in ("alpha", "leak3 charlie"):
+            _, page = _req(srv.port, "/search", {"query": q, "limit": 10})
+            assert [(h["doc_id"], h["score"]) for h in page] == \
+                IndexReader(compacted).search_taat(q, 10)
+        mine = {a._actor_id.hex() for a in srv._pool().actors}
+        deadline = time.time() + 30
+        while _alive_query_actors() - before != mine and time.time() < deadline:
+            time.sleep(0.1)
+        assert _alive_query_actors() - before == mine
+    finally:
+        monkeypatch.undo()
+        srv.close()
+
+
+def test_race_every_response_matches_a_generation(tmp_path):
+    """Four searcher threads race an interleaved /extend + /delete
+    sequence. Every response equals the brute-force BM25 top-k (k1 1.2,
+    b 0.75, score desc then doc_id asc) of one of the index states that
+    existed during the race: tombstoned docs leave the ranking but stay
+    in n_docs and avgdl until compaction, as in the engine."""
+    import sys
+    import threading
+
+    from information_retrieval_images_ray.functions.bm25 import bm25_brute_force
+    from information_retrieval_images_ray.functions.tokenizer import get_tokenizer
+
+    tok = get_tokenizer("simple")
+    rng = np.random.default_rng(61)
+    rows = [{"doc_id": i, "content": " ".join(
+        WORDS[j] for j in rng.integers(0, len(WORDS), 20))} for i in range(40)]
+    idx = str(tmp_path / "race")
+    build_index(ray.data.from_items(rows), idx, tokenizer="simple", num_shards=2)
+    docs = {r["doc_id"]: tok(r["content"]) for r in rows}
+    states = [(dict(docs), frozenset())]
+    queries = ["alpha", "bravo dup", "zebra echo golf"]
+    k = 5
+
+    def oracle(q, docs, tombs):
+        ranked = bm25_brute_force(docs, tok(q), k=len(docs))
+        return [(d, s) for d, s in ranked if d not in tombs][:k]
+
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    done = threading.Event()
+    seen: list[tuple[str, list]] = []
+    errors: list = []
+
+    def searcher(n):
+        while not done.is_set():
+            q = queries[n % len(queries)]
+            n += 1
+            try:
+                status, hits = _req(srv.port, "/search",
+                                    {"query": q, "limit": k, "hydrate": False})
+                seen.append((q, [(h["doc_id"], h["score"]) for h in hits]))
+            except Exception as e:  # noqa: BLE001 - any failure fails the test
+                errors.append(repr(e))
+
+    threads = [threading.Thread(target=searcher, args=(i,)) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    for t in threads:
+        t.start()
+    try:
+        for step in range(5):
+            docs, tombs = states[-1]
+            if step % 2 == 0:
+                span = _req(srv.port, "/stats")[1]["doc_id_span"]
+                new = [f"alpha bravo race{step} zebra" * (1 + i % 3) for i in range(4)]
+                status, out = _req(srv.port, "/extend",
+                                   {"docs": [{"content": c} for c in new]})
+                assert status == 200 and out["added"] == 4
+                docs = {**docs, **{span + i: tok(c) for i, c in enumerate(new)}}
+            else:
+                victims = {oracle(q, docs, tombs)[0][0] for q in queries[:2]}
+                status, out = _req(srv.port, "/delete", {"doc_ids": sorted(victims)})
+                assert status == 200
+                tombs = tombs | victims
+            states.append((docs, tombs))
+    finally:
+        done.set()
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(switch)
+        srv.close()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    want = {q: [oracle(q, d, t) for d, t in states] for q in queries}
+    served = set()
+    for q, got in seen:
+        match = [i for i, w in enumerate(want[q]) if got == w]
+        assert match, (q, got)
+        served.update(match)
+    assert len(seen) > 20 and len(served) > 2
