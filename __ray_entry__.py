@@ -262,14 +262,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         "q_bm25_filtered": lambda sf: flagship.run_bm25_queries_filtered(sf, lang="fr", k=10),
         # phrase search: conjunctive candidates from the postings, then
-        # distributed adjacency verification over a doc-id-pruned read
-        # phrase length 2 so every battery entry fills its top-10
+        # adjacency verified from the positions sidecar's (term, doc,
+        # positions) rows — no corpus re-read; phrase length 2 so every battery entry fills its top-10
         # (exercises the rank truncation, not just the verify filter)
         "q_phrase_topk": lambda sf: flagship.run_phrase_queries(sf, k=10, n_tokens=2),
-        # the positional-sidecar form of phrase search: adjacency
-        # verified from (term, doc, positions) rows, no corpus re-read;
-        # same semantics, so its oracle IS the phrase oracle
-        "q_phrase_positional": lambda sf: flagship.run_phrase_queries_positional(sf, k=10, n_tokens=2),
+        # the same phrase battery under its positional-sidecar key, so
+        # its oracle IS the phrase oracle
+        "q_phrase_positional": lambda sf: flagship.run_phrase_queries(sf, k=10, n_tokens=2),
         # proximity: all terms within a token window (minimal-cover
         # sweep over the sidecar's position lists), BM25-ranked
         "q_proximity_search": lambda sf: flagship.run_proximity_queries(sf, k=10),
@@ -314,7 +313,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # router (pooled df exchange) + OR scoring, anchor excluded
         "q_more_like_this": lambda sf: flagship.run_mlt_queries(sf, k=10),
         # snippets/highlighting: best fixed-window span per battery
-        # hit from the positional sidecar + the rendered snippet text
+        # hit over its tokenized text + the rendered snippet text
         "q_snippets": lambda sf: flagship.run_snippet_queries(sf, k=5, window=8),
         "q_index_segments": lambda sf: flagship.segment_summary(sf),
         # term vectors (_termvectors shape): anchor docs' (term, tf)
@@ -712,8 +711,8 @@ WHERE r.rnk <= {top_docs}
 
 def _prf_sql(k: int = 10, fb_docs: int = 5, fb_terms: int = 8,
              beta: float = 0.5) -> str:
-    """Pseudo-relevance-feedback oracle (query.py
-    IndexReader.search_prf): base ranking -> top-``fb_docs`` feedback
+    """Pseudo-relevance-feedback oracle (query.py mode ``prf``,
+    ``PlanRunner._resolve_feedback``): base ranking -> top-``fb_docs`` feedback
     set -> ``fb_terms`` expansion terms by summed-tf·idf (original
     terms excluded, term-asc tie-break) -> weighted OR re-score
     (original terms idf, expansion ``beta``·idf)."""
@@ -2032,10 +2031,8 @@ def _synonym_sql(k: int = 10) -> str:
     out-of-vocabulary expansions drop out of the tf/df joins, then the
     shared OR-of-terms BM25 tail scores and ranks."""
     from information_retrieval_images_ray.functions.tokenizer import tokenize_simple
-    from information_retrieval_images_ray.pipelines.flagship import (
-        SYNONYM_QUERIES,
-        SYNONYMS,
-    )
+    from information_retrieval_images_ray.pipelines.flagship import SYNONYM_QUERIES
+    from information_retrieval_images_ray.pipelines.query import SYNONYMS
 
     vals = []
     for q in SYNONYM_QUERIES:
@@ -2207,7 +2204,7 @@ def _boosted_sql(k: int = 10) -> str:
     repeated clauses sum their boosts), inlined as VALUES with exact
     float64 literals; scoring multiplies (boost · idf) FIRST and the
     length-normalized tf partial second, the engine's exact float
-    operation order (``search_boosted`` computes w = boost·idf once,
+    operation order (mode ``boosted`` computes w = boost·idf once,
     then w · partial per posting)."""
     from information_retrieval_images_ray.functions.tokenizer import tokenize_simple
     from information_retrieval_images_ray.pipelines.flagship import BOOSTED_QUERIES

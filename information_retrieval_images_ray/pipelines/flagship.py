@@ -1,6 +1,16 @@
-"""Flagship pipeline: BM25 index + top-k over the driver's `documents`
-table (the engine applied to shared testdata, with the SQL-parity
-`simple` tokenizer so DuckDB can act as the correctness oracle).
+"""Flagship batteries: the engine applied to the shared testdata
+`documents` table with the SQL-parity `simple` tokenizer, so DuckDB can
+act as the correctness oracle of every query mode.
+
+The frozen query batteries live here as module constants (the oracle
+SQL generators in ``__ray_entry__`` import them). Every ranked battery
+runs through ONE path, ``_run_battery``: a queries Dataset scored by
+the ``QueryScorer`` actor pool, each row compiled by ``compile_plan``
+and the batch ranked by ``IndexReader.topk``. The batteries whose
+distributed form differs from the serial one (cursor paging, collapse,
+facets, significant terms, more-like-this) run through the sharded
+router instead (``_service``). Results leave through one frame helper
+(``_frame``: int64 columns, scores rounded half-up at 1e-6).
 
 The built index is cached under /tmp keyed by the sf_dir path +
 config; the build's own manifest/fingerprint machinery makes a repeat
@@ -9,11 +19,14 @@ call a cheap no-op (reference idempotency, lifted — db.py:114-116).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 
+import numpy as np
 import pandas as pd
 
+from ..functions.tokenizer import tokenize_simple
 from ..sources.corpus_source import read_documents_table
 from .build import build_index
 from .query import IndexReader, QueryScorer
@@ -89,35 +102,17 @@ def run_bm25_cursor_queries(
     without recomputing the skipped ranks. Runs through the SHARDED
     service (per-actor cursor-filtered top-k over owned docs, router
     k-way merge); a query with <= k total hits pages to empty."""
-    import numpy as np
-    import pandas as pd
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
-        page1 = svc.topk(list(queries), k=k)
-        last: dict[int, tuple[float, int]] = {}
-        for r in page1:
-            last[r["qid"]] = (r["score"], r["doc_id"])  # rank ascends
-        q2 = [
+    with _service(sf_dir) as svc:
+        # rank ascends within a qid, so the last row kept is the cursor
+        last = {r["qid"]: (r["score"], r["doc_id"])
+                for r in svc.topk(list(queries), k=k)}
+        page2 = svc.topk([
             svc.compile("bm25", q["query"], {"search_after": last[q["qid"]]},
                         qid=q["qid"])
             for q in queries if q["qid"] in last
-        ]
-        page2 = svc.topk(q2, k=k) if q2 else []
-    finally:
-        svc.shutdown()
-    if not page2:
-        return pd.DataFrame({c: pd.Series(dtype="int64") for c in
-                             ["qid", "rank", "doc_id", "score_e6"]})
-    out = pd.DataFrame(page2)
-    out["rank"] = out["rank"] + k  # absolute ranks k+1..2k
-    out["score_e6"] = np.floor(
-        out["score"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out[["qid", "rank", "doc_id", "score_e6"]].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+        ], k=k)
+    # absolute ranks k+1..2k
+    return _frame([{**r, "rank": r["rank"] + k} for r in page2])
 
 
 def run_bm25_queries_merged(
@@ -327,19 +322,45 @@ def run_bm25_queries_dedup_build(
     return _run_battery(index_dir, queries, k)
 
 
+HIT_COLS = ["qid", "rank", "doc_id", "score_e6"]
+
+
+def _frame(rows: list[dict], cols=HIT_COLS, sort=("qid", "rank"),
+           text=()) -> pd.DataFrame:
+    """Result rows -> the typed battery frame over ``cols``, sorted by
+    ``sort``: a ``<x>_e6`` column is row field ``x`` rounded half-up
+    at 1e-6 (the oracle SQL's rounding), ``text`` columns stay
+    strings, every other column is int64 — the same schema with no
+    rows."""
+    data = {}
+    for c in cols:
+        if c.endswith("_e6"):
+            data[c] = np.floor(np.array([r[c[:-3]] for r in rows], np.float64)
+                               * 1e6 + 0.5).astype(np.int64)
+        else:
+            data[c] = pd.Series([r[c] for r in rows],
+                                dtype=object if c in text else "int64")
+    return pd.DataFrame(data).sort_values(list(sort)).reset_index(drop=True)
+
+
 def _run_battery(
     index_dir: str, queries, k: int, mode: str = "bm25", params: dict | None = None,
     doc_filter=None,
 ) -> pd.DataFrame:
-    import numpy as np
+    """The one battery runner: ``queries`` rows ({"qid", "query"} plus
+    any per-row plan options) as a Dataset scored by the ``QueryScorer``
+    actor pool, each row compiled as ``mode`` -> (qid, rank, doc_id,
+    score_e6)."""
     import ray
     import ray.data
 
+    queries = list(queries)
+    if not queries:
+        return _frame([])
     # load the index once, share it with the pool via the object store
     # (zero-copy per actor; see QueryScorer.reader_ref)
     reader_ref = ray.put(IndexReader(index_dir))
-    qds = ray.data.from_items(list(queries))
-    out = qds.map_batches(
+    out = ray.data.from_items(queries).map_batches(
         QueryScorer,
         fn_constructor_kwargs={
             "reader_ref": reader_ref, "k": k, "mode": mode, "params": params,
@@ -347,25 +368,49 @@ def _run_battery(
         },
         batch_format="pandas",
         concurrency=2,
+        # the pool reserves no CPU: a positional plan's verify is a
+        # nested Ray Data job started from inside the actor, and it must
+        # not wait on CPUs held by this pool (or by a finished battery's
+        # pool that has not been reclaimed yet)
+        num_cpus=0,
     ).to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    out["score_e6"] = np.floor(out["score"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out[["qid", "rank", "doc_id", "score_e6"]].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+    return _frame(out.to_dict("records"))
+
+
+@contextlib.contextmanager
+def _service(sf_dir: str):
+    """A two-actor ``ShardedQueryService`` over the documents index,
+    shut down on exit."""
+    from .serving import ShardedQueryService
+
+    svc = ShardedQueryService(build_documents_index(sf_dir), num_actors=2)
+    try:
+        yield svc
+    finally:
+        svc.shutdown()
+
+
+def _texts(sf_dir: str, doc_ids) -> dict[int, str]:
+    """doc_id -> text of ``doc_ids`` from ONE doc_id-pruned read of the
+    documents table (the stored-field access; never a corpus scan)."""
+    import pyarrow.dataset as pads
+
+    t = pads.dataset(f"{sf_dir}/documents.parquet", format="parquet").to_table(
+        columns=["doc_id", "text"],
+        filter=pads.field("doc_id").isin([int(d) for d in doc_ids]),
+    )
+    return dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
 
 
 def run_bm25_queries_prf(
     sf_dir: str, queries=BM25_QUERIES, k: int = 10, fb_docs: int = 5,
     fb_terms: int = 8, beta: float = 0.5,
 ) -> pd.DataFrame:
-    """The battery with pseudo-relevance-feedback expansion
-    (IndexReader.search_prf): base top-``fb_docs`` as the feedback
-    set, ``fb_terms`` expansion terms by summed-tf·idf (deterministic
-    term-asc tie-break), re-scored with original terms at idf weight
-    and expansion terms at ``beta``·idf. SQL-oracle-checkable because
+    """The battery with pseudo-relevance-feedback expansion (mode
+    ``prf``, ``PlanRunner._resolve_feedback``): base top-``fb_docs``
+    as the feedback set, ``fb_terms`` expansion terms by summed-tf·idf
+    (deterministic term-asc tie-break), re-scored with original terms
+    at idf weight and expansion terms at ``beta``·idf. SQL-oracle-checkable because
     every step (base ranking, term selection, weighted re-score) is a
     pure function of the tf/df/dl tables."""
     return _run_battery(
@@ -383,24 +428,15 @@ def run_bm25_explain(
     Per-doc contributions sum to the hit's ranked score bitwise
     (IndexReader.explain). Driver-side loop is battery-sized (8
     frozen queries), never data-sized."""
-    import numpy as np
-
     reader = IndexReader(build_documents_index(sf_dir))
-    rows = []
-    for q in queries:
-        hits = reader.search_taat(q["query"], top_docs)
-        for e in reader.explain(q["query"], [d for d, _ in hits]):
-            rows.append((
-                q["qid"], e["doc_id"], e["term"], e["tf"], e["df"],
-                int(np.floor(e["contribution"] * 1e6 + 0.5)),
-            ))
-    out = pd.DataFrame(
-        rows, columns=["qid", "doc_id", "term", "tf", "df",
-                       "contribution_e6"],
-    )
-    for c in ("qid", "doc_id", "tf", "df", "contribution_e6"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["qid", "doc_id", "term"]).reset_index(drop=True)
+    rows = [
+        {**e, "qid": q["qid"]}
+        for q in queries
+        for e in reader.explain(
+            q["query"], [d for d, _ in reader.search_taat(q["query"], top_docs)])
+    ]
+    return _frame(rows, ["qid", "doc_id", "term", "tf", "df", "contribution_e6"],
+                  sort=("qid", "doc_id", "term"), text=("term",))
 
 
 def segment_summary(sf_dir: str) -> pd.DataFrame:
@@ -468,19 +504,6 @@ FUZZY_QUERIES = [
 FUZZY_MAX_EDITS = 1
 FUZZY_MAX_EXPANSIONS = 8
 
-# Frozen query-time synonym map (one-directional: a query term pulls
-# in its expansions; expansions never chain). Mostly vocabulary words
-# so the OR-set really widens; 'rapid'/'huge' are deliberate
-# out-of-vocabulary expansions (df=0 terms must score nothing).
-SYNONYMS = {
-    "fast": ("quick", "rapid"),
-    "quick": ("fast",),
-    "merge": ("join",),
-    "table": ("row", "column"),
-    "stream": ("batch",),
-    "big": ("large", "huge"),
-    "small": ("big",),
-}
 # Frozen wildcard battery: prefix-ish, suffix (leading-* -> the
 # lazily-built per-shard REVERSED-term dictionary range), doubly-open
 # infix (the one remaining scan shape), no-hit and exact (no star).
@@ -536,89 +559,48 @@ SYNONYM_QUERIES = [
 ]
 
 
-# per clause battery: the row field holding the query text (boolean
-# rows carry must / should / must_not instead) and its compile options
-_BATTERY_PLANS = {
-    "boolean": (None, {}),
-    "prefix": ("prefix", {"max_expansions": PREFIX_MAX_EXPANSIONS}),
-    "fuzzy": ("word", {"max_edits": FUZZY_MAX_EDITS,
-                       "max_expansions": FUZZY_MAX_EXPANSIONS}),
-    "wildcard": ("pattern", {"max_expansions": WILDCARD_MAX_EXPANSIONS}),
-    "regex": ("pattern", {"max_expansions": REGEX_MAX_EXPANSIONS}),
-    "boosted": ("query", {}),
-    "synonym": ("query", {}),
-}
-
-
-class _ClauseScorer:
-    """Actor-pool callable for the clause/expansion batteries — same
-    pool shape as ``QueryScorer`` (reader shared zero-copy via
-    ``reader_ref``): each batch compiles to plans of one ``mode`` and
-    runs as one ``IndexReader.topk`` call."""
-
-    def __init__(self, reader_ref, k: int, mode: str):
-        import ray as _ray
-
-        self.reader = _ray.get(reader_ref)
-        self.k = k
-        self.mode = mode
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        field, opts = _BATTERY_PLANS[self.mode]
-        hits = self.reader.topk([
-            self.reader.compile(self.mode, row[field] if field else "",
-                                {**row, **opts}, qid=int(row["qid"]))
-            for row in batch.to_dict("records")
-        ], self.k)
-        return pd.DataFrame({
-            "qid": pd.Series([h["qid"] for h in hits], dtype="int64"),
-            "rank": pd.Series([h["rank"] for h in hits], dtype="int64"),
-            "doc_id": pd.Series([h["doc_id"] for h in hits], dtype="int64"),
-            "score": pd.Series([h["score"] for h in hits], dtype="float64"),
-        })
-
-
-def _run_clause_battery(sf_dir: str, queries, k: int, mode: str) -> pd.DataFrame:
-    import numpy as np
-    import ray
-    import ray.data
-
-    reader_ref = ray.put(IndexReader(build_documents_index(sf_dir)))
-    out = ray.data.from_items(list(queries)).map_batches(
-        _ClauseScorer,
-        fn_constructor_kwargs={"reader_ref": reader_ref, "k": k, "mode": mode},
-        batch_format="pandas",
-        concurrency=2,
-    ).to_pandas()
-    if out.empty:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    out["score_e6"] = np.floor(out["score"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out[["qid", "rank", "doc_id", "score_e6"]].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+def _with_query(queries, field: str | None) -> list[dict]:
+    """Battery rows with their ``field`` as the ``query`` text (boolean
+    rows carry must / should / must_not instead: query "")."""
+    return [{**q, "query": q[field] if field else ""} for q in queries]
 
 
 def run_boolean_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Boolean must/should/must_not battery (see BOOLEAN_QUERIES)."""
-    return _run_clause_battery(sf_dir, BOOLEAN_QUERIES, k, "boolean")
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(BOOLEAN_QUERIES, None), k,
+        mode="boolean",
+    )
 
 
 def run_prefix_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Prefix-expansion battery (see PREFIX_QUERIES)."""
-    return _run_clause_battery(sf_dir, PREFIX_QUERIES, k, "prefix")
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(PREFIX_QUERIES, "prefix"), k,
+        mode="prefix",
+        params={"max_expansions": PREFIX_MAX_EXPANSIONS},
+    )
 
 
 def run_fuzzy_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Fuzzy (edit-distance-1) battery (see FUZZY_QUERIES)."""
-    return _run_clause_battery(sf_dir, FUZZY_QUERIES, k, "fuzzy")
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(FUZZY_QUERIES, "word"), k,
+        mode="fuzzy",
+        params={"max_edits": FUZZY_MAX_EDITS,
+                "max_expansions": FUZZY_MAX_EXPANSIONS},
+    )
 
 
 def run_wildcard_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Wildcard battery (see WILDCARD_QUERIES): dictionary expansion
-    via prefix-range scan + anchored regex tail (leading-* falls back
-    to a dictionary scan — the reversed-dictionary seam), OR-scored."""
-    return _run_clause_battery(sf_dir, WILDCARD_QUERIES, k, "wildcard")
+    via prefix-range scan + anchored regex tail (leading-* probes the
+    reversed-term dictionary), OR-scored."""
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(WILDCARD_QUERIES, "pattern"), k,
+        mode="wildcard",
+        params={"max_expansions": WILDCARD_MAX_EXPANSIONS},
+    )
 
 
 def run_regex_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
@@ -626,14 +608,33 @@ def run_regex_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     literal-prefix range probe + anchored full match (patterns with a
     class/alternation head fall back to a dictionary scan), OR-scored
     with per-term idf."""
-    return _run_clause_battery(sf_dir, REGEX_QUERIES, k, "regex")
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(REGEX_QUERIES, "pattern"), k,
+        mode="regex",
+        params={"max_expansions": REGEX_MAX_EXPANSIONS},
+    )
 
 
 def run_boosted_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
     """Boosted battery (see BOOSTED_QUERIES): Lucene ``term^boost``
     clause syntax, each term scoring boost·idf through the weighted OR
     path — an unboosted query is bitwise plain BM25."""
-    return _run_clause_battery(sf_dir, BOOSTED_QUERIES, k, "boosted")
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(BOOSTED_QUERIES, "query"), k,
+        mode="boosted",
+    )
+
+
+def run_synonym_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
+    """Query-time synonym expansion battery: every query term pulls in
+    its ``query.SYNONYMS`` expansions (one hop, no chaining), the
+    widened set is OR-scored with per-term idf — the
+    SynonymGraphFilter-at-query-time contract. Out-of-vocabulary
+    expansions contribute nothing."""
+    return _run_battery(
+        build_documents_index(sf_dir), _with_query(SYNONYM_QUERIES, "query"), k,
+        mode="synonym",
+    )
 
 
 def run_collapse_queries(
@@ -649,38 +650,14 @@ def run_collapse_queries(
     (per-actor leader+count partials, router max-merge + count sum),
     so the oracle checks the distributed path. Identity with the
     serial reader is asserted in tests/test_query_modes.py."""
-    import numpy as np
-    import pandas as pd
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
+    with _service(sf_dir) as svc:
         rows = svc.topk([
             svc.compile("collapse", q["query"], {"collapse_field": field},
                         qid=q["qid"])
             for q in queries
         ], k=k)
-    finally:
-        svc.shutdown()
-    if not rows:
-        return pd.DataFrame({
-            "qid": pd.Series(dtype="int64"),
-            "rank": pd.Series(dtype="int64"),
-            "doc_id": pd.Series(dtype="int64"),
-            "score_e6": pd.Series(dtype="int64"),
-            field: pd.Series(dtype="object"),
-            "group_n": pd.Series(dtype="int64"),
-        })
-    out = pd.DataFrame(rows)
-    out["score_e6"] = np.floor(
-        out["score"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out.rename(columns={"group": field})
-    out = out[["qid", "rank", "doc_id", "score_e6", field, "group_n"]]
-    for c in ("qid", "rank", "doc_id", "group_n"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+    return _frame([{**r, field: r["group"]} for r in rows],
+                  HIT_COLS + [field, "group_n"], text=(field,))
 
 
 # Frozen range-facet bucket edges (token-length histogram; the last
@@ -699,25 +676,12 @@ def run_length_facet_queries(
     docs, router bucket-edge sum — presence-only, no df exchange);
     identity with the serial reader is asserted in
     tests/test_query_modes.py."""
-    import pandas as pd
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
+    with _service(sf_dir) as svc:
         per_q = svc.length_facets(list(queries), list(edges))
-    finally:
-        svc.shutdown()
-    rows = [
-        (q["qid"], r["lo"], r["n"])
-        for q, buckets in zip(queries, per_q)
-        for r in buckets
-    ]
-    out = pd.DataFrame(rows, columns=["qid", "bucket_lo", "n_docs"])
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["qid", "bucket_lo"]).reset_index(drop=True)
+    return _frame([
+        {"qid": q["qid"], "bucket_lo": r["lo"], "n_docs": r["n"]}
+        for q, buckets in zip(queries, per_q) for r in buckets
+    ], ["qid", "bucket_lo", "n_docs"], sort=("qid", "bucket_lo"))
 
 
 def run_significant_queries(
@@ -731,30 +695,10 @@ def run_significant_queries(
     pruned docterms read + df exchange at the router; identity with
     the serial reader is asserted in tests/test_query_modes.py.
     Columns: qid, rank, term, fg_df, df, lor_e6."""
-    import numpy as np
-    import pandas as pd
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
+    with _service(sf_dir) as svc:
         rows = svc.topk_significant(list(queries), k=k, sample_n=sample_n)
-    finally:
-        svc.shutdown()
-    cols = ["qid", "rank", "term", "fg_df", "df", "lor_e6"]
-    if not rows:
-        return pd.DataFrame({
-            c: pd.Series(dtype="object" if c == "term" else "int64")
-            for c in cols
-        })
-    out = pd.DataFrame(rows)
-    out["lor_e6"] = np.floor(
-        out["lor"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out[cols]
-    for c in ("qid", "rank", "fg_df", "df"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+    return _frame(rows, ["qid", "rank", "term", "fg_df", "df", "lor_e6"],
+                  text=("term",))
 
 
 def run_term_vector_queries(sf_dir: str, anchors=None) -> pd.DataFrame:
@@ -763,23 +707,11 @@ def run_term_vector_queries(sf_dir: str, anchors=None) -> pd.DataFrame:
     from ONE doc_id-pruned read of the index's own docterms checkpoint
     plus the exact global df — the stored-field inspection surface
     next to the ranked one. Columns: doc_id, term, tf, df."""
-    import pandas as pd
-
     reader = IndexReader(build_documents_index(sf_dir))
     rows = reader.term_vectors(
         list(PHRASE_ANCHORS if anchors is None else anchors))
-    out = pd.DataFrame(rows, columns=["doc_id", "term", "tf", "df"])
-    for c in ("doc_id", "tf", "df"):
-        out[c] = out[c].astype("int64")
-    return out.sort_values(["doc_id", "term"]).reset_index(drop=True)
-
-
-def run_synonym_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Query-time synonym expansion battery: every query term pulls in
-    its SYNONYMS expansions (one hop, no chaining), the widened set is
-    OR-scored with per-term idf — the SynonymGraphFilter-at-query-time
-    contract. Out-of-vocabulary expansions contribute nothing."""
-    return _run_clause_battery(sf_dir, SYNONYM_QUERIES, k, "synonym")
+    return _frame(rows, ["doc_id", "term", "tf", "df"], sort=("doc_id", "term"),
+                  text=("term",))
 
 
 def run_facet_queries(
@@ -798,33 +730,19 @@ def run_facet_queries(
     no df exchange needed: presence is idf-free), so the oracle checks
     the distributed path. Identity with the serial reader is asserted
     in tests/test_serving.py."""
-    import pandas as pd
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
+    with _service(sf_dir) as svc:
         per_q = svc.facets(list(queries), list(facet_cols))
-    finally:
-        svc.shutdown()
     # docmeta stores the documents table's `source` under `repo`
     # (read_documents_table's corpus-shape mapping) — surface the
     # original table column name to the user / oracle
     display = {"repo": "source"}
-    rows = []
-    for q, fc in zip(queries, per_q):
-        for col in facet_cols:
-            for value, n in fc[col].items():
-                rows.append((q["qid"], display.get(col, col), value, n))
-    out = pd.DataFrame(
-        rows, columns=["qid", "facet_field", "facet_value", "n_docs"]
-    )
-    out["qid"] = out["qid"].astype("int64")
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return out.sort_values(
-        ["qid", "facet_field", "facet_value"]
-    ).reset_index(drop=True)
+    cols = ["qid", "facet_field", "facet_value", "n_docs"]
+    return _frame([
+        dict(zip(cols, (q["qid"], display.get(col, col), value, n)))
+        for q, fc in zip(queries, per_q)
+        for col in facet_cols
+        for value, n in fc[col].items()
+    ], cols, sort=cols[:3], text=("facet_field", "facet_value"))
 
 
 # anchor doc ids whose first tokens become the frozen phrase battery
@@ -845,220 +763,51 @@ def run_mlt_queries(
     distributed selection + scatter-gather path end to end. Anchor
     text is one doc-id-pruned parquet read (the stored-field access
     Lucene MLT re-analyzes; never a corpus scan)."""
-    import numpy as np
-    import pyarrow.dataset as pads
-
-    from .serving import ShardedQueryService
-
-    index_dir = build_documents_index(sf_dir)
-    anchor_t = pads.dataset(
-        f"{sf_dir}/documents.parquet", format="parquet"
-    ).to_table(
-        columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(list(anchors)),
-    )
-    texts = dict(zip(anchor_t["doc_id"].to_pylist(), anchor_t["text"].to_pylist()))
-    svc = ShardedQueryService(index_dir, num_actors=2)
-    try:
+    texts = _texts(sf_dir, anchors)
+    with _service(sf_dir) as svc:
         hits = svc.topk([
             svc.compile("more_like_this", texts.get(a) or "",
                         {"max_terms": max_terms, "exclude_doc": a}, qid=a)
             for a in anchors
         ], k=k)
-    finally:
-        svc.shutdown()
-    if not hits:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    out = pd.DataFrame(hits)
-    out["score_e6"] = np.floor(
-        out["score"].to_numpy(np.float64) * 1e6 + 0.5).astype(np.int64)
-    out = out[["qid", "rank", "doc_id", "score_e6"]].astype("int64")
-    return out.sort_values(["qid", "rank"]).reset_index(drop=True)
+    return _frame(hits)
+
+
+def build_positional_index(sf_dir: str) -> str:
+    """The documents index with its positions sidecar (both builds
+    idempotent) — what the phrase / proximity / span-near plans verify
+    against."""
+    from .positions import build_positions_sidecar
+
+    index_dir = build_documents_index(sf_dir)
+    build_positions_sidecar(read_documents_table(sf_dir), index_dir)
+    return index_dir
 
 
 def run_phrase_queries(
     sf_dir: str, k: int = 10, n_tokens: int = 3, anchors=PHRASE_ANCHORS,
 ) -> pd.DataFrame:
     """Phrase search (exact contiguous-token match) over the documents
-    index: for each anchor doc, the phrase is its first ``n_tokens``
-    tokens; results are docs whose token stream CONTAINS that phrase,
-    ranked by the BM25 score of the phrase's terms (the standard
-    "phrase filter + rank" semantics; the reference's engine has no
-    phrase operator — Milvus is vector-only — so this is fulltext
-    surface the reference can't express).
+    index: for each anchor doc (qid = its doc_id) the phrase is its
+    first ``n_tokens`` tokens; results are docs whose token stream
+    CONTAINS that phrase, ranked by the BM25 score of the phrase's
+    distinct terms (the standard "phrase filter + rank" semantics; the
+    reference's engine has no phrase operator — Milvus is vector-only
+    — so this is fulltext surface the reference can't express).
 
-    Two-stage plan, index-first:
-
-    1. **candidates** — ``IndexReader.conjunctive_scores``: docs
-       containing EVERY phrase term (AND over postings), scores
-       accumulated in the same TAAT pass. No corpus text touched.
-    2. **adjacency verify** — one doc-id-pruned parquet read of just
-       the candidate union (predicate pushdown skips non-candidate row
-       groups), tokenized per batch in an actor pool; a doc matches if
-       ``" ".join(tokens)`` contains the space-joined phrase with
-       space padding (tokens are [a-z0-9]+ — exactly the contiguous
-       subsequence test, and exactly what the SQL oracle's LIKE does).
-
-    The candidate stage prunes hard for multi-word phrases (AND of
-    dfs), so the verify scan is tiny relative to the corpus. A
-    positional-postings sidecar (positions per (term, doc) written at
-    build, adjacency checked by intersecting position lists) is the
-    documented optimization seam for phrase-heavy workloads — it drops
-    stage 2's text re-read entirely at the cost of index bytes.
-    """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.dataset as pads
-    import ray
-    import ray.data
-
-    from ..functions.tokenizer import tokenize_simple
-
-    index_dir = build_documents_index(sf_dir)
-    reader = IndexReader(index_dir)
-    src = f"{sf_dir}/documents.parquet"
-
-    anchor_t = pads.dataset(src, format="parquet").to_table(
-        columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(list(anchors)),
-    )
-    texts = dict(zip(anchor_t["doc_id"].to_pylist(), anchor_t["text"].to_pylist()))
-
-    phrases: dict[int, list[str]] = {}
-    cands: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for qid in anchors:
-        toks = tokenize_simple(texts.get(qid) or "")[:n_tokens]
-        if not toks:
-            continue
-        phrases[qid] = toks
-        cands[qid] = reader.conjunctive_scores(toks)
-
-    empty = pd.DataFrame(
-        {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-    )
-    union = np.unique(np.concatenate(
-        [ids for ids, _ in cands.values()] or [np.empty(0, np.int64)]
-    ))
-    if not len(union):
-        return empty
-
-    payload = ray.put({
-        qid: (" ".join(toks), cands[qid][0]) for qid, toks in phrases.items()
-    })
-
-    class VerifyAdjacency:
-        def __init__(self):
-            self.ph = ray.get(payload)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            padded = [
-                " " + " ".join(tokenize_simple(tx or "")) + " "
-                for tx in batch["text"].to_pylist()
-            ]
-            out_q, out_d = [], []
-            for qid, (pstr, pids) in self.ph.items():
-                needle = f" {pstr} "
-                for j in np.flatnonzero(np.isin(ids, pids)):
-                    if needle in padded[j]:
-                        out_q.append(qid)
-                        out_d.append(int(ids[j]))
-            return pa.table({
-                "qid": pa.array(out_q, pa.int64()),
-                "doc_id": pa.array(out_d, pa.int64()),
-            })
-
-    matched = (
-        ray.data.read_parquet(
-            src, columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(pa.array(union, pa.int64())),
-        )
-        .map_batches(VerifyAdjacency, batch_format="pyarrow", concurrency=(1, 4))
-        .to_pandas()
-    )
-    if matched.empty:
-        return empty
-
-    frames = []
-    for qid in sorted(phrases):
-        ids, scores = cands[qid]
-        hit = np.unique(
-            matched.loc[matched["qid"] == qid, "doc_id"].to_numpy(np.int64)
-        )
-        frame = _rank_verified(qid, ids, scores, hit, k)
-        if frame is not None:
-            frames.append(frame)
-    if not frames:
-        return empty
-    return pd.concat(frames, ignore_index=True).astype("int64")
-
-
-def _rank_verified(qid, cand_ids, cand_scores, hit, k) -> pd.DataFrame | None:
-    """Shared tail of the verify-then-rank queries (phrase/proximity):
-    take the verified subset of the conjunctive candidates, rank by
-    (score desc, doc_id asc), truncate to k."""
-    import numpy as np
-
-    if not len(hit):
-        return None
-    s = cand_scores[np.searchsorted(cand_ids, hit)]  # ids sorted by contract
-    order = np.lexsort((hit, -s))[: min(k, len(hit))]
-    return pd.DataFrame({
-        "qid": np.full(len(order), qid, np.int64),
-        "rank": np.arange(1, len(order) + 1, dtype=np.int64),
-        "doc_id": hit[order],
-        "score_e6": np.floor(s[order] * 1e6 + 0.5).astype(np.int64),
-    })
-
-
-def run_phrase_queries_positional(
-    sf_dir: str, k: int = 10, n_tokens: int = 3, anchors=PHRASE_ANCHORS,
-) -> pd.DataFrame:
-    """The positional-index form of ``run_phrase_queries``: identical
-    semantics and output (same candidates, same ranking — its oracle is
-    the same phrase SQL), but adjacency is verified from the positional
-    sidecar's (term, doc, positions) rows instead of re-reading and
-    re-tokenizing candidate text. The sidecar read is pushdown-pruned
-    to the phrase's terms and candidate ids, so the verify stage costs
-    O(candidate postings), not O(candidate text bytes)."""
-    import numpy as np
-    import pyarrow.dataset as pads
-
-    from ..functions.tokenizer import tokenize_simple
-    from ..sources.corpus_source import read_documents_table
-    from .positions import build_positions_sidecar, verify_phrase_positions
-
-    index_dir = build_documents_index(sf_dir)
-    build_positions_sidecar(read_documents_table(sf_dir), index_dir)
-    reader = IndexReader(index_dir)
-
-    anchor_t = pads.dataset(
-        f"{sf_dir}/documents.parquet", format="parquet"
-    ).to_table(
-        columns=["doc_id", "text"],
-        filter=pads.field("doc_id").isin(list(anchors)),
-    )
-    texts = dict(zip(anchor_t["doc_id"].to_pylist(), anchor_t["text"].to_pylist()))
-
-    frames = []
-    for qid in anchors:
-        toks = tokenize_simple(texts.get(qid) or "")[:n_tokens]
-        if not toks:
-            continue
-        ids, scores = reader.conjunctive_scores(toks)
-        if not len(ids):
-            continue
-        hit = verify_phrase_positions(index_dir, toks, ids)
-        frame = _rank_verified(qid, ids, scores, hit, k)
-        if frame is not None:
-            frames.append(frame)
-    if not frames:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    return pd.concat(frames, ignore_index=True).astype("int64")
+    A ``phrase`` plan: conjunctive candidates (docs with EVERY phrase
+    term, scored in the same pass), then adjacency verified from the
+    positions sidecar's (term, doc, positions) rows, pushdown-pruned
+    to the phrase's terms and the candidate ids — no corpus re-read
+    (``PlanRunner._verify``)."""
+    index_dir = build_positional_index(sf_dir)
+    texts = _texts(sf_dir, anchors)
+    rows = []
+    for a in anchors:
+        toks = tokenize_simple(texts.get(a) or "")[:n_tokens]
+        if toks:
+            rows.append({"qid": a, "query": " ".join(toks)})
+    return _run_battery(index_dir, rows, k, mode="phrase")
 
 
 def run_snippet_queries(
@@ -1067,65 +816,27 @@ def run_snippet_queries(
     """Snippet/highlight generation for the BM25 battery's top-k hits:
     per hit, the best ``window``-token span (max distinct query terms
     inside, ties leftmost; candidate starts are the query terms'
-    occurrence positions) plus the snippet TEXT — the highlighter every
-    search UI needs, computed index-first:
-
-    1. ranked hits from the battery (the existing top-k path);
-    2. ``best_window_positions`` over the positional sidecar, pruned
-       to (query terms × hit ids) — never a corpus scan;
-    3. ONE doc-id-pruned corpus read of just the hit docs to render
-       the snippet string (tokens[start : start+window] joined).
+    occurrence positions — ``positions.best_window``) plus the snippet
+    TEXT: the battery's ranked hits, then ONE doc-id-pruned read of
+    just the hit docs, tokenized once for both the window and the
+    rendered span (tokens[start : start+window] joined).
 
     Output (qid, doc_id, snip_start, n_match, snippet)."""
-    import numpy as np
-    import pyarrow.dataset as pads
+    from .positions import best_window
 
-    from ..functions.tokenizer import tokenize_simple
-    from ..sources.corpus_source import read_documents_table
-    from .positions import best_window_positions, build_positions_sidecar
-
-    index_dir = build_documents_index(sf_dir)
-    build_positions_sidecar(read_documents_table(sf_dir), index_dir)
     hits = run_bm25_queries(sf_dir, queries=queries, k=k)
-
-    all_ids = np.unique(hits["doc_id"].to_numpy(np.int64)) if len(hits) else []
-    texts: dict[int, str] = {}
-    if len(all_ids):
-        t = pads.dataset(
-            f"{sf_dir}/documents.parquet", format="parquet"
-        ).to_table(
-            columns=["doc_id", "text"],
-            filter=pads.field("doc_id").isin(list(all_ids)),
-        )
-        texts = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
-
-    frames = []
-    for q in queries:
-        terms = sorted(set(tokenize_simple(q["query"])))
-        ids = hits.loc[hits["qid"] == q["qid"], "doc_id"].to_numpy(np.int64)
-        if not len(ids) or not terms:
-            continue
-        best = best_window_positions(index_dir, terms, window, ids)
-        if best.empty:
-            continue
-        best.insert(0, "qid", int(q["qid"]))
-        snips = []
-        for _, r in best.iterrows():
-            toks = tokenize_simple(texts.get(int(r["doc_id"])) or "")
-            s = int(r["snip_start"])
-            snips.append(" ".join(toks[s:s + window]))
-        best["snippet"] = snips
-        frames.append(best)
-    if not frames:
-        return pd.DataFrame({
-            "qid": pd.Series(dtype="int64"),
-            "doc_id": pd.Series(dtype="int64"),
-            "snip_start": pd.Series(dtype="int64"),
-            "n_match": pd.Series(dtype="int64"),
-            "snippet": pd.Series(dtype="str"),
-        })
-    out = pd.concat(frames, ignore_index=True)
-    return out.sort_values(["qid", "doc_id"]).reset_index(drop=True)
+    texts = _texts(sf_dir, np.unique(hits["doc_id"].to_numpy(np.int64)))
+    terms = {q["qid"]: set(tokenize_simple(q["query"])) for q in queries}
+    rows = []
+    for qid, doc in zip(hits["qid"].tolist(), hits["doc_id"].tolist()):
+        toks = tokenize_simple(texts.get(doc) or "")
+        got = best_window(toks, terms[qid], window)
+        if got is not None:
+            rows.append({"qid": qid, "doc_id": doc, "snip_start": got[0],
+                         "n_match": got[1],
+                         "snippet": " ".join(toks[got[0]:got[0] + window])})
+    return _frame(rows, ["qid", "doc_id", "snip_start", "n_match", "snippet"],
+                  sort=("qid", "doc_id"), text=("snippet",))
 
 
 # Frozen span-near battery: terms must appear IN THE GIVEN ORDER within
@@ -1144,37 +855,13 @@ SPANNEAR_QUERIES = [
 
 
 def run_spannear_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Ordered span-near search over the positional sidecar: candidates
-    are the conjunctive (all-terms) docs from the postings, verification
-    is the greedy ordered-chain sweep (`verify_spannear_positions`),
-    ranking is the BM25 sum over the DISTINCT query terms (all present
-    by construction) — the same rank surface as phrase/proximity."""
-    import numpy as np
-
-    from ..functions.tokenizer import tokenize_simple
-    from ..sources.corpus_source import read_documents_table
-    from .positions import build_positions_sidecar, verify_spannear_positions
-
-    index_dir = build_documents_index(sf_dir)
-    build_positions_sidecar(read_documents_table(sf_dir), index_dir)
-    reader = IndexReader(index_dir)
-
-    frames = []
-    for q in SPANNEAR_QUERIES:
-        ordered = tokenize_simple(q["terms"])  # order preserved
-        terms = sorted(set(ordered))
-        ids, scores = reader.conjunctive_scores(terms)
-        if not len(ids):
-            continue
-        hit = verify_spannear_positions(index_dir, ordered, q["window"], ids)
-        frame = _rank_verified(q["qid"], ids, scores, hit, k)
-        if frame is not None:
-            frames.append(frame)
-    if not frames:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    return pd.concat(frames, ignore_index=True).astype("int64")
+    """Ordered span-near battery (see SPANNEAR_QUERIES): a ``span_near``
+    plan per row — conjunctive candidates, the greedy ordered-chain
+    sweep over the positions sidecar, ranked by the BM25 sum over the
+    DISTINCT query terms (all present by construction) — the same rank
+    surface as phrase/proximity."""
+    return _run_battery(build_positional_index(sf_dir),
+                        _with_query(SPANNEAR_QUERIES, "terms"), k, mode="span_near")
 
 
 # Frozen proximity battery: ALL terms within a `window`-token span
@@ -1191,32 +878,9 @@ PROXIMITY_QUERIES = [
 
 
 def run_proximity_queries(sf_dir: str, k: int = 10) -> pd.DataFrame:
-    """Proximity search over the positional sidecar: candidates are the
-    conjunctive (all-terms) docs from the postings, verification is the
-    minimal-cover sweep over their position lists, ranking is the BM25
-    sum of the query terms (same scores as the conjunctive stage)."""
-    import numpy as np
-
-    from ..functions.tokenizer import tokenize_simple
-    from ..sources.corpus_source import read_documents_table
-    from .positions import build_positions_sidecar, verify_proximity_positions
-
-    index_dir = build_documents_index(sf_dir)
-    build_positions_sidecar(read_documents_table(sf_dir), index_dir)
-    reader = IndexReader(index_dir)
-
-    frames = []
-    for q in PROXIMITY_QUERIES:
-        terms = sorted(set(tokenize_simple(q["terms"])))
-        ids, scores = reader.conjunctive_scores(terms)
-        if not len(ids):
-            continue
-        hit = verify_proximity_positions(index_dir, terms, q["window"], ids)
-        frame = _rank_verified(q["qid"], ids, scores, hit, k)
-        if frame is not None:
-            frames.append(frame)
-    if not frames:
-        return pd.DataFrame(
-            {c: pd.Series(dtype="int64") for c in ["qid", "rank", "doc_id", "score_e6"]}
-        )
-    return pd.concat(frames, ignore_index=True).astype("int64")
+    """Proximity battery (see PROXIMITY_QUERIES): a ``proximity`` plan
+    per row — conjunctive candidates, the minimal-cover sweep over the
+    positions sidecar, ranked by the BM25 sum of the query terms (same
+    scores as the conjunctive stage)."""
+    return _run_battery(build_positional_index(sf_dir),
+                        _with_query(PROXIMITY_QUERIES, "terms"), k, mode="proximity")

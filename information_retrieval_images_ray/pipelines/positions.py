@@ -1,15 +1,15 @@
 """Positional-postings sidecar: token positions per (term, doc), and
-the query operators they enable — positional phrase verification (no
-corpus re-read at query time) and proximity search (all terms within a
-token window).
+the query operators they enable — positional phrase verification,
+proximity search (all terms within a token window) and ordered
+span-near — plus the token-domain snippet window (``best_window``).
 
-This is the optimization seam `flagship.run_phrase_queries` documents:
-its adjacency-verify stage re-reads candidate docs' TEXT and
-re-tokenizes. The sidecar moves that cost to build time, the standard
-fulltext-index trade (Lucene stores positions in the postings for
-exactly this): at query time a phrase touches only the (term, doc_id,
-positions) rows of its terms — a predicate-pushdown parquet read —
-never the corpus.
+The sidecar is what the ``phrase`` / ``proximity`` / ``span_near``
+plans verify their conjunctive candidates against
+(``PlanRunner._verify``): at query time a phrase touches only the
+(term, doc_id, positions) rows of its terms — a predicate-pushdown
+parquet read — never the corpus, the standard fulltext-index trade
+(Lucene stores positions in the postings for exactly this) of
+build-time cost and index bytes for query-time reads.
 
 Layout: ``<index_dir>/positions/shard=K/*.parquet`` with rows
 ``(term, doc_id: int64, positions: list<int32>)``; positions are
@@ -475,49 +475,31 @@ def verify_spannear_positions(
     return np.sort(out["doc_id"].to_numpy(np.int64))
 
 
-def best_window_positions(
-    index_dir: str, terms: list[str], window: int, cand_ids: np.ndarray,
-) -> pd.DataFrame:
-    """Per candidate doc, the best fixed-``window``-token snippet
-    anchor for highlighting: the start position maximizing the number
-    of DISTINCT query terms whose positions fall in
-    ``[start, start + window - 1]``, ties broken leftmost (smallest
-    start). Candidate starts are exactly the query terms' occurrence
-    positions — a window scoring more distinct terms than every
-    occurrence-anchored window cannot exist, since sliding a window
-    right to its first contained occurrence never drops a term.
-
-    Returns (doc_id, snip_start, n_match), one row per doc with ≥1
-    occurrence. Distributed the same way as the verify operators: a
-    ``groupby(doc_id).map_groups`` over the pushdown-pruned sidecar
-    rows — O(occurrences² / doc) worst case but bounded by the pruned
-    read, never a corpus scan."""
-    uniq = sorted(set(terms))
-    empty = pd.DataFrame({
-        "doc_id": pd.Series(dtype="int64"),
-        "snip_start": pd.Series(dtype="int64"),
-        "n_match": pd.Series(dtype="int64"),
-    })
-    if not len(cand_ids) or not uniq:
-        return empty
-    ds = _read_positions(index_dir, uniq, cand_ids)
-
-    def per_doc(g: pd.DataFrame) -> pd.DataFrame:
-        pos = {t: np.asarray(p, np.int64) for t, p in zip(g["term"], g["positions"])}
-        starts = np.unique(np.concatenate(list(pos.values())))
-        n = np.zeros(len(starts), np.int64)
-        for p in pos.values():
-            lo = np.searchsorted(p, starts)
-            hi = np.searchsorted(p, starts + window)  # [s, s+window-1]
-            n += (hi > lo).astype(np.int64)
-        best = int(np.argmax(n))  # first max -> leftmost tie-break
-        return pd.DataFrame({
-            "doc_id": [int(g["doc_id"].iloc[0])],
-            "snip_start": [int(starts[best])],
-            "n_match": [int(n[best])],
-        })
-
-    out = ds.groupby("doc_id").map_groups(per_doc).to_pandas()
-    if out.empty:
-        return empty
-    return out.sort_values("doc_id").reset_index(drop=True).astype("int64")
+def best_window(
+    tokens: list[str], qterms: set[str], window: int,
+) -> tuple[int, int] | None:
+    """The best fixed-``window``-token snippet of a token stream for
+    highlighting: (start, n_match), the start maximizing the number of
+    DISTINCT ``qterms`` inside ``[start, start + window - 1]``, ties
+    broken leftmost; None when no query term occurs. Candidate starts
+    are exactly the query terms' occurrence positions — a window
+    scoring more distinct terms than every occurrence-anchored window
+    cannot exist, since sliding a window right to its first contained
+    occurrence never drops a term. Token-domain on purpose: every
+    caller (the snippet battery, HTTP /search and the CLI) reads the
+    hit's text anyway to render the snippet."""
+    pos: dict[str, list[int]] = {}
+    for i, t in enumerate(tokens):
+        if t in qterms:
+            pos.setdefault(t, []).append(i)
+    if not pos:
+        return None
+    starts = sorted({i for ps in pos.values() for i in ps})
+    best_s, best_n = starts[0], -1
+    for s in starts:
+        n = sum(
+            1 for ps in pos.values() if any(s <= p < s + window for p in ps)
+        )
+        if n > best_n:
+            best_s, best_n = s, n
+    return best_s, best_n

@@ -344,6 +344,21 @@ class _ShardIndex:
 
 # -- query plans ---------------------------------------------------------------
 
+# The frozen query-time synonym map of mode ``synonym`` (one-directional:
+# a query term pulls in its expansions; expansions never chain). Mostly
+# words of the documents-table vocabulary, so the synonym battery's
+# OR-set really widens; 'rapid'/'huge' are deliberate out-of-vocabulary
+# expansions (df=0 terms must score nothing).
+SYNONYMS = {
+    "fast": ("quick", "rapid"),
+    "quick": ("fast",),
+    "merge": ("join",),
+    "table": ("row", "column"),
+    "stream": ("batch",),
+    "big": ("large", "huge"),
+    "small": ("big",),
+}
+
 MODES = (
     "bm25", "boolean", "prefix", "fuzzy", "wildcard", "regex", "boosted",
     "collapse", "synonym", "more_like_this", "phrase", "proximity",
@@ -414,8 +429,6 @@ def compile_plan(mode: str, query: str, params: dict | None, tokenize,
     elif mode == "boosted":
         plan["terms"] = parse_boosted_query(query, tokenize)
     elif mode == "synonym":
-        from .flagship import SYNONYMS
-
         toks = tokenize(query)
         plan["terms"] = dict.fromkeys(
             sorted(set(toks) | {s for t in toks for s in SYNONYMS.get(t, ())}),
@@ -1064,9 +1077,10 @@ class IndexReader(PlanRunner):
         weights: dict[str, float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Docs containing EVERY term in ``terms`` (AND semantics), with
-        their full BM25 scores — the candidate stage of the positional
-        modes; (doc_ids, scores) sorted by doc_id. A term absent from
-        the index empties the conjunction."""
+        their full BM25 scores; (doc_ids, scores) sorted by doc_id. A
+        term absent from the index empties the conjunction. The serial
+        reference the positional plans' candidate stage (a plan's
+        ``must`` terms in ``_matches``) is tested against."""
         return self._matches(self._term_weights(terms, weights),
                              must=sorted(set(terms)), doc_filter=doc_filter)
 
@@ -1313,136 +1327,7 @@ class IndexReader(PlanRunner):
                     out.add(v)
         return sorted(out)[:max_expansions]
 
-    # -- serial entry points: one plan through PlanRunner.topk ----------------
-    def _search(self, mode: str, query: str, k: int, doc_filter=None,
-                **params) -> list[tuple[int, float]]:
-        hits = self.topk([self.compile(mode, query, params)], k, doc_filter)
-        return [(h["doc_id"], h["score"]) for h in hits]
-
-    def search_boolean(
-        self, must: str = "", should: str = "", must_not: str = "",
-        k: int = 10, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Boolean-clause retrieval (the Lucene BooleanQuery shape): a
-        doc is a candidate iff it contains EVERY must term and NO
-        must_not term; with no must terms, any doc matching at least
-        one should term. Candidates rank by the BM25 sum over the
-        DISTINCT (must ∪ should) terms they contain — must_not only
-        excludes, never scores."""
-        return self._search("boolean", "", k, doc_filter, must=must,
-                            should=should, must_not=must_not)
-
-    def search_prefix(
-        self, prefix: str, k: int = 10, max_expansions: int = 64, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Prefix (``pre*``) retrieval: expand against the term
-        dictionary, then OR-score the expansions — each expanded term
-        contributes with its own idf (rare completions outrank
-        stopword-ish ones)."""
-        return self._search("prefix", prefix, k, doc_filter,
-                            max_expansions=max_expansions)
-
-    def search_wildcard(
-        self, pattern: str, k: int = 10, max_expansions: int = 64,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Wildcard retrieval: OR-score the pattern's dictionary
-        expansions (see ``expand_wildcard``) with per-term idf."""
-        return self._search("wildcard", pattern, k, doc_filter,
-                            max_expansions=max_expansions)
-
-    def search_regex(
-        self, pattern: str, k: int = 10, max_expansions: int = 64,
-        doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Regex retrieval: OR-score the pattern's anchored full-match
-        dictionary expansions (see ``expand_regex``) with per-term
-        idf."""
-        return self._search("regex", pattern, k, doc_filter,
-                            max_expansions=max_expansions)
-
-    def search_fuzzy(
-        self, word: str, k: int = 10, max_edits: int = 1, prefix_len: int = 1,
-        max_expansions: int = 64, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Fuzzy (edit-distance) retrieval: OR-score the dictionary
-        terms within ``max_edits`` of ``word`` (see ``expand_fuzzy``)
-        with per-term idf — an exact vocabulary term ranks its own
-        postings first because rarer variants carry higher idf."""
-        return self._search("fuzzy", word, k, doc_filter, max_edits=max_edits,
-                            prefix_len=prefix_len,
-                            max_expansions=max_expansions)
-
-    def search_boosted(
-        self, query: str, k: int = 10, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Query-time term boosting (Lucene ``term^2.5`` clause syntax,
-        see ``parse_boosted_query``): each term scores with boost·idf,
-        so an all-1.0 query reproduces ``search_taat`` bitwise and a
-        boosted out-of-vocabulary term contributes nothing."""
-        return self._search("boosted", query, k, doc_filter)
-
-    def search_synonym(
-        self, query: str, k: int = 10, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Query-time synonym expansion (frozen ``flagship.SYNONYMS``
-        map, one hop — expansions never chain), OR-scored with
-        per-term idf. Out-of-vocabulary expansions contribute
-        nothing."""
-        return self._search("synonym", query, k, doc_filter)
-
-    def search_after(
-        self, query: str, k: int = 10,
-        after: tuple[float, int] | None = None, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Cursor paging (the Elasticsearch ``search_after`` shape):
-        the top-``k`` hits STRICTLY AFTER the ``(score, doc_id)``
-        cursor in the engine-wide (score desc, doc_id asc) total
-        order — a cursor walk fetches k per page no matter how deep.
-        ``after=None`` is page one (== top-k)."""
-        return self._search("bm25", query, k, doc_filter, search_after=after)
-
-    def search_collapse(
-        self, query: str, field: str, k: int = 10, doc_filter=None,
-    ) -> list[dict]:
-        """Field-collapsed top-k (the Elasticsearch ``collapse`` shape):
-        each ``docmeta[field]`` group is represented by its (score
-        desc, doc_id asc) leader, the best ``k`` groups ranked by their
-        leaders. Rows {"rank", "value", "doc_id", "score", "n"}, ``n``
-        the group's full match-set size."""
-        hits = self.topk([self.compile("collapse", query, {"collapse_field": field})],
-                         k, doc_filter)
-        return [
-            {"rank": h["rank"], "value": h["group"], "doc_id": h["doc_id"],
-             "score": h["score"], "n": h["group_n"]}
-            for h in hits
-        ]
-
-    def more_like_this(
-        self, doc_tokens: list[str], exclude_doc: int | None = None,
-        k: int = 10, max_terms: int = 8, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Similar-document retrieval (Lucene MoreLikeThis): OR-score
-        the source's ``max_terms`` highest-tf·idf terms, drop the
-        source doc itself, top-k. The source's TOKENS are the input —
-        the caller owns text access."""
-        plan = self.compile("more_like_this", "",
-                            {"max_terms": max_terms, "exclude_doc": exclude_doc})
-        plan["feedback"]["tokens"] = list(doc_tokens)
-        return [(h["doc_id"], h["score"]) for h in self.topk([plan], k, doc_filter)]
-
-    def search_prf(
-        self, query: str, k: int = 10, fb_docs: int = 5, fb_terms: int = 8,
-        beta: float = 0.5, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Pseudo-relevance-feedback retrieval (Rocchio-style query
-        expansion, public IR knowledge — Rocchio 1971, RM3 family): the
-        query's top ``fb_docs`` hits are taken as relevant, their
-        ``fb_terms`` highest (summed tf)·idf terms join the query at
-        ``beta``·idf (see ``PlanRunner._resolve_feedback``)."""
-        return self._search("prf", query, k, doc_filter, fb_docs=fb_docs,
-                            fb_terms=fb_terms, beta=beta)
-
+    # -- exhaustive TAAT ------------------------------------------------------
     def search_or_terms(
         self, terms: list[str], k: int = 10, doc_filter=None,
         weights: dict[str, float] | None = None,
@@ -1452,18 +1337,6 @@ class IndexReader(PlanRunner):
         return rank_topk(*self._matches(self._term_weights(terms, weights),
                                         doc_filter=doc_filter), k)
 
-    def search_page(
-        self, query: str, k: int = 10, offset: int = 0, doc_filter=None,
-    ) -> list[tuple[int, float]]:
-        """Deterministic deep paging: ranks offset+1..offset+k of the
-        (score desc, doc_id asc) total order — fetch top-(offset+k)
-        and slice, the standard exact form (the total order makes a
-        page stable across calls; cursor/search_after is the same slice
-        keyed by the last (score, doc_id) seen)."""
-        hits = self.search_taat(query, k + offset, doc_filter=doc_filter)
-        return hits[offset : offset + k]
-
-    # -- exhaustive TAAT ------------------------------------------------------
     def search_taat(
         self, query: str, k: int = 10, weights: dict[str, float] | None = None,
         doc_filter=None,
@@ -1485,9 +1358,11 @@ class QueryScorer:
 
     Usage: ``queries_ds.map_batches(QueryScorer,
     fn_constructor_kwargs={"index_dir": ..., "k": 10},
-    batch_format="pandas", concurrency=N)``. Every query of a batch is
-    compiled as ``mode`` with ``params`` (``compile_plan``), and the
-    batch is one ``IndexReader.topk`` call.
+    batch_format="pandas", concurrency=N)``. Every row of a batch is
+    compiled as ``compile(mode, row["query"], {**row, **params}, qid)``
+    (``compile_plan``), so per-row fields — ``must`` / ``should`` /
+    ``must_not``, ``window`` — reach the plan; the batch is one
+    ``IndexReader.topk`` call.
 
     ``reader_ref`` (an ``ray.ObjectRef`` of an already-loaded
     ``IndexReader``, from ``ray.put(IndexReader(index_dir))``; the
@@ -1526,8 +1401,10 @@ class QueryScorer:
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         """One ``reader.topk`` call over the batch's compiled plans."""
-        plans = [self.reader.compile(self.mode, query, self.params, qid=int(qid))
-                 for qid, query in zip(batch["qid"], batch["query"])]
+        plans = [self.reader.compile(self.mode, row["query"],
+                                     {**row, **(self.params or {})},
+                                     qid=int(row["qid"]))
+                 for row in batch.to_dict("records")]
         hits = self.reader.topk(plans, self.k, self.doc_filter)
         # explicit dtypes: an all-empty batch must emit the SAME schema
         # as a non-empty one (pandas infers float64 for empty lists,

@@ -107,6 +107,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pandas as pd
 
+from .positions import best_window
 from .serving import ShardedQueryService
 
 # request-body keys /search and /msearch pass through to search()
@@ -116,33 +117,6 @@ _SEARCH_PARAM_KEYS = (
     "snippet", "snippet_window", "fb_docs", "fb_terms", "beta",
     "explain", "search_after", "collapse_field",
 )
-
-
-def _best_window_tokens(
-    tokens: list[str], qterms: set[str], window: int,
-) -> tuple[int, int] | None:
-    """Token-domain mirror of ``positions.best_window_positions``
-    (same contract, asserted equal in tests/test_http.py): the start
-    maximizing DISTINCT query terms in ``[start, start+window-1]``,
-    candidate starts = query-term occurrence positions, ties leftmost.
-    Used by the serving layer where the hit's text is already in hand
-    (one page, k docs) — the positions-sidecar path would re-read what
-    the snippet render fetches anyway."""
-    pos: dict[str, list[int]] = {}
-    for i, t in enumerate(tokens):
-        if t in qterms:
-            pos.setdefault(t, []).append(i)
-    if not pos:
-        return None
-    starts = sorted({i for ps in pos.values() for i in ps})
-    best_s, best_n = starts[0], -1
-    for s in starts:
-        n = sum(
-            1 for ps in pos.values() if any(s <= p < s + window for p in ps)
-        )
-        if n > best_n:
-            best_s, best_n = s, n
-    return best_s, best_n
 
 
 def plan_terms(plan: dict) -> set[str]:
@@ -175,7 +149,7 @@ def attach_snippets(rows: list[dict], corpus_path: str, qterms: set[str],
         if text is None:
             continue
         tokens = tokenize(text)
-        got = _best_window_tokens(tokens, qterms, window)
+        got = best_window(tokens, qterms, window)
         if got is None:
             continue
         start, n_match = got

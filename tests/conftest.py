@@ -25,3 +25,22 @@ def ray_session():
 @pytest.fixture(scope="session")
 def sf_dir():
     return os.environ.get("GRAFT_TEST_SF_DIR", "/root/testdata/sf0.001")
+
+
+def search(reader, mode: str, query: str = "", k: int = 10, doc_filter=None,
+           offset: int = 0, **params) -> list[tuple[int, float]]:
+    """(doc_id, score) of ranks offset+1..offset+k of one ``mode`` plan:
+    ``reader.topk([reader.compile(mode, query, params)], k)``."""
+    hits = reader.topk([reader.compile(mode, query, params)], k, doc_filter,
+                       offset)
+    return [(h["doc_id"], h["score"]) for h in hits]
+
+
+def collapse(reader, query: str, field: str, k: int = 10) -> list[dict]:
+    """Collapsed top-k of ``query`` as rows {"rank", "value", "doc_id",
+    "score", "n"}: each ``docmeta[field]`` group's leader hit and the
+    group's full match count."""
+    hits = reader.topk(
+        [reader.compile("collapse", query, {"collapse_field": field})], k)
+    return [{"rank": h["rank"], "value": h["group"], "doc_id": h["doc_id"],
+             "score": h["score"], "n": h["group_n"]} for h in hits]

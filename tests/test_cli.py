@@ -9,6 +9,8 @@ import pytest
 from information_retrieval_images_ray.cli import main
 from information_retrieval_images_ray.corpus import write_corpus
 
+from conftest import collapse, search
+
 
 @pytest.fixture(scope="module")
 def cli_index(tmp_path_factory):
@@ -154,41 +156,41 @@ def test_query_modes(cli_index, capsys):
                "--mode", "prefix", "--max-expansions", "8"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    want = reader.search_prefix("get", 5, max_expansions=8)
+    want = search(reader, "prefix", "get", 5, max_expansions=8)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     rc = main(["query", "getx", "--index", cli_index, "-k", "5",
                "--mode", "fuzzy"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert [(h["doc_id"], h["score"]) for h in hits] == reader.search_fuzzy("getx", 5)
+    assert [(h["doc_id"], h["score"]) for h in hits] == search(reader, "fuzzy", "getx", 5)
 
     rc = main(["query", "g*t", "--index", cli_index, "-k", "5",
                "--mode", "wildcard", "--max-expansions", "8"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_wildcard("g*t", 5, max_expansions=8) and hits
+        search(reader, "wildcard", "g*t", 5, max_expansions=8) and hits
 
     rc = main(["query", "get merge", "--index", cli_index, "-k", "5",
                "--mode", "synonym"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_synonym("get merge", 5)
+        search(reader, "synonym", "get merge", 5)
 
     rc = main(["query", "ignored", "--index", cli_index, "-k", "5",
                "--mode", "boolean", "--must", "get", "--must-not", "sort"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_boolean("get", "", "sort", 5)
+        search(reader, "boolean", "", 5, must="get", must_not="sort")
 
     rc = main(["query", "get name", "--index", cli_index, "-k", "5",
                "--mode", "more_like_this", "--max-terms", "2"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    want = reader.more_like_this(reader.tokenize("get name"), k=5, max_terms=2)
+    want = search(reader, "more_like_this", "get name", 5, max_terms=2)
     assert [(h["doc_id"], h["score"]) for h in hits] == want
 
     # cursor paging: --after "score,doc_id" == ranks 6..10
@@ -198,27 +200,27 @@ def test_query_modes(cli_index, capsys):
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_page("get", 5, offset=5) and hits
+        search(reader, "bm25", "get", 5, offset=5) and hits
 
     rc = main(["query", "g.t", "--index", cli_index, "-k", "5",
                "--mode", "regex", "--max-expansions", "8"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_regex("g.t", 5, max_expansions=8) and hits
+        search(reader, "regex", "g.t", 5, max_expansions=8) and hits
 
     rc = main(["query", "get^2 merge", "--index", cli_index, "-k", "5",
                "--mode", "boosted"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert [(h["doc_id"], h["score"]) for h in hits] == \
-        reader.search_boosted("get^2 merge", 5) and hits
+        search(reader, "boosted", "get^2 merge", 5) and hits
 
     rc = main(["query", "get merge", "--index", cli_index, "-k", "5",
                "--mode", "collapse", "--collapse-field", "lang"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    want = reader.search_collapse("get merge", "lang", 5)
+    want = collapse(reader, "get merge", "lang", 5)
     assert [
         (h["doc_id"], h["score"], h["group"], h["group_n"]) for h in hits
     ] == [(r["doc_id"], r["score"], r["value"], r["n"]) for r in want]
@@ -311,9 +313,7 @@ def test_query_snippet_corpus(cli_index, capsys, tmp_path):
 
     from information_retrieval_images_ray.corpus import generate_corpus
     from information_retrieval_images_ray.pipelines.query import IndexReader
-    from information_retrieval_images_ray.pipelines.serving_http import (
-        _best_window_tokens,
-    )
+    from information_retrieval_images_ray.pipelines.positions import best_window
 
     # doc_id = row position after the dense-assignment sort order
     df = (
@@ -337,7 +337,7 @@ def test_query_snippet_corpus(cli_index, capsys, tmp_path):
     qterms = set(reader.tokenize("getUserName"))
     for h in hits:
         toks = reader.tokenize(df["content"][h["doc_id"]])
-        start, n = _best_window_tokens(toks, qterms, 8)
+        start, n = best_window(toks, qterms, 8)
         assert (h["snip_start"], h["n_match"]) == (start, n)
         assert "<em>" in h["snippet"]
 
@@ -360,7 +360,7 @@ def test_query_snippet_corpus(cli_index, capsys, tmp_path):
 
 
 def test_query_prf_and_explain(cli_index, capsys):
-    """--mode prf matches IndexReader.search_prf; --explain attaches
+    """--mode prf matches the serial reader's prf plan; --explain attaches
     the per-term breakdown whose contributions sum to the score."""
     from information_retrieval_images_ray.pipelines.query import IndexReader
 
@@ -368,8 +368,8 @@ def test_query_prf_and_explain(cli_index, capsys):
                "--mode", "prf", "--fb-docs", "3", "--fb-terms", "4"])
     assert rc == 0
     hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    want = IndexReader(cli_index).search_prf(
-        "getUserName", 5, fb_docs=3, fb_terms=4)
+    want = search(IndexReader(cli_index), "prf", "getUserName", 5, fb_docs=3,
+                  fb_terms=4)
     assert [(h["doc_id"], h["score"]) for h in hits] == want
 
     rc = main(["query", "getUserName", "--index", cli_index, "-k", "3",

@@ -18,6 +18,8 @@ from information_retrieval_images_ray.pipelines import flagship
 from information_retrieval_images_ray.pipelines.query import (
     IndexReader, _levenshtein_leq)
 
+from conftest import search
+
 
 @pytest.fixture(scope="module")
 def doc_index(sf_dir):
@@ -58,8 +60,8 @@ def _brute_boolean(tokens_of, must, should, must_not):
 @pytest.mark.parametrize("q", flagship.BOOLEAN_QUERIES, ids=lambda q: f"qid{q['qid']}")
 def test_boolean_membership_matches_brute_force(reader, tokens_of, q):
     """Full (k=inf) boolean result set == brute-force set semantics."""
-    hits = reader.search_boolean(
-        q["must"], q["should"], q["must_not"], k=len(tokens_of))
+    hits = search(reader, "boolean", k=len(tokens_of), must=q["must"],
+                  should=q["should"], must_not=q["must_not"])
     expect = _brute_boolean(tokens_of, q["must"], q["should"], q["must_not"])
     assert {d for d, _ in hits} == expect
 
@@ -69,7 +71,7 @@ def test_boolean_must_only_equals_taat(reader, tokens_of):
     restricted to docs containing every term — same partials, same
     add order, so scores are bitwise equal."""
     q = "hash join"
-    boolean = reader.search_boolean(q, k=10_000)
+    boolean = search(reader, "boolean", k=10_000, must=q)
     need = set(tokenize_simple(q))
     taat = [
         (d, s) for d, s in reader.search_taat(q, k=10_000)
@@ -81,17 +83,20 @@ def test_boolean_must_only_equals_taat(reader, tokens_of):
 def test_boolean_score_ignores_must_not_and_dedupes_overlap(reader):
     """must_not terms never contribute to scores (pure exclusion), and
     a term in both must and should scores ONCE."""
-    plain = dict(reader.search_boolean("window", k=10_000))
-    overlap = dict(reader.search_boolean("window", "window", k=10_000))
+    plain = dict(search(reader, "boolean", k=10_000, must="window"))
+    overlap = dict(search(reader, "boolean", k=10_000, must="window",
+                          should="window"))
     assert plain == overlap
     # excluding a df-0 term changes nothing
-    with_not = dict(reader.search_boolean("window", must_not="zebra", k=10_000))
+    with_not = dict(search(reader, "boolean", k=10_000, must="window",
+                           must_not="zebra"))
     assert plain == with_not
 
 
 def test_boolean_absent_must_term_empties(reader):
-    assert reader.search_boolean("scan zebra", "table", k=10) == []
-    assert reader.search_boolean("", "", "scan", k=10) == []  # nothing to score
+    assert search(reader, "boolean", k=10, must="scan zebra",
+                  should="table") == []
+    assert search(reader, "boolean", k=10, must_not="scan") == []  # nothing to score
 
 
 # -- prefix ----------------------------------------------------------------
@@ -108,9 +113,9 @@ def test_prefix_expansion_and_cap(reader, tokens_of):
 def test_prefix_search_equals_or_of_expansions(reader):
     terms = reader.expand_prefix("s", max_expansions=4)
     assert len(terms) == 4  # 's' has 6 vocab matches; the cap binds
-    assert reader.search_prefix("s", k=20, max_expansions=4) == \
+    assert search(reader, "prefix", "s", k=20, max_expansions=4) == \
         reader.search_or_terms(terms, k=20)
-    assert reader.search_prefix("zz", k=5) == []
+    assert search(reader, "prefix", "zz", k=5) == []
 
 
 def test_wildcard_reversed_dict_matches_brute_scan(reader, tokens_of):
@@ -187,15 +192,20 @@ def test_fuzzy_expansion_matches_exact_filter(reader, tokens_of):
 def test_fuzzy_search_exact_vocab_word_ranks_like_or(reader):
     exp = reader.expand_fuzzy("sort", 1, 1, 8)
     assert "sort" in exp
-    assert reader.search_fuzzy("sort", k=15) == reader.search_or_terms(exp, k=15)
-    assert reader.search_fuzzy("zebra", k=5) == []  # nothing within 1 edit
+    assert search(reader, "fuzzy", "sort", k=15) == reader.search_or_terms(exp, k=15)
+    assert search(reader, "fuzzy", "zebra", k=5) == []  # nothing within 1 edit
 
 
 # -- battery output shape ---------------------------------------------------
 
 def test_clause_batteries_shape(sf_dir):
+    """Every (qid, rank, doc_id, score_e6) battery: the seven clause /
+    expansion batteries and the three positional ones."""
     for fn in (flagship.run_boolean_queries, flagship.run_prefix_queries,
-               flagship.run_fuzzy_queries):
+               flagship.run_fuzzy_queries, flagship.run_wildcard_queries,
+               flagship.run_regex_queries, flagship.run_boosted_queries,
+               flagship.run_synonym_queries, flagship.run_phrase_queries,
+               flagship.run_proximity_queries, flagship.run_spannear_queries):
         df = fn(sf_dir, k=10)
         assert list(df.columns) == ["qid", "rank", "doc_id", "score_e6"]
         assert (df.groupby("qid")["rank"].min() == 1).all()

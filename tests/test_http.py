@@ -12,6 +12,8 @@ from information_retrieval_images_ray.pipelines.build import build_index
 from information_retrieval_images_ray.pipelines.query import IndexReader
 from information_retrieval_images_ray.pipelines.serving_http import IndexHTTPServer
 
+from conftest import collapse, search
+
 WORDS = "alpha bravo charlie delta echo foxtrot golf hotel dup zebra".split()
 
 
@@ -453,25 +455,26 @@ def test_search_mode_multiplexing(server):
         "mode": "boolean", "must": "alpha", "should": "dup",
         "must_not": "zebra", "limit": 5,
     })
-    want = reader.search_boolean("alpha", "dup", "zebra", 5)
+    want = search(reader, "boolean", "", 5, must="alpha", should="dup",
+                  must_not="zebra")
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "prefix", "query": "alp", "limit": 5, "max_expansions": 8,
     })
-    want = reader.search_prefix("alp", 5, max_expansions=8)
+    want = search(reader, "prefix", "alp", 5, max_expansions=8)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "fuzzy", "query": "alphq", "limit": 5,
     })
-    want = reader.search_fuzzy("alphq", 5)
+    want = search(reader, "fuzzy", "alphq", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "query": "alpha dup", "limit": 3, "offset": 3,
     })
-    want = reader.search_page("alpha dup", k=3, offset=3)
+    want = search(reader, "bm25", "alpha dup", k=3, offset=3)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
     assert [h["rank"] for h in hits] == [4, 5, 6]
 
@@ -486,32 +489,32 @@ def test_search_mode_multiplexing(server):
     _, hits = _req(srv.port, "/search", {
         "mode": "wildcard", "query": "alp*a", "limit": 5,
     })
-    want = reader.search_wildcard("alp*a", 5)
+    want = search(reader, "wildcard", "alp*a", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "synonym", "query": "fast alpha", "limit": 5,
     })
-    want = reader.search_synonym("fast alpha", 5)
+    want = search(reader, "synonym", "fast alpha", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "regex", "query": "alp.a", "limit": 5,
     })
-    want = reader.search_regex("alp.a", 5)
+    want = search(reader, "regex", "alp.a", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "boosted", "query": "alpha^2 dup", "limit": 5,
     })
-    want = reader.search_boosted("alpha^2 dup", 5)
+    want = search(reader, "boosted", "alpha^2 dup", 5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     _, hits = _req(srv.port, "/search", {
         "mode": "collapse", "query": "alpha dup", "limit": 5,
         "collapse_field": "lang",
     })
-    want = reader.search_collapse("alpha dup", "lang", 5)
+    want = collapse(reader, "alpha dup", "lang", 5)
     assert [
         (h["doc_id"], h["score"], h["group"], h["group_n"]) for h in hits
     ] == [(r["doc_id"], r["score"], r["value"], r["n"]) for r in want]
@@ -526,12 +529,8 @@ def test_search_mode_multiplexing(server):
         "mode": "more_like_this", "query": src_text, "limit": 5,
         "max_terms": 3, "exclude_doc": 7,
     })
-    from information_retrieval_images_ray.functions.tokenizer import (
-        tokenize_simple,
-    )
-
-    want = reader.more_like_this(tokenize_simple(src_text), exclude_doc=7,
-                                 k=5, max_terms=3)
+    want = search(reader, "more_like_this", src_text, 5, exclude_doc=7,
+                  max_terms=3)
     assert [(h["doc_id"], h["score"]) for h in hits] == want and hits
 
     # facet route: whole-match-set counts, identical to the reader
@@ -726,15 +725,14 @@ def test_ui_served_at_root(server):
 
 
 def test_best_window_tokens_matches_positions_semantics():
-    """The serving-layer token-domain window (_best_window_tokens)
-    must implement EXACTLY the positions.best_window_positions
-    contract: candidate starts = query-term occurrence positions,
+    """The token-domain snippet window (positions.best_window) must
+    implement EXACTLY the occurrence-anchored contract the q_snippets
+    oracle mirrors: candidate starts = query-term occurrence positions,
     score = distinct query terms in [s, s+window-1], ties leftmost.
-    Cross-checked against the numpy occurrence-anchored computation
-    lifted from positions.per_doc on random streams."""
-    from information_retrieval_images_ray.pipelines.serving_http import (
-        _best_window_tokens,
-    )
+    Cross-checked against an independent numpy computation (per-term
+    sorted positions, searchsorted counts per candidate start) on
+    random streams."""
+    from information_retrieval_images_ray.pipelines.positions import best_window
 
     rng = np.random.default_rng(7)
     vocab = WORDS + ["india", "juliet"]
@@ -744,7 +742,7 @@ def test_best_window_tokens_matches_positions_semantics():
         qn = int(rng.integers(1, 4))
         qterms = {vocab[j] for j in rng.integers(0, len(vocab), qn)}
         window = int(rng.integers(2, 9))
-        got = _best_window_tokens(tokens, qterms, window)
+        got = best_window(tokens, qterms, window)
         pos = {
             t: np.array([i for i, x in enumerate(tokens) if x == t], np.int64)
             for t in qterms
@@ -772,9 +770,7 @@ def test_search_snippet(server):
     from information_retrieval_images_ray.functions.tokenizer import (
         tokenize_simple,
     )
-    from information_retrieval_images_ray.pipelines.serving_http import (
-        _best_window_tokens,
-    )
+    from information_retrieval_images_ray.pipelines.positions import best_window
 
     srv, _ = server
     status, hits = _req(srv.port, "/search", {
@@ -786,7 +782,7 @@ def test_search_snippet(server):
     qterms = {"alpha", "dup"}
     for h in hits:
         tokens = tokenize_simple(texts[h["doc_id"]])
-        start, n_match = _best_window_tokens(tokens, qterms, 8)
+        start, n_match = best_window(tokens, qterms, 8)
         assert h["snip_start"] == start and h["n_match"] == n_match >= 1
         want = " ".join(
             f"<em>{w}</em>" if w in qterms else w
@@ -875,7 +871,7 @@ def test_search_snippet_expansion_modes_and_no_corpus(server, tmp_path):
 
 
 def test_search_mode_prf_matches_reader(server):
-    """mode=prf through HTTP equals IndexReader.search_prf bitwise —
+    """mode=prf through HTTP equals the serial reader's prf plan bitwise —
     base top-fb, docterms-backed expansion, weighted re-score."""
     srv, idx = server
     reader = IndexReader(idx)
@@ -884,7 +880,8 @@ def test_search_mode_prf_matches_reader(server):
         "fb_docs": 3, "fb_terms": 4, "beta": 0.5,
     })
     assert status == 200 and hits
-    want = reader.search_prf("alpha dup", 5, fb_docs=3, fb_terms=4, beta=0.5)
+    want = search(reader, "prf", "alpha dup", 5, fb_docs=3, fb_terms=4,
+                  beta=0.5)
     assert [(h["doc_id"], h["score"]) for h in hits] == want
 
 

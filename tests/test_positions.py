@@ -1,5 +1,7 @@
 """Positional-postings sidecar: phrase verify without corpus re-read,
-proximity (window) search, sidecar build idempotency."""
+proximity and span-near (window) search, the batteries checked against
+brute force on raw token streams, the snippet window, sidecar build
+idempotency."""
 
 import os
 
@@ -142,12 +144,37 @@ def test_spannear_battery_verified_by_brute_force(sf_dir):
     assert h1 != h5
 
 
-def test_positional_phrase_equals_text_verify(sf_dir):
-    """The sidecar path and the corpus-re-read path are the same
-    operator: identical output frame on the shared battery."""
-    a = flagship.run_phrase_queries(sf_dir, k=10, n_tokens=2)
-    b = flagship.run_phrase_queries_positional(sf_dir, k=10, n_tokens=2)
-    assert a.equals(b)
+def test_phrase_battery_verified_by_brute_force(sf_dir):
+    """Every (qid, doc) the phrase battery emits — and none it omits —
+    holds the anchor doc's first two tokens CONTIGUOUSLY in its raw
+    token stream; each qid ranks by (score desc, doc_id asc)."""
+    import duckdb
+
+    out = flagship.run_phrase_queries(sf_dir, k=10_000, n_tokens=2)
+    rows = duckdb.sql(
+        f"SELECT doc_id, text FROM '{sf_dir}/documents.parquet'"
+    ).fetchall()
+    toks = {d: tokenize_simple(t or "") for d, t in rows}
+
+    def brute(phrase):
+        n = len(phrase)
+        return {
+            d for d, ts in toks.items()
+            if any(ts[i:i + n] == phrase for i in range(len(ts) - n + 1))
+        }
+
+    checked = 0
+    for anchor in flagship.PHRASE_ANCHORS:
+        phrase = toks.get(anchor, [])[:2]
+        hits = out[out["qid"] == anchor]
+        if not phrase:
+            assert hits.empty, anchor
+            continue
+        assert set(hits["doc_id"]) == brute(phrase), (anchor, phrase)
+        keys = list(zip(-hits["score_e6"], hits["doc_id"]))
+        assert keys == sorted(keys), anchor
+        checked += 1
+    assert checked
 
 
 def test_proximity_battery_verified_by_brute_force(sf_dir):
@@ -182,7 +209,7 @@ def test_proximity_battery_verified_by_brute_force(sf_dir):
         assert got == brute(q["terms"], q["window"]), q
 
 
-def test_best_window_planted(idx):
+def test_best_window_planted():
     """Snippet-anchor semantics: max distinct query terms in the fixed
     window, leftmost on ties, candidate starts = occurrence positions.
 
@@ -191,24 +218,19 @@ def test_best_window_planted(idx):
     'blue' — tie at 1 distinct, leftmost start 0 wins. With window 6
     start 0 covers both. doc 0 = "red green blue yellow": both terms
     inside [0,3] from start 0."""
-    from information_retrieval_images_ray.pipelines.positions import (
-        best_window_positions,
-    )
+    from information_retrieval_images_ray.pipelines.positions import best_window
 
-    cand = np.array([0, 2], np.int64)
-    out = best_window_positions(idx, ["red", "blue"], 4, cand)
-    rows = {int(r.doc_id): (int(r.snip_start), int(r.n_match))
-            for r in out.itertuples()}
-    assert rows == {0: (0, 2), 2: (0, 1)}
+    toks = {d["doc_id"]: tokenize_simple(d["content"]) for d in DOCS}
 
-    out6 = best_window_positions(idx, ["red", "blue"], 6, cand)
-    rows6 = {int(r.doc_id): (int(r.snip_start), int(r.n_match))
-             for r in out6.itertuples()}
-    assert rows6 == {0: (0, 2), 2: (0, 2)}
+    def rows(terms, window):
+        got = {d: best_window(toks[d], set(terms), window) for d in (0, 2)}
+        return {d: w for d, w in got.items() if w is not None}
 
-    # a doc with no occurrence of any term emits no row
-    out_none = best_window_positions(idx, ["zzz"], 4, cand)
-    assert out_none.empty
+    assert rows(["red", "blue"], 4) == {0: (0, 2), 2: (0, 1)}
+    assert rows(["red", "blue"], 6) == {0: (0, 2), 2: (0, 2)}
+
+    # a doc with no occurrence of any term has no window
+    assert rows(["zzz"], 4) == {}
 
 
 def test_sidecar_extends_with_index(tmp_path):

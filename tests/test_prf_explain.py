@@ -1,5 +1,5 @@
 """Scoring explanations (IndexReader.explain — the Lucene explain
-shape) and pseudo-relevance-feedback retrieval (search_prf / router
+shape) and pseudo-relevance-feedback retrieval (serial / router
 prf plans): component exactness vs brute-force counts, sum-equals-score
 bitwise, and sharded-router parity."""
 
@@ -19,6 +19,8 @@ from information_retrieval_images_ray.sources.corpus_source import (
     corpus_files,
     read_code_corpus,
 )
+
+from conftest import search
 
 QUERIES = ["getUserName", "merge sort hash", "get", "zzz_nohit"]
 N_DOCS = 150
@@ -140,7 +142,7 @@ def _prf_reference(docs_tokens, query_tokens, k, fb_docs, fb_terms, beta):
 @pytest.mark.parametrize("query", ["getUserName", "merge sort hash", "get"])
 def test_prf_matches_reference(prf_index, docs_tokens, query):
     reader = IndexReader(prf_index)
-    got = reader.search_prf(query, 10, fb_docs=5, fb_terms=6, beta=0.5)
+    got = search(reader, "prf", query, 10, fb_docs=5, fb_terms=6, beta=0.5)
     want = _prf_reference(docs_tokens, reader.tokenize(query), 10, 5, 6, 0.5)
     assert [d for d, _ in got] == [d for d, _ in want], query
     for (_, a), (_, b) in zip(got, want):
@@ -155,7 +157,7 @@ def test_prf_expansion_changes_ranking(prf_index):
     diff = 0
     for q in ["getUserName", "merge sort hash", "get"]:
         base = reader.search_taat(q, 10)
-        prf = reader.search_prf(q, 10, fb_docs=5, fb_terms=6, beta=0.5)
+        prf = search(reader, "prf", q, 10, fb_docs=5, fb_terms=6, beta=0.5)
         if [d for d, _ in base] != [d for d, _ in prf]:
             diff += 1
     assert diff > 0
@@ -163,7 +165,7 @@ def test_prf_expansion_changes_ranking(prf_index):
 
 def test_prf_no_hit_query_empty(prf_index):
     reader = IndexReader(prf_index)
-    assert reader.search_prf("zzz_nohit qqq_nope", 10) == []
+    assert search(reader, "prf", "zzz_nohit qqq_nope", 10) == []
 
 
 @pytest.mark.parametrize("num_actors", [1, 3])
@@ -178,7 +180,8 @@ def test_router_prf_rank_identical(prf_index, num_actors):
                         for q in qs], k=10)
         for i, q in enumerate(QUERIES):
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == i]
-            want = reader.search_prf(q, 10, fb_docs=5, fb_terms=6, beta=0.5)
+            want = search(reader, "prf", q, 10, fb_docs=5, fb_terms=6,
+                          beta=0.5)
             assert mine == want, q  # bitwise scores, not approx
     finally:
         svc.shutdown()

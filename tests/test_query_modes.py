@@ -21,6 +21,8 @@ from information_retrieval_images_ray.sources.corpus_source import (
     read_code_corpus,
 )
 
+from conftest import collapse, search
+
 _CORPUS_OF: dict[str, str] = {}
 
 
@@ -77,7 +79,7 @@ def test_search_regex_equals_or_of_expansions(modes_index):
     for pat in REGEX_PATTERNS:
         terms = reader.expand_regex(pat, max_expansions=8)
         want = reader.search_or_terms(terms, 10) if terms else []
-        assert reader.search_regex(pat, 10, max_expansions=8) == want, pat
+        assert search(reader, "regex", pat, 10, max_expansions=8) == want, pat
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +101,21 @@ def test_boosted_unboosted_is_plain_bm25(modes_index):
     1.0 is exact)."""
     reader = IndexReader(modes_index)
     for q in ("merge sort", "get parse token", "read"):
-        assert reader.search_boosted(q, 10) == reader.search_taat(q, 10), q
+        assert search(reader, "boosted", q, 10) == reader.search_taat(q, 10), q
 
 
 def test_boosted_sums_and_oov(modes_index):
     reader = IndexReader(modes_index)
     # fast^2 fast == fast^3 (boosts sum before any float multiply)
-    assert reader.search_boosted("get^2 get", 10) == \
-        reader.search_boosted("get^3", 10)
+    assert search(reader, "boosted", "get^2 get", 10) == \
+        search(reader, "boosted", "get^3", 10)
     # a boosted out-of-vocabulary term contributes nothing
-    assert reader.search_boosted("zzznothere^5 merge", 10) == \
-        reader.search_boosted("merge", 10)
+    assert search(reader, "boosted", "zzznothere^5 merge", 10) == \
+        search(reader, "boosted", "merge", 10)
     # boosting reorders: a heavy boost on a rare term must move docs
     # holding it ahead of the unboosted ranking when both rank
-    plain = reader.search_boosted("merge sort", 10)
-    heavy = reader.search_boosted("merge^9 sort", 10)
+    plain = search(reader, "boosted", "merge sort", 10)
+    heavy = search(reader, "boosted", "merge^9 sort", 10)
     assert plain and heavy
 
 
@@ -152,7 +154,7 @@ def test_collapse_matches_brute(modes_index):
             want.append({"value": v, "doc_id": hits[0][0],
                          "score": hits[0][1], "n": len(hits)})
         want.sort(key=lambda r: (-r["score"], r["doc_id"]))
-        got = reader.search_collapse(q, "lang", k=10)
+        got = collapse(reader, q, "lang", k=10)
         assert [
             (r["value"], r["doc_id"], r["score"], r["n"]) for r in got
         ] == [
@@ -267,8 +269,8 @@ def test_search_after_walks_the_total_order(modes_index):
         k = 7
         cursor, walked = None, []
         for page in range(5):
-            hits = reader.search_after(q, k, after=cursor)
-            assert hits == reader.search_page(q, k, offset=page * k), (q, page)
+            hits = search(reader, "bm25", q, k, search_after=cursor)
+            assert hits == search(reader, "bm25", q, k, offset=page * k), (q, page)
             walked.extend(hits)
             if len(hits) < k:
                 break
@@ -278,10 +280,10 @@ def test_search_after_walks_the_total_order(modes_index):
         assert len(ids) == len(set(ids))
         keys = [(-s, d) for d, s in walked]
         assert keys == sorted(keys)
-    assert reader.search_after("zzz_nohit", 5) == []
+    assert search(reader, "bm25", "zzz_nohit", 5) == []
     # a cursor past the last hit pages to empty
-    d, s = reader.search_after("get", 10**9)[-1]
-    assert reader.search_after("get", 5, after=(s, d)) == []
+    d, s = search(reader, "bm25", "get", 10**9)[-1]
+    assert search(reader, "bm25", "get", 5, search_after=(s, d)) == []
 
 
 @pytest.mark.parametrize("num_actors", [1, 3])
@@ -294,7 +296,7 @@ def test_sharded_search_after_matches_serial(modes_index, num_actors):
         got = svc.topk(
             [svc.compile("bm25", "get", {"search_after": cursor})], k=5)
         assert [(r["doc_id"], r["score"]) for r in got] == \
-            reader.search_after("get", 5, after=cursor)
+            search(reader, "bm25", "get", 5, search_after=cursor)
         # no cursor == page one == plain topk
         got0 = svc.topk([svc.compile("bm25", "get")], k=5)
         assert [(r["doc_id"], r["score"]) for r in got0] == \
@@ -359,8 +361,8 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
         for q in rq:
             mine = [(r["doc_id"], r["score"]) for r in got
                     if r["qid"] == q["qid"]]
-            assert mine == reader.search_regex(
-                q["pattern"], 10, max_expansions=8), q
+            assert mine == search(
+                reader, "regex", q["pattern"], 10, max_expansions=8), q
 
         bq = [{"qid": i, "query": s} for i, s in enumerate(
             ["get^2 merge", "sort^0.5 hash^3", "merge sort",
@@ -370,7 +372,7 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
         for q in bq:
             mine = [(r["doc_id"], r["score"]) for r in got
                     if r["qid"] == q["qid"]]
-            assert mine == reader.search_boosted(q["query"], 10), q
+            assert mine == search(reader, "boosted", q["query"], 10), q
 
         cq = [{"qid": i, "query": s} for i, s in enumerate(
             ["merge sort hash", "get", "zzz_nohit"])]
@@ -381,7 +383,7 @@ def test_sharded_modes_match_serial(modes_index, num_actors):
             mine = [(r["doc_id"], r["score"], r["group"], r["group_n"])
                     for r in got if r["qid"] == q["qid"]]
             want = [(r["doc_id"], r["score"], r["value"], r["n"])
-                    for r in reader.search_collapse(q["query"], "lang", 10)]
+                    for r in collapse(reader, q["query"], "lang", 10)]
             assert mine == want, q
     finally:
         svc.shutdown()

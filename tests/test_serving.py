@@ -15,6 +15,8 @@ from information_retrieval_images_ray.sources.corpus_source import (
     read_code_corpus,
 )
 
+from conftest import search
+
 QUERIES = [
     {"qid": 0, "query": "getUserName"},
     {"qid": 1, "query": "merge sort hash"},
@@ -118,7 +120,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                         for q in bqs], k=10)
         for q in bqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_boolean(q["must"], q["should"], q["must_not"], 10)
+            want = search(reader, "boolean", "", 10, must=q["must"],
+                          should=q["should"], must_not=q["must_not"])
             assert mine == want, ("boolean", q)
 
         pqs = [{"qid": 0, "prefix": "get"}, {"qid": 1, "prefix": "pa"},
@@ -128,7 +131,7 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                         for q in pqs], k=10)
         for q in pqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_prefix(q["prefix"], 10, max_expansions=8)
+            want = search(reader, "prefix", q["prefix"], 10, max_expansions=8)
             assert mine == want, ("prefix", q)
 
         fqs = [{"qid": 0, "word": "getx"}, {"qid": 1, "word": "mergE"},
@@ -139,8 +142,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                         for q in fqs], k=10)
         for q in fqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_fuzzy(q["word"], 10, max_edits=1,
-                                       prefix_len=1, max_expansions=16)
+            want = search(reader, "fuzzy", q["word"], 10, max_edits=1,
+                          prefix_len=1, max_expansions=16)
             assert mine == want, ("fuzzy", q)
 
         # synonym expansion is corpus-free (frozen map) — the router
@@ -151,7 +154,7 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                         for q in sqs], k=10)
         for q in sqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_synonym(q["query"], 10)
+            want = search(reader, "synonym", q["query"], 10)
             assert mine == want, ("synonym", q)
 
         # wildcard: prefix-range, suffix (dictionary-scan path), infix,
@@ -163,7 +166,7 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                         for q in wqs], k=10)
         for q in wqs:
             mine = [(r["doc_id"], r["score"]) for r in got if r["qid"] == q["qid"]]
-            want = reader.search_wildcard(q["pattern"], 10, max_expansions=8)
+            want = search(reader, "wildcard", q["pattern"], 10, max_expansions=8)
             assert mine == want, ("wildcard", q)
     finally:
         svc.shutdown()
@@ -268,11 +271,9 @@ def test_sharded_facets_match_serial(served_index, num_actors):
 def test_sharded_more_like_this_matches_serial(served_index, num_actors):
     """MLT through the router (df exchange → router-side tf·idf term
     selection → OR scatter at k+1 → drop anchor) must equal the serial
-    reader's more_like_this, selection cut included."""
+    reader's more_like_this plan, selection cut included."""
     import pyarrow.parquet as pq_mod
     import glob as glob_mod
-
-    from information_retrieval_images_ray.functions.tokenizer import tokenize_code
 
     reader = IndexReader(served_index)
     # pull two real doc texts (stored-field access) from docmeta+corpus:
@@ -286,9 +287,7 @@ def test_sharded_more_like_this_matches_serial(served_index, num_actors):
     svc = ShardedQueryService(served_index, num_actors=num_actors)
     try:
         for i, text in enumerate(texts):
-            toks = tokenize_code(text)
-            want = reader.more_like_this(toks, exclude_doc=None, k=10,
-                                         max_terms=6)
+            want = search(reader, "more_like_this", text, 10, max_terms=6)
             got = svc.topk([svc.compile("more_like_this", text,
                                         {"max_terms": 6})], k=10)
             assert [(r["doc_id"], r["score"]) for r in got] == want, i
@@ -297,8 +296,8 @@ def test_sharded_more_like_this_matches_serial(served_index, num_actors):
             got_ex = svc.topk([svc.compile(
                 "more_like_this", text,
                 {"max_terms": 6, "exclude_doc": anchor})], k=10)
-            want_ex = reader.more_like_this(toks, exclude_doc=anchor, k=10,
-                                            max_terms=6)
+            want_ex = search(reader, "more_like_this", text, 10,
+                             exclude_doc=anchor, max_terms=6)
             assert [(r["doc_id"], r["score"]) for r in got_ex] == want_ex
             assert all(r["doc_id"] != anchor for r in got_ex)
     finally:
@@ -312,7 +311,7 @@ def test_paging_offset_matches_serial_tail(served_index):
     svc = ShardedQueryService(served_index, num_actors=3)
     try:
         got = svc.topk([{"qid": 0, "query": "get"}], k=5, offset=5)
-        want = reader.search_page("get", k=5, offset=5)
+        want = search(reader, "bm25", "get", k=5, offset=5)
         assert [(r["doc_id"], r["score"]) for r in got] == want
         assert [r["rank"] for r in got] == [6, 7, 8, 9, 10]
         assert want == reader.search_taat("get", 10)[5:10]
