@@ -178,8 +178,11 @@ def _docs(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def token_prf_documents(sf_dir: str) -> ray.data.Dataset:
-    return token_prf(_docs(sf_dir))
+def token_prf_documents(sf_dir: str) -> pd.DataFrame:
+    """``token_prf`` over the documents table, rows in doc_id order
+    (the Dataset's own row order varies between runs)."""
+    return token_prf(_docs(sf_dir)).to_pandas().sort_values(
+        "doc_id", kind="stable", ignore_index=True)
 
 
 def map_at_k_documents(sf_dir: str, k: int = 10) -> pd.DataFrame:

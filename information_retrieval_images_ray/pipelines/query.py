@@ -173,29 +173,59 @@ def decode_all_blocks(row: dict, block_size: int) -> tuple[np.ndarray, np.ndarra
     return ids, tfs
 
 
-def _bisect(arr, probe: str) -> int:
-    """Index of the leftmost term >= ``probe`` in a sorted Arrow string
-    array (~log2(V) string reads, no vocab-sized python objects)."""
-    lo, hi = 0, len(arr)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid].as_py() < probe:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+class SortedTerms:
+    """A sorted Arrow string array, searched without Arrow scalars: the
+    int32 offsets as a memoryview of Python ints and the UTF-8 data as
+    one ``bytes``. UTF-8 byte order is code-point order, which is both
+    Arrow's string sort order and ``str`` comparison, so a probe
+    compares as its encoding. Used by ``_ShardIndex`` and by the
+    router's global df table (serving.py)."""
 
+    def __init__(self, arr):
+        if isinstance(arr, pa.ChunkedArray):
+            arr = arr.combine_chunks()
+        arr = arr.cast(pa.string())  # int32 offsets
+        _, offsets, data = arr.buffers()
+        self._data = data.to_pybytes() if data is not None else b""
+        self._off = memoryview(np.frombuffer(offsets, np.int32)[
+            arr.offset:arr.offset + len(arr) + 1])
+        # the same array, its data backed by ``_data`` (held once)
+        self.arrow = pa.Array.from_buffers(
+            pa.string(), len(arr), [None, offsets, pa.py_buffer(self._data)],
+            offset=arr.offset)
 
-def _dict_range(arr, probe: str):
-    """The terms of a sorted Arrow string array that start with
-    ``probe``, in order: matches are contiguous under lexicographic
-    order, so one binary search plus a forward scan finds them (an
-    empty probe scans the whole dictionary)."""
-    for j in range(_bisect(arr, probe), len(arr)):
-        v = arr[j].as_py()
-        if not v.startswith(probe):
-            return
-        yield v
+    def __reduce__(self):  # a memoryview does not pickle
+        return SortedTerms, (self.arrow,)
+
+    def _bisect(self, probe: bytes) -> int:
+        off, data = self._off, self._data
+        lo, hi = 0, len(off) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if data[off[mid]:off[mid + 1]] < probe:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def find(self, term: str) -> int | None:
+        """Row index of ``term``, or None (~log2(V) byte compares)."""
+        p = term.encode("utf-8", "surrogatepass")
+        i = self._bisect(p)
+        off = self._off
+        return i if i < len(off) - 1 and self._data[off[i]:off[i + 1]] == p else None
+
+    def prefixed(self, probe: str):
+        """The terms that start with ``probe``, in order: matches are
+        contiguous under lexicographic order, so one binary search plus
+        a forward scan finds them (an empty probe scans every term)."""
+        p = probe.encode("utf-8", "surrogatepass")
+        off, data = self._off, self._data
+        for j in range(self._bisect(p), len(off) - 1):
+            v = data[off[j]:off[j + 1]]
+            if not v.startswith(p):
+                return
+            yield v.decode()
 
 
 class _ShardIndex:
@@ -235,7 +265,7 @@ class _ShardIndex:
         if not files:
             self.n_terms = 0
             self.df_local_sum = 0
-            self._terms = None
+            self.terms = self._terms = None
             return
         # only the columns scoring reads: an index written with the
         # block-max WAND skip and bound columns loads the same way
@@ -247,7 +277,8 @@ class _ShardIndex:
         # binary searches touching ~17 strings — no vocab-sized python
         # dict is ever built, so reader/actor startup is O(bytes read)
         t = t.take(pc.sort_indices(t["term"])).combine_chunks()
-        self._terms = t["term"].combine_chunks()
+        self.terms = SortedTerms(t["term"])
+        self._terms = self.terms.arrow
         self._df_local = t["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
         self._docs = t["docs"].combine_chunks()
         self._tfs = t["tfs"].combine_chunks()
@@ -269,19 +300,13 @@ class _ShardIndex:
             import pyarrow.compute as pc
 
             flipped = pc.utf8_reverse(self._terms)
-            rev = pc.take(flipped, pc.sort_indices(flipped))
-            if isinstance(rev, pa.ChunkedArray):
-                rev = rev.combine_chunks()
+            rev = SortedTerms(pc.take(flipped, pc.sort_indices(flipped)))
             self._rev_terms = rev
         return rev
 
     def find(self, term: str) -> int | None:
         """Binary search the sorted term column; row index or None."""
-        arr = self._terms
-        if arr is None:
-            return None
-        i = _bisect(arr, term)
-        return i if i < len(arr) and arr[i].as_py() == term else None
+        return None if self.terms is None else self.terms.find(term)
 
     def df_local_at(self, i: int) -> int:
         return int(self._df_local[i])
@@ -327,19 +352,26 @@ class _ShardIndex:
             dense = np.zeros(span, dtype=np.float64)
             dense[ids - self.lo] = part
             entry = (None, dense)
-            nbytes = dense.nbytes
         else:
             entry = (ids, part)
-            nbytes = ids.nbytes + part.nbytes
+        nbytes = _nbytes(entry)
         if nbytes <= self._cache_budget:
             while self._cache_used + nbytes > self._cache_budget and self._part_cache:
-                _, (old_ids, old_part) = self._part_cache.popitem(last=False)
-                self._cache_used -= old_part.nbytes + (
-                    old_ids.nbytes if old_ids is not None else 0
-                )
+                self._cache_used -= _nbytes(self._part_cache.popitem(last=False)[1])
             self._part_cache[key] = entry
             self._cache_used += nbytes
         return entry
+
+    def purge(self, avgdls: set[float]) -> None:
+        """Drop the cached partials computed under an avgdl outside
+        ``avgdls`` (those of a retired generation)."""
+        for key in [key for key in self._part_cache if key[1] not in avgdls]:
+            self._cache_used -= _nbytes(self._part_cache.pop(key))
+
+
+def _nbytes(entry: tuple[np.ndarray | None, np.ndarray]) -> int:
+    ids, part = entry
+    return part.nbytes + (0 if ids is None else ids.nbytes)
 
 
 # -- query plans ---------------------------------------------------------------
@@ -398,7 +430,7 @@ def compile_plan(mode: str, query: str, params: dict | None, tokenize,
       ``weights`` first — {"kind": "mlt", "tokens", "max_terms"} or
       {"kind": "prf", "fb_docs", "fb_terms", "beta"};
     - ``weights``: {term: weight} resolved by the feedback step; None
-      means boost·idf from the df exchange.
+      means boost·idf from the global df lookup.
 
     Raises ValueError for an unknown mode."""
     p = params or {}
@@ -514,7 +546,8 @@ class PlanRunner:
 
     - ``_expand_specs(specs)``: the sorted, capped term list of each
       (kind, arg, cap) expansion spec;
-    - ``_global_df(terms)``: exact global df, terms with df > 0 only;
+    - ``_global_df(terms)``: exact global df, terms with df > 0 only
+      (the router reads its in-memory table, no actor call);
     - ``_scatter(plans, weights, k, doc_filter)``: one part per shard
       owner, a part holding one ``IndexReader.execute`` result per plan.
 
@@ -536,13 +569,15 @@ class PlanRunner:
         top-(offset+k). ``doc_filter`` is a ("col", value) docmeta
         predicate; it restricts membership only, stats stay global.
 
-        Steps: resolve feedback plans (MoreLikeThis: one df exchange
+        Steps: resolve feedback plans (MoreLikeThis: one df lookup
         over the source terms; PRF: a base top-k call, one pruned
-        docterms read and one df exchange) into weighted-OR plans; one
+        docterms read and one df lookup) into weighted-OR plans; one
         batched expansion exchange when some plan has an expansion
-        spec; one df exchange for the plans without resolved weights;
+        spec; one df lookup for the plans without resolved weights;
         one scatter; the merge (rank, collapse max-merge, or the
-        positional verify)."""
+        positional verify). The df lookups are local (``_global_df``),
+        so the expansion exchange and the scatters are the only
+        round trips."""
         plans = [p if "terms" in p else self.compile("bm25", p["query"], qid=p["qid"])
                  for p in plans]
         if any(p["positional"] for p in plans):
@@ -583,7 +618,7 @@ class PlanRunner:
     def _resolve_feedback(self, plans: list[dict], doc_filter) -> list[dict]:
         """Run the term-selection step of each MoreLikeThis / PRF plan
         and return it as a weighted-OR plan carrying its resolved
-        weights (so the main path skips its df exchange).
+        weights (so the main path skips its df lookup).
 
         - mlt: the source's ``max_terms`` highest tf·idf terms (tf in
           the source), each at idf;
@@ -594,7 +629,7 @@ class PlanRunner:
           the final page.
 
         All plans share one base top-k call, one docterms read and one
-        df exchange."""
+        df lookup."""
         todo = [i for i, p in enumerate(plans)
                 if p["feedback"] and p["weights"] is None]
         if not todo:
@@ -728,8 +763,9 @@ class IndexReader(PlanRunner):
                  cache_bytes: int = 256 << 20):
         """``shards=None`` loads the whole index; a list of shard ids
         loads only those (the sharded-serving mode: each actor of a
-        pool owns a disjoint subset — global df is then resolved by a
-        per-query df exchange, see pipelines/serving.py).
+        pool owns a disjoint subset — the router then sums every
+        owner's ``term_dfs`` into its global df table, see
+        pipelines/serving.py).
 
         ``cache_bytes`` bounds the reader-wide decoded-partial LRU
         (split evenly across owned shards; 0 disables) — hot terms'
@@ -821,7 +857,8 @@ class IndexReader(PlanRunner):
 
     def term_dfs(self, shards: list[int]) -> pa.Table:
         """(term, df_local) rows of the given owned shards, one per
-        (shard, term): what an attach adds to every cached global df."""
+        (shard, term): what the router sums into its global df table
+        when a generation starts or an attach adds shards."""
         parts = [pa.table({"term": sh._terms, "df_local": sh._df_local})
                  for sh in (self.shards[s] for s in shards) if sh._terms is not None]
         return pa.concat_tables(parts) if parts else pa.table(
@@ -867,17 +904,17 @@ class IndexReader(PlanRunner):
     def _term_weights(self, terms, weights: dict[str, float] | None = None,
                       ) -> dict[str, float]:
         """{term: weight} over the distinct ``terms``: ``weights``
-        restricted to them when given (sharded serving's global-df
-        exchange), else idf from this reader's own df."""
+        restricted to them when given (sharded serving's global df
+        table), else idf from this reader's own df."""
         uniq = sorted(set(terms))
         if weights is not None:
             return {t: weights[t] for t in uniq if t in weights}
         return {t: idf_fn(self.n_docs, d) for t, d in self.df_locals(uniq).items()}
 
     def df_locals(self, terms: list[str]) -> dict[str, int]:
-        """term -> sum of df_local over THIS reader's owned shards (the
-        df-exchange half of sharded serving); terms with df 0 are
-        left out."""
+        """term -> sum of df_local over THIS reader's owned shards
+        (a whole-index reader's global df); terms with df 0 are left
+        out."""
         out = {}
         for t in terms:
             df = sum(self.shards[s].df_local_at(i) for s, i in self._locs(t))
@@ -1114,7 +1151,7 @@ class IndexReader(PlanRunner):
         edges[i+1])`` with the last bucket open-ended; ``edges`` must
         be ascending and start low enough to cover every matched doc
         (0 always works — a matched doc has >= 1 token). Presence
-        only, no idf — so the sharded service needs no df exchange and
+        only, no idf — so the sharded service needs no df and
         per-actor partials over owned docs SUM exactly at the router.
         Returns only non-empty buckets, ascending by ``lo``."""
         ids = self.match_ids(query, doc_filter)
@@ -1147,8 +1184,8 @@ class IndexReader(PlanRunner):
         the scorer itself uses.
 
         Sharded serving passes ``weights`` (global idf from the
-        router's df exchange) and ``df_override`` (the summed global
-        df) — a shard-subset reader's own df is shard-local."""
+        router's df table) and ``df_override`` (the global df) — a
+        shard-subset reader's own df is shard-local."""
         targets = np.asarray(
             sorted({int(d) for d in doc_ids}), dtype=np.int64)
         if len(self.tombstones):
@@ -1237,7 +1274,7 @@ class IndexReader(PlanRunner):
         never a vocabulary scan."""
         out: set[str] = set()
         for sh in self._dicts():
-            out.update(_dict_range(sh._terms, prefix))
+            out.update(sh.terms.prefixed(prefix))
         return sorted(out)[:max_expansions]
 
     def expand_wildcard(
@@ -1268,9 +1305,9 @@ class IndexReader(PlanRunner):
         out: set[str] = set()
         for sh in self._dicts():
             if pfx or not sfx:
-                out.update(v for v in _dict_range(sh._terms, pfx) if rx.match(v))
+                out.update(v for v in sh.terms.prefixed(pfx) if rx.match(v))
             else:
-                for v in _dict_range(sh.rev_terms(), sfx[::-1]):
+                for v in sh.rev_terms().prefixed(sfx[::-1]):
                     if rx.match(v[::-1]):
                         out.add(v[::-1])
         return sorted(out)[:max_expansions]
@@ -1303,7 +1340,7 @@ class IndexReader(PlanRunner):
         pfx = "".join(lit)
         out: set[str] = set()
         for sh in self._dicts():
-            out.update(v for v in _dict_range(sh._terms, pfx) if rx.fullmatch(v))
+            out.update(v for v in sh.terms.prefixed(pfx) if rx.fullmatch(v))
         return sorted(out)[:max_expansions]
 
     def expand_fuzzy(
@@ -1321,7 +1358,7 @@ class IndexReader(PlanRunner):
         out: set[str] = set()
         wl = len(word)
         for sh in self._dicts():
-            for v in _dict_range(sh._terms, word[:prefix_len]):
+            for v in sh.terms.prefixed(word[:prefix_len]):
                 if v not in out and abs(len(v) - wl) <= max_edits \
                         and _levenshtein_leq(v, word, max_edits):
                     out.add(v)

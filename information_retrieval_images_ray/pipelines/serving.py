@@ -19,11 +19,15 @@ the router shares with the serial ``IndexReader``:
 2. **expand**: one batched ``expand_batch`` round trip, only when some
    plan has a dictionary-expansion spec — each actor expands against
    its own dictionary subset, the router unions and re-caps;
-3. **df**: ``_global_df`` sums per-actor ``df_locals`` into exact
-   global df, turned into boost·idf weights (O(query terms) numbers).
-   A generation caches every df > 0 it has learned: its index is
-   immutable, so a cached df stays exact, and only terms it has not
-   seen yet cost an exchange;
+3. **df**: ``_global_df`` looks the exact global df up in the
+   router's df table, with no actor call, and turns it into
+   boost·idf weights. The table is built when a pool starts: each
+   actor returns its shards' (term, df_local) rows
+   (``IndexReader.term_dfs``) and the router sums them into one
+   sorted term array plus an int64 df array, binary-searched like a
+   shard's own dictionary (``query.SortedTerms``). It is
+   O(vocabulary) in the router — about 4 B of offset, the term's
+   UTF-8 bytes and 8 B of df per distinct term;
 4. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
    runs ``IndexReader.execute`` for every plan over its owned shards;
 5. **merge**: the router ranks with the engine-wide (score desc,
@@ -31,26 +35,29 @@ the router shares with the serial ``IndexReader``:
    positional candidates against the positions sidecar.
 
 MoreLikeThis and PRF plans first run their term selection at the
-router (a df exchange; PRF also a base top-k call and a pruned
+router (a df lookup; PRF also a base top-k call and a pruned
 docterms read) and continue as weighted-OR plans that skip step 3. A
-plain bm25 search is one round trip (the scatter) once its terms' df
-are cached, two (df, then the scatter) before.
+plain bm25 search is one round trip: the scatter, one ``execute``
+call per actor.
 
 A ``ShardedQueryService`` is one immutable generation of the served
 index: the actor handles and each actor's shards, ``n_docs`` /
 ``avgdl`` / shard bounds (``stats``), the tombstones, the docmeta
 table (held in memory sorted by doc_id, which
 ``serving_http.hydrate_hits`` serves from with no disk read) and the
-df cache. A request takes one generation and uses it for every call
+df table. A request takes one generation and uses it for every call
 it makes; each actor call names that generation, and an actor keeps
 one ``IndexReader`` view per live generation, the views sharing the
 loaded shards. Constructing the service starts a fresh actor set (the
 HTTP server does that at start and on /reload). ``extended`` and
 ``deleted`` derive the next generation on the SAME actors: an extend
 loads only the new shards, onto the least-loaded actor, appends their
-docmeta rows and adds their df to every cached df; a delete only
-swaps the tombstones. When the last reference to a generation drops,
-its actor views are retired, and an actor set is killed once no live
+docmeta rows and merges every (term, df_local) row of theirs into the
+df table (a term only the new shards hold gains its entry); a delete
+only swaps the tombstones and shares the table (stats stay stale
+until compaction). When the last reference to a generation drops,
+its actor views are retired with the partials cached under an avgdl
+no live view uses, and an actor set is killed once no live
 generation uses it.
 
 Rank/score identity with a single whole-index ``IndexReader`` holds by
@@ -71,14 +78,13 @@ import itertools
 import json
 import os
 import weakref
-from collections import defaultdict
 
 import numpy as np
 import pyarrow as pa
 import ray
 
 from ..functions.bm25 import idf as idf_fn
-from .query import IndexReader, PlanRunner, shard_docmeta_files
+from .query import IndexReader, PlanRunner, SortedTerms, shard_docmeta_files
 
 # generation ids, unique per process: an actor's views are keyed by
 # them, and a server never reports the same id for two generations,
@@ -102,6 +108,14 @@ def _docmeta_table(files: list[str]) -> pa.Table:
     return t.sort_by("doc_id").combine_chunks()
 
 
+def _df_table(parts: list[pa.Table]) -> tuple[SortedTerms, np.ndarray]:
+    """Sum (term, df_local) rows into the router's df table: the
+    distinct terms, sorted, and their int64 global df."""
+    t = (pa.concat_tables(parts).group_by("term")
+         .aggregate([("df_local", "sum")]).sort_by("term"))
+    return SortedTerms(t["term"]), t["df_local_sum"].to_numpy()
+
+
 def load_docmeta(index_dir: str) -> pa.Table:
     """The whole docmeta table in memory (see ``_docmeta_table``): an
     extend that brought columns the base build lacked leaves them null
@@ -120,6 +134,13 @@ class ShardQueryActor:
 
     def __init__(self, index_dir: str, shard_ids: list[int], gen: int):
         self.views = {gen: IndexReader(index_dir, shards=shard_ids)}
+        self.executes = 0
+
+    def term_dfs(self, gen: int) -> pa.Table:
+        """The (term, df_local) rows of every shard the view of ``gen``
+        owns, for the router's df table."""
+        view = self.views[gen]
+        return view.term_dfs(view.owned)
 
     def attach(self, gen: int, base: int, stats: dict, shard_ids: list[int],
                tombstones: np.ndarray | None) -> pa.Table:
@@ -131,21 +152,29 @@ class ShardQueryActor:
         return view.term_dfs(shard_ids)
 
     def retire(self, gen: int) -> None:
-        self.views.pop(gen, None)
+        """Drop the view of ``gen`` and the partials its shards cached
+        under an avgdl that no live view uses."""
+        view = self.views.pop(gen, None)
+        if view is not None:
+            live = {v.avgdl for v in self.views.values()}
+            for sh in view.shards:
+                if sh is not None:
+                    sh.purge(live)
 
     def counters(self) -> dict:
-        """Live generation views, shards held, partial-cache hits and
-        misses (over the held shards' lifetime)."""
+        """Live generation views, shards held, ``execute`` calls, the
+        avgdls with cached partials, partial-cache hits and misses
+        (over the held shards' lifetime)."""
         held = {s: sh for v in self.views.values()
                 for s, sh in enumerate(v.shards) if sh is not None}
         return {
             "views": len(self.views), "shards": sorted(held),
+            "executes": self.executes,
+            "partial_avgdls": sorted({key[1] for sh in held.values()
+                                      for key in sh._part_cache}),
             "partial_hits": sum(sh.hits for sh in held.values()),
             "partial_misses": sum(sh.misses for sh in held.values()),
         }
-
-    def df_locals(self, gen: int, terms: list[str]) -> dict[str, int]:
-        return self.views[gen].df_locals(terms)
 
     def expand_batch(self, gen: int, specs: list[tuple]) -> list[list[str]]:
         """All of a batch's expansion specs in ONE round trip."""
@@ -157,6 +186,7 @@ class ShardQueryActor:
         ``doc_filter`` is a ("col", value) docmeta predicate; each actor
         masks exactly the docs it owns, so the merged result equals a
         whole-index filtered search."""
+        self.executes += 1
         return [self.views[gen].execute(p, k, w, doc_filter)
                 for p, w in zip(plans, weights)]
 
@@ -200,13 +230,10 @@ class ShardQueryActor:
         weights: dict[str, float], df_override: dict[str, int],
     ) -> list[dict]:
         """Per-(owned doc, term) BM25 breakdown; the router supplies
-        global idf weights and global df from its df exchange (this
+        global idf weights and global df from its df table (this
         reader's own df would be shard-local)."""
         return self.views[gen].explain(query, doc_ids, weights=weights,
                                        df_override=df_override)
-
-    def ready(self) -> bool:
-        return True
 
 
 def _kill(actors: list) -> None:
@@ -250,8 +277,6 @@ class ShardedQueryService(PlanRunner):
         self.n_docs = self.stats["n_docs"]
         self.tokenize = get_tokenizer(self.stats["tokenizer"])
         self.tombstones = load_tombstones(index_dir)
-        # global df per term, df > 0 only (bounded by the vocabulary)
-        self._df: dict[str, int] = {}
         num_actors = max(1, min(num_actors, nsh))
         # actor i -> the shards it owns in this generation
         self.assign = [list(range(i, nsh, num_actors)) for i in range(num_actors)]
@@ -261,9 +286,10 @@ class ShardedQueryService(PlanRunner):
             for shard_ids in self.assign
         ])
         self._track()
+        parts = [a.term_dfs.remote(self.generation) for a in self.actors]
         # loaded while the actors start
         self.docmeta = load_docmeta(index_dir)
-        ray.get([a.ready.remote() for a in self.actors])
+        self._terms, self._df = _df_table(ray.get(parts))
 
     @property
     def actors(self) -> list:
@@ -294,9 +320,9 @@ class ShardedQueryService(PlanRunner):
         """The generation after an extend that committed ``stats``.
         Each new shard goes to the actor owning the fewest docs; only
         that actor reads anything. Docmeta gains the new shards' rows
-        (their ids lie above the old span, so it stays sorted) and
-        every cached df gains their df_local, so the cache stays exact
-        and warm."""
+        (their ids lie above the old span, so it stays sorted) and the
+        df table gains every (term, df_local) row of theirs, so it
+        stays exact."""
         bounds = stats["shard_bounds"]
         new_shards = range(self.stats["num_shards"], stats["num_shards"])
         assign = [list(a) for a in self.assign]
@@ -306,12 +332,8 @@ class ShardedQueryService(PlanRunner):
             assign[i].append(s)
             load[i] += bounds[s + 1] - bounds[s]
         nxt, parts = self._derive(stats, self.tombstones, assign)
-        df = dict(self._df)
-        for part in parts:
-            for t, n in zip(part["term"].to_pylist(), part["df_local"].to_pylist()):
-                if t in df:
-                    df[t] += n
-        nxt._df = df
+        nxt._terms, nxt._df = _df_table(
+            [pa.table({"term": self._terms.arrow, "df_local": self._df}), *parts])
         nxt.docmeta = pa.concat_tables(
             [self.docmeta, _docmeta_table(shard_docmeta_files(self.index_dir, new_shards))],
             promote_options="permissive").combine_chunks()
@@ -319,8 +341,8 @@ class ShardedQueryService(PlanRunner):
 
     def deleted(self, tombstones: np.ndarray) -> "ShardedQueryService":
         """The generation after a delete: ``tombstones`` replace this
-        one's, everything else (df cache included — stats stay stale
-        until compaction) is shared."""
+        one's, everything else (the df table included — stats stay
+        stale until compaction) is shared."""
         return self._derive(self.stats, tombstones, self.assign)[0]
 
     def counters(self) -> list[dict]:
@@ -329,18 +351,15 @@ class ShardedQueryService(PlanRunner):
 
     # -- PlanRunner backend: the actor pool ------------------------------------
     def _global_df(self, terms: list[str]) -> dict[str, int]:
-        """Exact global df (shards partition the doc space, so
-        per-actor df_local sums are exact); df 0 left out. Only terms
-        missing from the pool's cache go to the actors, so a search
-        whose terms are all cached makes no df exchange."""
-        miss = [t for t in terms if t not in self._df]
-        if miss:
-            gdf: dict[str, int] = defaultdict(int)
-            for part in ray.get([a.df_locals.remote(self.generation, miss) for a in self.actors]):
-                for t, n in part.items():
-                    gdf[t] += n
-            self._df.update(gdf)
-        return {t: self._df[t] for t in terms if t in self._df}
+        """Exact global df from the df table (shards partition the doc
+        space, so the summed df_local are exact); df 0 left out. No
+        actor call."""
+        out = {}
+        for t in terms:
+            i = self._terms.find(t)
+            if i is not None:
+                out[t] = int(self._df[i])
+        return out
 
     def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
         """ONE ``expand_batch`` round trip per actor for the whole
@@ -363,7 +382,7 @@ class ShardedQueryService(PlanRunner):
         vs the corpus. Protocol: per-actor ascending match-id prefixes
         (one scatter, no df needed for presence) merge to the global
         first-``sample_n`` sample; ONE doc_id-pruned docterms read at
-        the router; candidate df via the usual exchange; the SAME
+        the router; candidate df from the df table; the SAME
         scoring floats as the serial reader (query.py
         _score_significant). Rows: {"qid", "rank", "term", "fg_df",
         "df", "lor"}."""
@@ -388,8 +407,8 @@ class ShardedQueryService(PlanRunner):
         return out
 
     def explain(self, query: str, doc_ids: list[int]) -> list[dict]:
-        """Whole-pool scoring explanation: one df exchange for exact
-        global df/idf, then each actor explains the requested docs it
+        """Whole-pool scoring explanation: exact global df/idf from
+        the df table, then each actor explains the requested docs it
         OWNS (shards partition the doc space, so the concatenation is
         exactly a whole-index reader's explain). Rows come back
         (doc_id asc, term asc)."""
@@ -405,7 +424,7 @@ class ShardedQueryService(PlanRunner):
 
     def facets(self, queries: list[dict], facet_cols: list[str],
                doc_filter=None) -> list[dict[str, dict[str, int]]]:
-        """Distributed faceting: one scatter (no df exchange — presence
+        """Distributed faceting: one scatter (no df — presence
         needs no idf), per-actor vectorized counts over owned shards,
         router sums by value string. Returns one {col: {value: n}} per
         query, aligned with ``queries``."""
@@ -426,8 +445,8 @@ class ShardedQueryService(PlanRunner):
 
     def length_facets(self, queries: list[dict], edges: list[int],
                       doc_filter=None) -> list[list[dict]]:
-        """Distributed numeric range faceting: one scatter (no df
-        exchange — presence needs no idf), per-actor bucket counts
+        """Distributed numeric range faceting: one scatter (no df —
+        presence needs no idf), per-actor bucket counts
         over owned docs, router sums by bucket lower edge. Returns one
         ascending [{lo, n}, ...] (non-empty buckets only) per query,
         aligned with ``queries``."""

@@ -243,6 +243,15 @@ class IndexHTTPServer:
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            # keep-alive: a client reuses one connection (and this
+            # server one thread) for all its requests. Every response
+            # carries Content-Length. TCP_NODELAY, because a response
+            # goes out in two writes (headers, then body), and Nagle's
+            # algorithm would hold the body until the client's delayed
+            # ACK of the headers.
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def log_message(self, *a):  # quiet
                 pass
 
@@ -411,6 +420,8 @@ class IndexHTTPServer:
                     else:
                         self._json(404, {"error": "unknown route"})
                 except Exception as e:
+                    # the request body may be unread: end the connection
+                    self.close_connection = True
                     self._json(500, {"error": str(e)})
 
         self.httpd = ThreadingHTTPServer((host, port), Handler)
@@ -444,9 +455,9 @@ class IndexHTTPServer:
         POST, one response per body (order preserved). Bodies that
         share (limit, lang, offset, hydrate) — whatever their modes —
         ride ONE pooled ``topk`` call: a single expansion exchange when
-        any needs one, a single df exchange for the terms the pool has
-        not cached, a single scatter, and ONE in-memory hydration
-        lookup per group. Results are bitwise
+        any needs one, one df lookup in the pool's in-memory df table,
+        a single scatter, and ONE in-memory hydration lookup per
+        group. Results are bitwise
         identical to per-body ``search`` because every step is
         per-plan independent. A body that fails to compile (bad mode)
         or a group that fails (positional mode without a sidecar)
@@ -548,7 +559,7 @@ class IndexHTTPServer:
                     lang: str | None = None) -> list[dict]:
         """Significant-terms aggregation (POST /significant): what the
         query's whole match set is ABOUT, via the sharded router's
-        match-prefix scatter + pruned docterms read + df exchange."""
+        match-prefix scatter + pruned docterms read + df table."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.topk_significant(
@@ -559,7 +570,7 @@ class IndexHTTPServer:
         """Per-doc term vectors (POST /termvectors {"doc_ids": [...]},
         the Elasticsearch ``_termvectors`` analogue): (term, tf) pairs
         from one doc_id-pruned docterms read on the router, exact
-        global df from the pool's df exchange (``PlanRunner.term_vectors``,
+        global df from the pool's df table (``PlanRunner.term_vectors``,
         shared with the serial reader)."""
         svc = self._pool()
         return svc.term_vectors(doc_ids)

@@ -96,6 +96,52 @@ def test_partial_cache_warm_equals_cold(built_index, fixture_spec):
     )
 
 
+def test_partial_cache_purge_keeps_bytes_exact(built_index):
+    """``purge`` drops exactly the partials cached under an avgdl it is
+    not given and keeps the cache's byte count equal to what it
+    holds."""
+    from information_retrieval_images_ray.pipelines.query import _nbytes
+
+    _, index_dir, _ = built_index
+    reader = IndexReader(index_dir)
+    sh = next(sh for sh in reader.shards if sh is not None and sh.n_terms)
+    old, live = reader.avgdl + 1.0, reader.avgdl
+    for avgdl in (old, live):
+        for i in range(min(30, sh.n_terms)):
+            sh.partial(i, reader.block_size, reader.doc_len, 1.2, 0.75, avgdl)
+    assert {key[1] for key in sh._part_cache} == {old, live}
+    sh.purge({live})
+    assert {key[1] for key in sh._part_cache} == {live}
+    assert len(sh._part_cache) == min(30, sh.n_terms)
+    assert sh._cache_used == sum(_nbytes(e) for e in sh._part_cache.values())
+
+
+def test_sorted_terms_lookup_matches_python_order():
+    """``SortedTerms`` finds and prefix-scans exactly as ``str``
+    comparison over an Arrow-sorted array does, non-ASCII terms and
+    absent probes included."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from information_retrieval_images_ray.pipelines.query import SortedTerms
+
+    vocab = ["a", "ab", "abc", "b", "ba", "z", "zz", "é", "éa", "日本", "日本語", "😀"]
+    arr = pa.array(vocab[::-1])
+    arr = pc.take(arr, pc.sort_indices(arr))
+    assert arr.to_pylist() == sorted(vocab)
+    terms = SortedTerms(arr.slice(0))
+    assert terms.arrow.to_pylist() == sorted(vocab)
+    for probe in vocab + ["", "aa", "abd", "c", "zzz", "é0", "日", "￿"]:
+        want = sorted(vocab).index(probe) if probe in vocab else None
+        assert terms.find(probe) == want, probe
+        assert list(terms.prefixed(probe)) == [v for v in sorted(vocab)
+                                               if v.startswith(probe)], probe
+    # a sliced array (non-zero offset) searches its own rows only
+    tail = SortedTerms(arr.slice(3))
+    assert tail.find("a") is None and tail.find("b") == 0
+    assert list(tail.prefixed("a")) == []
+
+
 def test_query_scorer_actor_pool(built_index, fixture_spec):
     """Batch-of-queries via map_batches actor pool (T1 Ray mapping)."""
     import ray.data

@@ -8,6 +8,7 @@ import pandas as pd
 from information_retrieval_images_ray.pipelines.evaluation import (
     average_precision_at_k,
     overlap_topk,
+    token_prf_documents,
 )
 
 
@@ -222,3 +223,13 @@ def test_recall_at_k_hand_computed():
     # k contract: at k=4 nothing changes for q1 (13 not relevant to q1)
     out4 = recall_at_k(hits, rel, [1], k=4).set_index("qid")
     assert out4.loc[1, "n_hit"] == 2
+
+
+def test_token_prf_documents_in_doc_id_order(sf_dir):
+    """Two runs give the same frame, rows in doc_id order, with no
+    sorting by the caller."""
+    first = token_prf_documents(sf_dir)
+    second = token_prf_documents(sf_dir)
+    assert first.equals(second)
+    assert first["doc_id"].is_monotonic_increasing
+    assert list(first.index) == list(range(len(first)))

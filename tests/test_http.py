@@ -1332,3 +1332,150 @@ def test_race_every_response_matches_a_generation(tmp_path):
         assert match, (q, got)
         served.update(match)
     assert len(seen) > 20 and len(served) > 2
+
+
+# ---------------------------------------------------------------------------
+# One actor round trip and one connection per search
+
+
+def _index_terms(idx) -> list[str]:
+    """Every distinct term of the index on disk."""
+    reader = IndexReader(idx)
+    return sorted({t for sh in reader.shards if sh is not None and sh._terms is not None
+                   for t in sh._terms.to_pylist()})
+
+
+def test_ranked_search_is_one_execute_per_actor(tmp_path, monkeypatch):
+    """A ranked bm25 /search on a fresh pool makes one actor call per
+    actor, ``execute``, and no other: global df comes from the
+    router's df table."""
+    import ray.actor
+
+    idx = _small_index(str(tmp_path / "one"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    try:
+        before = srv._pool().counters()
+        calls = []
+        real_remote = ray.actor.ActorMethod.remote
+
+        def counting_remote(method, *a, **kw):
+            calls.append(method._method_name)
+            return real_remote(method, *a, **kw)
+
+        monkeypatch.setattr(ray.actor.ActorMethod, "remote", counting_remote)
+        status, hits = _req(srv.port, "/search", {"query": "alpha zebra", "limit": 5})
+        monkeypatch.undo()
+        assert status == 200 and hits
+        assert calls == ["execute", "execute"]
+        after = srv._pool().counters()
+        assert [a["executes"] - b["executes"] for a, b in zip(after, before)] == [1, 1]
+    finally:
+        monkeypatch.undo()
+        srv.close()
+
+
+def test_df_table_exact_across_writes(tmp_path):
+    """The router's df table equals a fresh reader's df over every term
+    of the index: after an /extend whose docs bring terms the index
+    did not hold, unchanged by a /delete (stats stay stale until
+    compaction), and rebuilt by a /reload of the compacted index."""
+    import shutil
+
+    from information_retrieval_images_ray.pipelines.maintenance import compact_index
+
+    idx = _small_index(str(tmp_path / "dft"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    try:
+        status, out = _req(srv.port, "/extend", {"docs": [
+            {"content": "alpha brandnew1 brandnew2"}, {"content": "zebra brandnew2"}]})
+        assert status == 200 and out["added"] == 2
+        terms = _index_terms(idx)
+        assert {"brandnew1", "brandnew2"} <= set(terms)
+        extended = srv._pool()._global_df(terms)
+        assert extended == IndexReader(idx).df_locals(terms)
+        assert extended["brandnew2"] == 2
+        _, hits = _req(srv.port, "/search", {"query": "brandnew1", "limit": 1})
+        assert [h["doc_id"] for h in hits] == [60]
+
+        status, out = _req(srv.port, "/delete", {"doc_ids": [60, 0, 1]})
+        assert status == 200 and out["tombstoned"] == 3
+        assert srv._pool()._global_df(terms) == extended
+
+        compacted = str(tmp_path / "dft_compacted")
+        compact_index(idx, compacted)
+        shutil.rmtree(idx)
+        shutil.copytree(compacted, idx)
+        status, _ = _req(srv.port, "/reload", {})
+        assert status == 200
+        terms = _index_terms(idx)
+        reloaded = srv._pool()._global_df(terms)
+        assert reloaded == IndexReader(idx).df_locals(terms)
+        assert "brandnew1" not in reloaded and reloaded != extended
+    finally:
+        srv.close()
+
+
+def test_retired_generation_partials_are_purged(tmp_path):
+    """Once the generation before an /extend is collected, no actor
+    holds a partial cached under its avgdl."""
+    import gc
+    import time
+
+    idx = _small_index(str(tmp_path / "purge"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    try:
+        held = srv._pool()
+        old_avgdl = held.stats["avgdl"]
+        _hits(held, "alpha bravo zebra")
+        assert all(c["partial_avgdls"] == [old_avgdl] for c in held.counters())
+        status, out = _req(srv.port, "/extend", {"docs": [
+            {"content": "alpha alpha alpha purge"}, {"content": "bravo purge"}]})
+        assert status == 200 and out["added"] == 2
+        new = srv._pool()
+        assert new.stats["avgdl"] != old_avgdl
+        _hits(new, "alpha bravo zebra")
+        del held
+        gc.collect()
+        deadline = time.time() + 30
+        while any(c["views"] != 1 for c in new.counters()) and time.time() < deadline:
+            time.sleep(0.1)
+        counters = new.counters()
+        assert [c["views"] for c in counters] == [1, 1]
+        assert all(c["partial_avgdls"] == [new.stats["avgdl"]] for c in counters)
+    finally:
+        srv.close()
+
+
+def test_keep_alive_one_connection(server):
+    """Searches, a 400 and a 404 all go over one kept-alive socket, and
+    a search on it takes well under a Nagle / delayed-ACK stall."""
+    import http.client
+    import statistics
+    import time
+
+    srv, _ = server
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+
+    def post(path, body):
+        conn.request("POST", path, body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+
+    try:
+        assert post("/search", {"query": "alpha dup", "limit": 5})[0] == 200
+        sock = conn.sock
+        assert sock is not None
+        assert post("/search", {"query": "zebra", "mode": "nope"})[0] == 400
+        assert post("/nowhere", {})[0] == 404
+        lat = []
+        for i in range(20):
+            t = time.perf_counter()
+            status, hits = post("/search", {"query": ["alpha dup", "zebra echo"][i % 2],
+                                            "limit": 5})
+            lat.append(time.perf_counter() - t)
+            assert status == 200 and hits
+        assert conn.sock is sock
+        assert statistics.median(lat) < 0.040, lat
+    finally:
+        conn.close()

@@ -1,4 +1,4 @@
-"""Sharded serving: the shard-partitioned actor pool + df-exchange
+"""Sharded serving: the shard-partitioned actor pool + df-table
 router must be rank- AND score-identical (bitwise) to a whole-index
 reader, including across actor counts that don't divide the shard
 count."""
@@ -322,14 +322,11 @@ def test_paging_offset_matches_serial_tail(served_index):
 
 
 def test_router_round_trips_per_mode(served_index, monkeypatch):
-    """Actor round trips per router call. On a fresh pool (cold df
-    cache) a plain bm25 search is two (df exchange, then the scatter);
-    an expansion mode adds one batched expansion exchange;
-    more_like_this pays its selection df exchange instead of the main
-    one; prf adds a base top-k call and a selection df exchange. Once
-    the same terms' df are cached, every df exchange goes: bm25 and
-    more_like_this are one scatter, prefix and prf two round trips. A
-    batch of plans costs what one plan does."""
+    """Actor round trips per router call. Global df comes from the
+    router's df table, so a fresh pool costs what a warm one does: a
+    plain bm25 search and more_like_this are one scatter, an expansion
+    mode adds one batched expansion exchange, and prf adds a base top-k
+    call. A batch of plans costs what one plan does."""
     import ray
 
     real_get = ray.get
@@ -340,10 +337,10 @@ def test_router_round_trips_per_mode(served_index, monkeypatch):
         return real_get(refs, *a, **kw)
 
     cases = [
-        ("bm25", "merge sort hash", {}, 2, 1),
-        ("prefix", "ge", {"max_expansions": 8}, 3, 2),
-        ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 2, 1),
-        ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 4, 2),
+        ("bm25", "merge sort hash", {}, 1, 1),
+        ("prefix", "ge", {"max_expansions": 8}, 2, 2),
+        ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 1, 1),
+        ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 2, 2),
     ]
     for mode, query, params, cold, warm in cases:
         for n in (1, 3):
