@@ -9,7 +9,7 @@ evaluation — see /root/repo/SURVEY.md) as an idiomatic
 
 - read Parquet source-code corpora (``repo, path, commit, lang, content``)
 - ``map_batches`` over zero-copy Arrow for sha256 + code-aware tokenize
-- one ``groupby("shard")`` group per doc-range shard, encoded into
+- one task per doc-range shard, with no exchange, encoding the shard's
   per-term posting lists, delta + varbyte compressed
 - exhaustive term-at-a-time BM25 top-k over the compressed postings
   (one accumulator for every query mode), served by stateful actors

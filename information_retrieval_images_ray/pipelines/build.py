@@ -7,9 +7,8 @@ and main.py:190-228):
   read Parquet corpus
     -> map_batches(TokenizeStage)                 [phase docterms]
     -> footer stats + doc_len sum                 [phase stats]
-    -> add shard, keep pending shards
-       -> groupby(shard).map_groups(encode_shard) [phase segment:k]
-    -> docmeta projection                         [phase docmeta]
+    -> one task per pending shard: its doc range
+       -> encode_shard + docmeta projection       [phase segment:k]
 
 Physical design decisions (all grade-relevant at 10^12 files):
 
@@ -18,7 +17,7 @@ Physical design decisions (all grade-relevant at 10^12 files):
   layout); per-shard doc_len arrays stay dense and local.
 - **Skew**: the shard is the unit of encode work. A shard's segment
   rows depend only on its own postings, so each pending shard is ONE
-  group, encoded in one vectorized pass. No group is larger than the
+  task, encoded in one vectorized pass. No task holds more than the
   shard an actor must hold in memory anyway, and even a stopword's
   posting is bounded by the shard's doc count.
 - **Global df** is never materialized at build time: the reader sums
@@ -28,13 +27,14 @@ Physical design decisions (all grade-relevant at 10^12 files):
   killed job recomputes only unfinished shards
   (tests/test_resume.py). Mirrors the reference's md5-presence
   idempotency (db.py:114-116) at partition granularity.
-- **content is dropped** right after tokenize; only docterms rows
-  (doc_id, terms, tfs — one per doc, list columns) enter the segment
-  exchange (SURVEY.md §7.4e).
+- **content is dropped** right after tokenize; a shard task reads only
+  the docterms files whose footer doc_id range meets its shard, so the
+  segment and docmeta writes need no exchange (SURVEY.md §7.4e).
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import os
@@ -43,8 +43,9 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
 
 from ..stages.postings import BLOCK_SIZE, encode_shard
 from ..stages.tokenize import TokenizeStage
@@ -53,14 +54,15 @@ from ..state.manifest import Manifest, fingerprint_files
 logger = logging.getLogger(__name__)
 
 
-# docterms columns a segment encode reads
-SEGMENT_INPUT_COLUMNS = ["doc_id", "terms", "tfs"]
-
-
 def segment_shard_dir(index_dir: str, shard: int) -> str:
     """Hive-partitioned per-shard segment directory (the resumable
     partition unit)."""
     return os.path.join(index_dir, "segments", f"shard={shard}")
+
+
+def docmeta_shard_dir(index_dir: str, shard: int) -> str:
+    """Hive-partitioned per-shard docmeta directory."""
+    return os.path.join(index_dir, "docmeta", f"shard={shard}")
 
 
 def shard_bounds(n_docs_span: int, num_shards: int) -> list[int]:
@@ -237,14 +239,7 @@ def build_index(
 
             def keep_only(batch: pa.Table) -> pa.Table:
                 ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                if kind == "bloom":
-                    mask = state.contains(ids)
-                elif len(state) == 0:
-                    mask = np.zeros(len(ids), bool)
-                else:
-                    pos = np.searchsorted(state, ids)
-                    pos_c = np.minimum(pos, len(state) - 1)
-                    mask = (pos < len(state)) & (state[pos_c] == ids)
+                mask = state.contains(ids) if kind == "bloom" else _isin_sorted(ids, state)
                 return batch.filter(pa.array(mask))
 
             src = source.map_batches(keep_only, batch_format="pyarrow")
@@ -278,52 +273,10 @@ def build_index(
         )
 
     # ---- phase: stats -------------------------------------------------------
+    files = _parquet_files(docterms_dir)
     if not man.is_done("stats", fp):
         _t = time.perf_counter()
-        # n_docs and max_doc_id come from the parquet FOOTERS the
-        # docterms write just produced (row counts + per-row-group
-        # column statistics — no data read, no Ray job); total_tokens
-        # is a driver-side single-column read while the corpus is
-        # below DRIVER_STATS_MAX_DOCS (~160MB of int64 at the cap).
-        # Past the cap — or if a writer omitted statistics — the
-        # distributed aggregate takes over. This removes a fixed ~1s
-        # Ray job from the build's non-scaling critical path.
-        import glob as _glob
-
-        import pyarrow.parquet as _pq
-
-        n_docs = 0
-        max_id = -1
-        footer_ok = True
-        files = sorted(_glob.glob(os.path.join(docterms_dir, "*.parquet")))
-        for f in files:
-            md = _pq.read_metadata(f)
-            n_docs += md.num_rows
-            idx = md.schema.to_arrow_schema().get_field_index("doc_id")
-            for rg in range(md.num_row_groups):
-                st_ = md.row_group(rg).column(idx).statistics
-                if st_ is None or not st_.has_min_max:
-                    footer_ok = False
-                    break
-                max_id = max(max_id, int(st_.max))
-            if not footer_ok:
-                break
-        DRIVER_STATS_MAX_DOCS = 20_000_000
-        if footer_ok and 0 < n_docs <= DRIVER_STATS_MAX_DOCS:
-            import pyarrow.dataset as _pads
-
-            tbl = _pads.dataset(files, format="parquet").to_table(columns=["doc_len"])
-            total_tokens = int(pa.compute.sum(tbl["doc_len"]).as_py() or 0)
-        else:
-            dt = ray.data.read_parquet(docterms_dir, columns=["doc_id", "doc_len"])
-            agg = dt.aggregate(
-                Count(alias_name="n_docs"),
-                Sum("doc_len", alias_name="total_tokens"),
-                Max("doc_id", alias_name="max_doc_id"),
-            )
-            n_docs = int(agg["n_docs"])
-            total_tokens = int(agg["total_tokens"])
-            max_id = int(agg["max_doc_id"])
+        n_docs, total_tokens, _, max_id = _docterms_stats(files)
         span = max_id + 1
         avgdl = total_tokens / n_docs if n_docs else 0.0
         stats = {
@@ -349,36 +302,17 @@ def build_index(
                       **{k: v for k, v in stats.items() if k != "shard_bounds"})
     with open(stats_path) as f:
         stats = json.load(f)
-    nsh = stats["num_shards"]
-    shard_of = make_shard_of(stats["shard_bounds"])
 
-    # ---- phase: posting segments (one group per pending shard) -------------
-    pending = [s for s in range(nsh) if not man.is_done(f"segment:{s}", fp)]
-    _encode_segments(
-        ray.data.read_parquet(docterms_dir, columns=SEGMENT_INPUT_COLUMNS),
-        index_dir, shard_of, pending, cfg, man, input_fingerprint=fp,
-    )
-
-    # ---- phase: docmeta -----------------------------------------------------
-    if not man.is_done("docmeta", fp):
-        _t = time.perf_counter()
-        _clean(docmeta_dir)
-        cols = ["doc_id", "content_sha256", "doc_len"]
-        schema_names = ray.data.read_parquet(docterms_dir).schema().names
-        for extra in ("repo", "path", "commit", "lang"):
-            if extra in schema_names:
-                cols.append(extra)
-        dm = ray.data.read_parquet(docterms_dir, columns=cols)
-
-        def add_shard(batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            return batch.append_column("shard", pa.array(shard_of(ids), pa.int32()))
-
-        dm.map_batches(add_shard, batch_format="pyarrow").write_parquet(
-            docmeta_dir, partition_cols=["shard"], compression=cfg["compression"]
-        )
+    # ---- phase: segments + docmeta (one task per pending shard) ------------
+    pending = [s for s in range(stats["num_shards"])
+               if not man.is_done(f"segment:{s}", fp)]
+    _encode_shards(files, index_dir, stats["shard_bounds"], pending, cfg, man,
+                   "build", input_fingerprint=fp)
+    if pending or not man.is_done("docmeta", fp):
+        # perfbench/run.py reads entries["docmeta"]["duration_s"] as
+        # build.docmeta_s; the shard tasks write docmeta, so it is 0.0
         man.mark_done("docmeta", input_fingerprint=fp, **_parquet_size(docmeta_dir),
-                      duration_s=round(time.perf_counter() - _t, 3))
+                      duration_s=0.0)
 
     return stats
 
@@ -421,8 +355,12 @@ def extend_index(
     - the delta is tokenized into ``docterms/delta=<id>/`` and encoded
       into NEW shards appended to ``shard_bounds`` — existing segment /
       docmeta partitions are never rewritten (tested via mtimes);
-    - global stats (n_docs, avgdl, total_tokens) are re-aggregated
-      from the cheap (doc_id, doc_len) columns, never from raw text;
+    - global stats (n_docs, avgdl, total_tokens) are updated from the
+      delta's docterms footers and doc_len column (``_docterms_stats``),
+      never from raw text;
+    - one task per new shard writes its segments and docmeta
+      (``_encode_shards``, the build's path): a delta costs two Ray Data
+      jobs (tokenize, shard tasks) and no exchange;
       segment rows hold no corpus statistic and scoring reads the live
       ones, so results are rank- AND score-identical to a from-scratch
       build of the full corpus (tested).
@@ -554,17 +492,13 @@ def extend_index(
             return stats
 
     def _kept(ds_: ray.data.Dataset) -> ray.data.Dataset:
-        """Filter a ddir read down to the surviving delta docs."""
+        """Filter a delta Dataset down to the surviving delta docs."""
         if keep_ids is None:
             return ds_
-        arr = keep_ids
 
         def flt(batch: pa.Table) -> pa.Table:
             ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            pos = np.searchsorted(arr, ids)
-            pos_c = np.minimum(pos, len(arr) - 1)
-            mask = (pos < len(arr)) & (arr[pos_c] == ids)
-            return batch.filter(pa.array(mask))
+            return batch.filter(pa.array(_isin_sorted(ids, keep_ids)))
 
         return ds_.map_batches(flt, batch_format="pyarrow")
 
@@ -576,26 +510,19 @@ def extend_index(
     # the ORIGINAL span (a kill after the old code's stats.json write
     # but before mark_done used to make every retry fail the
     # overlapping-ids check against the already-updated span).
+    dfiles = _parquet_files(ddir)
     if not man.is_done(f"delta_stats:{delta_id}"):
         _t = time.perf_counter()
-        from ray.data.aggregate import Min as _Min
-
-        dt = _kept(ray.data.read_parquet(ddir, columns=["doc_id", "doc_len"]))
-        agg = dt.aggregate(
-            Count(alias_name="n_new"),
-            Sum("doc_len", alias_name="new_tokens"),
-            Max("doc_id", alias_name="max_doc_id"),
-            _Min("doc_id", alias_name="min_doc_id"),
-        )
+        n_new, new_tokens, min_id, max_id = _docterms_stats(dfiles, keep_ids)
         old_span = stats["doc_id_span"]
-        if int(agg["min_doc_id"]) < old_span:
+        if min_id is None or min_id < old_span:
             raise ValueError(
                 f"delta doc_ids must start at or above the current span "
-                f"{old_span}; got {int(agg['min_doc_id'])} (updates to "
+                f"{old_span}; got {min_id} (updates to "
                 f"existing docs go through delete + re-append, see "
                 f"pipelines/maintenance)"
             )
-        new_span = int(agg["max_doc_id"]) + 1
+        new_span = max_id + 1
         # delta shards sized to the index's established docs-per-shard
         target = max(1, (old_span + stats["num_shards"] - 1) // stats["num_shards"])
         dspan = new_span - old_span
@@ -604,8 +531,8 @@ def extend_index(
             old_span + (i * dspan + n_new_shards - 1) // n_new_shards
             for i in range(n_new_shards)
         ]
-        n_docs = stats["n_docs"] + int(agg["n_new"])
-        total = stats["total_tokens"] + int(agg["new_tokens"])
+        n_docs = stats["n_docs"] + n_new
+        total = stats["total_tokens"] + new_tokens
         first_new = stats["num_shards"]
         new_stats = dict(stats)
         new_stats.update(
@@ -619,7 +546,7 @@ def extend_index(
         man.mark_done(
             f"delta_stats:{delta_id}",
             new_shards=list(range(first_new, new_stats["num_shards"])),
-            n_new=int(agg["n_new"]),
+            n_new=n_new,
             stats=new_stats,
             duration_s=round(time.perf_counter() - _t, 3),
         )
@@ -633,45 +560,15 @@ def extend_index(
             json.dump(stats, f, indent=1)
         os.replace(stats_path + ".tmp", stats_path)
 
-    # ---- phase: delta posting segments (new shards only) --------------------
-    shard_of = make_shard_of(stats["shard_bounds"])
+    # ---- phase: delta segments + docmeta (new shards only) ------------------
     pending = [s for s in new_shards if not man.is_done(f"segment:{s}")]
-    _encode_segments(
-        _kept(ray.data.read_parquet(ddir, columns=SEGMENT_INPUT_COLUMNS)),
-        index_dir, shard_of, pending, cfg, man, delta=delta_id,
-    )
-
-    # ---- phase: delta docmeta ----------------------------------------------
-    if not man.is_done(f"delta_docmeta:{delta_id}"):
-        _t = time.perf_counter()
-        # clean the NEW shards' partitions first: a resumed run would
-        # otherwise append a full second copy next to a crashed write's
-        # partial files (every other resumable phase cleans its output)
-        for s in new_shards:
-            _clean(os.path.join(docmeta_dir, f"shard={s}"))
-        import pyarrow.parquet as pq
-
-        cols = ["doc_id", "content_sha256", "doc_len"]
-        # one footer read: every delta file has the columns the delta
-        # source had
-        first = min(f for f in os.listdir(ddir) if f.endswith(".parquet"))
-        schema_names = pq.read_schema(os.path.join(ddir, first)).names
-        for extra in ("repo", "path", "commit", "lang"):
-            if extra in schema_names:
-                cols.append(extra)
-        dm = _kept(ray.data.read_parquet(ddir, columns=cols))
-
-        def add_shard(batch: pa.Table) -> pa.Table:
-            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-            return batch.append_column("shard", pa.array(shard_of(ids), pa.int32()))
-
-        dm.map_batches(add_shard, batch_format="pyarrow").write_parquet(
-            docmeta_dir, partition_cols=["shard"], compression=cfg["compression"]
-        )
+    _encode_shards(dfiles, index_dir, stats["shard_bounds"], pending, cfg, man,
+                   delta_id, keep_ids, delta=delta_id)
+    if pending or not man.is_done(f"delta_docmeta:{delta_id}"):
         man.mark_done(
             f"delta_docmeta:{delta_id}",
-            **_parquet_size(*(os.path.join(docmeta_dir, f"shard={s}") for s in new_shards)),
-            duration_s=round(time.perf_counter() - _t, 3),
+            **_parquet_size(*(docmeta_shard_dir(index_dir, s) for s in new_shards)),
+            duration_s=0.0,
         )
 
     # ---- phase: delta positions sidecar (only when one exists) --------------
@@ -702,65 +599,157 @@ def extend_index(
     return stats
 
 
-def _encode_segments(
-    docterms: ray.data.Dataset,
+def _encode_shards(
+    files: list[str],
     index_dir: str,
-    shard_of,
+    bounds: list[int],
     pending: list[int],
     cfg: dict,
     man: Manifest,
+    tag: str,
+    keep_ids: np.ndarray | None = None,
     **entry,
 ) -> None:
-    """Encode each pending shard in one Ray Data group and record its
-    ``segment:{s}`` entry. Shared by the initial build and the delta
-    extend.
+    """Write each pending shard's segments and docmeta in one Ray Data
+    job with no exchange, and record its ``segment:{s}`` entry. Shared
+    by the build and ``extend_index``.
 
-    The exchange moves docterms rows (one per doc, list columns), and
-    ``encode_shard`` explodes and encodes a whole shard in one pass: a
-    shard is a contiguous doc range and its segment rows depend only on
-    its own postings, so no group is larger than the shard
-    an actor must hold in memory anyway."""
+    One single-row block per shard makes one ``_write_shard`` task,
+    given only the docterms ``files`` whose footer doc_id range meets
+    the shard. Both shard directories are cleared first; a task's
+    files are named ``<tag>.parquet``, so a retry overwrites its own."""
     if not pending:
         return
     _t = time.perf_counter()
+    ranges = _id_ranges(files)
+    reads = {s: [f for f, (n, lo, hi) in zip(files, ranges)
+                 if n and lo < bounds[s + 1] and hi >= bounds[s]]
+             for s in pending}
     for s in pending:
         _clean(segment_shard_dir(index_dir, s))
-    pending_arr = np.asarray(pending, dtype=np.int32)
+        _clean(docmeta_shard_dir(index_dir, s))
 
-    def tag_shard(batch: pa.Table) -> pa.Table:
-        shard = shard_of(batch["doc_id"].to_numpy(zero_copy_only=False))
-        batch = batch.append_column("shard", pa.array(shard, pa.int32()))
-        return batch.filter(pa.array(np.isin(shard, pending_arr)))
+    def encode(batch: pa.Table) -> pa.Table:
+        return pa.Table.from_pylist([
+            _write_shard(index_dir, s, bounds[s], bounds[s + 1], reads[s],
+                         keep_ids, tag, cfg)
+            for s in batch["shard"].to_pylist()])
 
-    (
-        docterms.map_batches(tag_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(
-            encode_shard,
-            fn_args=(cfg["block_size"],),
-            batch_format="pyarrow",
-        )
-        .write_parquet(
-            os.path.join(index_dir, "segments"),
-            partition_cols=["shard"], compression=cfg["compression"],
-        )
+    done = (
+        ray.data.from_items([{"shard": s} for s in pending],
+                            override_num_blocks=len(pending))
+        .map_batches(encode, batch_size=1, batch_format="pyarrow")
+        .take_all()
     )
-    import glob as _glob
+    # perfbench/run.py reads this as build.segments_s
+    took = round(time.perf_counter() - _t, 3)
+    for r in sorted(done, key=lambda r: r["shard"]):
+        man.mark_done(f"segment:{r['shard']}", terms=r["terms"],
+                      postings=r["postings"], bytes=r["bytes"],
+                      pipeline_duration_s=took, **entry)
 
-    import pyarrow.parquet as pq
 
-    for s in pending:
-        files = _glob.glob(os.path.join(segment_shard_dir(index_dir, s), "*.parquet"))
-        df_local = [pq.read_table(f, columns=["df_local"])["df_local"] for f in files]
-        man.mark_done(
-            f"segment:{s}",
-            terms=sum(len(c) for c in df_local),
-            postings=sum(int(pa.compute.sum(c).as_py() or 0) for c in df_local),
-            bytes=sum(os.path.getsize(f) for f in files),
-            # perfbench/run.py reads this as build.segments_s
-            pipeline_duration_s=round(time.perf_counter() - _t, 3),
-            **entry,
-        )
+def _write_shard(index_dir: str, shard: int, lo: int, hi: int,
+                 files: list[str], keep_ids: np.ndarray | None, tag: str,
+                 cfg: dict) -> dict:
+    """One shard's task: the rows of ``files`` with ``lo <= doc_id < hi``
+    (and in ``keep_ids``) -> ``segments/shard=s/<tag>.parquet``
+    (``encode_shard`` less its ``shard`` column, which the hive path
+    carries) and ``docmeta/shard=s/<tag>.parquet`` (every column but
+    ``terms`` and ``tfs``). No docs write no file, no tokens no segment
+    file. Returns the ``segment:{s}`` figures."""
+    parts = []
+    for f in files:
+        t = pq.read_table(f)
+        ids = t["doc_id"].to_numpy().astype(np.int64)
+        keep = (ids >= lo) & (ids < hi)
+        if keep_ids is not None:
+            keep &= _isin_sorted(ids, keep_ids)
+        parts.append(t.filter(keep))
+    out = {"shard": shard, "terms": 0, "postings": 0, "bytes": 0}
+    if not sum(p.num_rows for p in parts):
+        return out
+    # one file at a time, then a permissive concat: files can disagree on
+    # a column's type (an all-null ``commit`` is null in one, string in
+    # another), which a dataset over all of them refuses to cast
+    docs = pa.concat_tables(parts, promote_options="permissive")
+    seg = encode_shard(
+        docs.select(["doc_id", "terms", "tfs"]).append_column(
+            "shard", pa.array(np.full(docs.num_rows, shard, np.int32))),
+        cfg["block_size"],
+    ).drop_columns(["shard"])
+    if seg.num_rows:
+        path = _write(seg, segment_shard_dir(index_dir, shard), tag, cfg)
+        out.update(terms=seg.num_rows, postings=int(pc.sum(seg["df_local"]).as_py()),
+                   bytes=os.path.getsize(path))
+    _write(docs.drop_columns(["terms", "tfs"]), docmeta_shard_dir(index_dir, shard),
+           tag, cfg)
+    return out
+
+
+def _write(table: pa.Table, directory: str, tag: str, cfg: dict) -> str:
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{tag}.parquet")
+    pq.write_table(table, path, compression=cfg["compression"])
+    return path
+
+
+def _parquet_files(directory: str) -> list[str]:
+    """Every Parquet file under ``directory``, sorted."""
+    return sorted(glob.glob(os.path.join(directory, "**", "*.parquet"), recursive=True))
+
+
+def _id_ranges(files: list[str]) -> list[tuple[int, int | None, int | None]]:
+    """(rows, min doc_id, max doc_id) of each docterms file, from its
+    Parquet footer (row count + row-group statistics, no data read). A
+    file written without statistics reads its doc_id column instead."""
+    out = []
+    for f in files:
+        md = pq.read_metadata(f)
+        col = md.schema.to_arrow_schema().get_field_index("doc_id")
+        st = [md.row_group(g).column(col).statistics for g in range(md.num_row_groups)]
+        if md.num_rows and all(x is not None and x.has_min_max for x in st):
+            out.append((md.num_rows, min(x.min for x in st), max(x.max for x in st)))
+        else:
+            ids = pq.read_table(f, columns=["doc_id"])["doc_id"]
+            out.append((len(ids), pc.min(ids).as_py(), pc.max(ids).as_py()))
+    return out
+
+
+def _docterms_stats(files: list[str], keep_ids: np.ndarray | None = None
+                    ) -> tuple[int, int, int | None, int]:
+    """(n_docs, total_tokens, min doc_id, max doc_id) of docterms
+    ``files`` without a Ray job. Rows and the id range come from the
+    footers (``_id_ranges``), total_tokens from one doc_len column
+    read. With ``keep_ids`` (sorted int64, delta-sized) only those docs
+    count, so (doc_id, doc_len) are read here and filtered. No docs
+    give (0, 0, None, -1)."""
+    n_docs = total = 0
+    lo, hi = None, -1
+    for f, (rows, flo, fhi) in zip(files, _id_ranges(files)):
+        if keep_ids is None:
+            lens = pq.read_table(f, columns=["doc_len"])["doc_len"]
+        else:
+            t = pq.read_table(f, columns=["doc_id", "doc_len"])
+            ids = t["doc_id"].to_numpy().astype(np.int64)
+            keep = _isin_sorted(ids, keep_ids)
+            lens, ids = t["doc_len"].filter(keep), ids[keep]
+            rows = len(ids)
+            flo, fhi = (int(ids.min()), int(ids.max())) if rows else (None, None)
+        if rows:
+            n_docs += rows
+            total += int(pc.sum(lens).as_py() or 0)
+            lo = flo if lo is None else min(lo, flo)
+            hi = max(hi, fhi)
+    return n_docs, total, lo, hi
+
+
+def _isin_sorted(ids: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """Bool mask: which ``ids`` are in the sorted array ``arr``."""
+    if len(arr) == 0:
+        return np.zeros(len(ids), bool)
+    pos = np.searchsorted(arr, ids)
+    return (pos < len(arr)) & (arr[np.minimum(pos, len(arr) - 1)] == ids)
 
 
 def _clean(path: str) -> None:
@@ -771,11 +760,6 @@ def _clean(path: str) -> None:
 def _parquet_size(*paths: str) -> dict:
     """{"rows", "bytes"} of the Parquet files under ``paths``: row
     counts from the footers, bytes from the file sizes (no data read)."""
-    import glob as _glob
-
-    import pyarrow.parquet as pq
-
-    files = [f for p in paths
-             for f in _glob.glob(os.path.join(p, "**", "*.parquet"), recursive=True)]
+    files = [f for p in paths for f in _parquet_files(p)]
     return {"rows": sum(pq.read_metadata(f).num_rows for f in files),
             "bytes": sum(os.path.getsize(f) for f in files)}

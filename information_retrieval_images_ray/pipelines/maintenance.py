@@ -88,12 +88,12 @@ def update_doc_meta(index_dir: str, doc_id: int, **fields) -> bool:
     partition (reference update_description, vector_db.py:61-91).
     Returns True if the doc was found. Shard-partition granularity:
     only the doc's shard files are read and atomically rewritten."""
-    from .build import make_shard_of
+    from .build import docmeta_shard_dir, make_shard_of
 
     with open(os.path.join(index_dir, "stats.json")) as f:
         bounds = json.load(f)["shard_bounds"]
     shard = int(make_shard_of(bounds)(np.array([doc_id]))[0])
-    sdir = os.path.join(index_dir, "docmeta", f"shard={shard}")
+    sdir = docmeta_shard_dir(index_dir, shard)
     found = False
     for f in sorted(glob.glob(os.path.join(sdir, "*.parquet"))):
         t = pq.read_table(f)

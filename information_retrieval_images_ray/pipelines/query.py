@@ -748,8 +748,10 @@ def _merge_groups(rows: list[tuple]) -> list[tuple]:
 
 def shard_docmeta_files(index_dir: str, shards) -> list[str]:
     """The docmeta parquet files of ``shards`` (hive ``shard=s``)."""
+    from .build import docmeta_shard_dir
+
     return [f for s in shards for f in sorted(glob.glob(
-        os.path.join(index_dir, "docmeta", f"shard={s}", "*.parquet")))]
+        os.path.join(docmeta_shard_dir(index_dir, s), "*.parquet")))]
 
 
 class IndexReader(PlanRunner):

@@ -700,6 +700,7 @@ class IndexHTTPServer:
         import json as _json
         import os
 
+        import pyarrow as pa
         import ray.data
 
         from .build import extend_index
@@ -726,8 +727,10 @@ class IndexHTTPServer:
                 }
                 for i, d in enumerate(docs)
             ]
+            # one Arrow table is one block: one tokenize task and one
+            # docterms file (from_items makes a block per row)
             stats = extend_index(
-                ray.data.from_items(rows),
+                ray.data.from_arrow(pa.Table.from_pylist(rows)),
                 self.index_dir,
                 delta_id=delta_id,
                 skip_existing_content=skip_existing_content,

@@ -1,4 +1,4 @@
-"""Posting-list encoding stages (used inside groupby().map_groups).
+"""Posting-list encoding stages (used inside the build's per-shard tasks).
 
 Final segment row layout per (shard, term):
 
@@ -64,7 +64,7 @@ SEGMENT_SCHEMA = pa.schema(
 
 
 def encode_shard(group: pa.Table, block_size: int = BLOCK_SIZE) -> pa.Table:
-    """map_groups fn for one doc-shard: its docterms rows (doc_id,
+    """Encode one doc-shard: its docterms rows (doc_id,
     terms, tfs, shard) -> one SEGMENT_SCHEMA row per term.
 
     The rows are exploded to one posting per (term, doc) with Arrow list

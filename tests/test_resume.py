@@ -69,6 +69,11 @@ def test_resume_recomputes_only_missing_shards(tmp_path):
 
     after = {s: _segment_content(index_dir, s) for s in range(3)}
     assert after == before  # logically identical index
+    # the rebuilt shard rewrote its docmeta: every doc once, no copy
+    from information_retrieval_images_ray.pipelines.serving import load_docmeta
+
+    ids = load_docmeta(index_dir)["doc_id"].to_numpy()
+    assert len(ids) == len(set(ids.tolist())) == 150
     for f, t in mtimes_before.items():
         assert os.path.getmtime(f) == t  # untouched partitions not recomputed
 
