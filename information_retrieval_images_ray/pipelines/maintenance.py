@@ -12,9 +12,10 @@ The Ray-native re-expression of the reference's maintenance surface
   tombstone contract (deletes must be cheap at 10^12 docs; a delete
   that re-aggregated global stats would be a full shuffle per call).
 - ``update_doc_meta`` rewrites ONE doc's metadata row inside its shard
-  docmeta partition (the reference's query-then-upsert description
-  update). Content changes are delete + ``extend_index`` re-append —
-  postings are immutable by design.
+  docmeta partition and its docterms file (the reference's
+  query-then-upsert description update), so the edit survives
+  compaction, merge and a shard rebuild. Content changes are delete +
+  ``extend_index`` re-append — postings are immutable by design.
 - ``compact_index`` rebuilds the index WITHOUT tombstoned docs into a
   fresh directory, reusing the tokenized docterms checkpoint (no
   re-tokenize); its output is logically identical to a from-scratch
@@ -84,40 +85,54 @@ def is_tombstoned(tomb: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def update_doc_meta(index_dir: str, doc_id: int, **fields) -> bool:
-    """Rewrite one doc's metadata columns in its shard's docmeta
-    partition (reference update_description, vector_db.py:61-91).
-    Returns True if the doc was found. Shard-partition granularity:
-    only the doc's shard files are read and atomically rewritten."""
-    from .build import docmeta_shard_dir, make_shard_of
+    """Rewrite one doc's metadata columns (reference update_description,
+    vector_db.py:61-91). Returns True if the doc was found.
+
+    The row is rewritten in its shard's docmeta partition, which search
+    hydrates from, and in the docterms file(s) whose footer doc_id range
+    holds it, because ``compact_index``, ``merge_indexes`` and a resumed
+    shard rebuild re-derive docmeta from docterms. Only those files are
+    read, and each is atomically replaced."""
+    from .build import _id_ranges, _parquet_files, docmeta_shard_dir, make_shard_of
 
     with open(os.path.join(index_dir, "stats.json")) as f:
         bounds = json.load(f)["shard_bounds"]
     shard = int(make_shard_of(bounds)(np.array([doc_id]))[0])
-    sdir = docmeta_shard_dir(index_dir, shard)
+    docterms = _parquet_files(os.path.join(index_dir, "docterms"))
+    files = sorted(glob.glob(os.path.join(docmeta_shard_dir(index_dir, shard), "*.parquet")))
     found = False
-    for f in sorted(glob.glob(os.path.join(sdir, "*.parquet"))):
-        t = pq.read_table(f)
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        hit = ids == doc_id
-        if not hit.any():
-            continue
-        cols = {}
-        for name in t.column_names:
-            if name in fields:
-                arr = t[name].to_pylist()
-                for i in np.flatnonzero(hit):
-                    arr[i] = fields[name]
-                cols[name] = pa.array(arr, t.schema.field(name).type)
-            else:
-                cols[name] = t[name]
-        unknown = set(fields) - set(t.column_names)
-        if unknown:
-            raise KeyError(f"docmeta has no columns {sorted(unknown)}")
-        tmp = f + ".tmp"
-        pq.write_table(pa.table(cols), tmp)
-        os.replace(tmp, f)
-        found = True
+    for f in files:
+        found |= _rewrite_row(f, doc_id, fields)
+    if found:
+        for f, (n, lo, hi) in zip(docterms, _id_ranges(docterms)):
+            if n and lo <= doc_id <= hi:
+                _rewrite_row(f, doc_id, fields)
     return found
+
+
+def _rewrite_row(path: str, doc_id: int, fields: dict) -> bool:
+    """Set ``fields`` on the rows of ``doc_id`` in one Parquet file,
+    keeping its row order and codec. A field the file lacks raises
+    KeyError. Returns True if the file held the doc."""
+    t = pq.read_table(path)
+    unknown = set(fields) - set(t.column_names)
+    if unknown:
+        raise KeyError(f"{path} has no columns {sorted(unknown)}")
+    hit = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64) == doc_id
+    if not hit.any():
+        return False
+    for name in fields:
+        arr = t[name].to_pylist()
+        for i in np.flatnonzero(hit):
+            arr[i] = fields[name]
+        typ = t.schema.field(name).type
+        t = t.set_column(t.column_names.index(name), name,
+                         pa.array(arr, None if pa.types.is_null(typ) else typ))
+    codec = pq.read_metadata(path).row_group(0).column(0).compression
+    tmp = path + ".tmp"
+    pq.write_table(t, tmp, compression=codec)
+    os.replace(tmp, path)
+    return True
 
 
 def compact_index(index_dir: str, out_dir: str) -> dict:

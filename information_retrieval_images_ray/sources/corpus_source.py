@@ -19,7 +19,6 @@ from __future__ import annotations
 import glob
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -39,25 +38,31 @@ def corpus_files(path: str) -> list[str]:
     return sorted(out)
 
 
+def cluster_blocks() -> int | None:
+    """Blocks (and id partitions) for one corpus pass: 2x the cluster's
+    CPUs, or None (Ray's default) before ``ray.init``.
+
+    Coarse blocks keep every all-to-all exchange's object count
+    proportional to the worker count: with many small files Ray's
+    default per-file blocks make the exchange juggle blocks_in x
+    blocks_out tiny plasma objects, and measured throughput COLLAPSES
+    past ~16 workers (400k-doc corpus, 200 files: 74s at 32 CPUs with
+    default blocks vs 43s with 2x-CPU blocks). On a real cluster this
+    is the one-block-per-core-wave sizing rule."""
+    if not ray.is_initialized():
+        return None
+    cpus = int(ray.cluster_resources().get("CPU", 0))
+    return max(1, cpus * 2) if cpus else None
+
+
 def read_code_corpus(path: str | list[str]) -> ray.data.Dataset:
     """Column-pruned corpus read; accepts a dir/file path or an
     explicit file list (the delta-extend path reads only NEW files).
 
-    Block count is pinned to ~2x cluster CPUs rather than one block
-    per input file: with many small files Ray's default per-file
-    blocks make every downstream all-to-all exchange juggle
-    blocks_in x blocks_out tiny plasma objects, and measured
-    throughput COLLAPSES past ~16 workers (400k-doc corpus, 200
-    files: 74s at 32 CPUs with default blocks vs 43s with 2x-CPU
-    blocks). Coarse blocks keep the shuffle object count proportional
-    to the worker count — on a real cluster this is the
-    one-block-per-core-wave sizing rule."""
+    Parquet is read as ``cluster_blocks()`` blocks rather than one
+    block per input file."""
     files = path if isinstance(path, list) else corpus_files(path)
-    nb = None
-    if ray.is_initialized():
-        cpus = int(ray.cluster_resources().get("CPU", 0))
-        if cpus:
-            nb = max(1, cpus * 2)
+    nb = cluster_blocks()
 
     cols = ["repo", "path", "commit", "lang", "content"]
     by_kind: dict[str, list[str]] = {}
@@ -115,7 +120,7 @@ def read_documents_table(sf_dir: str) -> ray.data.Dataset:
 def assign_dense_doc_ids(
     ds: ray.data.Dataset,
     key_cols: tuple[str, ...] = ("repo", "path", "commit"),
-    num_partitions: int = 64,
+    num_partitions: int | None = None,
     start_id: int = 0,
 ) -> ray.data.Dataset:
     """Assign dense uint64 ``doc_id`` = ``start_id`` + global rank
@@ -130,22 +135,30 @@ def assign_dense_doc_ids(
        (driver holds only the sample);
     2. narrow ``map_batches`` tags each row with its range partition
        ``pid`` (no shuffle);
-    3. per-batch partial counts -> tiny ``groupby(pid).sum`` -> global
-       partition offsets (``num_partitions`` rows, broadcast);
-    4. ``groupby(pid).map_groups``: sort the partition by key, local
-       enumerate + offset -> dense global rank. This group-shuffle IS
-       the global sort — there is exactly one all-to-all exchange.
+    3. partition sizes without an exchange: each block of a key-only
+       scan returns its per-``pid`` counts, the calling process sums
+       them (``take_all``, at most blocks x partitions rows) and a cumsum
+       gives every partition's first id;
+    4. ``groupby(pid).map_groups`` over Arrow tables: sort the partition
+       by (key, content) with ``Table.sort_by`` (stable, nulls last,
+       UTF-8 in byte = code-point order) and append ``doc_id`` = the
+       partition's first id + row position. This group-shuffle IS the
+       global sort and the only all-to-all exchange.
 
     Duplicate keys (exact duplicate rows) get distinct adjacent ids via
-    a stable secondary sort on ``content``; same input -> same ids.
+    the secondary sort on ``content``; same input -> same ids. Ids are
+    global ranks, so they do not depend on ``num_partitions``.
 
-    At 10^12 rows, ``num_partitions`` is sized to cluster parallelism;
-    each partition sort is a single-task pandas sort of ~|corpus|/P rows.
+    ``num_partitions`` defaults to ``cluster_blocks()`` (2x cluster
+    CPUs), the block count ``read_code_corpus`` reads with, so an id
+    partition holds about one read block: at 10^12 rows a group fits
+    wherever a read block fits. Ray's sort, not this number, sets how
+    many reduce tasks run, so finer partitions only add per-group work
+    and counted rows.
     """
-    # NB: separator must be below all printable chars so the joined-key
-    # order equals column-lexicographic order, but must NOT be NUL —
-    # pandas multi-column sort_values compares object strings with
-    # C-string semantics and silently truncates at \x00.
+    # NB: the separator sorts below every printable char, so the
+    # joined-key order equals column-lexicographic order for keys
+    # without control characters
     sep = "\x01"
 
     import pyarrow.compute as pc
@@ -159,19 +172,16 @@ def assign_dense_doc_ids(
         return batch.append_column("_sort_key", keys)
 
     # The content column never travels more than once: the boundary
-    # sample (2) and the sizing pass (3) run over KEY-COLUMN-ONLY
+    # sample (1) and the sizing pass (3) run over KEY-COLUMN-ONLY
     # scans (projection pushdown to parquet: ~1% of corpus bytes),
-    # and only the final rank shuffle (4) reads full rows. The
-    # round-2 design instead .materialize()d the whole keyed corpus —
-    # content included — pinning 2x corpus bytes in the object store
-    # and turning the build into a plasma/spill-bandwidth benchmark;
-    # two cheap key scans beat one full-corpus pin.
+    # and only the final rank shuffle (4) reads full rows.
     keys_only = ds.select_columns(list(key_cols))
 
-    # 2. boundaries from a seeded sample of the keys. Boundary
+    # 1. boundaries from a seeded sample of the keys. Boundary
     #    placement only balances partition sizes — final ids are exact
     #    global ranks regardless of where the cuts land.
     n_rows = ds.count()  # metadata-only for parquet sources
+    n_parts = num_partitions or cluster_blocks() or 1
     sample = (
         keys_only.random_sample(min(1.0, 20_000 / max(1, n_rows)), seed=42)
         .map_batches(make_key, batch_format="pyarrow")
@@ -181,9 +191,9 @@ def assign_dense_doc_ids(
     if not keys:
         keys = [""]
     bounds = [
-        keys[int(len(keys) * (i + 1) / num_partitions)]
-        for i in range(num_partitions - 1)
-        if int(len(keys) * (i + 1) / num_partitions) < len(keys)
+        keys[int(len(keys) * (i + 1) / n_parts)]
+        for i in range(n_parts - 1)
+        if int(len(keys) * (i + 1) / n_parts) < len(keys)
     ]
     bounds_arr = np.array(bounds, dtype=object)
 
@@ -192,28 +202,18 @@ def assign_dense_doc_ids(
         pid = np.searchsorted(bounds_arr, k, side="right").astype(np.int32)
         return batch.append_column("_pid", pa.array(pid, pa.int32()))
 
-    # 3. partition sizes via per-batch partials (pre-aggregated
-    #    combiner) over the key-only scan — fused key+tag+count in one
-    #    map so no intermediate ever holds the full key table
+    # 3. partition sizes: key+tag+count fused in one map over the
+    #    key-only scan, summed here
     def partial_counts(batch: pa.Table) -> pa.Table:
         pids = tag(make_key(batch))["_pid"].to_numpy()
         pid, cnt = np.unique(pids, return_counts=True)
         return pa.table({"_pid": pa.array(pid, pa.int32()), "n": pa.array(cnt, pa.int64())})
 
-    from ray.data.aggregate import Sum
-
-    sizes = (
-        keys_only.map_batches(partial_counts, batch_format="pyarrow", batch_size=None)
-        .groupby("_pid")
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
-        .sort_values("_pid")
-    )
-    offsets = np.zeros(num_partitions + 1, dtype=np.int64)
-    for _, row in sizes.iterrows():
-        offsets[int(row["_pid"]) + 1] = int(row["n"])
-    offsets = np.cumsum(offsets)
-    offset_map = {p: int(offsets[p]) + int(start_id) for p in range(num_partitions)}
+    counts = np.zeros(n_parts, dtype=np.int64)
+    for r in keys_only.map_batches(partial_counts, batch_format="pyarrow",
+                                   batch_size=None).take_all():
+        counts[r["_pid"]] += r["n"]
+    offsets = np.concatenate(([0], np.cumsum(counts))) + int(start_id)
 
     # 4. the one full-width pass + the one shuffle: key+tag fused,
     #    then per-partition sort + enumerate
@@ -222,11 +222,13 @@ def assign_dense_doc_ids(
 
     tagged = ds.map_batches(key_and_tag, batch_format="pyarrow", batch_size=None)
 
-    def enumerate_group(g: pd.DataFrame) -> pd.DataFrame:
-        pid = int(g["_pid"].iloc[0])
-        sort_cols = ["_sort_key"] + (["content"] if "content" in g.columns else [])
-        g = g.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-        g["doc_id"] = np.arange(len(g), dtype=np.uint64) + np.uint64(offset_map[pid])
-        return g.drop(columns=["_sort_key", "_pid"])
+    def enumerate_group(g: pa.Table) -> pa.Table:
+        first = offsets[g["_pid"][0].as_py()]
+        order = [("_sort_key", "ascending")]
+        if "content" in g.column_names:
+            order.append(("content", "ascending"))
+        g = g.sort_by(order).drop_columns(["_sort_key", "_pid"])
+        ids = np.arange(g.num_rows, dtype=np.uint64) + np.uint64(first)
+        return g.append_column("doc_id", pa.array(ids, pa.uint64()))
 
-    return tagged.groupby("_pid").map_groups(enumerate_group, batch_format="pandas")
+    return tagged.groupby("_pid").map_groups(enumerate_group, batch_format="pyarrow")

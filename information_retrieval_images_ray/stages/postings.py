@@ -16,15 +16,21 @@ written with WAND's five extra columns (``block_*`` skip and offset
 lists, per-block and per-term score bounds) still load: readers read
 only ``term``, ``df_local``, ``docs`` and ``tfs``.
 
-A whole shard is encoded in one vectorized pass (``encode_shard`` ->
-``encode_terms_stream``), byte-identical to encoding each term alone
-with ``encode_posting`` (tests/test_codec.py).
+A whole shard is encoded in one vectorized pass (``encode_shard``),
+byte-identical to encoding each term alone with ``encode_posting``
+(tests/test_codec.py). The pass sorts only the shard's distinct terms:
+the flattened term column is dictionary-encoded, the dictionary is
+sorted once, and the postings are ordered by (term rank, doc_id) as
+integers. One varbyte pass per column then encodes every term's
+stream, and the ``docs`` and ``tfs`` columns are Arrow binary arrays
+over those buffers, cut at each term's cumulative byte offset.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..functions.codec import delta_encode, encode_varbyte, encode_varbyte_with_lengths
 
@@ -64,71 +70,60 @@ SEGMENT_SCHEMA = pa.schema(
 
 
 def encode_shard(group: pa.Table, block_size: int = BLOCK_SIZE) -> pa.Table:
-    """Encode one doc-shard: its docterms rows (doc_id,
-    terms, tfs, shard) -> one SEGMENT_SCHEMA row per term.
+    """Encode one doc-shard: its docterms rows (doc_id, terms, tfs,
+    shard) -> one SEGMENT_SCHEMA row per term, sorted by term.
 
     The rows are exploded to one posting per (term, doc) with Arrow list
-    flattening, sorted by (term, doc_id) and encoded in ONE
-    ``encode_terms_stream`` pass."""
-    terms = group["terms"].combine_chunks()
-    lens = terms.value_lengths().to_numpy(zero_copy_only=False).astype(np.int64)
-    if lens.sum() == 0:  # no doc of this shard has a token
-        return SEGMENT_SCHEMA.empty_table()
-    postings = pa.table(
-        {
-            "term": terms.flatten(),
-            "doc_id": np.repeat(
-                group["doc_id"].to_numpy().astype(np.uint64), lens),
-            "tf": group["tfs"].combine_chunks().flatten().cast(pa.uint64()),
-        }
-    ).sort_by([("term", "ascending"), ("doc_id", "ascending")])
-    return encode_terms_stream(
-        postings["term"].to_numpy(zero_copy_only=False),
-        postings["doc_id"].to_numpy(),
-        postings["tf"].to_numpy(),
-        int(group["shard"][0].as_py()), block_size,
-    )
-
-
-def encode_terms_stream(
-    terms: np.ndarray,
-    doc_ids: np.ndarray,
-    tfs: np.ndarray,
-    shard: int,
-    block_size: int = BLOCK_SIZE,
-) -> pa.Table:
-    """Vectorized core: a posting stream ALREADY lex-sorted by
-    (term, doc_id) -> one SEGMENT_SCHEMA row per term.
+    flattening. Only the distinct terms are sorted (a dictionary encode
+    plus ``sort_indices`` over the dictionary); the postings are then
+    ordered by (term rank, doc_id) with one integer ``np.lexsort``.
 
     A restart (absolute doc_id) is placed at every term start and every
     block_size-th posting within a term, exactly the per-block format
     ``encode_posting`` emits, so the gap stream is ONE np.where and ONE
-    varbyte pass encodes all terms' docs (and one more all tfs); each
-    term's bytes are then a slice at its cumulative byte offset."""
-    n = len(terms)
-    uniq, term_starts = np.unique(terms, return_index=True)
-    tbounds = np.append(term_starts, n)
-    df = np.diff(tbounds)
+    varbyte pass encodes all terms' docs (and one more all tfs). Each
+    binary column is then built over its varbyte buffer with the
+    cumulative byte offsets at the term starts (no per-term copy)."""
+    terms = group["terms"].combine_chunks()
+    lens = terms.value_lengths().to_numpy(zero_copy_only=False).astype(np.int64)
+    if lens.sum() == 0:  # no doc of this shard has a token
+        return SEGMENT_SCHEMA.empty_table()
+    codes = terms.flatten().dictionary_encode()
+    dictionary = codes.dictionary
+    by_term = pc.sort_indices(dictionary).to_numpy()
+    rank = np.empty(len(by_term), np.int64)
+    rank[by_term] = np.arange(len(by_term))
+    term_rank = rank[codes.indices.to_numpy()]
+    doc_ids = np.repeat(group["doc_id"].to_numpy().astype(np.uint64), lens)
+    tfs = group["tfs"].combine_chunks().flatten().to_numpy().astype(np.uint64)
+    order = np.lexsort((doc_ids, term_rank))
+    doc_ids, tfs = doc_ids[order], tfs[order]
 
-    pos_in_term = np.arange(n, dtype=np.int64) - np.repeat(term_starts, df)
+    n, n_terms = len(order), len(by_term)
+    df = np.bincount(term_rank, minlength=n_terms)
+    tbounds = np.concatenate(([0], np.cumsum(df)))
+    pos_in_term = np.arange(n, dtype=np.int64) - np.repeat(tbounds[:-1], df)
     is_restart = (pos_in_term % block_size) == 0
     prev = np.empty_like(doc_ids)
     prev[0] = 0
     prev[1:] = doc_ids[:-1]
     gaps = np.where(is_restart, doc_ids, doc_ids - prev)
 
-    def per_term(values: np.ndarray) -> list[bytes]:
+    def per_term(values: np.ndarray) -> pa.Array:
         buf, nbytes = encode_varbyte_with_lengths(values)
-        cum = np.concatenate(([0], np.cumsum(nbytes)))[tbounds]
-        return [buf[cum[i]: cum[i + 1]] for i in range(len(uniq))]
+        if len(buf) > np.iinfo(np.int32).max:  # pa.binary() offsets are int32
+            raise OverflowError(f"shard stream of {len(buf)} B exceeds a binary column")
+        offsets = np.concatenate(([0], np.cumsum(nbytes)))[tbounds].astype(np.int32)
+        return pa.Array.from_buffers(
+            pa.binary(), n_terms, [None, pa.py_buffer(offsets), pa.py_buffer(buf)])
 
     return pa.Table.from_arrays(
         [
-            pa.array(uniq, pa.string()),
-            pa.array(np.full(len(uniq), shard, np.int32), pa.int32()),
-            pa.array(df.astype(np.uint32), pa.uint32()),
-            pa.array(per_term(gaps), pa.binary()),
-            pa.array(per_term(tfs), pa.binary()),
+            dictionary.take(by_term),
+            pa.array(np.full(n_terms, int(group["shard"][0].as_py()), np.int32)),
+            pa.array(df.astype(np.uint32)),
+            per_term(gaps),
+            per_term(tfs),
         ],
         schema=SEGMENT_SCHEMA,
     )

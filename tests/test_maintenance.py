@@ -3,6 +3,7 @@
 /root/reference/vector_db.py:54-91)."""
 
 import glob
+import json
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ import pandas as pd
 import pytest
 import ray.data
 
-from information_retrieval_images_ray.pipelines.build import build_index
+from information_retrieval_images_ray.pipelines.build import build_index, make_shard_of
 from information_retrieval_images_ray.pipelines.maintenance import (
     compact_index,
     delete_docs,
@@ -18,6 +19,7 @@ from information_retrieval_images_ray.pipelines.maintenance import (
     update_doc_meta,
 )
 from information_retrieval_images_ray.pipelines.query import IndexReader, hydrate_hits
+from information_retrieval_images_ray.pipelines.serving import load_docmeta
 
 WORDS = (
     "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo "
@@ -89,14 +91,36 @@ def test_delete_is_idempotent_and_accumulates(index):
     assert set(t1) == set(t0) | {115}
 
 
-def test_update_doc_meta(index):
-    assert update_doc_meta(index, 50, lang="fr")
-    hydrated = hydrate_hits(pd.DataFrame({"doc_id": [50, 51]}), index)
+def test_update_doc_meta(index, tmp_path):
+    """An edit is hydrated at once, and survives compaction and a
+    rebuild of the doc's shard (both re-derive docmeta from docterms)."""
+    tomb = set(load_tombstones(index).tolist())
+    doc, other = [d for d in range(50, 60) if d not in tomb][:2]
+    assert update_doc_meta(index, doc, lang="fr")
+    hydrated = hydrate_hits(pd.DataFrame({"doc_id": [doc, other]}), index)
     byid = hydrated.set_index("doc_id")["lang"]
-    assert byid[50] == "fr" and byid[51] == "en"
+    assert byid[doc] == "fr" and byid[other] == "en"
     assert not update_doc_meta(index, 10_000)  # unknown doc
     with pytest.raises(KeyError):
-        update_doc_meta(index, 51, nosuchcolumn="x")
+        update_doc_meta(index, other, nosuchcolumn="x")
+
+    def lang_of(index_dir):
+        return load_docmeta(index_dir).to_pandas().set_index("doc_id")["lang"]
+
+    out = str(tmp_path / "compacted")
+    compact_index(index, out)
+    assert lang_of(out)[doc] == "fr" and lang_of(out)[other] == "en"
+
+    with open(os.path.join(index, "stats.json")) as f:
+        shard = int(make_shard_of(json.load(f)["shard_bounds"])(np.array([doc]))[0])
+    man_path = os.path.join(index, "manifest.json")
+    with open(man_path) as f:
+        man = json.load(f)
+    del man["entries"][f"segment:{shard}"]
+    with open(man_path, "w") as f:
+        json.dump(man, f)
+    build_index(None, index, **CFG)
+    assert lang_of(index)[doc] == "fr" and lang_of(index)[other] == "en"
 
 
 def test_compaction_equals_fresh_build(index, rows, tmp_path_factory):

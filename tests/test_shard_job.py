@@ -1,6 +1,8 @@
-"""The segment + docmeta phase: one Ray Data task per pending shard, no
-exchange, one file per shard directory, and no docmeta row written
-twice across an extend, its re-send and a resumed crash."""
+"""The build's exchanges and the segment + docmeta phase: one exchange
+(the id-ranking sort) from an id-less corpus, none from a source that
+brings its own doc_id, one Ray Data task per pending shard, one file
+per shard directory, and no docmeta row written twice across an
+extend, its re-send and a resumed crash."""
 
 import glob
 import http.client
@@ -8,12 +10,21 @@ import json
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import pytest
 import ray.data
+from ray.data.grouped_data import GroupedData
 
+from information_retrieval_images_ray.corpus import write_corpus
 from information_retrieval_images_ray.pipelines.build import build_index, extend_index
 from information_retrieval_images_ray.pipelines.query import IndexReader
 from information_retrieval_images_ray.pipelines.serving import load_docmeta
 from information_retrieval_images_ray.pipelines.serving_http import IndexHTTPServer
+from information_retrieval_images_ray.sources.corpus_source import (
+    assign_dense_doc_ids,
+    read_code_corpus,
+)
 
 WORDS = "alpha bravo charlie delta echo foxtrot golf hotel dup zebra".split()
 QUERIES = ["alpha", "dup zebra", "charlie echo golf", "nohit"]
@@ -71,6 +82,73 @@ def test_build_and_extend_run_no_exchange(tmp_path, monkeypatch):
     assert got.stats == want.stats
     for q in QUERIES:
         assert got.search_taat(q, 10) == want.search_taat(q, 10), q
+
+
+def test_ranked_build_runs_one_exchange(tmp_path, monkeypatch):
+    """assign_dense_doc_ids -> build_index over an id-less corpus makes
+    exactly one groupby (the rank sort: map_groups sorts through
+    Dataset.sort), no aggregate and no repartition, and searches like
+    an unpatched build."""
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, 120, seed=3, rows_per_file=40)
+
+    def build(idx):
+        build_index(assign_dense_doc_ids(read_code_corpus(corpus)), idx, num_shards=3)
+        return IndexReader(idx)
+
+    want = build(str(tmp_path / "ref"))
+
+    def exchange(self, *a, **kw):
+        raise AssertionError("the build ran an aggregate or a repartition")
+
+    groupbys = []
+    groupby = ray.data.Dataset.groupby
+
+    def counted(self, *a, **kw):
+        groupbys.append(a)
+        return groupby(self, *a, **kw)
+
+    monkeypatch.setattr(GroupedData, "aggregate", exchange)
+    monkeypatch.setattr(ray.data.Dataset, "aggregate", exchange)
+    monkeypatch.setattr(ray.data.Dataset, "repartition", exchange)
+    monkeypatch.setattr(ray.data.Dataset, "groupby", counted)
+    got = build(str(tmp_path / "patched"))
+    assert len(groupbys) == 1
+    assert got.stats == want.stats
+    for q in ["getUserName", "merge sort", "parse json config", "nohit"]:
+        assert got.search_taat(q, 10) == want.search_taat(q, 10), q
+
+
+@pytest.mark.parametrize("num_partitions", [1, 3, None, "n_rows+5"])
+def test_doc_ids_are_brute_force_rank(tmp_path, num_partitions):
+    """doc_id = start_id + the row's index under Python ``sorted`` by
+    (repo, path, commit, content), nulls as "", whatever the partition
+    count: repeated keys with different content (NUL and non-ASCII
+    included), a null commit and exact duplicate rows."""
+    keys = [("r1", "a.py", "c1"), ("r1", "a.py", None), ("r0", "\u00e9.py", "c2"),
+            ("r0", "z.py", "c2"), ("r2", "\uffff.py", "c"), ("r2", "\U0001f600.py", "c"),
+            ("r1", "a.py", "")]
+    contents = ["x", "x\x00", "x\x00y", "", "na\u00efve \u2603", "\u65e5\u672c", "a b"]
+    rows = [{"repo": r, "path": p, "commit": c, "lang": "py",
+             "content": contents[(i * 3 + j) % len(contents)]}
+            for i, (r, p, c) in enumerate(keys) for j in range(3)]
+    rows += rows[:4]  # exact duplicates
+    d = tmp_path / "corpus"
+    d.mkdir()
+    table = pa.Table.from_pylist(rows)
+    pq.write_table(table.slice(0, 12), str(d / "a.parquet"))
+    pq.write_table(table.slice(12), str(d / "b.parquet"))
+    if num_partitions == "n_rows+5":
+        num_partitions = len(rows) + 5
+
+    def key(r):
+        return (r["repo"] or "", r["path"] or "", r["commit"] or "", r["content"])
+
+    got = assign_dense_doc_ids(read_code_corpus(str(d)), num_partitions=num_partitions,
+                               start_id=17).take_all()
+    got.sort(key=lambda r: r["doc_id"])
+    assert [r["doc_id"] for r in got] == list(range(17, 17 + len(rows)))
+    assert [key(r) for r in got] == sorted(key(r) for r in rows)
 
 
 def test_http_extend_writes_one_file_per_shard(tmp_path):
