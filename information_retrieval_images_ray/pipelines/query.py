@@ -559,6 +559,12 @@ class PlanRunner:
         """``compile_plan`` with this index's tokenizer."""
         return compile_plan(mode, query, params, self.tokenize, qid)
 
+    def compiled(self, plans: list[dict]) -> list[dict]:
+        """``plans`` with each bare {"qid", "query"} body compiled as
+        a bm25 plan."""
+        return [p if "terms" in p else self.compile("bm25", p["query"], qid=p["qid"])
+                for p in plans]
+
     def topk(self, plans: list[dict], k: int = 10, doc_filter=None,
              offset: int = 0) -> list[dict]:
         """Compiled plans (a bare {"qid", "query"} body is a bm25 plan)
@@ -577,9 +583,11 @@ class PlanRunner:
         one scatter; the merge (rank, collapse max-merge, or the
         positional verify). The df lookups are local (``_global_df``),
         so the expansion exchange and the scatters are the only
-        round trips."""
-        plans = [p if "terms" in p else self.compile("bm25", p["query"], qid=p["qid"])
-                 for p in plans]
+        round trips. The router (``serving.ShardedQueryService.topk``)
+        runs this behind its generation's page cache, with only the
+        plans whose pages it lacks; the serial ``IndexReader`` runs it
+        uncached."""
+        plans = self.compiled(plans)
         if any(p["positional"] for p in plans):
             from .positions import positions_dir
 

@@ -10,16 +10,27 @@ needs a result merge across actors, which the Dataset API cannot
 express as a per-batch transform.
 
 Every query mode runs one path, ``PlanRunner.topk`` (query.py), which
-the router shares with the serial ``IndexReader``:
+the router shares with the serial ``IndexReader``, behind a page cache
+that only the router has:
 
 1. **compile**: the caller turns a request into a plan
    (``query.compile_plan``: scored terms with boosts or an expansion
    spec, must / must-not terms, an optional positional verifier,
    after / collapse / exclude_doc, or a feedback step);
-2. **expand**: one batched ``expand_batch`` round trip, only when some
+2. **cache**: ``ShardedQueryService.topk`` looks each plan up in its
+   generation's page cache, keyed by the plan without ``qid``
+   (sorted-key JSON), ``k``, ``offset`` and the ("col", value) filter.
+   A hit is answered with no actor call; the misses of a batch,
+   deduplicated, run steps 3-6 in one ``PlanRunner.topk`` call. A plan
+   with a precomputed mask filter is not cached. Scope: one
+   generation, which never changes; ``extended``, ``deleted`` and a
+   fresh service start empty, so no page is served under other stats
+   or tombstones. Bound: ``PAGE_CACHE_ROWS`` ranked rows, least
+   recently used pages evicted first; a larger page is not stored;
+3. **expand**: one batched ``expand_batch`` round trip, only when some
    plan has a dictionary-expansion spec — each actor expands against
    its own dictionary subset, the router unions and re-caps;
-3. **df**: ``_global_df`` looks the exact global df up in the
+4. **df**: ``_global_df`` looks the exact global df up in the
    router's df table, with no actor call, and turns it into
    boost·idf weights. The table is built when a pool starts: each
    actor returns its shards' (term, df_local) rows
@@ -28,25 +39,25 @@ the router shares with the serial ``IndexReader``:
    shard's own dictionary (``query.SortedTerms``). It is
    O(vocabulary) in the router — about 4 B of offset, the term's
    UTF-8 bytes and 8 B of df per distinct term;
-4. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
+5. **execute**: one ``ShardQueryActor.execute`` scatter — each actor
    runs ``IndexReader.execute`` for every plan over its owned shards;
-5. **merge**: the router ranks with the engine-wide (score desc,
+6. **merge**: the router ranks with the engine-wide (score desc,
    doc_id asc) tie-break, max-merges collapse leaders, or verifies
    positional candidates against the positions sidecar.
 
 MoreLikeThis and PRF plans first run their term selection at the
 router (a df lookup; PRF also a base top-k call and a pruned
-docterms read) and continue as weighted-OR plans that skip step 3. A
-plain bm25 search is one round trip: the scatter, one ``execute``
-call per actor.
+docterms read) and continue as weighted-OR plans that skip step 4. A
+plain bm25 search is at most one round trip: the scatter, one
+``execute`` call per actor, and none when its page is cached.
 
 A ``ShardedQueryService`` is one immutable generation of the served
 index: the actor handles and each actor's shards, ``n_docs`` /
 ``avgdl`` / shard bounds (``stats``), the tombstones, the docmeta
 table (held in memory sorted by doc_id, which
-``serving_http.hydrate_hits`` serves from with no disk read) and the
-df table. A request takes one generation and uses it for every call
-it makes; each actor call names that generation, and an actor keeps
+``serving_http.hydrate_hits`` serves from with no disk read), the
+df table and the page cache. A request takes one generation and uses
+it for every call it makes; each actor call names that generation, and an actor keeps
 one ``IndexReader`` view per live generation, the views sharing the
 loaded shards. Constructing the service starts a fresh actor set (the
 HTTP server does that at start and on /reload). ``extended`` and
@@ -77,7 +88,9 @@ import glob
 import itertools
 import json
 import os
+import threading
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -90,6 +103,13 @@ from .query import IndexReader, PlanRunner, SortedTerms, shard_docmeta_files
 # them, and a server never reports the same id for two generations,
 # not even across /reload's fresh actor sets
 _GENERATIONS = itertools.count(1)
+
+# ranked rows one generation's page cache holds at most (an empty page
+# counts as one row)
+PAGE_CACHE_ROWS = 50_000
+
+# the fields of a ranked row, in ``PlanRunner._merge``'s order
+_ROW_FIELDS = ("qid", "rank", "doc_id", "score", "group", "group_n")
 
 
 def _docmeta_table(files: list[str]) -> pa.Table:
@@ -122,6 +142,62 @@ def load_docmeta(index_dir: str) -> pa.Table:
     on the base docs."""
     return _docmeta_table(sorted(glob.glob(
         os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)))
+
+
+def _page_key(plan: dict, k: int, offset: int, doc_filter) -> tuple | None:
+    """The page cache key of ``plan``: the plan without ``qid`` as
+    sorted-key JSON, ``k``, ``offset`` and the filter as a tuple. None
+    (not cached) for a precomputed mask filter, or for a plan or
+    filter value that does not serialize or hash. Plans that differ
+    only in term order share a key: the scorer adds terms in sorted
+    order, so their pages are bitwise equal."""
+    if isinstance(doc_filter, np.ndarray):
+        return None
+    try:
+        key = (json.dumps({kk: v for kk, v in plan.items() if kk != "qid"},
+                          sort_keys=True),
+               int(k), int(offset), None if doc_filter is None else tuple(doc_filter))
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+class _PageCache:
+    """One generation's ranked pages: ``_page_key`` -> a tuple of row
+    tuples without the qid, least recently used evicted first once
+    more than ``PAGE_CACHE_ROWS`` rows are held. Counts lookups that
+    found a page (``hits``) and that did not (``misses``). A lock
+    guards it for the threaded HTTP server."""
+
+    def __init__(self):
+        self.pages: OrderedDict = OrderedDict()
+        self.rows = self.hits = self.misses = 0
+        self.lock = threading.Lock()
+
+    def get(self, key) -> tuple | None:
+        with self.lock:
+            page = self.pages.get(key)
+            if page is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self.pages.move_to_end(key)
+            return page
+
+    def put(self, key, page: tuple) -> None:
+        size = len(page) or 1
+        with self.lock:
+            if size > PAGE_CACHE_ROWS or key in self.pages:
+                return
+            self.pages[key] = page
+            self.rows += size
+            while self.rows > PAGE_CACHE_ROWS:
+                self.rows -= len(self.pages.popitem(last=False)[1]) or 1
+
+    def counters(self) -> dict:
+        with self.lock:
+            return {"hits": self.hits, "misses": self.misses, "rows": self.rows}
 
 
 @ray.remote
@@ -263,8 +339,9 @@ def _retire(actor_set: _ActorSet, gen: int) -> None:
 class ShardedQueryService(PlanRunner):
     """Router over a pool of ShardQueryActor, shards round-robined; one
     instance is one generation of the served index (see the module
-    docstring). Queries go through ``topk`` (see ``PlanRunner``); the
-    hooks below are its backend over the actor pool."""
+    docstring). Queries go through ``topk``: the generation's page
+    cache, then ``PlanRunner.topk``, whose backend over the actor pool
+    is the hooks below."""
 
     def __init__(self, index_dir: str, num_actors: int = 4):
         from ..functions.tokenizer import get_tokenizer
@@ -281,6 +358,7 @@ class ShardedQueryService(PlanRunner):
         # actor i -> the shards it owns in this generation
         self.assign = [list(range(i, nsh, num_actors)) for i in range(num_actors)]
         self.generation = next(_GENERATIONS)
+        self._pages = _PageCache()
         self._set = _ActorSet([
             ShardQueryActor.remote(index_dir, shard_ids, self.generation)
             for shard_ids in self.assign
@@ -305,6 +383,7 @@ class ShardedQueryService(PlanRunner):
         each actor's (term, df_local) rows of those shards."""
         nxt = copy.copy(self)
         nxt.generation = next(_GENERATIONS)
+        nxt._pages = _PageCache()
         nxt.stats, nxt.n_docs = stats, stats["n_docs"]
         nxt.tombstones, nxt.assign = tombstones, assign
         nxt._track()  # retires any view made even if an attach fails
@@ -348,6 +427,43 @@ class ShardedQueryService(PlanRunner):
     def counters(self) -> list[dict]:
         """``ShardQueryActor.counters`` of every actor."""
         return ray.get([a.counters.remote() for a in self.actors])
+
+    def page_cache_counters(self) -> dict:
+        """This generation's page cache: plans answered from it
+        (``hits``), plans that ran the scorer (``misses``) and the
+        ranked rows it holds (``rows``)."""
+        return self._pages.counters()
+
+    def topk(self, plans: list[dict], k: int = 10, doc_filter=None,
+             offset: int = 0) -> list[dict]:
+        """``PlanRunner.topk`` behind this generation's page cache.
+        Each plan is looked up by ``_page_key``; a hit comes back as
+        fresh rows carrying the caller's qid. The misses, deduplicated
+        by key, run in ONE ``PlanRunner.topk`` call (one scatter for
+        the batch, none when every plan hits) and their pages are
+        stored. Every page is bitwise equal to the uncached one: the
+        generation, and with it every input of the page, is fixed."""
+        plans = self.compiled(plans)
+        keys = [_page_key(p, k, offset, doc_filter) for p in plans]
+        pages = [None if key is None else self._pages.get(key) for key in keys]
+        misses: dict = {}  # key (an uncached plan: its index) -> plan indexes
+        for i, (key, page) in enumerate(zip(keys, pages)):
+            if page is None:
+                misses.setdefault(i if key is None else key, []).append(i)
+        if misses:
+            groups = list(misses.values())
+            ran: list[list[tuple]] = [[] for _ in groups]
+            for r in super().topk([{**plans[g[0]], "qid": j} for j, g in enumerate(groups)],
+                                  k, doc_filter, offset):
+                ran[r["qid"]].append(tuple(r.values())[1:])
+            for g, rows in zip(groups, ran):
+                page = tuple(rows)
+                if keys[g[0]] is not None:
+                    self._pages.put(keys[g[0]], page)
+                for i in g:
+                    pages[i] = page
+        return [dict(zip(_ROW_FIELDS, (p["qid"], *row)))
+                for p, page in zip(plans, pages) for row in page]
 
     # -- PlanRunner backend: the actor pool ------------------------------------
     def _global_df(self, terms: list[str]) -> dict[str, int]:

@@ -22,9 +22,12 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
                       (their matched terms come from per-anchor
                       docterms reads the page doesn't carry).
   GET  /doc/<doc_id>  -> the doc's metadata row (GET /get-image
-                      analogue: the stored artifact for one hit)
+                      analogue: the stored artifact for one hit); 404
+                      for an unknown or tombstoned id, 400 for a
+                      non-integer one
   GET  /stats         -> index stats (the --show-db verb over HTTP)
-                      plus the serving pool ``generation``
+                      plus the serving pool ``generation`` and its
+                      ``page_cache`` counters {hits, misses, rows}
   POST /delete        {"doc_ids": [int, ...]}
                       -> {"tombstoned": n, "generation": g}
                       (reference delete_record, vector_db.py:54-58;
@@ -107,6 +110,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pandas as pd
 
+from .maintenance import is_tombstoned
 from .positions import best_window
 from .serving import ShardedQueryService
 
@@ -293,10 +297,18 @@ class IndexHTTPServer:
                             stats = json.load(f)
                         svc = outer._pool()
                         stats["generation"] = svc.generation if svc else None
+                        stats["page_cache"] = svc.page_cache_counters() if svc else None
                         self._json(200, stats)
                     elif self.path.startswith("/doc/"):
-                        doc_id = int(self.path.split("/doc/", 1)[1])
-                        rows = hydrate_hits(outer._pool(), [doc_id])
+                        try:
+                            doc_id = np.int64(self.path.split("/doc/", 1)[1])
+                        except (ValueError, OverflowError):
+                            self._json(400, {"error": "doc id must be an int64"})
+                            return
+                        svc = outer._pool()
+                        # a tombstoned doc is gone, as no search returns it
+                        gone = is_tombstoned(svc.tombstones, np.array([doc_id]))[0]
+                        rows = [] if gone else hydrate_hits(svc, [doc_id])
                         if not rows:
                             self._json(404, {"error": f"doc {doc_id} not found"})
                         else:
@@ -812,10 +824,11 @@ class IndexHTTPServer:
         return self
 
     def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
+        # shutdown() waits for serve_forever, so only after start()
         if self._thread:
+            self.httpd.shutdown()
             self._thread.join(timeout=5)
+        self.httpd.server_close()
         if self.service is not None:
             self.service.shutdown()
         if self._ivf is not None:

@@ -81,13 +81,26 @@ def test_search_lang_filter(server):
 
 
 def test_doc_and_stats_routes(server):
+    """/doc/<id> serves a live doc's row; an unknown or tombstoned id
+    is a 404, a non-integer one a 400. /stats reports the serving
+    generation and its page-cache counters."""
     srv, _ = server
     status, doc = _req(srv.port, "/doc/3")
     assert status == 200 and doc["doc_id"] == 3 and doc["lang"] == "fr"
     status, stats = _req(srv.port, "/stats")
     assert status == 200 and stats["n_docs"] == 60
-    with pytest.raises(urllib.error.HTTPError):
-        _req(srv.port, "/doc/99999")
+    assert set(stats["page_cache"]) == {"hits", "misses", "rows"}
+    for path, code in [("/doc/99999", 404), ("/doc/abc", 400), ("/doc/", 400),
+                       ("/doc/1.5", 400), ("/doc/" + "9" * 30, 400)]:
+        with pytest.raises(urllib.error.HTTPError) as ei:
+            _req(srv.port, path)
+        assert ei.value.code == code, path
+    status, out = _req(srv.port, "/delete", {"doc_ids": [57]})
+    assert status == 200 and out["tombstoned"] == 1
+    with pytest.raises(urllib.error.HTTPError) as ei:
+        _req(srv.port, "/doc/57")
+    assert ei.value.code == 404
+    assert _req(srv.port, "/doc/3")[0] == 200
 
 
 def test_delete_visible_on_next_search(server):
@@ -1140,9 +1153,10 @@ def test_held_generation_keeps_serving_its_index(tmp_path):
     /delete keeps the pre-write index: searches on the held generation
     are bitwise equal to a serial reader over a copy of the index taken
     before the write, the new generation's to a reader over the index
-    after it. The held generation's hot term is warmed first, so the
-    new generation must not reuse partials computed under the old
-    avgdl."""
+    after it. The held generation's hot term is warmed first (a
+    different page over it, as a repeated page is a page-cache hit
+    that reaches no actor), so the new generation must not reuse
+    partials computed under the old avgdl."""
     import shutil
 
     idx = _small_index(str(tmp_path / "pin"))
@@ -1155,7 +1169,7 @@ def test_held_generation_keeps_serving_its_index(tmp_path):
             shutil.copytree(idx, before)
             _hits(held, "alpha")
             warm = held.counters()
-            _hits(held, "alpha")
+            _hits(held, "alpha", 5)
             assert sum(c["partial_hits"] for c in held.counters()) > \
                 sum(c["partial_hits"] for c in warm)
             if write == "extend":
@@ -1444,6 +1458,128 @@ def test_retired_generation_partials_are_purged(tmp_path):
         assert all(c["partial_avgdls"] == [new.stats["avgdl"]] for c in counters)
     finally:
         srv.close()
+
+
+# ---------------------------------------------------------------------------
+# The router's per-generation page cache
+
+
+def test_close_without_start_returns(tmp_path):
+    """Closing a server whose ``start()`` never ran returns at once
+    (``shutdown()`` would wait for a serve loop that never started) and
+    kills its actor pool."""
+    import threading
+    import time
+
+    idx = _small_index(str(tmp_path / "nostart"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0)
+    mine = {a._actor_id.hex() for a in srv._pool().actors}
+    assert mine <= _alive_query_actors()
+    closer = threading.Thread(target=srv.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    deadline = time.time() + 30
+    while mine & _alive_query_actors() and time.time() < deadline:
+        time.sleep(0.1)
+    assert not mine & _alive_query_actors()
+
+
+def test_repeated_search_is_a_page_cache_hit(tmp_path, monkeypatch):
+    """A repeated ranked /search makes no actor call and leaves every
+    actor's ``execute`` count unchanged; /stats counts it as one page
+    cache hit. After an /extend and after a /delete the new generation
+    starts with an empty cache, its pages equal a fresh serial
+    reader's, and a held generation keeps serving its own pages."""
+    import shutil
+
+    import ray.actor
+
+    idx = _small_index(str(tmp_path / "pages"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    queries = ["alpha zebra", "zebra alpha", "bravo dup", "echo"]
+    try:
+        body = {"query": "alpha zebra", "limit": 5}
+        status, first = _req(srv.port, "/search", body)
+        assert status == 200 and first
+        cache = _req(srv.port, "/stats")[1]["page_cache"]
+        before = srv._pool().counters()
+        calls = []
+        real_remote = ray.actor.ActorMethod.remote
+
+        def counting_remote(method, *a, **kw):
+            calls.append(method._method_name)
+            return real_remote(method, *a, **kw)
+
+        monkeypatch.setattr(ray.actor.ActorMethod, "remote", counting_remote)
+        status, again = _req(srv.port, "/search", body)
+        monkeypatch.undo()
+        assert status == 200 and again == first
+        assert calls == []
+        assert srv._pool().counters() == before
+        now = _req(srv.port, "/stats")[1]["page_cache"]
+        assert now == {**cache, "hits": cache["hits"] + 1}
+
+        for write in ("extend", "delete"):
+            held = srv._pool()
+            before_dir = str(tmp_path / f"pages_before_{write}")
+            shutil.copytree(idx, before_dir)
+            old_pages = {q: _hits(held, q) for q in queries}
+            held_misses = held.page_cache_counters()["misses"]
+            if write == "extend":
+                status, out = _req(srv.port, "/extend", {"docs": [
+                    {"content": f"alpha zebra echo paged{i}"} for i in range(5)]})
+                assert status == 200 and out["added"] == 5
+            else:
+                victim = old_pages["echo"][0][0]
+                status, out = _req(srv.port, "/delete", {"doc_ids": [victim]})
+                assert status == 200 and out["tombstoned"] == 1
+            assert _req(srv.port, "/stats")[1]["page_cache"] == \
+                {"hits": 0, "misses": 0, "rows": 0}
+            old_reader, new_reader = IndexReader(before_dir), IndexReader(idx)
+            for _ in range(2):
+                for q in queries:
+                    assert _hits(srv._pool(), q) == new_reader.search_taat(q, 10), (write, q)
+                    _, page = _req(srv.port, "/search", {"query": q, "limit": 10})
+                    assert [(h["doc_id"], h["score"]) for h in page] == \
+                        new_reader.search_taat(q, 10), (write, q)
+                    assert _hits(held, q) == old_pages[q] == \
+                        old_reader.search_taat(q, 10), (write, q)
+            assert srv._pool().page_cache_counters()["misses"] == 3
+            assert held.page_cache_counters()["misses"] == held_misses
+            del held
+    finally:
+        monkeypatch.undo()
+        srv.close()
+
+
+def test_msearch_one_scatter_for_cached_uncached_and_duplicates(server, monkeypatch):
+    """An /msearch mixing a cached body, uncached bodies and duplicates
+    (by term order too) makes exactly one scatter, over the distinct
+    uncached plans only, and equals per-body /search and the serial
+    reader."""
+    from information_retrieval_images_ray.pipelines import serving
+
+    srv, idx = server
+    _req(srv.port, "/search", {"query": "alpha dup", "limit": 5})
+    bodies = [{"query": q, "limit": 5} for q in
+              ["alpha dup", "zebra echo", "echo zebra", "golf", "dup alpha", "golf"]]
+    scattered = []
+    real_scatter = serving.ShardedQueryService._scatter
+
+    def counting_scatter(svc, plans, *a, **kw):
+        scattered.append(len(plans))
+        return real_scatter(svc, plans, *a, **kw)
+
+    monkeypatch.setattr(serving.ShardedQueryService, "_scatter", counting_scatter)
+    status, out = _req(srv.port, "/msearch", {"searches": bodies})
+    monkeypatch.undo()
+    assert status == 200 and scattered == [2]
+    reader = IndexReader(idx)
+    for body, page in zip(bodies, out["responses"]):
+        assert page == _req(srv.port, "/search", body)[1], body
+        assert [(h["doc_id"], h["score"]) for h in page] == \
+            reader.search_taat(body["query"], 5), body
 
 
 def test_keep_alive_one_connection(server):

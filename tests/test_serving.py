@@ -323,10 +323,12 @@ def test_paging_offset_matches_serial_tail(served_index):
 
 def test_router_round_trips_per_mode(served_index, monkeypatch):
     """Actor round trips per router call. Global df comes from the
-    router's df table, so a fresh pool costs what a warm one does: a
-    plain bm25 search and more_like_this are one scatter, an expansion
-    mode adds one batched expansion exchange, and prf adds a base top-k
-    call. A batch of plans costs what one plan does."""
+    router's df table, so a fresh pool costs what a warm one does for
+    a new plan: a plain bm25 search and more_like_this are one
+    scatter, an expansion mode adds one batched expansion exchange,
+    and prf adds a base top-k call. A batch of plans costs what one
+    plan does, and a repeated plan is served from the page cache with
+    no round trip."""
     import ray
 
     real_get = ray.get
@@ -337,21 +339,146 @@ def test_router_round_trips_per_mode(served_index, monkeypatch):
         return real_get(refs, *a, **kw)
 
     cases = [
-        ("bm25", "merge sort hash", {}, 1, 1),
-        ("prefix", "ge", {"max_expansions": 8}, 2, 2),
-        ("more_like_this", "merge sort hash get user", {"max_terms": 3}, 1, 1),
-        ("prf", "merge sort", {"fb_docs": 3, "fb_terms": 2}, 2, 2),
+        ("bm25", "merge sort hash", "get user", {}, 1),
+        ("prefix", "ge", "pa", {"max_expansions": 8}, 2),
+        ("more_like_this", "merge sort hash get user", "parse token buffer read",
+         {"max_terms": 3}, 1),
+        ("prf", "merge sort", "get user", {"fb_docs": 3, "fb_terms": 2}, 2),
     ]
-    for mode, query, params, cold, warm in cases:
+    for mode, query, other, params, trips in cases:
         for n in (1, 3):
             svc = ShardedQueryService(served_index, num_actors=2)
             try:
                 monkeypatch.setattr(ray, "get", counting_get)
-                for want in (cold, warm):
+                for q, want in ((query, trips), (other, trips), (query, 0)):
                     calls.clear()
-                    svc.topk([svc.compile(mode, query, params, qid=i)
+                    svc.topk([svc.compile(mode, q, params, qid=i)
                               for i in range(n)], k=5)
-                    assert len(calls) == want, (mode, n, len(calls))
+                    assert len(calls) == want, (mode, n, q, len(calls))
             finally:
                 monkeypatch.undo()
                 svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# The router's per-generation page cache
+
+
+def test_page_cache_term_order_hit_is_bitwise_uncached(served_index):
+    """``hash sort`` after ``sort hash`` is a page-cache hit, and every
+    cached page (bm25, boosted, collapse, a filter, an offset) is
+    bitwise equal to the uncached serial reader's page, with the
+    caller's qid."""
+    reader = IndexReader(served_index)
+    svc = ShardedQueryService(served_index, num_actors=2)
+    try:
+        cases = [
+            ("bm25", "sort hash", "hash sort", {}, None, 0),
+            ("boosted", "merge^2 get", "get merge^2", {}, None, 0),
+            ("collapse", "get user", "user get", {"collapse_field": "lang"}, None, 0),
+            ("bm25", "get parse", "parse get", {}, ("lang", "python"), 0),
+            ("bm25", "get", "get", {}, None, 5),
+        ]
+        for mode, first, second, params, doc_filter, offset in cases:
+            want = reader.topk([reader.compile(mode, second, params, qid=7)],
+                               5, doc_filter, offset)
+            assert want, (mode, second)
+            cold = svc.topk([svc.compile(mode, first, params, qid=3)], 5,
+                            doc_filter, offset)
+            before = svc.page_cache_counters()
+            got = svc.topk([svc.compile(mode, second, params, qid=7)], 5,
+                           doc_filter, offset)
+            after = svc.page_cache_counters()
+            assert after["hits"] == before["hits"] + 1, (mode, second)
+            assert after["misses"] == before["misses"]
+            assert got == want, (mode, second)
+            assert [dict(r, qid=7) for r in cold] == want
+        # fresh rows: a caller mutating its page leaves the cache intact
+        got[0]["score"] = -1.0
+        assert svc.topk([svc.compile("bm25", "get")], 5, offset=5) == \
+            reader.topk([reader.compile("bm25", "get")], 5, offset=5)
+    finally:
+        svc.shutdown()
+
+
+def test_page_cache_row_budget_and_oversized_page(served_index, monkeypatch):
+    """The cache never holds more than ``PAGE_CACHE_ROWS`` rows: the
+    least recently used page is evicted first, and a page larger than
+    the budget is served but not stored."""
+    from information_retrieval_images_ray.pipelines import serving
+
+    monkeypatch.setattr(serving, "PAGE_CACHE_ROWS", 12)
+    reader = IndexReader(served_index)
+    svc = ShardedQueryService(served_index, num_actors=2)
+
+    def page(q, k=5):
+        got = svc.topk([svc.compile("bm25", q)], k)
+        assert got == reader.topk([reader.compile("bm25", q)], k), q
+        return len(got)
+
+    def misses():
+        return svc.page_cache_counters()["misses"]
+
+    try:
+        assert page("get") == page("user") == 5
+        assert svc.page_cache_counters()["rows"] == 10
+        page("get")  # "get" is now the most recently used
+        assert page("merge") == 5  # evicts "user"
+        assert svc.page_cache_counters()["rows"] == 10
+        m = misses()
+        page("get")
+        assert misses() == m
+        page("user")
+        assert misses() == m + 1
+        assert svc.page_cache_counters()["rows"] <= 12
+        page("zzz_nohit")  # an empty page counts as one row
+        assert svc.page_cache_counters()["rows"] <= 12
+        rows = svc.page_cache_counters()["rows"]
+        assert page("get", 13) == 13
+        assert svc.page_cache_counters()["rows"] == rows
+        m = misses()
+        page("get", 13)
+        assert misses() == m + 1
+    finally:
+        svc.shutdown()
+
+
+def test_page_cache_concurrent_searches(served_index):
+    """Threads searching one generation at once all get the uncached
+    serial reader's pages, and every plan is counted once."""
+    import sys
+    import threading
+
+    reader = IndexReader(served_index)
+    queries = ["get", "merge sort hash", "sort merge hash", "parse token", "zzz_nohit"]
+    want = {q: reader.topk([reader.compile("bm25", q)], 5) for q in queries}
+    svc = ShardedQueryService(served_index, num_actors=2)
+    bad, errors = [], []
+
+    def searcher(n):
+        try:
+            for i in range(12):
+                q = queries[(n + i) % len(queries)]
+                got = svc.topk([svc.compile("bm25", q)], 5)
+                if got != want[q]:
+                    bad.append((q, got))
+        except Exception as e:  # noqa: BLE001 - any failure fails the test
+            errors.append(repr(e))
+
+    threads = [threading.Thread(target=searcher, args=(n,)) for n in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+        svc.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and bad == []
+    c = svc.page_cache_counters()
+    assert c["hits"] + c["misses"] == 48 and c["hits"] > 0
+    assert c["rows"] == sum(len(w) or 1 for q, w in want.items()
+                            if q != "sort merge hash")
