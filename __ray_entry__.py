@@ -2,8 +2,9 @@
 
 ``entry()`` runs the flagship build+query+hydrate pipeline on sf0.001.
 ``queries()`` exposes one callable per implemented operator family from
-SURVEY.md §2 (+ the training-data additions); ``oracle_sql()`` gives the
-DuckDB-equivalent SQL for every SQL-expressible one. Column names and
+SURVEY.md §2 (+ the training-data additions); every one reads only the
+``documents`` and ``embeddings`` tables. ``oracle_sql()`` gives the
+DuckDB-equivalent SQL for each of them. Column names and
 value encodings match exactly (fractional outputs are fixed-point
 BIGINT ``*_eN = floor(x*10^N + 0.5)`` on both sides so the driver's
 value-hash never trips on float representation).
@@ -65,14 +66,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         flagship,
         hybrid,
         export,
-        multimodal,
-        relational,
         similarity,
         sketches,
-        streaming,
-    )
-    from information_retrieval_images_ray.sources.corpus_source import (
-        read_documents_table,
     )
     import ray.data
 
@@ -546,25 +541,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_hybrid_rrf": lambda sf: hybrid.hybrid_rrf_documents(
             sf, k=10, n_each=20
         ),
-        # -- multimodal plumbing (A1/A2 stub seam) ---------------------------
-        "q_multimodal_decode": lambda sf: multimodal.decode_pipeline(
-            multimodal.make_binary_corpus(docs(sf))
-        ).drop_columns(["payload"]),
-        "q_multimodal_features": lambda sf: multimodal.feature_table(
-            multimodal.make_binary_corpus(docs(sf))
-        ),
-        # real-pixel decode over genuine (PGM) images derived from the
-        # text bytes — pix_mean_e6 comes from decoded PIXELS and the
-        # oracle recomputes it over the utf-8 bytes in SQL
-        "q_pixel_decode": lambda sf: multimodal.decode_pipeline(
-            multimodal.make_image_corpus(docs(sf)), decode="real"
-        ).drop_columns(["payload", "payload_md5", "n_bytes", "decode_error"]),
-        "q_multimodal_resize": lambda sf: multimodal.resize_pipeline(
-            multimodal.make_binary_corpus(docs(sf))
-        ),
-        "q_multimodal_frames": lambda sf: multimodal.frame_sample_pipeline(
-            multimodal.make_binary_corpus(docs(sf))
-        ),
         # -- evaluation harness (G2-G5: P/R/F1, MAP, overlap@k) --------------
         "q_token_prf": lambda sf: evaluation.token_prf_documents(sf),
         "q_map_at_k": lambda sf: evaluation.map_at_k_documents(sf, k=10),
@@ -575,56 +551,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_recall_at_k": lambda sf: evaluation.recall_documents(sf, k=10),
         "q_overlap_topk": lambda sf: evaluation.overlap_documents(sf, k=10),
         "q_ndcg_at_k": lambda sf: evaluation.ndcg_at_k_documents(sf, k=10),
-        # -- relational shapes (J1-J4, G1-G7, T1-T2, §2.9 windows) -----------
-        "q_top_orders": lambda sf: relational.top_orders_hydrated(sf),
-        "q_customers_without_orders": lambda sf: relational.customers_without_big_orders(sf),
-        "q_building_order_counts": lambda sf: relational.building_segment_order_counts(sf),
-        "q_revenue_by_flag": lambda sf: relational.revenue_by_flag_status(sf),
-        # GROUP BY ROLLUP: Q1 subtotals at (flag, status) / (flag) /
-        # grand total — supersums over the leaf's INTEGER subtotals
-        "q_rollup_revenue": lambda sf: relational.rollup_revenue(sf),
-        "q_tumbling_window": lambda sf: relational.tumbling_window_events(sf),
-        # -- stream-style custom operators (windows + ordered join) ----------
-        "q_hopping_window": lambda sf: streaming.hopping_window_events(sf),
-        # cumulative window (SUM OVER partition/order) + LAG deltas —
-        # keyed map_groups, integer-cents running math
-        "q_running_totals": lambda sf: streaming.running_user_totals(sf),
-        "q_lag_deltas": lambda sf: streaming.user_lag_deltas(sf),
-        "q_session_windows": lambda sf: streaming.session_windows_events(sf),
-        "q_event_asof": lambda sf: streaming.event_asof_join(sf),
-        # ordered conversion funnel (view -> click -> purchase) per
-        # user: one keyed exchange, searchsorted per stage in-group
-        "q_event_funnel": lambda sf: streaming.event_funnel(sf),
-        # bounded-frame moving window (ROWS BETWEEN 2 PRECEDING):
-        # integer-cents sums, cumsum-minus-shifted-cumsum in-group
-        "q_moving_window": lambda sf: streaming.moving_window_sums(sf),
-        # cohort retention: first-event-day cohorts x day offsets;
-        # distinct-by-construction in the user group, so the second
-        # exchange never runs a count-distinct shuffle
-        "q_retention_cohorts": lambda sf: streaming.retention_cohorts(sf),
-        # exact distributed percentiles via a (type, cents) histogram
-        # combiner — one bounded exchange, no sort, no sketch
-        "q_event_percentiles": lambda sf: streaming.event_value_percentiles(sf),
-        # continuous/streaming top-k (the retrieved ICDE'18/'19
-        # streaming-top-k query shape): per tumbling window the top-3
-        # users by integer-cents spend — combiner partials, one keyed
-        # exchange, per-window map_groups rank
-        "q_windowed_topk": lambda sf: streaming.windowed_topk_spenders(sf),
-        # broadcast banded RANGE JOIN: events x small tier table on
-        # lo <= value < hi — sorted-edge searchsorted inside
-        # map_batches + per-batch count partials, never a shuffle join
-        "q_value_tiers": lambda sf: relational.value_tier_counts(sf),
-        "q_distinct_langs": lambda sf: relational.distinct_langs(sf),
-        # grouped top-k (QUALIFY shape): k longest docs per lang,
-        # per-batch combiner so the exchange moves k rows per batch
-        "q_grouped_topk": lambda sf: relational.grouped_topk_docs(sf, k=3),
-        # TPC-H Q3 shape: broadcast small side + tagged-union hash join
-        # (orders x pre-aggregated lineitem revenue) + top-k combiner
-        "q_ship_priority": lambda sf: relational.ship_priority_topk(sf, k=10),
-        # TPC-H Q5 shape: 6-table chain — two tagged-union hash joins
-        # (custkey then orderkey) + dimension broadcasts, revenue
-        # pre-aggregated per (order, supplier-nation) in the combiner
-        "q_local_supplier_volume": lambda sf: relational.local_supplier_volume(sf),
     }
 
 
@@ -1217,23 +1143,6 @@ SELECT CAST(allq.qid AS BIGINT) AS qid,
                   * 1000000 + 0.5) AS BIGINT) AS recall_e6
 FROM allq LEFT JOIN rc ON rc.qid = allq.qid
 LEFT JOIN hc ON hc.qid = allq.qid
-"""
-
-
-def _value_tiers_sql() -> str:
-    """Range-join oracle: events joined to the frozen tier bands on
-    lo <= cents < hi (cents = floor(value*100+0.5), the engine's
-    integer conversion), counted per (event_type, tier)."""
-    from information_retrieval_images_ray.pipelines.relational import VALUE_TIERS
-
-    vals = ", ".join(f"('{t}', {lo}, {hi})" for t, lo, hi in VALUE_TIERS)
-    return f"""
-WITH tiers(tier, lo, hi) AS (VALUES {vals}),
-e AS (SELECT event_type,
-             CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS cents FROM events)
-SELECT e.event_type, t.tier, CAST(count(*) AS BIGINT) AS n
-FROM e JOIN tiers t ON e.cents >= t.lo AND e.cents < t.hi
-GROUP BY 1, 2
 """
 
 
@@ -2884,254 +2793,6 @@ WHERE list_cosine_similarity(a.emb, b.emb) >= 0.4
         "q_ivf_deleted": _KNN_DELETED_SQL,
         "q_ivf_compacted": _KNN_DELETED_SQL,
         "q_hybrid_rrf": _hybrid_rrf_sql(),
-        "q_multimodal_decode": """
-SELECT doc_id, md5(text) AS payload_md5,
-       CAST(strlen(text) AS BIGINT) AS n_bytes,
-       CAST(strlen(text) % 97 + 16 AS BIGINT) AS width,
-       CAST(strlen(text) // 97 % 97 + 16 AS BIGINT) AS height,
-       CAST(3 AS BIGINT) AS channels
-FROM documents
-""",
-        # byte-chunk means of the utf-8 payload (np.array_split
-        # semantics: first n%8 chunks get the extra byte; empty
-        # payload -> the single zero byte), mirrored over
-        # hex(encode(text)) byte extraction
-        "q_multimodal_features": """
-WITH d AS (SELECT doc_id, hex(encode(text)) AS hx,
-                  greatest(octet_length(encode(text)), 1) AS n
-           FROM documents),
-b AS (SELECT doc_id, n, u.i AS p,
-        CASE WHEN length(hx) = 0 THEN 0
-             ELSE CAST(concat('0x', substr(hx, CAST(2*u.i + 1 AS INT), 2)) AS INT) END AS byte
-      FROM d CROSS JOIN LATERAL unnest(range(0, n)) AS u(i)),
-ch AS (SELECT doc_id, byte,
-         CASE WHEN p < (n % 8) * (n // 8 + 1) THEN p // (n // 8 + 1)
-              ELSE (n % 8) + (p - (n % 8) * (n // 8 + 1)) // greatest(n // 8, 1) END AS c
-       FROM b),
-m AS (SELECT doc_id, c, avg(byte * 1.0) AS mu FROM ch GROUP BY 1, 2)
-SELECT doc_id,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=0 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f0_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=1 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f1_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=2 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f2_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=3 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f3_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=4 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f4_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=5 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f5_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=6 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f6_e6,
-  CAST(FLOOR(coalesce(max(CASE WHEN c=7 THEN mu END), 0)*1000000 + 0.5) AS BIGINT) AS f7_e6
-FROM m GROUP BY doc_id
-""",
-        # the real-pixel path: payload is a 1 x n grayscale PGM of the
-        # utf-8 bytes, so decoded pixel mean == byte mean (both sides
-        # sum int-valued doubles then divide once -> bit-identical)
-        "q_pixel_decode": """
-WITH d AS (SELECT doc_id, hex(encode(text)) AS hx,
-                  greatest(octet_length(encode(text)), 1) AS n
-           FROM documents),
-b AS (SELECT doc_id, n,
-        CASE WHEN length(hx) = 0 THEN 0
-             ELSE CAST(concat('0x', substr(hx, CAST(2*u.i + 1 AS INT), 2)) AS INT) END AS byte
-      FROM d CROSS JOIN LATERAL unnest(range(0, n)) AS u(i))
-SELECT doc_id, 'pgm' AS format,
-       CAST(n AS BIGINT) AS width, CAST(1 AS BIGINT) AS height,
-       CAST(1 AS BIGINT) AS channels,
-       CAST(FLOOR(avg(byte * 1.0) * 1000000 + 0.5) AS BIGINT) AS pix_mean_e6
-FROM b GROUP BY doc_id, n
-""",
-        "q_multimodal_resize": """
-WITH d AS (SELECT doc_id, strlen(text) AS n FROM documents),
-wh AS (SELECT doc_id, n % 97 + 16 AS w, n // 97 % 97 + 16 AS h FROM d),
-sc AS (SELECT doc_id, w, h, least(1.0, 64.0 / greatest(w, h)) AS scale FROM wh)
-SELECT doc_id, CAST(w AS BIGINT) AS width, CAST(h AS BIGINT) AS height,
-       CAST(greatest(FLOOR(w * scale), 1) AS BIGINT) AS new_width,
-       CAST(greatest(FLOOR(h * scale), 1) AS BIGINT) AS new_height,
-       CAST(FLOOR(scale * 1000000 + 0.5) AS BIGINT) AS scale_e6
-FROM sc
-""",
-        "q_multimodal_frames": """
-WITH d AS (SELECT doc_id, strlen(text) AS n FROM documents),
-f AS (SELECT doc_id, greatest(n // 256, 1) AS n_frames FROM d),
-s AS (SELECT doc_id, n_frames, u.j AS frame_rank,
-        CASE WHEN n_frames = 1 THEN 0
-             ELSE CAST(FLOOR(u.j * (n_frames - 1) * 1.0 / 3) AS BIGINT)
-        END AS frame_idx
-      FROM f CROSS JOIN unnest(range(0, 4)) AS u(j))
-SELECT doc_id, CAST(n_frames AS BIGINT) AS n_frames,
-       CAST(frame_rank AS BIGINT) AS frame_rank,
-       CAST(frame_idx AS BIGINT) AS frame_idx,
-       CAST(frame_idx * 256 AS BIGINT) AS frame_offset
-FROM s
-""",
-        "q_top_orders": """
-WITH top AS (SELECT o_orderkey, o_custkey, o_totalprice FROM orders
-             ORDER BY o_totalprice DESC, o_orderkey LIMIT 10)
-SELECT t.o_orderkey,
-       CAST(FLOOR(t.o_totalprice*100 + 0.5) AS BIGINT) AS o_totalprice_e2,
-       c.c_name, n.n_name
-FROM top t
-JOIN customer c ON c.c_custkey = t.o_custkey
-JOIN nation n ON n.n_nationkey = c.c_nationkey
-""",
-        "q_customers_without_orders": """
-SELECT c_custkey, c_name, CAST(FLOOR(c_acctbal*100 + 0.5) AS BIGINT) AS c_acctbal_e2
-FROM customer
-WHERE c_custkey NOT IN (SELECT o_custkey FROM orders WHERE o_totalprice > 300000.0)
-""",
-        "q_building_order_counts": """
-SELECT o_custkey, CAST(count(*) AS BIGINT) AS order_count
-FROM orders
-WHERE o_custkey IN (SELECT c_custkey FROM customer WHERE c_mktsegment = 'BUILDING')
-GROUP BY 1
-""",
-        "q_revenue_by_flag": """
-SELECT l_returnflag, l_linestatus,
-       CAST(FLOOR(SUM(l_quantity)*100 + 0.5) AS BIGINT) AS sum_qty_e2,
-       CAST(FLOOR(SUM(l_extendedprice*(1.0 - l_discount))*100 + 0.5) AS BIGINT) AS sum_revenue_e2,
-       CAST(count(*) AS BIGINT) AS n_rows
-FROM lineitem GROUP BY 1, 2
-""",
-        "q_local_supplier_volume": """
-SELECT n_name,
-       CAST(FLOOR(SUM(l_extendedprice*(1.0 - l_discount))*100 + 0.5)
-            AS BIGINT) AS revenue_e2
-FROM customer
-JOIN orders ON c_custkey = o_custkey
-JOIN lineitem ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-JOIN nation ON s_nationkey = n_nationkey
-JOIN region ON n_regionkey = r_regionkey
-WHERE r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '1997-01-01'
-  AND o_orderdate < TIMESTAMP '1998-01-01'
-GROUP BY 1
-""",
-        # Q3 mirror: revenue rounds to e2 BEFORE the order-by on both
-        # sides, so tie-breaks compare the same integers
-        "q_ship_priority": """
-WITH r AS (SELECT l_orderkey, o_orderdate, o_orderpriority,
-                  CAST(FLOOR(SUM(l_extendedprice*(1.0 - l_discount))*100 + 0.5)
-                       AS BIGINT) AS revenue_e2
-           FROM customer
-           JOIN orders ON c_custkey = o_custkey
-           JOIN lineitem ON l_orderkey = o_orderkey
-           WHERE c_mktsegment = 'BUILDING'
-             AND o_orderdate < TIMESTAMP '1998-06-01'
-             AND l_shipdate > TIMESTAMP '1998-06-01'
-           GROUP BY 1, 2, 3)
-SELECT l_orderkey, CAST(epoch_us(o_orderdate) AS BIGINT) AS o_orderdate_us,
-       o_orderpriority, revenue_e2
-FROM r ORDER BY revenue_e2 DESC, o_orderdate_us, l_orderkey LIMIT 10
-""",
-        "q_rollup_revenue": """
-WITH g AS (SELECT l_returnflag, l_linestatus,
-                  CAST(FLOOR(SUM(l_quantity)*100 + 0.5) AS BIGINT) AS q,
-                  CAST(FLOOR(SUM(l_extendedprice*(1.0 - l_discount))*100 + 0.5) AS BIGINT) AS r,
-                  CAST(count(*) AS BIGINT) AS n
-           FROM lineitem GROUP BY 1, 2)
-SELECT coalesce(l_returnflag, 'ALL') AS l_returnflag,
-       coalesce(l_linestatus, 'ALL') AS l_linestatus,
-       CAST(SUM(q) AS BIGINT) AS sum_qty_e2,
-       CAST(SUM(r) AS BIGINT) AS sum_revenue_e2,
-       CAST(SUM(n) AS BIGINT) AS n_rows
-FROM g GROUP BY ROLLUP (l_returnflag, l_linestatus)
-""",
-        "q_running_totals": """
-SELECT CAST(user_id AS BIGINT) AS user_id, CAST(event_id AS BIGINT) AS event_id,
-       epoch_us(ts) AS ts_us,
-       CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS value_cents,
-       CAST(SUM(CAST(FLOOR(value*100 + 0.5) AS BIGINT))
-            OVER (PARTITION BY user_id ORDER BY ts, event_id) AS BIGINT) AS running_cents
-FROM events
-""",
-        "q_lag_deltas": """
-WITH l AS (SELECT user_id, event_id, ts,
-                  LAG(event_id) OVER w AS prev_event_id,
-                  LAG(ts) OVER w AS prev_ts
-           FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT CAST(user_id AS BIGINT) AS user_id, CAST(event_id AS BIGINT) AS event_id,
-       CAST(prev_event_id AS BIGINT) AS prev_event_id,
-       epoch_us(ts) - epoch_us(prev_ts) AS delta_us
-FROM l WHERE prev_event_id IS NOT NULL
-""",
-        "q_tumbling_window": """
-SELECT user_id, epoch_us(ts) // 3600000000 AS win,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(FLOOR(SUM(value)*10000 + 0.5) AS BIGINT) AS value_sum_e4
-FROM events GROUP BY 1, 2
-""",
-        "q_hopping_window": """
-WITH w AS (SELECT user_id, epoch_us(ts) // 900000000 - u.k AS win, value
-           FROM events CROSS JOIN unnest(range(0, 4)) AS u(k))
-SELECT user_id, CAST(win AS BIGINT) AS win, CAST(count(*) AS BIGINT) AS n_events,
-       CAST(FLOOR(SUM(value)*10000 + 0.5) AS BIGINT) AS value_sum_e4
-FROM w GROUP BY 1, 2
-""",
-        "q_session_windows": """
-WITH e AS (SELECT user_id, epoch_us(ts) AS t, value FROM events),
-o AS (SELECT user_id, t, value,
-        CASE WHEN lag(t) OVER (PARTITION BY user_id ORDER BY t) IS NULL
-             OR t - lag(t) OVER (PARTITION BY user_id ORDER BY t) > 1800000000
-             THEN 1 ELSE 0 END AS brk
-      FROM e),
-s AS (SELECT user_id, t, value,
-        sum(brk) OVER (PARTITION BY user_id ORDER BY t
-                       ROWS UNBOUNDED PRECEDING) AS sess
-      FROM o)
-SELECT user_id, CAST(min(t) AS BIGINT) AS session_start_us,
-       CAST(max(t) AS BIGINT) AS session_end_us,
-       CAST(count(*) AS BIGINT) AS n_events,
-       CAST(FLOOR(sum(value)*10000 + 0.5) AS BIGINT) AS value_sum_e4
-FROM s GROUP BY user_id, sess
-""",
-        # strictly ordered funnel: each stage's min is constrained to
-        # at-or-after the previous stage's chosen event; stage_reached
-        # counts the NOT NULLs (c only exists given v, p only given c)
-        "q_event_funnel": """
-WITH e AS (SELECT user_id, event_type, epoch_us(ts) AS t FROM events),
-v AS (SELECT user_id, min(t) AS tv FROM e WHERE event_type = 'view' GROUP BY 1),
-c AS (SELECT v.user_id, min(e.t) AS tc FROM v JOIN e ON e.user_id = v.user_id
-      AND e.event_type = 'click' AND e.t >= v.tv GROUP BY 1),
-p AS (SELECT c.user_id, min(e.t) AS tp FROM c JOIN e ON e.user_id = c.user_id
-      AND e.event_type = 'purchase' AND e.t >= c.tc GROUP BY 1)
-SELECT u.user_id,
-       CAST(coalesce(v.tv, -1) AS BIGINT) AS t_view_us,
-       CAST(coalesce(c.tc, -1) AS BIGINT) AS t_click_us,
-       CAST(coalesce(p.tp, -1) AS BIGINT) AS t_purchase_us,
-       CAST((v.tv IS NOT NULL)::INT + (c.tc IS NOT NULL)::INT
-            + (p.tp IS NOT NULL)::INT AS BIGINT) AS stage_reached
-FROM (SELECT DISTINCT user_id FROM e) u
-LEFT JOIN v USING (user_id) LEFT JOIN c USING (user_id)
-LEFT JOIN p USING (user_id)
-""",
-        "q_moving_window": """
-WITH e AS (SELECT user_id, event_id, epoch_us(ts) AS t,
-                  CAST(FLOOR(value*100 + 0.5) AS BIGINT) AS cents FROM events)
-SELECT user_id, event_id, CAST(t AS BIGINT) AS ts_us, cents AS value_cents,
-       CAST(sum(cents) OVER w AS BIGINT) AS window_sum_cents,
-       CAST(count(*) OVER w AS BIGINT) AS window_n
-FROM e WINDOW w AS (PARTITION BY user_id ORDER BY t, event_id
-                    ROWS BETWEEN 2 PRECEDING AND CURRENT ROW)
-""",
-        "q_retention_cohorts": """
-WITH e AS (SELECT user_id, epoch_us(ts) // 86400000000 AS day FROM events),
-f AS (SELECT user_id, min(day) AS cohort FROM e GROUP BY 1),
-ud AS (SELECT DISTINCT e.user_id, f.cohort AS cohort_day,
-              e.day - f.cohort AS day_offset
-       FROM e JOIN f USING (user_id))
-SELECT CAST(cohort_day AS BIGINT) AS cohort_day,
-       CAST(day_offset AS BIGINT) AS day_offset,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM ud GROUP BY 1, 2
-""",
-        "q_event_asof": """
-WITH p AS (SELECT event_id, user_id, epoch_us(ts) AS t FROM events
-           WHERE event_type = 'purchase'),
-c AS (SELECT user_id, epoch_us(ts) AS t FROM events WHERE event_type = 'click')
-SELECT p.event_id, p.user_id, CAST(p.t AS BIGINT) AS t_event_us,
-       CAST(coalesce(max(c.t), -1) AS BIGINT) AS t_match_us
-FROM p LEFT JOIN c ON c.user_id = p.user_id AND c.t <= p.t
-GROUP BY 1, 2, 3
-""",
-        "q_distinct_langs": "SELECT DISTINCT lang FROM documents",
         # positioned tokens via the indexed-unnest trick; ties at the
         # LIMIT boundary broken (cnt desc, t1, t2) on both sides
         "q_term_cooccurrence": f"""
@@ -3169,39 +2830,6 @@ SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(doc_len AS BIGINT) AS doc_len,
        CAST(prev // 2048 AS BIGINT) AS seq_id,
        CAST(prev % 2048 AS BIGINT) AS seq_off
 FROM c
-""",
-        # values are 2-decimal, so cents-rounding commutes with the
-        # discrete quantile (both sides pick an actual data value)
-        "q_value_tiers": _value_tiers_sql(),
-        "q_windowed_topk": """
-WITH e AS (SELECT epoch_us(ts) // 3600000000 AS win, user_id,
-                  CAST(FLOOR(value * 100 + 0.5) AS BIGINT) AS cents
-           FROM events),
-a AS (SELECT win, user_id, sum(cents) AS spend_cents,
-             count(*) AS n_events FROM e GROUP BY 1, 2),
-r AS (SELECT *, row_number() OVER (PARTITION BY win
-                ORDER BY spend_cents DESC, user_id) AS rnk FROM a)
-SELECT CAST(win AS BIGINT) AS win, CAST(rnk AS BIGINT) AS "rank",
-       CAST(user_id AS BIGINT) AS user_id,
-       CAST(spend_cents AS BIGINT) AS spend_cents,
-       CAST(n_events AS BIGINT) AS n_events
-FROM r WHERE rnk <= 3
-""",
-        "q_event_percentiles": """
-SELECT event_type, CAST(count(*) AS BIGINT) AS n_events,
-       CAST(FLOOR(quantile_disc(value, 0.5)  * 100 + 0.5) AS BIGINT) AS p50_cents,
-       CAST(FLOOR(quantile_disc(value, 0.9)  * 100 + 0.5) AS BIGINT) AS p90_cents,
-       CAST(FLOOR(quantile_disc(value, 0.99) * 100 + 0.5) AS BIGINT) AS p99_cents
-FROM events GROUP BY event_type
-""",
-        "q_grouped_topk": f"""
-WITH dl AS (SELECT doc_id, lang, len({TOK_SQL}) AS n_tokens FROM documents),
-r AS (SELECT lang, doc_id, n_tokens,
-             row_number() OVER (PARTITION BY lang ORDER BY n_tokens DESC, doc_id) AS rnk
-      FROM dl)
-SELECT lang, CAST(rnk AS BIGINT) AS "rank", CAST(doc_id AS BIGINT) AS doc_id,
-       CAST(n_tokens AS BIGINT) AS n_tokens
-FROM r WHERE rnk <= 3
 """,
         # Every queries() key has a SQL oracle. The sketch operators
         # (minhash/simhash) are exactly mirrorable because their hashes

@@ -1445,7 +1445,7 @@ def bigram_lm_scores(ds: ray.data.Dataset, tokenizer: str = "simple") -> pd.Data
         t = pa.table({"w1": pa.array(w1s, pa.string()),
                       "w2": pa.array(w2s, pa.string())})
         g = pa.TableGroupBy(t, ["w1", "w2"]).aggregate([([], "count_all")])
-        return g.rename_columns(["w1", "w2", "n"])
+        return pa.table({"w1": g["w1"], "w2": g["w2"], "n": g["count_all"]})
 
     counts = (
         ds.map_batches(bigram_counts, batch_format="pyarrow")
@@ -1601,7 +1601,8 @@ def dup_rate_by_source(ds: ray.data.Dataset) -> pd.DataFrame:
         g = pa.TableGroupBy(batch.select(["source", "n"]), ["source"]).aggregate(
             [("n", "sum"), ("n", "count")]
         )
-        return g.rename_columns(["source", "n_docs_p", "n_distinct_p"])
+        return pa.table({"source": g["source"], "n_docs_p": g["n_sum"],
+                         "n_distinct_p": g["n_count"]})
 
     out = (
         per_content.map_batches(partial, batch_format="pyarrow")

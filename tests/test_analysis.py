@@ -47,52 +47,6 @@ def test_tfidf_empty_and_k_larger_than_vocab():
     assert list(out["term"]) == ["only"] and list(out["rank"]) == [1]
 
 
-def test_grouped_topk_combiner_matches_global(tmp_path):
-    """The per-batch combiner must not change the answer: grouped
-    top-k over a multi-block corpus equals the global pandas
-    windowed-rank, including the (n_tokens desc, doc_id asc)
-    tie-break across ties that span blocks."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from information_retrieval_images_ray.pipelines.relational import (
-        grouped_topk_docs,
-    )
-
-    rng = np.random.default_rng(11)
-    langs = ["en", "fr", "de"]
-    rows = pd.DataFrame({
-        "doc_id": np.arange(90, dtype=np.int64),
-        "lang": [langs[i % 3] for i in range(90)],
-        # few distinct lengths -> plenty of cross-block ties
-        "text": ["tok " * int(rng.integers(1, 6)) for _ in range(90)],
-    })
-    sf = tmp_path / "sf"
-    # three part files -> three read blocks, so the per-batch combiner
-    # genuinely runs per block and the final rank merges across them
-    (sf / "documents.parquet").mkdir(parents=True)
-    for i in range(3):
-        pq.write_table(
-            pa.Table.from_pandas(rows.iloc[i * 30 : (i + 1) * 30]),
-            sf / "documents.parquet" / f"part-{i}.parquet",
-        )
-
-    got = grouped_topk_docs(str(sf), k=3)
-    want = rows.assign(n_tokens=rows["text"].str.split().str.len())
-    want = (
-        want.sort_values(["lang", "n_tokens", "doc_id"],
-                         ascending=[True, False, True])
-        .groupby("lang").head(3)
-    )
-    want["rank"] = want.groupby("lang").cumcount() + 1
-    want = want[["lang", "rank", "doc_id", "n_tokens"]].reset_index(drop=True)
-    pd.testing.assert_frame_equal(
-        got.astype({"n_tokens": "int64"}), want.astype({"n_tokens": "int64"})
-    )
-
-
 def test_split_summary_deterministic_and_order_invariant():
     """Hash-based splits: the summary equals a pandas replica of the
     md5-bucket rule and is IDENTICAL when the corpus arrives in a

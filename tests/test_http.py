@@ -1268,11 +1268,14 @@ def test_extend_and_delete_start_no_actor(tmp_path, monkeypatch):
 
 
 def test_race_every_response_matches_a_generation(tmp_path):
-    """Four searcher threads race an interleaved /extend + /delete
-    sequence. Every response equals the brute-force BM25 top-k (k1 1.2,
-    b 0.75, score desc then doc_id asc) of one of the index states that
-    existed during the race: tombstoned docs leave the ranking but stay
-    in n_docs and avgdl until compaction, as in the engine."""
+    """Four searcher threads race an interleaved /extend + /delete +
+    /reload sequence. Every response equals the brute-force BM25 top-k
+    (k1 1.2, b 0.75, score desc then doc_id asc) of one of the index
+    states that existed during the race: tombstoned docs leave the
+    ranking but stay in n_docs and avgdl until compaction, as in the
+    engine. /reload re-attaches the unchanged on-disk index with a
+    fresh actor set while the old set is retired, so its state repeats
+    the previous one."""
     import sys
     import threading
 
@@ -1316,20 +1319,24 @@ def test_race_every_response_matches_a_generation(tmp_path):
     for t in threads:
         t.start()
     try:
-        for step in range(5):
+        for step, op in enumerate(
+                ["extend", "delete", "reload", "extend", "delete", "extend"]):
             docs, tombs = states[-1]
-            if step % 2 == 0:
+            if op == "extend":
                 span = _req(srv.port, "/stats")[1]["doc_id_span"]
                 new = [f"alpha bravo race{step} zebra" * (1 + i % 3) for i in range(4)]
                 status, out = _req(srv.port, "/extend",
                                    {"docs": [{"content": c} for c in new]})
                 assert status == 200 and out["added"] == 4
                 docs = {**docs, **{span + i: tok(c) for i, c in enumerate(new)}}
-            else:
+            elif op == "delete":
                 victims = {oracle(q, docs, tombs)[0][0] for q in queries[:2]}
                 status, out = _req(srv.port, "/delete", {"doc_ids": sorted(victims)})
                 assert status == 200
                 tombs = tombs | victims
+            else:
+                status, out = _req(srv.port, "/reload", {})
+                assert status == 200
             states.append((docs, tombs))
     finally:
         done.set()

@@ -1,12 +1,12 @@
 """Similarity-search semantics: brute-force exactness, IVF recall,
-embedding near-dup, multimodal plumbing."""
+embedding near-dup, persisted IVF and text embedding."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data
 
-from information_retrieval_images_ray.pipelines import multimodal, similarity
+from information_retrieval_images_ray.pipelines import similarity
 
 
 @pytest.fixture(scope="module")
@@ -83,65 +83,6 @@ def test_embedding_near_dups_auto_blocking(emb_ds, emb_rows):
     sims = m @ m.T
     for _, r in out.iterrows():
         assert sims[int(r["doc_a"]), int(r["doc_b"])] >= 0.9 - 1e-9
-
-
-def test_multimodal_decode_and_features():
-    docs = ray.data.from_items(
-        [{"doc_id": i, "text": "x" * (10 + i * 37)} for i in range(20)]
-    )
-    blobs = multimodal.make_binary_corpus(docs)
-    decoded = multimodal.decode_pipeline(blobs).to_pandas()
-    assert len(decoded) == 20
-    assert (decoded["n_bytes"] == 10 + decoded["doc_id"] * 37).all()
-    assert (decoded["width"] == decoded["n_bytes"] % 97 + 16).all()
-    feats = multimodal.feature_pipeline(blobs).to_pandas()
-    assert len(feats) == 20
-    assert all(len(f) == 8 for f in feats["feature"])
-    # 'x' payload -> every histogram moment is ord('x')
-    assert all(abs(v - ord("x")) < 1e-9 for v in feats["feature"].iloc[0])
-
-
-def test_multimodal_real_header_decode():
-    """decode='real' parses REAL image dimensions from PNG/JPEG/GIF
-    bytes (stdlib header parsing — only full pixel decode needs PIL)."""
-    import struct
-
-    png = (b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + b"IHDR"
-           + struct.pack(">II", 640, 480) + bytes([8, 2, 0, 0, 0]))
-    gif = b"GIF89a" + struct.pack("<HH", 320, 200) + b"\xf7\x00\x00"
-    jpeg = (b"\xff\xd8"
-            + b"\xff\xe0" + struct.pack(">H", 16) + b"JFIF\x00" + b"\x00" * 9
-            + b"\xff\xc0" + struct.pack(">H", 17) + bytes([8])
-            + struct.pack(">HH", 480, 640) + bytes([3]) + b"\x00" * 9)
-    assert multimodal.parse_image_header(png) == ("png", 640, 480, 3)
-    assert multimodal.parse_image_header(gif) == ("gif", 320, 200, 3)
-    assert multimodal.parse_image_header(jpeg) == ("jpeg", 640, 480, 3)
-    assert multimodal.parse_image_header(b"not an image") is None
-    # payload-less markers (here EOI) before the SOF must be stepped
-    # over, not parsed as length-prefixed segments (which read two
-    # garbage bytes as a length and skip past the SOF)
-    jpeg_stray_eoi = b"\xff\xd8" + b"\xff\xd9" + jpeg[2:]
-    assert multimodal.parse_image_header(jpeg_stray_eoi) == ("jpeg", 640, 480, 3)
-    # a malformed segment length (< 2) aborts instead of misaligning
-    bad_len = b"\xff\xd8" + b"\xff\xe0" + struct.pack(">H", 1) + jpeg[2:]
-    assert multimodal.parse_image_header(bad_len) is None
-
-    blobs = ray.data.from_items([
-        {"doc_id": 0, "payload": png, "kind": "blob"},
-        {"doc_id": 1, "payload": gif, "kind": "blob"},
-        {"doc_id": 2, "payload": jpeg, "kind": "blob"},
-        {"doc_id": 3, "payload": b"opaque bytes", "kind": "blob"},
-    ])
-    out = (
-        multimodal.decode_pipeline(blobs, decode="real")
-        .to_pandas()
-        .set_index("doc_id")
-        .sort_index()
-    )
-    assert list(out["format"]) == ["png", "gif", "jpeg", "unknown"]
-    assert list(out["width"]) == [640, 320, 640, -1]
-    assert list(out["height"]) == [480, 200, 480, -1]
-    assert list(out["channels"]) == [3, 3, 3, -1]
 
 
 def test_persisted_ivf_matches_inmemory(tmp_path, emb_ds, emb_rows):
@@ -272,99 +213,6 @@ def test_persisted_ivf_reads_only_probed_clusters(tmp_path, emb_ds, emb_rows):
     second = reader.search(queries, k=10, nprobe=2)
     assert second.equals(first)
     reader.close()
-
-
-def test_bmp_ppm_pixel_roundtrip():
-    """Pure-numpy pixel decode is exact: encode a seeded RGB array as
-    24-bit BMP and binary PPM, decode both, get the array back bit-for-
-    bit (incl. BMP bottom-up row order and 4-byte row padding at a
-    width that isn't a multiple of 4)."""
-    rng = np.random.default_rng(42)
-    px = rng.integers(0, 256, size=(13, 7, 3), dtype=np.uint8)  # w=7 -> padded rows
-
-    bmp = multimodal.encode_bmp(px)
-    assert multimodal.parse_image_header(bmp) == ("bmp", 7, 13, 3)
-    np.testing.assert_array_equal(multimodal.decode_bmp_pixels(bmp), px)
-
-    ppm = multimodal.encode_ppm(px)
-    assert multimodal.parse_image_header(ppm) == ("ppm", 7, 13, 3)
-    np.testing.assert_array_equal(multimodal.decode_pnm_pixels(ppm), px)
-
-    gray = rng.integers(0, 256, size=(5, 9), dtype=np.uint8)
-    pgm = multimodal.encode_ppm(gray)
-    assert multimodal.parse_image_header(pgm) == ("pgm", 9, 5, 1)
-    np.testing.assert_array_equal(
-        multimodal.decode_pnm_pixels(pgm), gray[:, :, None]
-    )
-
-    # ASCII P2 with a comment line decodes identically to its P5 twin
-    p2 = b"P2\n# a comment\n3 2\n255\n" + " ".join(
-        str(v) for v in range(6)
-    ).encode()
-    np.testing.assert_array_equal(
-        multimodal.decode_pnm_pixels(p2).ravel(), np.arange(6, dtype=np.uint8)
-    )
-
-    # top-down BMP (negative height) must NOT be flipped
-    import struct as _s
-    td = bytearray(multimodal.encode_bmp(px))
-    # rewrite height negative and re-pack rows top-down
-    td[22:26] = _s.pack("<i", -13)
-    row = (7 * 3 + 3) // 4 * 4
-    body = np.zeros((13, row), np.uint8)
-    body[:, : 7 * 3] = px[:, :, [2, 1, 0]].reshape(13, 7 * 3)
-    td[54:] = body.tobytes()
-    np.testing.assert_array_equal(multimodal.decode_bmp_pixels(bytes(td)), px)
-
-    with pytest.raises(ValueError):
-        multimodal.decode_bmp_pixels(b"BM" + b"\x00" * 60)  # zero dims
-    with pytest.raises(ValueError):
-        multimodal.decode_pnm_pixels(b"P6\n2 2\n65535\n" + b"\x00" * 24)  # 16-bit
-
-
-def test_real_decode_pipeline_emits_pixels_for_uncompressed(tmp_path):
-    """decode='real' over a mixed corpus: BMP/PPM rows get exact
-    pix_mean_e6 from real pixels; a PNG (compressed, no PIL here) gets
-    a surfaced decode_error, never fabricated pixels; grid-pooled
-    features round-trip deterministically."""
-    import struct
-
-    rng = np.random.default_rng(7)
-    px = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-    bmp, ppm = multimodal.encode_bmp(px), multimodal.encode_ppm(px)
-    png = (b"\x89PNG\r\n\x1a\n" + struct.pack(">I", 13) + b"IHDR"
-           + struct.pack(">II", 640, 480) + bytes([8, 2, 0, 0, 0]))
-    blobs = ray.data.from_items([
-        {"doc_id": 0, "payload": bmp, "kind": "blob"},
-        {"doc_id": 1, "payload": ppm, "kind": "blob"},
-        {"doc_id": 2, "payload": png, "kind": "blob"},
-    ])
-    out = (multimodal.decode_pipeline(blobs, decode="real")
-           .to_pandas().set_index("doc_id").sort_index())
-    want = int(np.floor(px.astype(np.float64).mean() * 1e6 + 0.5))
-    assert out.loc[0, "format"] == "bmp" and out.loc[0, "pix_mean_e6"] == want
-    assert out.loc[1, "format"] == "ppm" and out.loc[1, "pix_mean_e6"] == want
-    assert (out.loc[0, "decode_error"] == "") and (out.loc[1, "decode_error"] == "")
-    has_pil = True
-    try:
-        import PIL  # noqa: F401
-    except ImportError:
-        has_pil = False
-    if not has_pil:
-        assert out.loc[2, "pix_mean_e6"] == -1
-        assert "PIL" in out.loc[2, "decode_error"]
-
-    feats = (multimodal.pixel_feature_pipeline(blobs, grid=2)
-             .to_pandas().set_index("doc_id").sort_index())
-    f0 = np.asarray(feats.loc[0, "pixel_feature"], np.float64)
-    f1 = np.asarray(feats.loc[1, "pixel_feature"], np.float64)
-    assert f0.shape == (12,)
-    np.testing.assert_allclose(f0, f1)  # same pixels, two containers
-    # hand-computed cell mean: top-left 4x4 cell, channel 0
-    assert abs(f0[0] - px[:4, :4, 0].astype(np.float64).mean()) < 1e-9
-    if not has_pil:
-        assert len(feats.loc[2, "pixel_feature"]) == 0
-        assert feats.loc[2, "decode_error"] != ""
 
 
 def test_hashed_ngram_embedder_properties():
