@@ -238,7 +238,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # the same ranks 11..20 via CURSOR paging (search_after shape):
         # page-1's last (score, doc_id) seeds page 2 — no recompute of
-        # skipped ranks, per-actor cursor filter + router k-way merge
+        # skipped ranks, through the serving router
         "q_bm25_cursor": lambda sf: flagship.run_bm25_cursor_queries(
             sf, k=10
         ),
@@ -291,21 +291,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_boosted_search": lambda sf: flagship.run_boosted_queries(sf, k=10),
         # field collapsing: per query the top-k docmeta[lang] groups,
         # each as its (score desc, doc_id asc) leader hit + the
-        # group's FULL match count, through the SHARDED service
-        # (per-actor leader+count partials, router max-merge/sum)
+        # group's FULL match count, through the serving router
         "q_collapse_search": lambda sf: flagship.run_collapse_queries(
             sf, field="lang", k=10
         ),
         # faceted search: full-match-set distribution over docmeta
         # columns (lang, source) per battery query, computed through
-        # the SHARDED service (per-actor bincount partials, router sum)
+        # the serving router
         "q_faceted_search": lambda sf: flagship.run_facet_queries(sf),
         # numeric range faceting (Elasticsearch range-aggregation
         # shape): token-length histogram of each query's full match
-        # set, per-actor bucket partials summed at the router
+        # set, through the serving router
         "q_range_facets": lambda sf: flagship.run_length_facet_queries(sf),
-        # more-like-this: per-anchor tf·idf term selection at the
-        # router (pooled df exchange) + OR scoring, anchor excluded
+        # more-like-this: per-anchor tf·idf term selection + OR
+        # scoring through the serving router, anchor excluded
         "q_more_like_this": lambda sf: flagship.run_mlt_queries(sf, k=10),
         # snippets/highlighting: best fixed-window span per battery
         # hit over its tokenized text + the rendered snippet text
@@ -316,8 +315,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "q_term_vectors": lambda sf: flagship.run_term_vector_queries(sf),
         # significant terms (ES aggregation): add-one log-odds of each
         # term's doc rate in the query's match-set sample vs the
-        # corpus, through the sharded router (match-prefix scatter +
-        # pruned docterms read + df exchange)
+        # corpus, through the serving router (one replica call: match
+        # set, pruned docterms read, exact df)
         "q_significant_terms": lambda sf: flagship.run_significant_queries(sf),
         "q_term_stats": lambda sf: analysis.term_stats(docs(sf)),
         "q_doc_lengths": lambda sf: analysis.doc_lengths(docs(sf)),
@@ -638,7 +637,7 @@ WHERE r.rnk <= {top_docs}
 def _prf_sql(k: int = 10, fb_docs: int = 5, fb_terms: int = 8,
              beta: float = 0.5) -> str:
     """Pseudo-relevance-feedback oracle (query.py mode ``prf``,
-    ``PlanRunner._resolve_feedback``): base ranking -> top-``fb_docs`` feedback
+    ``IndexReader._resolve_feedback``): base ranking -> top-``fb_docs`` feedback
     set -> ``fb_terms`` expansion terms by summed-tf·idf (original
     terms excluded, term-asc tie-break) -> weighted OR re-score
     (original terms idf, expansion ``beta``·idf)."""

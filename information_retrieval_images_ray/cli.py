@@ -158,7 +158,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """HTTP JSON API over the sharded actor pool (reference
+    """HTTP JSON API over the replica actor pool (reference
     server.py:46-177 surface)."""
     _ensure_ray(args.num_cpus)
     from .pipelines.serving_http import IndexHTTPServer
@@ -206,7 +206,7 @@ def cmd_query(args) -> int:
     plan = reader.expand([plan])[0]
     try:
         hits = reader.topk([plan], args.k, doc_filter, offset=args.offset)
-    except FileNotFoundError as e:  # positional mode without a sidecar
+    except (ValueError, FileNotFoundError) as e:  # bad -k / --offset, no sidecar
         print(str(e), file=sys.stderr)
         return 2
     rows = [{"doc_id": int(h["doc_id"]), "score": h["score"],
@@ -572,7 +572,9 @@ def make_parser() -> argparse.ArgumentParser:
     v.add_argument("--index", required=True)
     v.add_argument("--port", type=int, default=8080)
     v.add_argument("--host", default="127.0.0.1")
-    v.add_argument("--actors", type=int, default=2)
+    v.add_argument("--actors", type=int, default=2,
+                   help="replica actors, each holding the whole index; "
+                        "searches take them in turn")
     v.add_argument("--num-cpus", type=int, default=None)
     v.add_argument("--vector-index", default=None,
                    help="persisted IVF index dir; enables POST /hybrid")

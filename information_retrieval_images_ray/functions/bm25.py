@@ -49,7 +49,10 @@ def rank_topk(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[int
     doc_id-asc tie-break is decided by the final lexsort over the small
     candidate set, byte-identical to lexsorting everything). A full
     lexsort of every scored doc was the dominant cost of stopword-ish
-    queries on large corpora (1.6M scored docs -> top-10)."""
+    queries on large corpora (1.6M scored docs -> top-10). A ``k`` of
+    0 or less selects nothing."""
+    if k <= 0:
+        return []
     n = len(doc_ids)
     if n > 4 * k and n > 1024:
         kth = np.partition(scores, n - k)[n - k]  # k-th largest score

@@ -6,10 +6,9 @@ The frozen query batteries live here as module constants (the oracle
 SQL generators in ``__ray_entry__`` import them). Every ranked battery
 runs through ONE path, ``_run_battery``: a queries Dataset scored by
 the ``QueryScorer`` actor pool, each row compiled by ``compile_plan``
-and the batch ranked by ``IndexReader.topk``. The batteries whose
-distributed form differs from the serial one (cursor paging, collapse,
-facets, significant terms, more-like-this) run through the sharded
-router instead (``_service``). Results leave through one frame helper
+and the batch ranked by ``IndexReader.topk``. Cursor paging,
+collapse, facets, significant terms and more-like-this run through
+the serving router instead (``_service``). Results leave through one frame helper
 (``_frame``: int64 columns, scores rounded half-up at 1e-6).
 
 The built index is cached under /tmp keyed by the sf_dir path +
@@ -99,9 +98,8 @@ def run_bm25_cursor_queries(
     ``search_after`` shape): page 1's last (score, doc_id) is the
     cursor, page 2 fetches the k hits strictly after it — absolute
     ranks k+1..2k of the same total order as offset paging, reached
-    without recomputing the skipped ranks. Runs through the SHARDED
-    service (per-actor cursor-filtered top-k over owned docs, router
-    k-way merge); a query with <= k total hits pages to empty."""
+    without recomputing the skipped ranks. Runs through the serving
+    router; a query with <= k total hits pages to empty."""
     with _service(sf_dir) as svc:
         # rank ascends within a qid, so the last row kept is the cursor
         last = {r["qid"]: (r["score"], r["doc_id"])
@@ -407,7 +405,7 @@ def run_bm25_queries_prf(
     fb_terms: int = 8, beta: float = 0.5,
 ) -> pd.DataFrame:
     """The battery with pseudo-relevance-feedback expansion (mode
-    ``prf``, ``PlanRunner._resolve_feedback``): base top-``fb_docs``
+    ``prf``, ``IndexReader._resolve_feedback``): base top-``fb_docs``
     as the feedback set, ``fb_terms`` expansion terms by summed-tf·idf
     (deterministic term-asc tie-break), re-scored with original terms
     at idf weight and expansion terms at ``beta``·idf. SQL-oracle-checkable because
@@ -645,11 +643,8 @@ def run_collapse_queries(
     its (score desc, doc_id asc) leader hit plus the group's FULL
     match-set size (one result per source, with how many it hides).
 
-    Runs through the SHARDED service on purpose — collapse is a mode
-    whose distributed form differs structurally from the serial one
-    (per-actor leader+count partials, router max-merge + count sum),
-    so the oracle checks the distributed path. Identity with the
-    serial reader is asserted in tests/test_query_modes.py."""
+    Runs through the serving router, so the oracle checks the served
+    path. Identity with the serial reader is asserted in tests/test_query_modes.py."""
     with _service(sf_dir) as svc:
         rows = svc.topk([
             svc.compile("collapse", q["query"], {"collapse_field": field},
@@ -672,9 +667,7 @@ def run_length_facet_queries(
     token-length histogram of each query's FULL match set (the
     Elasticsearch range-aggregation shape — the ranked page answers
     "best hits", this answers "how long are ALL the hits"). Runs
-    through the SHARDED service (per-actor bucket partials over owned
-    docs, router bucket-edge sum — presence-only, no df exchange);
-    identity with the serial reader is asserted in
+    through the serving router (one actor call); identity with the serial reader is asserted in
     tests/test_query_modes.py."""
     with _service(sf_dir) as svc:
         per_q = svc.length_facets(list(queries), list(edges))
@@ -691,9 +684,8 @@ def run_significant_queries(
     per query the top-``k`` terms over-represented in its match set vs
     the whole corpus (add-one log-odds of doc rates; foreground = the
     first ``sample_n`` matched ids ascending). Runs through the
-    SHARDED service — per-actor ascending match-prefix scatter, one
-    pruned docterms read + df exchange at the router; identity with
-    the serial reader is asserted in tests/test_query_modes.py.
+    serving router (one actor call); identity with the serial reader
+    is asserted in tests/test_query_modes.py.
     Columns: qid, rank, term, fg_df, df, lor_e6."""
     with _service(sf_dir) as svc:
         rows = svc.topk_significant(list(queries), k=k, sample_n=sample_n)
@@ -724,12 +716,9 @@ def run_facet_queries(
     each docmeta facet column. Output one row per
     (qid, facet_field, facet_value) with the matching-doc count.
 
-    Runs through the SHARDED service on purpose — faceting is the
-    mode whose distributed form differs most from the serial one
-    (per-actor bincount partials summed by value string at the router,
-    no df exchange needed: presence is idf-free), so the oracle checks
-    the distributed path. Identity with the serial reader is asserted
-    in tests/test_serving.py."""
+    Runs through the serving router (one actor call), so the oracle
+    checks the served path. Identity with the serial reader is
+    asserted in tests/test_serving.py."""
     with _service(sf_dir) as svc:
         per_q = svc.facets(list(queries), list(facet_cols))
     # docmeta stores the documents table's `source` under `repo`
@@ -758,9 +747,8 @@ def run_mlt_queries(
     exact global idf, ties term-asc), OR-score them with per-term idf,
     drop the anchor itself, top-k. qid = anchor doc_id.
 
-    Runs through the SHARDED service — term selection happens at the
-    router from the pooled df exchange, so the oracle checks the
-    distributed selection + scatter-gather path end to end. Anchor
+    Runs through the serving router, so the oracle checks the page
+    cache and the replica call end to end. Anchor
     text is one doc-id-pruned parquet read (the stored-field access
     Lucene MLT re-analyzes; never a corpus scan)."""
     texts = _texts(sf_dir, anchors)
@@ -799,7 +787,7 @@ def run_phrase_queries(
     term, scored in the same pass), then adjacency verified from the
     positions sidecar's (term, doc, positions) rows, pushdown-pruned
     to the phrase's terms and the candidate ids — no corpus re-read
-    (``PlanRunner._verify``)."""
+    (``IndexReader._verify``)."""
     index_dir = build_positional_index(sf_dir)
     texts = _texts(sf_dir, anchors)
     rows = []

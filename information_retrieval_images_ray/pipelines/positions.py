@@ -5,7 +5,7 @@ span-near — plus the token-domain snippet window (``best_window``).
 
 The sidecar is what the ``phrase`` / ``proximity`` / ``span_near``
 plans verify their conjunctive candidates against
-(``PlanRunner._verify``): at query time a phrase touches only the
+(``IndexReader._verify``): at query time a phrase touches only the
 (term, doc_id, positions) rows of its terms — a predicate-pushdown
 parquet read — never the corpus, the standard fulltext-index trade
 (Lucene stores positions in the postings for exactly this) of

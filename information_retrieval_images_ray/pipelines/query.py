@@ -13,8 +13,9 @@ hydrate metadata -> ranked output). Differences by design:
   ``QueryScorer`` is a callable class so ``map_batches(QueryScorer,
   concurrency=N)`` gives an actor pool holding the index;
 - every query mode compiles to one plan (``compile_plan``) and runs
-  one path (``PlanRunner.topk``: feedback → expand → df → execute →
-  merge), shared with the sharded router in serving.py;
+  one path (``IndexReader.topk``: feedback → expand → df → execute →
+  rank), which each replica actor of the serving pool in serving.py
+  runs whole;
 - one scorer for every plan: the exhaustive term-at-a-time
   accumulator (``_matches``) over decoded, LRU-cached BM25 partials,
   summing each doc's terms in the brute-force oracle's sorted-term
@@ -23,11 +24,10 @@ hydrate metadata -> ranked output). Differences by design:
   slower than this accumulator on both serving workloads at every
   corpus size tried, so it was removed with its skip and bound columns.
 
-Scale notes: shards here are doc_id ranges; every shard scores
-independently and k-way merges, so a cluster serves queries with one
-actor pool per shard subset and a tiny driver-side merge (k per shard).
-A single actor loads only the shards it owns; at 10^12 docs the
-dictionary read becomes a pushdown read of the query's terms only.
+Scale notes: shards here are doc_id ranges and every reader holds
+all of them, postings decoded (12 B per posting). An index that
+outgrows one process would need shard-subset readers behind a merging
+router again; no workload served here does.
 """
 
 from __future__ import annotations
@@ -105,8 +105,7 @@ def parse_boosted_query(query: str, tokenize) -> dict[str, float]:
 def _sample_doc_freqs(index_dir: str, ids: list[int]) -> dict[str, int]:
     """Foreground doc frequencies for significant-terms: how many of
     the sample docs contain each term, from ONE doc_id-pruned read of
-    the docterms checkpoint. Shared by the serial reader and the
-    sharded router (which samples via per-actor ascending prefixes)."""
+    the docterms checkpoint."""
     import pyarrow.dataset as pads
 
     if not ids:
@@ -127,8 +126,8 @@ def _score_significant(
     fg: dict[str, int], dfs: dict[str, int], n_sample: int, n_docs: int,
     cand: list[str], k: int,
 ) -> list[dict]:
-    """Add-one log-odds of foreground vs corpus doc rate — identical
-    float ops serial and sharded (and mirrored in the SQL oracle):
+    """Add-one log-odds of foreground vs corpus doc rate (mirrored in
+    the SQL oracle):
     ln((fg+1)/(ns-fg+1)) - ln((df+1)/(N-df+1)), integer-valued doubles
     divided once, the bit-exactness the distinctive-terms oracle
     already relies on. Top-k by (lor desc, term asc)."""
@@ -173,13 +172,44 @@ def decode_all_blocks(row: dict, block_size: int) -> tuple[np.ndarray, np.ndarra
     return ids, tfs
 
 
+def _binary_values(col) -> np.ndarray:
+    """The bytes of every value of a binary column, concatenated in
+    row order (a view of its data buffer)."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    arr = arr.cast(pa.large_binary())  # int64 offsets
+    _, offsets, data = arr.buffers()
+    off = np.frombuffer(offsets, np.int64)[arr.offset:arr.offset + len(arr) + 1]
+    if data is None or off[-1] == off[0]:
+        return np.empty(0, np.uint8)
+    return np.frombuffer(data, np.uint8)[off[0]:off[-1]]
+
+
+def _decode_doc_column(col, df: np.ndarray, block_size: int) -> np.ndarray:
+    """Every row's doc ids (int64, row after row) from a ``docs``
+    column, in one vectorized pass: ``decode_all_blocks`` over all rows
+    at once. A restart (absolute doc id) opens each row and every
+    ``block_size``-th posting within it, so one cumsum over the whole
+    gap stream over-counts a posting by the cumsum just before its
+    restart; one repeat-and-subtract removes it (uint64 wraparound
+    cancels in the subtraction)."""
+    total = int(df.sum())
+    raw = np.cumsum(decode_varbyte(_binary_values(col), total), dtype=np.uint64)
+    if not total:
+        return raw.astype(np.int64)
+    pos = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(df) - df, df)
+    restarts = np.flatnonzero(pos % block_size == 0)
+    before = np.zeros(len(restarts), np.uint64)
+    before[1:] = raw[restarts[1:] - 1]
+    return (raw - np.repeat(before, np.diff(np.append(restarts, total)))).astype(np.int64)
+
+
 class SortedTerms:
     """A sorted Arrow string array, searched without Arrow scalars: the
     int32 offsets as a memoryview of Python ints and the UTF-8 data as
     one ``bytes``. UTF-8 byte order is code-point order, which is both
     Arrow's string sort order and ``str`` comparison, so a probe
-    compares as its encoding. Used by ``_ShardIndex`` and by the
-    router's global df table (serving.py)."""
+    compares as its encoding. ``_ShardIndex``'s term dictionary."""
 
     def __init__(self, arr):
         if isinstance(arr, pa.ChunkedArray):
@@ -229,32 +259,31 @@ class SortedTerms:
 
 
 class _ShardIndex:
-    """One doc-range shard: lazy term -> posting-row access.
+    """One doc-range shard: a sorted term dictionary and every row's
+    postings, decoded once at load.
 
-    The segment table stays columnar (Arrow buffers; list columns held
-    as flat numpy values + offsets, zero-copy). Per-term row dicts are
-    materialized only for terms a query actually touches — at web
-    scale a query hits a handful of terms out of a vocab of millions,
-    so eager per-term dict building is both O(vocab) startup time and
-    O(vocab) python-object heap.
+    The term column stays Arrow (binary-searched by ``SortedTerms``, no
+    vocab-sized python dict). The ``docs`` and ``tfs`` varbyte columns
+    are decoded for all rows in one vectorized pass into two flat
+    arrays, doc ids (int64) and tfs (uint32), that ``postings`` slices
+    by row; a query then never decodes. That costs 12 B per posting
+    held, against the 2-3 B of the encoded columns.
     """
 
-    def __init__(self, seg_dir: str, lo: int, hi: int, cache_bytes: int = 0):
+    def __init__(self, seg_dir: str, lo: int, hi: int, block_size: int,
+                 cache_bytes: int = 0):
         import pyarrow.compute as pc
 
         from collections import OrderedDict
 
         self.lo, self.hi = lo, hi
-        # LRU of per-term decoded BM25 partials, keyed by (row index,
-        # avgdl): (doc_ids int64, tf_partial float64) — everything
-        # score-side except the per-query idf weight, which just
-        # scales it. Zipf query workloads hit the same hot terms
-        # constantly; decoding a 1M-posting stopword list (varbyte +
-        # cumsum + gather) per query was the large-corpus latency
-        # floor. avgdl is in the key because readers of two index
-        # generations share this shard (``IndexReader.attach``).
-        # Budget-bounded (``cache_bytes`` total per shard), evicts
-        # least-recent.
+        # LRU of per-term BM25 partials, keyed by (row index, avgdl):
+        # (doc_ids int64, tf_partial float64) — everything score-side
+        # except the per-query idf weight, which just scales it. Zipf
+        # query workloads hit the same hot terms constantly. avgdl is in
+        # the key because readers of two index generations share this
+        # shard (``IndexReader.attach``). Budget-bounded
+        # (``cache_bytes`` total per shard), evicts least-recent.
         self._part_cache: "OrderedDict[tuple[int, float], tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
@@ -274,16 +303,21 @@ class _ShardIndex:
             for f in files
         ])
         # sort rows by term ONCE (C-speed); lookups are then O(log V)
-        # binary searches touching ~17 strings — no vocab-sized python
-        # dict is ever built, so reader/actor startup is O(bytes read)
+        # binary searches touching ~17 strings
         t = t.take(pc.sort_indices(t["term"])).combine_chunks()
         self.terms = SortedTerms(t["term"])
         self._terms = self.terms.arrow
         self._df_local = t["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
-        self._docs = t["docs"].combine_chunks()
-        self._tfs = t["tfs"].combine_chunks()
         self.n_terms = len(self._terms)
         self.df_local_sum = int(self._df_local.sum())
+        # row i's postings are [_start[i], _start[i + 1]) of the flat arrays
+        self._start = np.concatenate(([0], np.cumsum(self._df_local)))
+        self._ids = _decode_doc_column(t["docs"], self._df_local, block_size)
+        self._tfs = decode_varbyte(_binary_values(t["tfs"]),
+                                   self.df_local_sum).astype(np.uint32)
+        # ``postings`` hands out views, and partials cached in an LRU hold them
+        self._ids.setflags(write=False)
+        self._tfs.setflags(write=False)
 
     def rev_terms(self):
         """Reversed-term dictionary (terms codepoint-reversed, then
@@ -311,19 +345,17 @@ class _ShardIndex:
     def df_local_at(self, i: int) -> int:
         return int(self._df_local[i])
 
-    def row(self, i: int) -> dict:
-        return {
-            "df_local": int(self._df_local[i]),
-            "docs": self._docs[i].as_py(),
-            "tfs": self._tfs[i].as_py(),
-        }
+    def postings(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``i``'s (doc_ids int64, tfs uint32), views into the
+        arrays decoded at load."""
+        a, b = self._start[i], self._start[i + 1]
+        return self._ids[a:b], self._tfs[a:b]
 
     def partial(
-        self, i: int, block_size: int, doc_len: np.ndarray,
-        k1: float, b: float, avgdl: float,
+        self, i: int, doc_len: np.ndarray, k1: float, b: float, avgdl: float,
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """BM25 tf-partial for row ``i`` — decoded+computed once and
-        LRU-cached within the budget. The partial depends only on
+        """BM25 tf-partial for row ``i`` — computed once and LRU-cached
+        within the budget. The partial depends only on
         (tf, dl, avgdl, k1, b), of which only avgdl changes between
         index generations; a query's contribution is ``idf_weight *
         partial``.
@@ -342,8 +374,7 @@ class _ShardIndex:
             self._part_cache.move_to_end(key)
             return hit
         self.misses += 1
-        ids_u, tfs = decode_all_blocks(self.row(i), block_size)
-        ids = ids_u.astype(np.int64)
+        ids, tfs = self.postings(i)
         tfs_f = tfs.astype(np.float64)
         dl = doc_len[ids]
         part = tfs_f * (k1 + 1.0) / (tfs_f + k1 * (1.0 - b + b * dl / avgdl))
@@ -402,8 +433,8 @@ def compile_plan(mode: str, query: str, params: dict | None, tokenize,
                  qid: int = 0) -> dict:
     """Compile one request of any query mode into the engine's single
     plan shape — the only place a mode name is interpreted. Every
-    layer (serial reader, shard actor, router, HTTP, CLI) runs plans
-    through ``PlanRunner.topk``; ``params`` carries the mode options
+    layer (serial reader, replica actor, router, HTTP, CLI) runs plans
+    through ``IndexReader.topk``; ``params`` carries the mode options
     under their HTTP body names (``must``, ``should``, ``must_not``,
     ``max_expansions``, ``max_edits``, ``prefix_len``, ``max_terms``,
     ``exclude_doc``, ``fb_docs``, ``fb_terms``, ``beta``, ``window``,
@@ -535,24 +566,16 @@ def _docterms(index_dir: str, ids: list[int]) -> dict[int, dict[str, int]]:
     return out
 
 
-class PlanRunner:
-    """The one query path: feedback → expand → df → execute → merge.
+def check_page(k: int, offset: int) -> None:
+    """Raise ValueError for a negative page size or offset. A page of
+    0 rows is valid and empty."""
+    if k < 0 or offset < 0:
+        raise ValueError(f"limit and offset must be >= 0, got limit={k} offset={offset}")
 
-    Shared by the serial ``IndexReader`` (its own shards are the
-    backend) and the sharded router ``serving.ShardedQueryService``
-    (RPCs to the shard actors are the backend), so serial/sharded
-    parity holds by construction: both run the same plans through the
-    same steps, and only these hooks differ —
 
-    - ``_expand_specs(specs)``: the sorted, capped term list of each
-      (kind, arg, cap) expansion spec;
-    - ``_global_df(terms)``: exact global df, terms with df > 0 only
-      (the router reads its in-memory table, no actor call);
-    - ``_scatter(plans, weights, k, doc_filter)``: one part per shard
-      owner, a part holding one ``IndexReader.execute`` result per plan.
-
-    A backend also provides ``tokenize``, ``n_docs``, ``index_dir`` and
-    ``tombstones``."""
+class PlanCompiler:
+    """Request -> plan, for the serial ``IndexReader`` and the router
+    (``serving.ShardedQueryService``). Needs ``tokenize``."""
 
     def compile(self, mode: str, query: str = "", params: dict | None = None,
                 qid: int = 0) -> dict:
@@ -565,28 +588,124 @@ class PlanRunner:
         return [p if "terms" in p else self.compile("bm25", p["query"], qid=p["qid"])
                 for p in plans]
 
+
+def shard_docmeta_files(index_dir: str, shards) -> list[str]:
+    """The docmeta parquet files of ``shards`` (hive ``shard=s``)."""
+    from .build import docmeta_shard_dir
+
+    return [f for s in shards for f in sorted(glob.glob(
+        os.path.join(docmeta_shard_dir(index_dir, s), "*.parquet")))]
+
+
+class IndexReader(PlanCompiler):
+    """Loads a whole built index directory; executes query plans over
+    it. The serial reader, each ``QueryScorer`` actor and each replica
+    actor of the serving pool (``serving.ShardQueryActor``) is one.
+
+    State loaded once (the actor-pool __init__ pattern, reference
+    analogue vector_db.py:12-31).
+    """
+
+    def __init__(self, index_dir: str, cache_bytes: int = 256 << 20):
+        """``cache_bytes`` bounds the reader-wide BM25-partial LRU
+        (split evenly across shards; 0 disables) — hot terms' partials
+        are computed once, repeat queries reuse them."""
+        self.index_dir = index_dir
+        with open(os.path.join(index_dir, "stats.json")) as f:
+            stats = json.load(f)
+        self.params = BM25Params(stats["k1"], stats["b"])
+        self.block_size = stats["block_size"]
+        self.tokenize = get_tokenizer(stats["tokenizer"])
+        # a shard attached later (``attach``) gets the same share
+        self._shard_cache_bytes = int(cache_bytes) // max(1, stats["num_shards"])
+
+        # tombstoned docs (pipelines/maintenance.delete_docs) are
+        # excluded from every top-k; stats stay stale until compaction
+        from .maintenance import load_tombstones
+
+        self._set_stats(stats, load_tombstones(index_dir))
+        self.shards: list[_ShardIndex | None] = [None] * self.num_shards
+        # doc_len array, dense over the doc_id span
+        self.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
+        # kept for lazy metadata-filter masks (meta_mask); building one
+        # is a column-pruned docmeta read, done only when a filtered
+        # search is actually issued, then cached per (col, value)
+        self._meta_files: list[str] = []
+        self._mask_cache: dict[tuple[str, str], np.ndarray] = {}
+        self._codes_cache: dict[str, tuple[np.ndarray, list[str]]] = {}
+        self._load(range(self.num_shards))
+        if not self._meta_files:  # non-partitioned legacy layout
+            self._meta_files = sorted(
+                glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)
+            )
+            self._read_doc_len(self._meta_files)
+
+    def _set_stats(self, stats: dict, tombstones: np.ndarray) -> None:
+        self.stats = stats
+        self.n_docs = stats["n_docs"]
+        self.avgdl = stats["avgdl"]
+        self.num_shards = stats["num_shards"]
+        self.tombstones = tombstones
+
+    def _read_doc_len(self, files: list[str]) -> None:
+        for f in files:
+            t = pq.read_table(f, columns=["doc_id", "doc_len"])
+            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            self.doc_len[ids] = t["doc_len"].to_numpy(zero_copy_only=False)
+
+    def _load(self, shards) -> None:
+        """Load ``shards``: their segments and their docs' lengths."""
+        from .build import segment_shard_dir
+
+        bounds = self.stats["shard_bounds"]
+        files = shard_docmeta_files(self.index_dir, shards)
+        for s in shards:
+            self.shards[s] = _ShardIndex(
+                segment_shard_dir(self.index_dir, s), bounds[s], bounds[s + 1],
+                self.block_size, cache_bytes=self._shard_cache_bytes,
+            )
+        self._read_doc_len(files)
+        self._meta_files = self._meta_files + files
+
+    def attach(self, stats: dict, shards: list[int],
+               tombstones: np.ndarray | None = None) -> "IndexReader":
+        """This reader's view of a later generation of its index:
+        global ``stats`` after an extend (or the same stats after a
+        delete), ``shards`` the shards the extend added, ``tombstones``
+        the new set (None keeps this one's). Only ``shards`` are read
+        from disk; every shard already loaded is shared with this
+        reader, which keeps serving its own generation unchanged."""
+        nxt = copy.copy(self)
+        nxt._set_stats(stats, self.tombstones if tombstones is None else tombstones)
+        nxt.shards = self.shards + [None] * (nxt.num_shards - len(self.shards))
+        if shards:
+            nxt.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
+            nxt.doc_len[:len(self.doc_len)] = self.doc_len
+            nxt._mask_cache, nxt._codes_cache = {}, {}
+            nxt._load(shards)
+        return nxt
+
+    # -- the one query path ---------------------------------------------------
     def topk(self, plans: list[dict], k: int = 10, doc_filter=None,
              offset: int = 0) -> list[dict]:
         """Compiled plans (a bare {"qid", "query"} body is a bm25 plan)
         -> [{"qid", "rank", "doc_id", "score"}], collapse plans adding
         {"group", "group_n"}: per plan the absolute ranks
-        offset+1..offset+k of the (score desc, doc_id asc) total order
-        — exact deep paging, since each owner returns its own
-        top-(offset+k). ``doc_filter`` is a ("col", value) docmeta
-        predicate; it restricts membership only, stats stay global.
+        offset+1..offset+k of the (score desc, doc_id asc) total order.
+        ``doc_filter`` is a ("col", value) docmeta predicate; it
+        restricts membership only, stats stay global. Raises
+        ValueError for a negative ``k`` or ``offset``.
 
         Steps: resolve feedback plans (MoreLikeThis: one df lookup
         over the source terms; PRF: a base top-k call, one pruned
-        docterms read and one df lookup) into weighted-OR plans; one
-        batched expansion exchange when some plan has an expansion
-        spec; one df lookup for the plans without resolved weights;
-        one scatter; the merge (rank, collapse max-merge, or the
-        positional verify). The df lookups are local (``_global_df``),
-        so the expansion exchange and the scatters are the only
-        round trips. The router (``serving.ShardedQueryService.topk``)
-        runs this behind its generation's page cache, with only the
-        plans whose pages it lacks; the serial ``IndexReader`` runs it
-        uncached."""
+        docterms read and one df lookup) into weighted-OR plans;
+        expand every plan with a pending expansion spec; one df lookup
+        for the plans without resolved weights; per plan ``execute``
+        and the rank (after the positional verify for positional
+        plans). The serving router (``serving.ShardedQueryService``)
+        runs this whole method on one replica actor, behind its
+        generation's page cache, for the plans whose pages it lacks."""
+        check_page(k, offset)
         plans = self.compiled(plans)
         if any(p["positional"] for p in plans):
             from .positions import positions_dir
@@ -597,26 +716,31 @@ class PlanRunner:
                     "run build_positions_sidecar first")
         plans = self.expand(self._resolve_feedback(plans, doc_filter))
         need = sorted({t for p in plans if p["weights"] is None for t in p["terms"]})
-        gdf = self._global_df(need) if need else {}
-        weights = [
-            p["weights"] if p["weights"] is not None else
-            {t: b * idf_fn(self.n_docs, gdf[t]) for t, b in p["terms"].items()
-             if t in gdf}
-            for p in plans
-        ]
-        parts = self._scatter(plans, weights, k + offset, doc_filter) if plans else []
-        return self._merge(plans, parts, k, offset)
+        gdf = self.df_locals(need)
+        out = []
+        for p in plans:
+            weights = p["weights"] if p["weights"] is not None else {
+                t: b * idf_fn(self.n_docs, gdf[t]) for t, b in p["terms"].items()
+                if t in gdf}
+            rows = self.execute(p, k + offset, weights, doc_filter)
+            if p["positional"]:
+                rows = self._verify(p["positional"], rows)
+            rows.sort(key=lambda r: (-r[1], r[0]))
+            for rank, r in enumerate(rows[offset:offset + k], start=offset + 1):
+                row = {"qid": p["qid"], "rank": rank, "doc_id": r[0], "score": r[1]}
+                if p["collapse"]:
+                    row["group"], row["group_n"] = r[2], r[3]
+                out.append(row)
+        return out
 
     def expand(self, plans: list[dict]) -> list[dict]:
         """Fill in the terms of every plan with a pending expansion
-        spec — one batched expansion exchange for all of them, nothing
-        when no plan has one. Owners cap their own dictionary subsets,
-        the union is re-capped: a term in the global lexicographically
-        first N is in its own owner's first N, so the cut is exact."""
+        spec (``expand_batch``); plans without one are returned as
+        they are."""
         pending = [p["terms"] is None and p["expand"] is not None for p in plans]
         if not any(pending):
             return plans
-        lists = iter(self._expand_specs(
+        lists = iter(self.expand_batch(
             [p["expand"] for p, todo in zip(plans, pending) if todo]))
         return [
             {**p, "terms": dict.fromkeys(next(lists), 1.0)} if todo else p
@@ -663,7 +787,7 @@ class PlanRunner:
         for i in todo:
             if plans[i]["feedback"]["kind"] == "mlt":
                 tf[i] = Counter(plans[i]["feedback"]["tokens"])
-        gdf = self._global_df(sorted(
+        gdf = self.df_locals(sorted(
             {t for i in todo for t in tf[i]}
             | {t for i in prf for t in plans[i]["terms"]}))
         out = list(plans)
@@ -679,27 +803,6 @@ class PlanRunner:
                 w = {t: idf_fn(self.n_docs, gdf[t]) for t in p["terms"] if t in gdf}
                 w.update({t: fbk["beta"] * idf_fn(self.n_docs, gdf[t]) for t in sel})
             out[i] = {**p, "terms": dict.fromkeys(terms, 1.0), "weights": w}
-        return out
-
-    def _merge(self, plans: list[dict], parts, k: int, offset: int) -> list[dict]:
-        """Gather: per plan, concatenate the owners' rows, then
-        max-merge collapse leaders (summing their group counts) or
-        verify positional candidates, and rank by the engine-wide
-        (score desc, doc_id asc) tie-break. Exact, because shards
-        partition the doc space."""
-        out = []
-        for i, p in enumerate(plans):
-            rows = [r for part in parts for r in part[i]]
-            if p["collapse"]:
-                rows = _merge_groups(rows)
-            elif p["positional"]:
-                rows = self._verify(p["positional"], rows)
-            rows.sort(key=lambda r: (-r[1], r[0]))
-            for rank, r in enumerate(rows[offset:offset + k], start=offset + 1):
-                row = {"qid": p["qid"], "rank": rank, "doc_id": r[0], "score": r[1]}
-                if p["collapse"]:
-                    row["group"], row["group_n"] = r[2], r[3]
-                out.append(row)
         return out
 
     def _verify(self, positional, rows: list[tuple]) -> list[tuple]:
@@ -733,163 +836,16 @@ class PlanRunner:
             alive = ~is_tombstoned(self.tombstones, np.asarray(ids, dtype=np.int64))
             ids = [d for d, a in zip(ids, alive.tolist()) if a]
         per_doc = _docterms(self.index_dir, ids)
-        dfs = self._global_df(sorted({t for m in per_doc.values() for t in m}))
+        dfs = self.df_locals(sorted({t for m in per_doc.values() for t in m}))
         return [
             {"doc_id": d, "term": t, "tf": per_doc[d][t], "df": int(dfs.get(t, 0))}
             for d in sorted(per_doc) for t in sorted(per_doc[d])
         ]
 
-
-def _merge_groups(rows: list[tuple]) -> list[tuple]:
-    """Collapse partials (leader doc_id, score, group value, count) ->
-    one row per group: the (score desc, doc_id asc) best leader and
-    the summed count."""
-    best: dict[str, tuple[int, float]] = {}
-    count: dict[str, int] = {}
-    for doc, score, val, n in rows:
-        count[val] = count.get(val, 0) + n
-        cur = best.get(val)
-        if cur is None or (-score, doc) < (-cur[1], cur[0]):
-            best[val] = (doc, score)
-    return [(d, s, v, count[v]) for v, (d, s) in best.items()]
-
-
-def shard_docmeta_files(index_dir: str, shards) -> list[str]:
-    """The docmeta parquet files of ``shards`` (hive ``shard=s``)."""
-    from .build import docmeta_shard_dir
-
-    return [f for s in shards for f in sorted(glob.glob(
-        os.path.join(docmeta_shard_dir(index_dir, s), "*.parquet")))]
-
-
-class IndexReader(PlanRunner):
-    """Loads a built index directory; executes query plans over it.
-
-    State loaded once (the actor-pool __init__ pattern, reference
-    analogue vector_db.py:12-31).
-    """
-
-    def __init__(self, index_dir: str, shards: list[int] | None = None,
-                 cache_bytes: int = 256 << 20):
-        """``shards=None`` loads the whole index; a list of shard ids
-        loads only those (the sharded-serving mode: each actor of a
-        pool owns a disjoint subset — the router then sums every
-        owner's ``term_dfs`` into its global df table, see
-        pipelines/serving.py).
-
-        ``cache_bytes`` bounds the reader-wide decoded-partial LRU
-        (split evenly across owned shards; 0 disables) — hot terms'
-        postings decode once, repeat queries reuse them."""
-        self.index_dir = index_dir
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            stats = json.load(f)
-        self.params = BM25Params(stats["k1"], stats["b"])
-        self.block_size = stats["block_size"]
-        self.tokenize = get_tokenizer(stats["tokenizer"])
-        owned = list(range(stats["num_shards"])) if shards is None else sorted(shards)
-        # a shard attached later (``attach``) gets the same share
-        self._shard_cache_bytes = int(cache_bytes) // max(1, len(owned))
-
-        # NB: no global df table is loaded — exact global df(term) is
-        # the sum of per-shard df_local over this reader's shards (the
-        # shards partition the doc space), so startup cost stays
-        # O(index bytes), not O(vocab) python objects.
-
-        # tombstoned docs (pipelines/maintenance.delete_docs) are
-        # excluded from every top-k; stats stay stale until compaction
-        from .maintenance import load_tombstones
-
-        self._set_stats(stats, load_tombstones(index_dir))
-        self.owned: list[int] = []
-        self.shards: list[_ShardIndex | None] = [None] * self.num_shards
-        # doc_len array, dense over the doc_id span but filled only for
-        # owned shards (docmeta is hive-partitioned by shard)
-        self.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
-        # kept for lazy metadata-filter masks (meta_mask); building one
-        # is a column-pruned docmeta read, done only when a filtered
-        # search is actually issued, then cached per (col, value)
-        self._meta_files: list[str] = []
-        self._mask_cache: dict[tuple[str, str], np.ndarray] = {}
-        self._codes_cache: dict[str, tuple[np.ndarray, list[str]]] = {}
-        self._load(owned)
-        if not self._meta_files and shards is None:  # non-partitioned legacy layout
-            self._meta_files = sorted(
-                glob.glob(os.path.join(index_dir, "docmeta", "**", "*.parquet"), recursive=True)
-            )
-            self._read_doc_len(self._meta_files)
-
-    def _set_stats(self, stats: dict, tombstones: np.ndarray) -> None:
-        self.stats = stats
-        self.n_docs = stats["n_docs"]
-        self.avgdl = stats["avgdl"]
-        self.num_shards = stats["num_shards"]
-        self.tombstones = tombstones
-
-    def _read_doc_len(self, files: list[str]) -> None:
-        for f in files:
-            t = pq.read_table(f, columns=["doc_id", "doc_len"])
-            ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            self.doc_len[ids] = t["doc_len"].to_numpy(zero_copy_only=False)
-
-    def _load(self, shards: list[int]) -> None:
-        """Take ownership of ``shards``: their segments and their docs'
-        lengths."""
-        from .build import segment_shard_dir
-
-        bounds = self.stats["shard_bounds"]
-        files = shard_docmeta_files(self.index_dir, shards)
-        for s in shards:
-            self.shards[s] = _ShardIndex(
-                segment_shard_dir(self.index_dir, s), bounds[s], bounds[s + 1],
-                cache_bytes=self._shard_cache_bytes,
-            )
-        self._read_doc_len(files)
-        self._meta_files = self._meta_files + files
-        self.owned = sorted(self.owned + list(shards))
-
-    def attach(self, stats: dict, shards: list[int],
-               tombstones: np.ndarray | None = None) -> "IndexReader":
-        """This reader's view of a later generation of its index:
-        global ``stats`` after an extend (or the same stats after a
-        delete), ``shards`` newly owned, ``tombstones`` the new set
-        (None keeps this one's). Only ``shards`` are read from disk;
-        every shard already loaded is shared with this reader, which
-        keeps serving its own generation unchanged."""
-        nxt = copy.copy(self)
-        nxt._set_stats(stats, self.tombstones if tombstones is None else tombstones)
-        nxt.shards = self.shards + [None] * (nxt.num_shards - len(self.shards))
-        if shards:
-            nxt.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
-            nxt.doc_len[:len(self.doc_len)] = self.doc_len
-            nxt._mask_cache, nxt._codes_cache = {}, {}
-            nxt._load(shards)
-        return nxt
-
-    def term_dfs(self, shards: list[int]) -> pa.Table:
-        """(term, df_local) rows of the given owned shards, one per
-        (shard, term): what the router sums into its global df table
-        when a generation starts or an attach adds shards."""
-        parts = [pa.table({"term": sh._terms, "df_local": sh._df_local})
-                 for sh in (self.shards[s] for s in shards) if sh._terms is not None]
-        return pa.concat_tables(parts) if parts else pa.table(
-            {"term": pa.array([], pa.string()), "df_local": pa.array([], pa.int64())})
-
-    # -- PlanRunner backend: this reader's own shards ---------------------------
-    def _expand_specs(self, specs: list[tuple]) -> list[list[str]]:
-        return self.expand_batch(specs)
-
-    def _global_df(self, terms: list[str]) -> dict[str, int]:
-        # global for a whole-index reader; a shard-subset reader is one
-        # owner behind the router, which sums df across owners
-        return self.df_locals(terms)
-
-    def _scatter(self, plans, weights, k: int, doc_filter) -> list[list]:
-        return [[self.execute(p, k, w, doc_filter) for p, w in zip(plans, weights)]]
-
     # -- helpers --------------------------------------------------------------
     def _locs(self, term: str) -> list[tuple[int, int]]:
-        """[(shard_idx, row_idx)] of ``term`` in the owned shards — one
-        binary-search probe per shard."""
+        """[(shard_idx, row_idx)] of ``term`` — one binary-search probe
+        per shard."""
         locs = []
         for s, sh in enumerate(self.shards):
             if sh is not None:
@@ -901,7 +857,7 @@ class IndexReader(PlanRunner):
     def _term_infos(
         self, weights: dict[str, float]
     ) -> list[tuple[str, float, list[tuple[int, int]]]]:
-        """Per weighted term present in the owned shards, in sorted
+        """Per weighted term present in the index, in sorted
         term order (the float64 add order of ``_matches``):
         (term, weight, [(shard_idx, row_idx), ...])."""
         infos = []
@@ -911,20 +867,14 @@ class IndexReader(PlanRunner):
                 infos.append((t, weights[t], locs))
         return infos
 
-    def _term_weights(self, terms, weights: dict[str, float] | None = None,
-                      ) -> dict[str, float]:
-        """{term: weight} over the distinct ``terms``: ``weights``
-        restricted to them when given (sharded serving's global df
-        table), else idf from this reader's own df."""
-        uniq = sorted(set(terms))
-        if weights is not None:
-            return {t: weights[t] for t in uniq if t in weights}
-        return {t: idf_fn(self.n_docs, d) for t, d in self.df_locals(uniq).items()}
+    def _term_weights(self, terms) -> dict[str, float]:
+        """{term: idf} over the distinct ``terms`` the index holds."""
+        return {t: idf_fn(self.n_docs, d)
+                for t, d in self.df_locals(sorted(set(terms))).items()}
 
     def df_locals(self, terms: list[str]) -> dict[str, int]:
-        """term -> sum of df_local over THIS reader's owned shards
-        (a whole-index reader's global df); terms with df 0 are left
-        out."""
+        """term -> global df, the sum of its df_local over the shards;
+        terms with df 0 are left out."""
         out = {}
         for t in terms:
             df = sum(self.shards[s].df_local_at(i) for s, i in self._locs(t))
@@ -933,11 +883,9 @@ class IndexReader(PlanRunner):
         return out
 
     def meta_mask(self, col: str, value: str) -> np.ndarray:
-        """Dense bool mask over the doc-id span: docmeta[col] == value,
-        filled for OWNED shards only (a sharded reader filters exactly
-        the docs it scores, so the service's scatter-gather stays
-        correct). One column-pruned docmeta read per (col, value) per
-        reader, cached; nothing vocab- or corpus-text-sized loads."""
+        """Dense bool mask over the doc-id span: docmeta[col] == value.
+        One column-pruned docmeta read per (col, value) per reader,
+        cached; nothing vocab- or corpus-text-sized loads."""
         import pyarrow.compute as pc
 
         key = (col, value)
@@ -954,12 +902,9 @@ class IndexReader(PlanRunner):
 
     def meta_codes(self, col: str) -> tuple[np.ndarray, list[str]]:
         """Dense int32 code array over the doc-id span for
-        ``docmeta[col]`` (owned shards; -1 = unowned or null) plus the
-        code→value list (sorted unique values of OWNED docs — a sharded
-        router merges per-actor counts by the value STRING, so
-        dictionaries never need to agree across actors). One
-        column-pruned docmeta read per col per reader, cached — the
-        facet analogue of ``meta_mask``."""
+        ``docmeta[col]`` (-1 = null) plus the code→value list (sorted
+        unique values). One column-pruned docmeta read per col per
+        reader, cached — the facet analogue of ``meta_mask``."""
         cached = self._codes_cache.get(col)
         if cached is not None:
             return cached
@@ -993,7 +938,7 @@ class IndexReader(PlanRunner):
     def _matches(
         self, weights: dict[str, float], must=(), must_not=(), doc_filter=None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Every owned doc matching a plan, with its full BM25 score:
+        """Every doc matching a plan, with its full BM25 score:
         (doc_ids ascending, scores). A doc matches when it contains
         every ``must`` term and no ``must_not`` term; with no must
         terms, when it contains at least one weighted term. Scores sum
@@ -1001,9 +946,7 @@ class IndexReader(PlanRunner):
         float64 order (the add order of the brute-force oracle, so
         scores are bitwise equal to it). Per shard one dense score
         accumulator plus, when needed, a must-presence counter and an
-        exclusion flag — no per-doc python. Presence is df-independent, so a shard-subset
-        reader decides must / must_not exactly for the docs it owns.
-        Tombstones and the optional metadata filter are excluded."""
+        exclusion flag — no per-doc python. Tombstones and the optional metadata filter are excluded."""
         mask = self._resolve_filter(doc_filter)
         must_s, not_s = set(must), set(must_not)
         acc: dict[int, np.ndarray] = {}
@@ -1014,8 +957,7 @@ class IndexReader(PlanRunner):
             w = weights.get(t)
             for s, i in self._locs(t):
                 sh = self.shards[s]
-                ids, part = sh.partial(i, self.block_size, self.doc_len,
-                                       k1, b, self.avgdl)
+                ids, part = sh.partial(i, self.doc_len, k1, b, self.avgdl)
                 if w is not None:
                     if s not in acc:
                         acc[s] = np.zeros(sh.hi - sh.lo, dtype=np.float64)
@@ -1065,15 +1007,14 @@ class IndexReader(PlanRunner):
 
     def execute(self, plan: dict, k: int, weights: dict[str, float],
                 doc_filter=None) -> list[tuple]:
-        """Run one resolved plan over the OWNED shards with the given
-        per-term weights (the router supplies global ones) and return
-        this owner's share of the answer for ``PlanRunner._merge``:
+        """Run one resolved plan with the given per-term weights and
+        return the rows ``topk`` ranks:
 
-        - its top-``k`` (doc_id, score) rows — a cursor plan keeps
+        - the top-``k`` (doc_id, score) rows — a cursor plan keeps
           only hits strictly after ``after`` in the (score desc, doc_id
           asc) order; ``exclude_doc`` leaves before the cut;
         - for a positional plan, every (doc_id, score) conjunctive
-          candidate, uncut: verification happens after the merge;
+          candidate, uncut: ``topk`` verifies them;
         - for a collapse plan, per ``docmeta[field]`` group its (score
           desc, doc_id asc) leader as (doc_id, score, value, n), n the
           group's full match count. Docs with a null value belong to no
@@ -1111,7 +1052,7 @@ class IndexReader(PlanRunner):
         ]
 
     def match_ids(self, query: str, doc_filter=None) -> np.ndarray:
-        """Sorted doc ids (owned shards) containing AT LEAST ONE query
+        """Sorted doc ids containing AT LEAST ONE query
         term — the OR match set before the top-k cut, and the
         population facet counts aggregate over. Tombstones and the
         optional metadata filter excluded exactly as in ranked
@@ -1121,14 +1062,13 @@ class IndexReader(PlanRunner):
 
     def conjunctive_scores(
         self, terms: list[str], doc_filter=None,
-        weights: dict[str, float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Docs containing EVERY term in ``terms`` (AND semantics), with
         their full BM25 scores; (doc_ids, scores) sorted by doc_id. A
         term absent from the index empties the conjunction. The serial
         reference the positional plans' candidate stage (a plan's
         ``must`` terms in ``_matches``) is tested against."""
-        return self._matches(self._term_weights(terms, weights),
+        return self._matches(self._term_weights(terms),
                              must=sorted(set(terms)), doc_filter=doc_filter)
 
     def facet_counts(
@@ -1140,8 +1080,7 @@ class IndexReader(PlanRunner):
         shape: the ranked page answers "what are the best hits", the
         facets answer "how does the whole result set distribute".
         Vectorized: one match-mask pass + one ``bincount`` per column
-        over the cached code array; additive across shard subsets, so
-        the sharded service sums per-actor partial dicts."""
+        over the cached code array."""
         ids = self.match_ids(query, doc_filter)
         out: dict[str, dict[str, int]] = {}
         for col in facet_cols:
@@ -1161,9 +1100,7 @@ class IndexReader(PlanRunner):
         edges[i+1])`` with the last bucket open-ended; ``edges`` must
         be ascending and start low enough to cover every matched doc
         (0 always works — a matched doc has >= 1 token). Presence
-        only, no idf — so the sharded service needs no df and
-        per-actor partials over owned docs SUM exactly at the router.
-        Returns only non-empty buckets, ascending by ``lo``."""
+        only, no idf. Returns only non-empty buckets, ascending by ``lo``."""
         ids = self.match_ids(query, doc_filter)
         if not len(ids):
             return []
@@ -1175,10 +1112,7 @@ class IndexReader(PlanRunner):
             for i, n in enumerate(cnt) if n
         ]
 
-    def explain(
-        self, query: str, doc_ids, weights: dict[str, float] | None = None,
-        df_override: dict[str, int] | None = None,
-    ) -> list[dict]:
+    def explain(self, query: str, doc_ids) -> list[dict]:
         """Lucene-style scoring explanation: for each requested doc and
         each query term the doc contains, the BM25 components —
         ``tf`` (term frequency in the doc), ``df`` (exact global
@@ -1189,13 +1123,7 @@ class IndexReader(PlanRunner):
         term-ascending order), so explain is an audit of the ranked
         page, not a second scorer. Tombstoned docs are skipped (they
         can never appear on a ranked page). Rows come back
-        (doc_id asc, term asc); an explanation is per-query-rare, so
-        the full posting decode per term reuses the shard row access
-        the scorer itself uses.
-
-        Sharded serving passes ``weights`` (global idf from the
-        router's df table) and ``df_override`` (the global df) — a
-        shard-subset reader's own df is shard-local."""
+        (doc_id asc, term asc)."""
         targets = np.asarray(
             sorted({int(d) for d in doc_ids}), dtype=np.int64)
         if len(self.tombstones):
@@ -1206,19 +1134,14 @@ class IndexReader(PlanRunner):
             return []
         k1, b = self.params.k1, self.params.b
         rows: list[dict] = []
-        for t, w, locs in self._term_infos(
-                self._term_weights(self.tokenize(query), weights)):
-            df_global = (
-                df_override[t] if df_override is not None and t in df_override
-                else sum(self.shards[s].df_local_at(i) for s, i in locs)
-            )
+        for t, w, locs in self._term_infos(self._term_weights(self.tokenize(query))):
+            df_global = sum(self.shards[s].df_local_at(i) for s, i in locs)
             for s, i in locs:
                 sh = self.shards[s]
                 in_span = targets[(targets >= sh.lo) & (targets < sh.hi)]
                 if not len(in_span):
                     continue
-                ids_u, tfs = decode_all_blocks(sh.row(i), self.block_size)
-                ids = ids_u.astype(np.int64)
+                ids, tfs = sh.postings(i)
                 pos = np.searchsorted(ids, in_span)
                 pos_c = np.minimum(pos, max(len(ids) - 1, 0))
                 hit = (pos < len(ids)) & (ids[pos_c] == in_span)
@@ -1258,7 +1181,7 @@ class IndexReader(PlanRunner):
     # -- dictionary expansion -------------------------------------------------
     def expand_batch(self, specs: list[tuple]) -> list[list[str]]:
         """The term list of each (kind, arg, cap) expansion spec (see
-        ``compile_plan``) over the owned shards."""
+        ``compile_plan``)."""
         out = []
         for kind, arg, cap in specs:
             if kind == "fuzzy":
@@ -1269,14 +1192,14 @@ class IndexReader(PlanRunner):
         return out
 
     def _dicts(self):
-        """The owned shards that hold a term dictionary."""
+        """The shards that hold a term dictionary."""
         return [sh for sh in self.shards if sh is not None and sh._terms is not None]
 
     def expand_prefix(self, prefix: str, max_expansions: int = 64) -> list[str]:
         """Dictionary terms starting with ``prefix``: per shard, one
         binary search on the C-sorted term column finds the range start,
         then a contiguous forward scan collects matches (prefix matches
-        ARE contiguous under lexicographic order). Union across owned
+        ARE contiguous under lexicographic order). Union across
         shards, sorted ascending, capped at the lexicographically first
         ``max_expansions`` — a deterministic cap (Lucene's
         max_expansions contract), mirrored by the oracle's
@@ -1377,23 +1300,21 @@ class IndexReader(PlanRunner):
     # -- exhaustive TAAT ------------------------------------------------------
     def search_or_terms(
         self, terms: list[str], k: int = 10, doc_filter=None,
-        weights: dict[str, float] | None = None,
     ) -> list[tuple[int, float]]:
         """Exhaustive OR-of-terms top-k over an EXPLICIT, already
-        normalized term list; ``weights`` overrides idf per term."""
-        return rank_topk(*self._matches(self._term_weights(terms, weights),
+        normalized term list."""
+        return rank_topk(*self._matches(self._term_weights(terms),
                                         doc_filter=doc_filter), k)
 
     def search_taat(
-        self, query: str, k: int = 10, weights: dict[str, float] | None = None,
-        doc_filter=None,
+        self, query: str, k: int = 10, doc_filter=None,
     ) -> list[tuple[int, float]]:
         """Exhaustive term-at-a-time top-k. ``doc_filter``: optional
         search-time metadata restriction — ("col", "value") against
         docmeta, or a precomputed bool mask over the doc-id span.
         Corpus stats (idf, avgdl) stay GLOBAL; only result membership
         is restricted (tombstone semantics)."""
-        return self.search_or_terms(self.tokenize(query), k, doc_filter, weights)
+        return self.search_or_terms(self.tokenize(query), k, doc_filter)
 
     # perfbench/run.py:585 (``replay``, reached by ``--trace 1`` and
     # ``--smoke``) is the only caller left from when this was block-max WAND

@@ -1,7 +1,7 @@
 """HTTP serving layer — the reference's user-facing entry point
 (/root/reference/server.py:46-177: POST /search, GET /get-image,
 POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
-``http.server`` JSON API over the sharded actor pool:
+``http.server`` JSON API over the replica actor pool:
 
   POST /search        {"query": str, "limit": int=10, "hydrate": bool=true,
                        "snippet": bool=false, "snippet_window": int=8}
@@ -82,12 +82,12 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
 
 Design notes, deliberately NOT the reference's shape where the
 reference got it wrong: the heavy state (index shards) lives in the
-long-lived ShardQueryActor pool, started ONCE at server start (and
-again only on /reload) — the reference constructs its
-Milvus/SQLite/embedding clients per request (server.py:135-146). The
-HTTP layer itself is a thin threaded router: all scoring runs in the
-Ray actors, so one process serves concurrent requests with
-scatter-gather parallelism. At
+long-lived ShardQueryActor pool of whole-index replicas, started ONCE
+at server start (and again only on /reload) — the reference constructs
+its Milvus/SQLite/embedding clients per request (server.py:135-146).
+The HTTP layer itself is a thin threaded router: all scoring runs in
+the Ray actors, one actor call per search, and concurrent requests
+spread over the replicas round-robin. At
 cluster scale N of these routers sit behind any TCP load balancer —
 the routers hold no request state (tokenize + merge + hydrate).
 
@@ -454,7 +454,7 @@ class IndexHTTPServer:
         the Lucene-style per-term breakdown whose contributions sum to
         the hit's score; ``snippet`` (needs ``corpus_path``) the best
         highlighted window. Raises ValueError for a bad mode or
-        option, FileNotFoundError for a positional mode without the
+        option (a negative ``k`` or ``offset`` too), FileNotFoundError for a positional mode without the
         positions sidecar."""
         svc = self._pool()
         body = {**params, "query": query, "mode": mode}
@@ -466,10 +466,9 @@ class IndexHTTPServer:
         """Elasticsearch-style ``_msearch``: N search bodies in one
         POST, one response per body (order preserved). Bodies that
         share (limit, lang, offset, hydrate) — whatever their modes —
-        ride ONE pooled ``topk`` call: a single expansion exchange when
-        any needs one, one df lookup in the pool's in-memory df table,
-        a single scatter, and ONE in-memory hydration lookup per
-        group. Results are bitwise
+        ride ONE pooled ``topk`` call (one actor call for the group's
+        uncached plans) and ONE in-memory hydration lookup per group.
+        Results are bitwise
         identical to per-body ``search`` because every step is
         per-plan independent. A body that fails to compile (bad mode)
         or a group that fails (positional mode without a sidecar)
@@ -523,10 +522,13 @@ class IndexHTTPServer:
                 hydrate: bool) -> list[list[dict]]:
         """One ``topk`` call for a group of plans, then the per-body
         extras: explain, one hydration lookup for the group, snippets.
-        Expansion runs first, on its own, so a snippet marks exactly
-        the expanded terms that scored (topk then has nothing left to
-        expand — still one expansion round trip)."""
-        plans = svc.expand(plans)
+        A plan whose body asks for snippets is expanded first, in its
+        own call, so the snippet marks exactly the expanded terms that
+        scored; every other plan is expanded inside ``topk``'s one
+        call."""
+        snip = [i for i, b in enumerate(bodies) if b.get("snippet")]
+        for i, p in zip(snip, svc.expand([plans[i] for i in snip])):
+            plans[i] = p
         hits = svc.topk(plans, k=k, doc_filter=("lang", lang) if lang else None,
                         offset=offset)
         rows: dict[int, list[dict]] = {p["qid"]: [] for p in plans}
@@ -560,8 +562,7 @@ class IndexHTTPServer:
                lang: str | None = None) -> dict:
         """Match-set facet counts over docmeta columns (POST /facets:
         {"query", "cols": ["lang", ...], "lang"?}) — the whole-result-
-        set distribution next to the ranked page, via the sharded
-        service's per-actor partial counts."""
+        set distribution next to the ranked page, in one actor call."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.facets(
@@ -570,8 +571,7 @@ class IndexHTTPServer:
     def significant(self, query: str, k: int = 10, sample_n: int = 50,
                     lang: str | None = None) -> list[dict]:
         """Significant-terms aggregation (POST /significant): what the
-        query's whole match set is ABOUT, via the sharded router's
-        match-prefix scatter + pruned docterms read + df table."""
+        query's whole match set is ABOUT, in one actor call."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.topk_significant(
@@ -581,17 +581,15 @@ class IndexHTTPServer:
     def termvectors(self, doc_ids: list[int]) -> list[dict]:
         """Per-doc term vectors (POST /termvectors {"doc_ids": [...]},
         the Elasticsearch ``_termvectors`` analogue): (term, tf) pairs
-        from one doc_id-pruned docterms read on the router, exact
-        global df from the pool's df table (``PlanRunner.term_vectors``,
-        shared with the serial reader)."""
+        from one doc_id-pruned docterms read and each term's exact
+        global df (``IndexReader.term_vectors``), in one actor call."""
         svc = self._pool()
         return svc.term_vectors(doc_ids)
 
     def length_facets(self, query: str, edges: list[int],
                       lang: str | None = None) -> list[dict]:
         """Numeric range-facet counts of the match set's token lengths
-        (POST /facets with "length_edges") via the sharded service's
-        per-actor bucket partials."""
+        (POST /facets with "length_edges"), in one actor call."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.length_facets(
@@ -655,7 +653,7 @@ class IndexHTTPServer:
     def hybrid(self, query: str, vector: list[float], k: int = 10,
                n_each: int = 20, nprobe: int = 4, hydrate: bool = True) -> list[dict]:
         """Reciprocal-rank fusion of the BM25 top-``n_each`` for
-        ``query`` (sharded scorer pool, tombstone-aware) and the ANN
+        ``query`` (replica scorer pool, tombstone-aware) and the ANN
         top-``n_each`` for ``vector`` (persisted-IVF cluster actors).
         The vector side overfetches by the tombstone count and drops
         tombstoned ids with a dense re-rank, so both rankings range
@@ -696,8 +694,8 @@ class IndexHTTPServer:
         """Append new docs over HTTP (reference POST /label-images):
         ids assigned after the current span, delta built through the
         normal ``extend_index`` path, then the next pool generation
-        (``ShardedQueryService.extended``) attaches the new shards to
-        the running actors — no actor starts and no other shard is
+        (``ShardedQueryService.extended``) attaches the new shards on
+        every running actor — no actor starts and no other shard is
         reloaded. ``delta_id`` is the content hash, so the same
         payload extends at most once (and installs nothing). The Ray
         delta job and the attach run under ``_extend_lock`` only —
@@ -756,7 +754,7 @@ class IndexHTTPServer:
     def delete(self, doc_ids: list[int]) -> dict:
         """Tombstone ``doc_ids`` (POST /delete) and install a
         tombstone-only generation (``ShardedQueryService.deleted``:
-        same actors, same shards, same docmeta and df cache) before
+        same actors, same shards, same docmeta) before
         returning, so the next request sees the deletes. Returns the
         generation serving afterwards. Serialized with the other index
         writers on ``_extend_lock``."""

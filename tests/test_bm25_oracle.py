@@ -33,6 +33,15 @@ def test_rank_topk_tiebreak():
     assert rank_topk(ids, scores, 3) == [(1, 2.0), (3, 2.0), (5, 1.0)]
 
 
+def test_rank_topk_k_zero_or_less_is_empty():
+    """k <= 0 selects nothing, also past the selection threshold
+    (more than 1,024 candidates)."""
+    rng = np.random.default_rng(3)
+    for n in (5, 2000):
+        ids, scores = np.arange(n), rng.random(n)
+        assert rank_topk(ids, scores, 0) == [] and rank_topk(ids, scores, -1) == []
+
+
 def test_brute_force_hand_check():
     docs = {0: ["a", "b", "a"], 1: ["b", "c"], 2: ["c", "c", "c"]}
     top = bm25_brute_force(docs, ["a"], k=2)

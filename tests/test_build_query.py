@@ -108,7 +108,7 @@ def test_partial_cache_purge_keeps_bytes_exact(built_index):
     old, live = reader.avgdl + 1.0, reader.avgdl
     for avgdl in (old, live):
         for i in range(min(30, sh.n_terms)):
-            sh.partial(i, reader.block_size, reader.doc_len, 1.2, 0.75, avgdl)
+            sh.partial(i, reader.doc_len, 1.2, 0.75, avgdl)
     assert {key[1] for key in sh._part_cache} == {old, live}
     sh.purge({live})
     assert {key[1] for key in sh._part_cache} == {live}

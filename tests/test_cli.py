@@ -58,6 +58,16 @@ def test_query_returns_ranked_hits(cli_index, capsys):
     assert scores == sorted(scores, reverse=True)
 
 
+def test_query_paging_validation(cli_index, capsys):
+    """A negative -k or --offset exits 2 with a plain message; -k 0
+    prints an empty page."""
+    for args in (["-k", "-1"], ["-k", "3", "--offset", "-2"]):
+        assert main(["query", "get", "--index", cli_index, *args]) == 2, args
+        assert "limit and offset must be >= 0" in capsys.readouterr().err
+    assert main(["query", "get", "--index", cli_index, "-k", "0"]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == []
+
+
 def test_query_hydrated(cli_index, capsys):
     rc = main(["query", "merge", "--index", cli_index, "-k", "3", "--hydrate"])
     assert rc == 0

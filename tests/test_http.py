@@ -1,5 +1,5 @@
 """HTTP serving layer: the reference's POST /search surface
-(server.py:46-177) over the sharded actor pool, stdlib-only."""
+(server.py:46-177) over the replica actor pool, stdlib-only."""
 
 import json
 import urllib.request
@@ -582,6 +582,8 @@ def test_search_mode_multiplexing(server):
     with pytest.raises(urllib.error.HTTPError) as e:
         _req(srv.port, "/search", {"mode": "phrase", "query": "alpha dup"})
     assert e.value.code == 409
+    # the reader's own message, not the actor's traceback
+    assert json.loads(e.value.read())["error"].startswith("no positions sidecar")
 
     # build the sidecar (same deterministic corpus as the fixture),
     # then phrase and proximity serve through the same route
@@ -1003,8 +1005,33 @@ def test_msearch_empty_batch_rejected(server):
     assert ei.value.code == 400
 
 
+def test_paging_input_validation(server):
+    """A negative limit or offset is a 400 with a plain message on
+    /search and a per-body error in /msearch; a limit of 0 is an empty
+    page."""
+    import urllib.error
+
+    srv, _ = server
+    for body in ({"query": "alpha", "offset": -2, "limit": 3},
+                 {"query": "alpha", "limit": -1},
+                 {"query": "alp", "mode": "prefix", "limit": -1, "snippet": True}):
+        with pytest.raises(urllib.error.HTTPError) as ei:
+            _req(srv.port, "/search", body)
+        assert ei.value.code == 400, body
+        err = json.loads(ei.value.read())["error"]
+        assert err.startswith("limit and offset must be >= 0"), (body, err)
+    assert _req(srv.port, "/search", {"query": "alpha", "limit": 0}) == (200, [])
+    status, out = _req(srv.port, "/msearch", {"searches": [
+        {"query": "alpha", "limit": 3}, {"query": "alpha", "offset": -2, "limit": 3},
+        {"query": "bravo", "limit": -1}, {"query": "bravo", "limit": 0}]})
+    r = out["responses"]
+    assert status == 200 and r[0] and r[3] == []
+    assert r[0] == _req(srv.port, "/search", {"query": "alpha", "limit": 3})[1]
+    assert [set(e) for e in r[1:3]] == [{"error"}] * 2
+
+
 # ---------------------------------------------------------------------------
-# The pool generation owns the df cache and the docmeta snapshot
+# The pool generation owns the docmeta snapshot
 
 
 def _small_index(path, n=60, seed=51):
@@ -1153,10 +1180,10 @@ def test_held_generation_keeps_serving_its_index(tmp_path):
     /delete keeps the pre-write index: searches on the held generation
     are bitwise equal to a serial reader over a copy of the index taken
     before the write, the new generation's to a reader over the index
-    after it. The held generation's hot term is warmed first (a
-    different page over it, as a repeated page is a page-cache hit
-    that reaches no actor), so the new generation must not reuse
-    partials computed under the old avgdl."""
+    after it. The held generation's hot term is warmed first on every
+    actor (one page over it per actor, in turn; a repeated page is a
+    page-cache hit that reaches no actor), so the new generation must
+    not reuse partials computed under the old avgdl."""
     import shutil
 
     idx = _small_index(str(tmp_path / "pin"))
@@ -1167,11 +1194,13 @@ def test_held_generation_keeps_serving_its_index(tmp_path):
             held = srv._pool()
             before = str(tmp_path / f"before_{write}")
             shutil.copytree(idx, before)
-            _hits(held, "alpha")
+            for k in (10, 9):  # round-robin: one page per actor
+                _hits(held, "alpha", k)
             warm = held.counters()
-            _hits(held, "alpha", 5)
-            assert sum(c["partial_hits"] for c in held.counters()) > \
-                sum(c["partial_hits"] for c in warm)
+            for k in (8, 7):
+                _hits(held, "alpha", k)
+            assert all(c["partial_hits"] > w["partial_hits"]
+                       for c, w in zip(held.counters(), warm))
             if write == "extend":
                 status, out = _req(srv.port, "/extend", {"docs": [
                     {"content": f"alpha alpha zebra pinned{i}"} for i in range(6)]})
@@ -1204,7 +1233,7 @@ def _alive_query_actors() -> set[str]:
 
 def test_extend_and_delete_start_no_actor(tmp_path, monkeypatch):
     """Ten /extend and three /delete calls start no actor process and
-    leave one view per actor. Compacting the index and a /reload then
+    leave one view per actor, each actor holding every shard. Compacting the index and a /reload then
     start a fresh actor set that serves the compacted index, and the
     old set is killed, so exactly ``num_actors`` ShardQueryActors of
     this server are ALIVE."""
@@ -1241,9 +1270,8 @@ def test_extend_and_delete_start_no_actor(tmp_path, monkeypatch):
             time.sleep(0.1)
         counters = svc.counters()
         assert [c["views"] for c in counters] == [1, 1]
-        held = sorted(s for c in counters for s in c["shards"])
-        assert held == list(range(svc.stats["num_shards"]))
-        assert len(held) == 12  # 2 base shards + one per extend
+        assert svc.stats["num_shards"] == 12  # 2 base shards + one per extend
+        assert [c["shards"] for c in counters] == [list(range(12))] * 2
         del svc
         compacted = str(tmp_path / "compacted")
         compact_index(idx, compacted)
@@ -1359,79 +1387,89 @@ def test_race_every_response_matches_a_generation(tmp_path):
 # One actor round trip and one connection per search
 
 
-def _index_terms(idx) -> list[str]:
-    """Every distinct term of the index on disk."""
-    reader = IndexReader(idx)
-    return sorted({t for sh in reader.shards if sh is not None and sh._terms is not None
-                   for t in sh._terms.to_pylist()})
-
-
-def test_ranked_search_is_one_execute_per_actor(tmp_path, monkeypatch):
-    """A ranked bm25 /search on a fresh pool makes one actor call per
-    actor, ``execute``, and no other: global df comes from the
-    router's df table."""
+def test_ranked_search_is_one_actor_call(tmp_path, monkeypatch):
+    """A ranked bm25 /search that misses the page cache is exactly one
+    ShardQueryActor method call, ``call``, and successive misses take
+    the actors in turn."""
     import ray.actor
 
     idx = _small_index(str(tmp_path / "one"))
     srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    calls = []
+    real_remote = ray.actor.ActorMethod.remote
+
+    def counting_remote(method, *a, **kw):
+        calls.append(method._method_name)
+        return real_remote(method, *a, **kw)
+
     try:
-        before = srv._pool().counters()
-        calls = []
-        real_remote = ray.actor.ActorMethod.remote
-
-        def counting_remote(method, *a, **kw):
-            calls.append(method._method_name)
-            return real_remote(method, *a, **kw)
-
-        monkeypatch.setattr(ray.actor.ActorMethod, "remote", counting_remote)
-        status, hits = _req(srv.port, "/search", {"query": "alpha zebra", "limit": 5})
-        monkeypatch.undo()
-        assert status == 200 and hits
-        assert calls == ["execute", "execute"]
-        after = srv._pool().counters()
-        assert [a["executes"] - b["executes"] for a, b in zip(after, before)] == [1, 1]
+        served = []
+        for q in ("alpha zebra", "bravo", "echo golf", "dup"):
+            before = [c["calls"] for c in srv._pool().counters()]
+            calls.clear()
+            monkeypatch.setattr(ray.actor.ActorMethod, "remote", counting_remote)
+            status, hits = _req(srv.port, "/search", {"query": q, "limit": 5})
+            monkeypatch.undo()
+            assert status == 200 and hits, q
+            assert calls == ["call"], q
+            grew = [c["calls"] - b for c, b in zip(srv._pool().counters(), before)]
+            assert sorted(grew) == [0, 1], q
+            served.append(grew.index(1))
+        assert served in ([0, 1, 0, 1], [1, 0, 1, 0])
     finally:
         monkeypatch.undo()
         srv.close()
 
 
-def test_df_table_exact_across_writes(tmp_path):
-    """The router's df table equals a fresh reader's df over every term
-    of the index: after an /extend whose docs bring terms the index
-    did not hold, unchanged by a /delete (stats stay stale until
-    compaction), and rebuilt by a /reload of the compacted index."""
+def _replica_pages(svc, query: str, k: int = 10) -> list[list[tuple]]:
+    """The uncached page of ``query`` from every actor of ``svc``: one
+    ``_call`` per actor, which the round-robin gives each actor once."""
+    before = [c["calls"] for c in svc.counters()]
+    plan = svc.compile("bm25", query)
+    pages = [[(r["doc_id"], r["score"]) for r in svc._call(("topk", [plan], k, None, 0))[0]]
+             for _ in svc.actors]
+    assert [c["calls"] - b for c, b in zip(svc.counters(), before)] == [1] * len(svc.actors)
+    return pages
+
+
+def test_replicas_identical_across_writes(tmp_path):
+    """After an /extend whose docs bring terms the index did not hold,
+    after a /delete and after a /reload of the compacted index, every
+    replica actor's page equals a fresh serial reader's in ranks and
+    scores (so in df and idf too), and so does /search."""
     import shutil
 
     from information_retrieval_images_ray.pipelines.maintenance import compact_index
 
-    idx = _small_index(str(tmp_path / "dft"))
-    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    idx = _small_index(str(tmp_path / "rep"))
+    srv = IndexHTTPServer(idx, num_actors=3, port=0).start()
+    queries = ["alpha brandnew1", "brandnew2 zebra", "bravo dup", "echo"]
+
+    def check(step):
+        reader = IndexReader(idx)
+        for q in queries:
+            want = reader.search_taat(q, 10)
+            assert _replica_pages(srv._pool(), q) == [want] * 3, (step, q)
+            _, page = _req(srv.port, "/search", {"query": q, "limit": 10})
+            assert [(h["doc_id"], h["score"]) for h in page] == want, (step, q)
+
     try:
+        check("built")
         status, out = _req(srv.port, "/extend", {"docs": [
             {"content": "alpha brandnew1 brandnew2"}, {"content": "zebra brandnew2"}]})
         assert status == 200 and out["added"] == 2
-        terms = _index_terms(idx)
-        assert {"brandnew1", "brandnew2"} <= set(terms)
-        extended = srv._pool()._global_df(terms)
-        assert extended == IndexReader(idx).df_locals(terms)
-        assert extended["brandnew2"] == 2
-        _, hits = _req(srv.port, "/search", {"query": "brandnew1", "limit": 1})
-        assert [h["doc_id"] for h in hits] == [60]
-
+        assert IndexReader(idx).df_locals(["brandnew2"]) == {"brandnew2": 2}
+        check("extended")
         status, out = _req(srv.port, "/delete", {"doc_ids": [60, 0, 1]})
         assert status == 200 and out["tombstoned"] == 3
-        assert srv._pool()._global_df(terms) == extended
-
-        compacted = str(tmp_path / "dft_compacted")
+        check("deleted")
+        compacted = str(tmp_path / "rep_compacted")
         compact_index(idx, compacted)
         shutil.rmtree(idx)
         shutil.copytree(compacted, idx)
         status, _ = _req(srv.port, "/reload", {})
         assert status == 200
-        terms = _index_terms(idx)
-        reloaded = srv._pool()._global_df(terms)
-        assert reloaded == IndexReader(idx).df_locals(terms)
-        assert "brandnew1" not in reloaded and reloaded != extended
+        check("reloaded")
     finally:
         srv.close()
 
@@ -1447,14 +1485,16 @@ def test_retired_generation_partials_are_purged(tmp_path):
     try:
         held = srv._pool()
         old_avgdl = held.stats["avgdl"]
-        _hits(held, "alpha bravo zebra")
+        for k in (10, 9):  # round-robin: one page per actor
+            _hits(held, "alpha bravo zebra", k)
         assert all(c["partial_avgdls"] == [old_avgdl] for c in held.counters())
         status, out = _req(srv.port, "/extend", {"docs": [
             {"content": "alpha alpha alpha purge"}, {"content": "bravo purge"}]})
         assert status == 200 and out["added"] == 2
         new = srv._pool()
         assert new.stats["avgdl"] != old_avgdl
-        _hits(new, "alpha bravo zebra")
+        for k in (10, 9):
+            _hits(new, "alpha bravo zebra", k)
         del held
         gc.collect()
         deadline = time.time() + 30
@@ -1562,26 +1602,26 @@ def test_repeated_search_is_a_page_cache_hit(tmp_path, monkeypatch):
 
 def test_msearch_one_scatter_for_cached_uncached_and_duplicates(server, monkeypatch):
     """An /msearch mixing a cached body, uncached bodies and duplicates
-    (by term order too) makes exactly one scatter, over the distinct
-    uncached plans only, and equals per-body /search and the serial
-    reader."""
+    (by term order too) makes exactly one actor call, one ``topk`` over
+    the distinct uncached plans only, and equals per-body /search and
+    the serial reader."""
     from information_retrieval_images_ray.pipelines import serving
 
     srv, idx = server
     _req(srv.port, "/search", {"query": "alpha dup", "limit": 5})
     bodies = [{"query": q, "limit": 5} for q in
               ["alpha dup", "zebra echo", "echo zebra", "golf", "dup alpha", "golf"]]
-    scattered = []
-    real_scatter = serving.ShardedQueryService._scatter
+    sent = []
+    real_call = serving.ShardedQueryService._call
 
-    def counting_scatter(svc, plans, *a, **kw):
-        scattered.append(len(plans))
-        return real_scatter(svc, plans, *a, **kw)
+    def counting_call(svc, *calls):
+        sent.append([(c[0], len(c[1])) for c in calls])
+        return real_call(svc, *calls)
 
-    monkeypatch.setattr(serving.ShardedQueryService, "_scatter", counting_scatter)
+    monkeypatch.setattr(serving.ShardedQueryService, "_call", counting_call)
     status, out = _req(srv.port, "/msearch", {"searches": bodies})
     monkeypatch.undo()
-    assert status == 200 and scattered == [2]
+    assert status == 200 and sent == [[("topk", 2)]]
     reader = IndexReader(idx)
     for body, page in zip(bodies, out["responses"]):
         assert page == _req(srv.port, "/search", body)[1], body

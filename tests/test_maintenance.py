@@ -401,3 +401,51 @@ def test_wand_era_index_searches_extends_compacts_and_merges(tmp_path, rows):
             assert a.search_taat(q, 10) == b.search_taat(q, 10), (d, q)
     for s in range(CFG["num_shards"]):
         assert _segment_content(compacted, s) == _segment_content(fresh, s), s
+
+
+def test_postings_decoded_at_load_equal_on_disk_rows(tmp_path, rows):
+    """Every row of every shard, decoded at load, equals
+    ``decode_all_blocks`` over its bytes on disk, and ``partial`` is
+    bitwise the partial of those arrays: for an index with multi-block
+    terms (block_size 4) and an empty shard, and for its WAND-era
+    copy."""
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    from information_retrieval_images_ray.pipelines.query import decode_all_blocks
+
+    # shard 1 (doc ids 40..79 of 120) holds no token
+    docs = [dict(r, content="") if 40 <= r["doc_id"] < 80 else r for r in rows]
+    cur, old = str(tmp_path / "cur"), str(tmp_path / "old")
+    build_index(ray.data.from_items(docs), cur, block_size=4, **CFG)
+    shutil.copytree(cur, old)
+    _add_retired_columns(old)
+    for d in (cur, old):
+        reader = IndexReader(d)
+        k1, b, avgdl = reader.params.k1, reader.params.b, reader.avgdl
+        assert reader.shards[1].n_terms == 0, d
+        multi_block = 0
+        for s, sh in enumerate(reader.shards):
+            files = glob.glob(os.path.join(d, "segments", f"shard={s}", "*.parquet"))
+            disk = sorted((r for f in files for r in pq.read_table(
+                f, columns=["term", "df_local", "docs", "tfs"]).to_pylist()),
+                key=lambda r: r["term"])
+            assert len(disk) == sh.n_terms, (d, s)
+            for i, row in enumerate(disk):
+                want_ids, want_tfs = decode_all_blocks(row, reader.block_size)
+                ids, tfs = sh.postings(i)
+                assert ids.dtype == np.int64 and np.array_equal(ids, want_ids), (d, s, i)
+                assert np.array_equal(tfs, want_tfs), (d, s, i)
+                multi_block += len(ids) > reader.block_size
+                tf = want_tfs.astype(np.float64)
+                dl = reader.doc_len[want_ids.astype(np.int64)]
+                want = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+                got_ids, part = sh.partial(i, reader.doc_len, k1, b, avgdl)
+                if got_ids is None:  # dense form over the shard span
+                    assert np.array_equal(part[want_ids.astype(np.int64) - sh.lo], want)
+                    assert np.count_nonzero(part) == len(want_ids)
+                else:
+                    assert np.array_equal(got_ids, want_ids.astype(np.int64))
+                    assert part.tobytes() == want.tobytes(), (d, s, i)
+        assert multi_block, d

@@ -1,7 +1,6 @@
-"""Sharded serving: the shard-partitioned actor pool + df-table
-router must be rank- AND score-identical (bitwise) to a whole-index
-reader, including across actor counts that don't divide the shard
-count."""
+"""Serving: the replica actor pool + page-cache router must be rank-
+AND score-identical (bitwise) to a serial whole-index reader, at any
+actor count, in one actor round trip per search."""
 
 import pytest
 
@@ -84,29 +83,12 @@ def test_shared_reader_pool_rank_identical(served_index):
         assert list(got["score"]) == [s for _, s in want], q
 
 
-def test_subset_reader_only_loads_owned_shards(served_index):
-    sub = IndexReader(served_index, shards=[1, 3])
-    assert sub.shards[0] is None and sub.shards[2] is None
-    assert sub.shards[1] is not None and sub.shards[3] is not None
-    # df_locals over a subset is <= the global df
-    full = IndexReader(served_index)
-    terms = ["get", "user"]
-    d_sub = sub.df_locals(terms)
-    d_full = full.df_locals(terms)
-    for t in terms:
-        if t in d_sub:
-            assert d_sub[t] <= d_full[t]
-
-
 @pytest.mark.parametrize("num_actors", [1, 3])
 def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
     """The round-3 fulltext retrieval modes (boolean clauses, prefix
-    expansion, fuzzy expansion) through the sharded router must be
-    bitwise score-identical to the serial whole-index reader — the
-    df exchange supplies exact global idf for the score terms, the
-    expansion exchange reproduces the serial deterministic cap, and
-    must/not presence composes per-shard because shards partition
-    the doc space."""
+    expansion, fuzzy expansion, synonyms, wildcards) through the
+    router must be bitwise score-identical to the serial whole-index
+    reader."""
     reader = IndexReader(served_index)
     svc = ShardedQueryService(served_index, num_actors=num_actors)
     try:
@@ -146,8 +128,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
                           prefix_len=1, max_expansions=16)
             assert mine == want, ("fuzzy", q)
 
-        # synonym expansion is corpus-free (frozen map) — the router
-        # expands, the df exchange covers OOV expansions with df=0
+        # synonym expansion is corpus-free (frozen map); OOV
+        # expansions have df=0 and score nothing
         sqs = [{"qid": 0, "query": "fast merge"}, {"qid": 1, "query": "get user"},
                {"qid": 2, "query": "zzz_nohit"}]
         got = svc.topk([svc.compile("synonym", q["query"], qid=q["qid"])
@@ -158,7 +140,7 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
             assert mine == want, ("synonym", q)
 
         # wildcard: prefix-range, suffix (dictionary-scan path), infix,
-        # no-hit — per-actor expansion caps compose like prefix
+        # no-hit
         wqs = [{"qid": 0, "pattern": "ge*"}, {"qid": 1, "pattern": "*er"},
                {"qid": 2, "pattern": "g*t"}, {"qid": 3, "pattern": "zz*q"}]
         got = svc.topk([svc.compile("wildcard", q["pattern"],
@@ -174,9 +156,8 @@ def test_sharded_boolean_prefix_fuzzy_rank_identical(served_index, num_actors):
 
 @pytest.mark.parametrize("num_actors", [1, 3])
 def test_sharded_phrase_proximity_rank_identical(served_index, num_actors):
-    """Positional modes through the router: per-actor conjunctive
-    candidates (global idf via the df exchange) + ONE sidecar verify
-    over the merged candidates must equal the serial composition
+    """Positional modes through the router: conjunctive candidates +
+    ONE sidecar verify must equal the serial composition
     (conjunctive_scores → verify → (score desc, doc_id asc) rank)."""
     from information_retrieval_images_ray.pipelines.positions import (
         build_positions_sidecar,
@@ -245,8 +226,7 @@ def test_sharded_phrase_proximity_rank_identical(served_index, num_actors):
 
 @pytest.mark.parametrize("num_actors", [1, 3])
 def test_sharded_facets_match_serial(served_index, num_actors):
-    """Distributed faceting (per-actor bincount partials summed by
-    value string at the router) must equal the serial whole-index
+    """Faceting through the router must equal the serial whole-index
     reader's counts, with and without a metadata filter — and the
     facet population must be the OR match set, not the top-k page."""
     reader = IndexReader(served_index)
@@ -269,8 +249,8 @@ def test_sharded_facets_match_serial(served_index, num_actors):
 
 @pytest.mark.parametrize("num_actors", [1, 3])
 def test_sharded_more_like_this_matches_serial(served_index, num_actors):
-    """MLT through the router (df exchange → router-side tf·idf term
-    selection → OR scatter at k+1 → drop anchor) must equal the serial
+    """MLT through the router (tf·idf term selection → OR scoring at
+    k+1 → drop anchor) must equal the serial
     reader's more_like_this plan, selection cut included."""
     import pyarrow.parquet as pq_mod
     import glob as glob_mod
@@ -304,6 +284,25 @@ def test_sharded_more_like_this_matches_serial(served_index, num_actors):
         svc.shutdown()
 
 
+def test_paging_input_validation(served_index):
+    """A negative limit or offset is a ValueError from the router, with
+    no page-cache lookup, and from the serial reader; a limit of 0 is
+    an empty page from both."""
+    reader = IndexReader(served_index)
+    svc = ShardedQueryService(served_index, num_actors=2)
+    try:
+        for runner in (svc, reader):
+            plan = runner.compile("bm25", "get")
+            for k, offset in ((-1, 0), (3, -2), (-1, -1)):
+                with pytest.raises(ValueError, match="must be >= 0"):
+                    runner.topk([plan], k, offset=offset)
+            assert runner.topk([plan], 0) == []
+            assert runner.topk([plan], 0, offset=4) == []
+        assert svc.page_cache_counters() == {"hits": 0, "misses": 2, "rows": 2}
+    finally:
+        svc.shutdown()
+
+
 def test_paging_offset_matches_serial_tail(served_index):
     """Router offset paging == the serial reader's ranks 6..10 slice;
     absolute ranks in the output; page beyond the hits is empty."""
@@ -322,13 +321,11 @@ def test_paging_offset_matches_serial_tail(served_index):
 
 
 def test_router_round_trips_per_mode(served_index, monkeypatch):
-    """Actor round trips per router call. Global df comes from the
-    router's df table, so a fresh pool costs what a warm one does for
-    a new plan: a plain bm25 search and more_like_this are one
-    scatter, an expansion mode adds one batched expansion exchange,
-    and prf adds a base top-k call. A batch of plans costs what one
-    plan does, and a repeated plan is served from the page cache with
-    no round trip."""
+    """Actor round trips per router call: every mode — bm25, an
+    expansion mode, more_like_this and prf — is ONE round trip on a
+    page-cache miss, on a fresh pool as on a warm one, and a batch of
+    plans costs what one plan does. A repeated plan is served from the
+    page cache with no round trip."""
     import ray
 
     real_get = ray.get
@@ -339,18 +336,18 @@ def test_router_round_trips_per_mode(served_index, monkeypatch):
         return real_get(refs, *a, **kw)
 
     cases = [
-        ("bm25", "merge sort hash", "get user", {}, 1),
-        ("prefix", "ge", "pa", {"max_expansions": 8}, 2),
+        ("bm25", "merge sort hash", "get user", {}),
+        ("prefix", "ge", "pa", {"max_expansions": 8}),
         ("more_like_this", "merge sort hash get user", "parse token buffer read",
-         {"max_terms": 3}, 1),
-        ("prf", "merge sort", "get user", {"fb_docs": 3, "fb_terms": 2}, 2),
+         {"max_terms": 3}),
+        ("prf", "merge sort", "get user", {"fb_docs": 3, "fb_terms": 2}),
     ]
-    for mode, query, other, params, trips in cases:
+    for mode, query, other, params in cases:
         for n in (1, 3):
             svc = ShardedQueryService(served_index, num_actors=2)
             try:
                 monkeypatch.setattr(ray, "get", counting_get)
-                for q, want in ((query, trips), (other, trips), (query, 0)):
+                for q, want in ((query, 1), (other, 1), (query, 0)):
                     calls.clear()
                     svc.topk([svc.compile(mode, q, params, qid=i)
                               for i in range(n)], k=5)
