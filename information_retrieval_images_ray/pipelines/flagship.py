@@ -667,7 +667,7 @@ def run_length_facet_queries(
     token-length histogram of each query's FULL match set (the
     Elasticsearch range-aggregation shape — the ranked page answers
     "best hits", this answers "how long are ALL the hits"). Runs
-    through the serving router (one actor call); identity with the serial reader is asserted in
+    through the serving router (one replica round trip); identity with the serial reader is asserted in
     tests/test_query_modes.py."""
     with _service(sf_dir) as svc:
         per_q = svc.length_facets(list(queries), list(edges))
@@ -684,7 +684,7 @@ def run_significant_queries(
     per query the top-``k`` terms over-represented in its match set vs
     the whole corpus (add-one log-odds of doc rates; foreground = the
     first ``sample_n`` matched ids ascending). Runs through the
-    serving router (one actor call); identity with the serial reader
+    serving router (one replica round trip); identity with the serial reader
     is asserted in tests/test_query_modes.py.
     Columns: qid, rank, term, fg_df, df, lor_e6."""
     with _service(sf_dir) as svc:
@@ -716,7 +716,7 @@ def run_facet_queries(
     each docmeta facet column. Output one row per
     (qid, facet_field, facet_value) with the matching-doc count.
 
-    Runs through the serving router (one actor call), so the oracle
+    Runs through the serving router (one replica round trip), so the oracle
     checks the served path. Identity with the serial reader is
     asserted in tests/test_serving.py."""
     with _service(sf_dir) as svc:

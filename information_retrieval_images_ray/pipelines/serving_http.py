@@ -26,8 +26,10 @@ POST /reset-db over FastAPI) re-expressed as a dependency-free stdlib
                       for an unknown or tombstoned id, 400 for a
                       non-integer one
   GET  /stats         -> index stats (the --show-db verb over HTTP)
-                      plus the serving pool ``generation`` and its
-                      ``page_cache`` counters {hits, misses, rows}
+                      plus the serving pool ``generation``, its
+                      ``page_cache`` counters {hits, misses, rows} and
+                      ``retries``: searches its actor set resent to the
+                      next replica after a transport failure
   POST /delete        {"doc_ids": [int, ...]}
                       -> {"tombstoned": n, "generation": g}
                       (reference delete_record, vector_db.py:54-58;
@@ -86,8 +88,14 @@ long-lived ShardQueryActor pool of whole-index replicas, started ONCE
 at server start (and again only on /reload) — the reference constructs
 its Milvus/SQLite/embedding clients per request (server.py:135-146).
 The HTTP layer itself is a thin threaded router: all scoring runs in
-the Ray actors, one actor call per search, and concurrent requests
-spread over the replicas round-robin. At
+the replica actors, one frame per search on a kept-open TCP connection
+to one replica (no Ray task: Ray starts, places and kills the replicas
+and carries only the control calls), and concurrent requests spread
+over the replicas round-robin, each HTTP thread on its own connection.
+Every replica holds the whole index, so a search whose replica died
+or whose connection broke is resent once to the next replica and
+counted in /stats ``retries``; with every replica dead it is a prompt
+500. At
 cluster scale N of these routers sit behind any TCP load balancer —
 the routers hold no request state (tokenize + merge + hydrate).
 
@@ -298,6 +306,7 @@ class IndexHTTPServer:
                         svc = outer._pool()
                         stats["generation"] = svc.generation if svc else None
                         stats["page_cache"] = svc.page_cache_counters() if svc else None
+                        stats["retries"] = svc.retries() if svc else None
                         self._json(200, stats)
                     elif self.path.startswith("/doc/"):
                         try:
@@ -466,7 +475,7 @@ class IndexHTTPServer:
         """Elasticsearch-style ``_msearch``: N search bodies in one
         POST, one response per body (order preserved). Bodies that
         share (limit, lang, offset, hydrate) — whatever their modes —
-        ride ONE pooled ``topk`` call (one actor call for the group's
+        ride ONE pooled ``topk`` call (one replica round trip for the group's
         uncached plans) and ONE in-memory hydration lookup per group.
         Results are bitwise
         identical to per-body ``search`` because every step is
@@ -562,7 +571,7 @@ class IndexHTTPServer:
                lang: str | None = None) -> dict:
         """Match-set facet counts over docmeta columns (POST /facets:
         {"query", "cols": ["lang", ...], "lang"?}) — the whole-result-
-        set distribution next to the ranked page, in one actor call."""
+        set distribution next to the ranked page, in one replica round trip."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.facets(
@@ -571,7 +580,7 @@ class IndexHTTPServer:
     def significant(self, query: str, k: int = 10, sample_n: int = 50,
                     lang: str | None = None) -> list[dict]:
         """Significant-terms aggregation (POST /significant): what the
-        query's whole match set is ABOUT, in one actor call."""
+        query's whole match set is ABOUT, in one replica round trip."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.topk_significant(
@@ -582,14 +591,14 @@ class IndexHTTPServer:
         """Per-doc term vectors (POST /termvectors {"doc_ids": [...]},
         the Elasticsearch ``_termvectors`` analogue): (term, tf) pairs
         from one doc_id-pruned docterms read and each term's exact
-        global df (``IndexReader.term_vectors``), in one actor call."""
+        global df (``IndexReader.term_vectors``), in one replica round trip."""
         svc = self._pool()
         return svc.term_vectors(doc_ids)
 
     def length_facets(self, query: str, edges: list[int],
                       lang: str | None = None) -> list[dict]:
         """Numeric range-facet counts of the match set's token lengths
-        (POST /facets with "length_edges"), in one actor call."""
+        (POST /facets with "length_edges"), in one replica round trip."""
         svc = self._pool()
         doc_filter = ("lang", lang) if lang else None
         return svc.length_facets(

@@ -321,19 +321,25 @@ def test_paging_offset_matches_serial_tail(served_index):
 
 
 def test_router_round_trips_per_mode(served_index, monkeypatch):
-    """Actor round trips per router call: every mode — bm25, an
-    expansion mode, more_like_this and prf — is ONE round trip on a
-    page-cache miss, on a fresh pool as on a warm one, and a batch of
-    plans costs what one plan does. A repeated plan is served from the
-    page cache with no round trip."""
+    """Round trips per router call: every mode — bm25, an expansion
+    mode, more_like_this and prf — is ONE frame to one replica and no
+    ``ray.get`` on a page-cache miss, on a fresh pool as on a warm one,
+    and a batch of plans costs what one plan does. A repeated plan is
+    served from the page cache with no round trip."""
     import ray
 
-    real_get = ray.get
-    calls = []
+    from information_retrieval_images_ray.pipelines import serving
+
+    real_get, real_send = ray.get, serving._ActorSet.send
+    gets, frames = [], []
 
     def counting_get(refs, *a, **kw):
-        calls.append(1)
+        gets.append(1)
         return real_get(refs, *a, **kw)
+
+    def counting_send(actor_set, frame):
+        frames.append(1)
+        return real_send(actor_set, frame)
 
     cases = [
         ("bm25", "merge sort hash", "get user", {}),
@@ -347,11 +353,13 @@ def test_router_round_trips_per_mode(served_index, monkeypatch):
             svc = ShardedQueryService(served_index, num_actors=2)
             try:
                 monkeypatch.setattr(ray, "get", counting_get)
+                monkeypatch.setattr(serving._ActorSet, "send", counting_send)
                 for q, want in ((query, 1), (other, 1), (query, 0)):
-                    calls.clear()
+                    gets.clear()
+                    frames.clear()
                     svc.topk([svc.compile(mode, q, params, qid=i)
                               for i in range(n)], k=5)
-                    assert len(calls) == want, (mode, n, q, len(calls))
+                    assert (len(frames), len(gets)) == (want, 0), (mode, n, q)
             finally:
                 monkeypatch.undo()
                 svc.shutdown()
