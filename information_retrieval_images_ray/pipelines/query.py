@@ -405,6 +405,22 @@ def _nbytes(entry: tuple[np.ndarray | None, np.ndarray]) -> int:
     return part.nbytes + (0 if ids is None else ids.nbytes)
 
 
+class _TermLocs(dict):
+    """term -> [(shard_idx, row_idx)] over a reader's loaded shards,
+    each term looked up on its first use: one binary search per shard.
+    One lives for one reader call, whose df sum and ``_matches`` then
+    share every lookup; nothing outlives the call."""
+
+    def __init__(self, shards):
+        super().__init__()
+        self.shards = shards
+
+    def __missing__(self, term: str) -> list[tuple[int, int]]:
+        locs = self[term] = [(s, i) for s, sh in enumerate(self.shards)
+                             if sh is not None and (i := sh.find(term)) is not None]
+        return locs
+
+
 # -- query plans ---------------------------------------------------------------
 
 # The frozen query-time synonym map of mode ``synonym`` (one-directional:
@@ -702,9 +718,11 @@ class IndexReader(PlanCompiler):
         expand every plan with a pending expansion spec; one df lookup
         for the plans without resolved weights; per plan ``execute``
         and the rank (after the positional verify for positional
-        plans). The serving router (``serving.ShardedQueryService``)
-        runs this whole method on one replica actor, behind its
-        generation's page cache, for the plans whose pages it lacks."""
+        plans). Each distinct term is looked up in the shard
+        dictionaries once per call (``_TermLocs``). The serving router
+        (``serving.ShardedQueryService``) runs this whole method on one
+        replica actor, behind its generation's page cache, for the
+        plans whose pages it lacks."""
         check_page(k, offset)
         plans = self.compiled(plans)
         if any(p["positional"] for p in plans):
@@ -714,15 +732,16 @@ class IndexReader(PlanCompiler):
                 raise FileNotFoundError(
                     f"no positions sidecar under {self.index_dir} — "
                     "run build_positions_sidecar first")
-        plans = self.expand(self._resolve_feedback(plans, doc_filter))
+        locs = _TermLocs(self.shards)
+        plans = self.expand(self._resolve_feedback(plans, doc_filter, locs))
         need = sorted({t for p in plans if p["weights"] is None for t in p["terms"]})
-        gdf = self.df_locals(need)
+        gdf = self._dfs(need, locs)
         out = []
         for p in plans:
             weights = p["weights"] if p["weights"] is not None else {
                 t: b * idf_fn(self.n_docs, gdf[t]) for t, b in p["terms"].items()
                 if t in gdf}
-            rows = self.execute(p, k + offset, weights, doc_filter)
+            rows = self.execute(p, k + offset, weights, doc_filter, locs)
             if p["positional"]:
                 rows = self._verify(p["positional"], rows)
             rows.sort(key=lambda r: (-r[1], r[0]))
@@ -747,7 +766,8 @@ class IndexReader(PlanCompiler):
             for p, todo in zip(plans, pending)
         ]
 
-    def _resolve_feedback(self, plans: list[dict], doc_filter) -> list[dict]:
+    def _resolve_feedback(self, plans: list[dict], doc_filter,
+                          locs: _TermLocs) -> list[dict]:
         """Run the term-selection step of each MoreLikeThis / PRF plan
         and return it as a weighted-OR plan carrying its resolved
         weights (so the main path skips its df lookup).
@@ -761,7 +781,7 @@ class IndexReader(PlanCompiler):
           the final page.
 
         All plans share one base top-k call, one docterms read and one
-        df lookup."""
+        df lookup, which looks terms up in ``locs``."""
         todo = [i for i, p in enumerate(plans)
                 if p["feedback"] and p["weights"] is None]
         if not todo:
@@ -787,9 +807,9 @@ class IndexReader(PlanCompiler):
         for i in todo:
             if plans[i]["feedback"]["kind"] == "mlt":
                 tf[i] = Counter(plans[i]["feedback"]["tokens"])
-        gdf = self.df_locals(sorted(
+        gdf = self._dfs(sorted(
             {t for i in todo for t in tf[i]}
-            | {t for i in prf for t in plans[i]["terms"]}))
+            | {t for i in prf for t in plans[i]["terms"]}), locs)
         out = list(plans)
         for i in todo:
             p, fbk = plans[i], plans[i]["feedback"]
@@ -843,41 +863,25 @@ class IndexReader(PlanCompiler):
         ]
 
     # -- helpers --------------------------------------------------------------
-    def _locs(self, term: str) -> list[tuple[int, int]]:
-        """[(shard_idx, row_idx)] of ``term`` — one binary-search probe
-        per shard."""
-        locs = []
-        for s, sh in enumerate(self.shards):
-            if sh is not None:
-                i = sh.find(term)
-                if i is not None:
-                    locs.append((s, i))
-        return locs
-
-    def _term_infos(
-        self, weights: dict[str, float]
-    ) -> list[tuple[str, float, list[tuple[int, int]]]]:
-        """Per weighted term present in the index, in sorted
-        term order (the float64 add order of ``_matches``):
-        (term, weight, [(shard_idx, row_idx), ...])."""
-        infos = []
-        for t in sorted(weights):
-            locs = self._locs(t)
-            if locs:
-                infos.append((t, weights[t], locs))
-        return infos
-
-    def _term_weights(self, terms) -> dict[str, float]:
-        """{term: idf} over the distinct ``terms`` the index holds."""
+    def _term_weights(self, terms, locs: _TermLocs) -> dict[str, float]:
+        """{term: idf} over the distinct ``terms`` the index holds,
+        looked up in ``locs``."""
         return {t: idf_fn(self.n_docs, d)
-                for t, d in self.df_locals(sorted(set(terms))).items()}
+                for t, d in self._dfs(sorted(set(terms)), locs).items()}
 
     def df_locals(self, terms: list[str]) -> dict[str, int]:
         """term -> global df, the sum of its df_local over the shards;
-        terms with df 0 are left out."""
+        terms with df 0 are left out. Each term is looked up once in
+        every shard's dictionary; a call that also scores the terms
+        shares those lookups through ``_dfs``."""
+        return self._dfs(terms, _TermLocs(self.shards))
+
+    def _dfs(self, terms: list[str], locs: _TermLocs) -> dict[str, int]:
+        """``df_locals`` of ``terms`` with their (shard, row) locations
+        taken from (and added to) ``locs``."""
         out = {}
         for t in terms:
-            df = sum(self.shards[s].df_local_at(i) for s, i in self._locs(t))
+            df = sum(self.shards[s].df_local_at(i) for s, i in locs[t])
             if df:
                 out[t] = df
         return out
@@ -937,6 +941,7 @@ class IndexReader(PlanCompiler):
     # -- the one posting accumulator ------------------------------------------
     def _matches(
         self, weights: dict[str, float], must=(), must_not=(), doc_filter=None,
+        locs: _TermLocs | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every doc matching a plan, with its full BM25 score:
         (doc_ids ascending, scores). A doc matches when it contains
@@ -946,8 +951,14 @@ class IndexReader(PlanCompiler):
         float64 order (the add order of the brute-force oracle, so
         scores are bitwise equal to it). Per shard one dense score
         accumulator plus, when needed, a must-presence counter and an
-        exclusion flag — no per-doc python. Tombstones and the optional metadata filter are excluded."""
+        exclusion flag — no per-doc python. Tombstones and the optional
+        metadata filter are excluded. Terms are located through
+        ``locs``, the calling method's lookups (a fresh ``_TermLocs``
+        when None), so a term whose df that call already summed is not
+        looked up again."""
         mask = self._resolve_filter(doc_filter)
+        if locs is None:
+            locs = _TermLocs(self.shards)
         must_s, not_s = set(must), set(must_not)
         acc: dict[int, np.ndarray] = {}
         cnt: dict[int, np.ndarray] = {}
@@ -955,7 +966,7 @@ class IndexReader(PlanCompiler):
         k1, b = self.params.k1, self.params.b
         for t in sorted(set(weights) | must_s | not_s):
             w = weights.get(t)
-            for s, i in self._locs(t):
+            for s, i in locs[t]:
                 sh = self.shards[s]
                 ids, part = sh.partial(i, self.doc_len, k1, b, self.avgdl)
                 if w is not None:
@@ -1006,7 +1017,7 @@ class IndexReader(PlanCompiler):
         return ids, scores
 
     def execute(self, plan: dict, k: int, weights: dict[str, float],
-                doc_filter=None) -> list[tuple]:
+                doc_filter=None, locs: _TermLocs | None = None) -> list[tuple]:
         """Run one resolved plan with the given per-term weights and
         return the rows ``topk`` ranks:
 
@@ -1018,9 +1029,12 @@ class IndexReader(PlanCompiler):
         - for a collapse plan, per ``docmeta[field]`` group its (score
           desc, doc_id asc) leader as (doc_id, score, value, n), n the
           group's full match count. Docs with a null value belong to no
-          group."""
+          group.
+
+        ``locs`` are the calling ``topk``'s term lookups (see
+        ``_matches``)."""
         ids, scores = self._matches(weights, plan["must"], plan["must_not"],
-                                    doc_filter)
+                                    doc_filter, locs)
         if plan["positional"]:
             return list(zip(ids.tolist(), scores.tolist()))
         if plan["collapse"]:
@@ -1068,8 +1082,9 @@ class IndexReader(PlanCompiler):
         term absent from the index empties the conjunction. The serial
         reference the positional plans' candidate stage (a plan's
         ``must`` terms in ``_matches``) is tested against."""
-        return self._matches(self._term_weights(terms),
-                             must=sorted(set(terms)), doc_filter=doc_filter)
+        locs = _TermLocs(self.shards)
+        return self._matches(self._term_weights(terms, locs),
+                             must=sorted(set(terms)), doc_filter=doc_filter, locs=locs)
 
     def facet_counts(
         self, query: str, facet_cols: list[str], doc_filter=None,
@@ -1134,9 +1149,11 @@ class IndexReader(PlanCompiler):
             return []
         k1, b = self.params.k1, self.params.b
         rows: list[dict] = []
-        for t, w, locs in self._term_infos(self._term_weights(self.tokenize(query))):
-            df_global = sum(self.shards[s].df_local_at(i) for s, i in locs)
-            for s, i in locs:
+        locs = _TermLocs(self.shards)
+        dfs = self._dfs(sorted(set(self.tokenize(query))), locs)
+        for t, df_global in dfs.items():
+            w = idf_fn(self.n_docs, df_global)
+            for s, i in locs[t]:
                 sh = self.shards[s]
                 in_span = targets[(targets >= sh.lo) & (targets < sh.hi)]
                 if not len(in_span):
@@ -1303,8 +1320,9 @@ class IndexReader(PlanCompiler):
     ) -> list[tuple[int, float]]:
         """Exhaustive OR-of-terms top-k over an EXPLICIT, already
         normalized term list."""
-        return rank_topk(*self._matches(self._term_weights(terms),
-                                        doc_filter=doc_filter), k)
+        locs = _TermLocs(self.shards)
+        return rank_topk(*self._matches(self._term_weights(terms, locs),
+                                        doc_filter=doc_filter, locs=locs), k)
 
     def search_taat(
         self, query: str, k: int = 10, doc_filter=None,

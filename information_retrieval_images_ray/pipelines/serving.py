@@ -44,7 +44,9 @@ cached.
 
 Every frame reads one immutable generation, so a frame that fails in
 transport (the replica died, its connection broke or was refused) is
-sent once more, to the next replica, and counted (``retries``). An
+sent once more, to the next replica, and counted (``retries``). A
+replica that refuses a connect has exited: it gets no more turns in
+its actor set, and with every replica down a frame fails at once. An
 exception raised by the reader comes back as itself and is never
 retried. A connection must present the pool's 32-byte secret (made per
 actor set, handed to each replica's constructor through Ray) before
@@ -54,15 +56,17 @@ unread.
 A ``ShardedQueryService`` is one immutable generation of the served
 index: the actor handles, ``n_docs`` / ``avgdl`` / shard bounds
 (``stats``), the tombstones, the docmeta table (held in memory sorted
-by doc_id, which ``serving_http.hydrate_hits`` serves from with no
-disk read) and the page cache. A request takes one generation and
-uses it for every call it makes; each frame names that generation, and a replica keeps one ``IndexReader`` view per live
-generation, the views sharing the loaded shards. Constructing the
-service starts a fresh actor set (the HTTP server does that at start
-and on /reload). ``extended`` and ``deleted`` derive the next
-generation on the SAME actors: after an extend every actor loads the
-new shards and the router appends their docmeta rows; a delete only
-swaps the tombstones (stats stay stale until compaction). When the
+by doc_id, behind a ``DocRows`` view over its Arrow buffers that
+``serving_http.hydrate_hits`` reads with no disk read) and the page
+cache. A request takes one generation and uses it for every call it
+makes; each frame names that generation, and a replica keeps one
+``IndexReader`` view per live generation, the views sharing the
+loaded shards. Constructing the service starts a fresh actor set (the
+HTTP server does that at start and on /reload). ``extended`` and
+``deleted`` derive the next generation on the SAME actors: after an
+extend every actor loads the new shards and the router appends their
+docmeta rows (and builds their generation's ``DocRows``); a delete
+only swaps the tombstones (stats stay stale until compaction). When the
 last reference to a generation drops, its actor views are retired
 with the partials cached under an avgdl no live view uses, and an
 actor set is killed, its router sockets closed, once no live
@@ -83,6 +87,7 @@ collection while the app queries it over the wire
 
 from __future__ import annotations
 
+import codecs
 import copy
 import glob
 import hmac
@@ -140,6 +145,84 @@ def _docmeta_table(files: list[str]) -> pa.Table:
     t = pa.table([t["doc_id"].cast(pa.int64())] + [t[c] for c in rest],
                  names=["doc_id", *rest])
     return t.sort_by("doc_id").combine_chunks()
+
+
+def _column_cells(name: str, col):
+    """A function from row positions (a list of ints) to the Python
+    values of column ``col`` at those rows, equal to ``to_pylist``'s
+    except that ``content_sha256`` comes as hex. Numeric, string and
+    fixed-size binary columns are read from their own buffers, through
+    memoryviews of the values, the string offsets and data, and the
+    validity bitmap; a column of any other type, which the build never
+    writes, through one Arrow scalar per cell."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    typ, first, n = arr.type, arr.offset, len(arr)
+    bufs = arr.buffers()
+    if pa.types.is_null(typ) or not n:
+        def cells(pos):
+            return [None] * len(pos)
+        return cells
+    if pa.types.is_integer(typ) or pa.types.is_floating(typ):
+        vals = memoryview(np.frombuffer(bufs[1], typ.to_pandas_dtype())[first:first + n])
+
+        def cells(pos):
+            return [vals[p] for p in pos]
+    elif pa.types.is_string(typ) or pa.types.is_large_string(typ):
+        wide = pa.types.is_large_string(typ)
+        off = memoryview(np.frombuffer(bufs[1], np.int64 if wide else np.int32)
+                         [first:first + n + 1])
+        data = memoryview(bufs[2] if bufs[2] is not None else b"")
+        utf8 = codecs.utf_8_decode
+
+        def cells(pos):
+            return [utf8(data[off[p]:off[p + 1]])[0] for p in pos]
+    elif pa.types.is_fixed_size_binary(typ):
+        width, data = typ.byte_width, memoryview(bufs[1])
+        value = memoryview.hex if name == "content_sha256" else bytes
+
+        def cells(pos):
+            return [value(data[(p + first) * width:(p + first + 1) * width]) for p in pos]
+    else:
+        def cells(pos):
+            return [arr[p].as_py() for p in pos]
+        return cells
+    if not arr.null_count:
+        return cells
+    valid = memoryview(bufs[0])
+
+    def nullable(pos):
+        out = cells(pos)
+        for j, p in enumerate(pos):
+            if not valid[(p + first) >> 3] >> ((p + first) & 7) & 1:
+                out[j] = None
+        return out
+
+    return nullable
+
+
+class DocRows:
+    """A read-only row view of a docmeta table (``_docmeta_table``)
+    over the table's own Arrow buffers, built once per generation
+    (``_column_cells``). It copies no buffer and holds no per-doc
+    Python object: ``rows`` makes the values of the rows it is asked
+    for, equal value for value and type for type to the table's
+    ``take(...).to_pylist()`` with ``content_sha256`` as hex."""
+
+    def __init__(self, table: pa.Table):
+        self.table = table  # owns the buffers the views read
+        self.ids = table["doc_id"].to_numpy()
+        self.names = table.column_names
+        self.cells = [_column_cells(c, table[c]) for c in self.names]
+
+    def rows(self, doc_ids) -> list[dict]:
+        """The rows of ``doc_ids``, ascending, unknown ids left out:
+        one ``searchsorted``, then per-cell indexing."""
+        ids = sorted({int(d) for d in doc_ids})
+        known = memoryview(self.ids)
+        pos = [p for p, d in zip(np.searchsorted(self.ids, ids).tolist(), ids)
+               if p < len(known) and known[p] == d]
+        return [dict(zip(self.names, vals))
+                for vals in zip(*(cells(pos) for cells in self.cells))]
 
 
 def load_docmeta(index_dir: str) -> pa.Table:
@@ -346,12 +429,12 @@ def _kill(actors: list, sockets: set, lock: threading.Lock) -> None:
 class _ActorSet:
     """The replicas of one fresh pool, shared by every generation
     derived from it: their actors, the pool's secret, each replica's
-    address and idle router connections, the round-robin turn and the
-    count of retried frames. A thread takes an idle connection to the
-    replica or opens one, and puts it back after the reply, so no two
-    threads share a socket. The actors are killed and every router
-    socket is closed when the last of those generations is collected,
-    or by ``ShardedQueryService.shutdown``."""
+    address and idle router connections, the round-robin turn, the
+    replicas found down and the count of retried frames. A thread takes
+    an idle connection to the replica or opens one, and puts it back
+    after the reply, so no two threads share a socket. The actors are
+    killed and every router socket is closed when the last of those
+    generations is collected, or by ``ShardedQueryService.shutdown``."""
 
     def __init__(self, index_dir: str, gen: int, n: int):
         self.secret = secrets.token_bytes(_SECRET_BYTES)
@@ -363,6 +446,9 @@ class _ActorSet:
         self.sockets: set[socket.socket] = set()  # open ones, idle or in use
         self.lock = threading.Lock()
         self.turns = itertools.cycle(range(n))
+        # replicas that refused a connect: their process is gone, and
+        # they get no more turns in this actor set
+        self.down: set[int] = set()
         self.retries = 0
         self.kill = weakref.finalize(self, _kill, self.actors, self.sockets, self.lock)
         self.kill.atexit = False
@@ -372,7 +458,14 @@ class _ActorSet:
         self.addresses = ray.get(self.addresses)
 
     def _connect(self, i: int) -> socket.socket:
-        sock = socket.create_connection(self.addresses[i], timeout=_HANDSHAKE_S)
+        """A new connection to replica ``i``; a refused connect marks
+        the replica down."""
+        try:
+            sock = socket.create_connection(self.addresses[i], timeout=_HANDSHAKE_S)
+        except ConnectionRefusedError:
+            with self.lock:
+                self.down.add(i)
+            raise
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with self.lock:
@@ -405,17 +498,32 @@ class _ActorSet:
             self.idle[i].append(sock)
         return reply
 
+    def _live(self, after: int | None = None) -> int:
+        """The next replica in turn that is not down; with ``after``,
+        the first one that is not down after replica ``after`` in index
+        order, ``after`` itself last. Raises ConnectionError when every
+        replica is down."""
+        n = len(self.actors)
+        with self.lock:
+            order = (next(self.turns) for _ in range(n)) if after is None \
+                else ((after + j) % n for j in range(1, n + 1))
+            for i in order:
+                if i not in self.down:
+                    return i
+        raise ConnectionError("every replica of the pool is down")
+
     def send(self, frame: bytes) -> tuple[int, bytearray]:
-        """``frame`` to the next replica in turn; if that fails in
-        transport, once more to the replica after it (counted in
-        ``retries``)."""
-        i = next(self.turns)
+        """``frame`` to the next live replica in turn; if that fails in
+        transport, once more to the live replica after it (counted in
+        ``retries``). A replica that refuses a connect is down for the
+        rest of this actor set."""
+        i = self._live()
         try:
             return self._request(i, frame)
         except (OSError, EOFError):
             with self.lock:
                 self.retries += 1
-            return self._request((i + 1) % len(self.actors), frame)
+            return self._request(self._live(after=i), frame)
 
 
 def _retire(actor_set: _ActorSet, gen: int) -> None:
@@ -447,7 +555,7 @@ class ShardedQueryService(PlanCompiler):
         self._set = _ActorSet(index_dir, self.generation, max(1, num_actors))
         self._track()
         # loaded while the actors start
-        self.docmeta = load_docmeta(index_dir)
+        self.docmeta = DocRows(load_docmeta(index_dir))
         self._set.started()  # no request waits for an actor's start-up
 
     @property
@@ -492,9 +600,10 @@ class ShardedQueryService(PlanCompiler):
         (their ids lie above the old span, so it stays sorted)."""
         new_shards = list(range(self.stats["num_shards"], stats["num_shards"]))
         nxt = self._derive(stats, self.tombstones, new_shards)
-        nxt.docmeta = pa.concat_tables(
-            [self.docmeta, _docmeta_table(shard_docmeta_files(self.index_dir, new_shards))],
-            promote_options="permissive").combine_chunks()
+        nxt.docmeta = DocRows(pa.concat_tables(
+            [self.docmeta.table,
+             _docmeta_table(shard_docmeta_files(self.index_dir, new_shards))],
+            promote_options="permissive").combine_chunks())
         return nxt
 
     def deleted(self, tombstones: np.ndarray) -> "ShardedQueryService":

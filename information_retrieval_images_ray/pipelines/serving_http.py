@@ -94,15 +94,20 @@ and carries only the control calls), and concurrent requests spread
 over the replicas round-robin, each HTTP thread on its own connection.
 Every replica holds the whole index, so a search whose replica died
 or whose connection broke is resent once to the next replica and
-counted in /stats ``retries``; with every replica dead it is a prompt
-500. At
-cluster scale N of these routers sit behind any TCP load balancer —
-the routers hold no request state (tokenize + merge + hydrate).
+counted in /stats ``retries``; a replica that refuses a connect gets
+no more turns, and with every replica dead a search is a prompt 500.
+A POST body that is not a JSON object is a 400. At cluster scale N of
+these routers sit behind any TCP load balancer — the routers hold no
+request state (tokenize + merge + hydrate).
 
 The query path reads nothing from disk (snippets, PRF feedback docs
-and positional verification excepted): hydration is a lookup in the
-serving generation's in-memory docmeta (``hydrate_hits``), and
-tombstones come with the generation. Every index write made through
+and positional verification excepted), and tombstones come with the
+generation. Hydration (``hydrate_hits``) reads the serving
+generation's in-memory docmeta through a ``serving.DocRows`` view
+built with the generation: a ``searchsorted`` over the sorted doc ids,
+then each hit's cells straight from the table's Arrow buffers, so a
+page of the column types the build writes costs no Arrow call, and the
+router holds no per-doc Python object. Every index write made through
 the server installs a new pool generation (``ShardedQueryService``)
 before it returns: /extend attaches only the new shards to the
 running actors, /delete swaps only the tombstones, and /reload alone
@@ -175,25 +180,17 @@ def attach_snippets(rows: list[dict], corpus_path: str, qterms: set[str],
 
 def hydrate_hits(svc: ShardedQueryService, doc_ids) -> list[dict]:
     """The docmeta rows of ``doc_ids`` (ascending, unknown ids left
-    out) from the pool's in-memory snapshot: a ``searchsorted`` and a
-    ``take``, no disk read. Python values, ``None`` for nulls,
-    ``content_sha256`` as hex."""
-    meta = svc.docmeta
-    known = meta["doc_id"].to_numpy()
-    ids = np.unique(np.asarray(doc_ids, np.int64))
-    pos = np.searchsorted(known, ids)
-    found = pos < len(known)
-    found[found] = known[pos[found]] == ids[found]
-    rows = meta.take(pos[found]).to_pylist()
-    for r in rows:
-        if r.get("content_sha256") is not None:
-            r["content_sha256"] = r["content_sha256"].hex()
-    return rows
+    out) from the generation's in-memory table, read through its
+    ``serving.DocRows`` view: a ``searchsorted``, then each cell from
+    the Arrow buffers, with no disk read. Python values, ``None`` for
+    nulls, ``content_sha256`` as hex."""
+    return svc.docmeta.rows(doc_ids)
 
 
 def _attach_meta(svc: ShardedQueryService, rows: list[dict]) -> None:
-    """Hydrate hit rows in place with ONE ``hydrate_hits`` lookup
-    (fields the row already carries win)."""
+    """Hydrate hit rows in place with ONE ``hydrate_hits`` lookup (a
+    ``searchsorted`` and per-cell reads of the docmeta buffers; fields
+    the row already carries win)."""
     if not rows:
         return
     meta = {m["doc_id"]: m for m in hydrate_hits(svc, [r["doc_id"] for r in rows])}
@@ -330,7 +327,13 @@ class IndexHTTPServer:
             def do_POST(self):
                 try:
                     n = int(self.headers.get("Content-Length", 0))
-                    req = json.loads(self.rfile.read(n) or b"{}")
+                    try:  # the body is read whole, so the connection stays usable
+                        req = json.loads(self.rfile.read(n) or b"{}")
+                        if not isinstance(req, dict):
+                            raise ValueError("the request body must be a JSON object")
+                    except ValueError as e:  # not JSON, not UTF-8, or not an object
+                        self._json(400, {"error": f"malformed request body: {e}"})
+                        return
                     if self.path == "/reset":
                         if not req.get("confirm") is True:
                             self._json(400, {"error": "refusing: pass {\"confirm\": true}"})
@@ -540,13 +543,11 @@ class IndexHTTPServer:
             plans[i] = p
         hits = svc.topk(plans, k=k, doc_filter=("lang", lang) if lang else None,
                         offset=offset)
+        # ``topk``'s rows are fresh dicts: each becomes its hit row
+        # without its qid (rank, doc_id, score, group, group_n)
         rows: dict[int, list[dict]] = {p["qid"]: [] for p in plans}
         for h in hits:
-            rows[h["qid"]].append({
-                "rank": h["rank"], "doc_id": int(h["doc_id"]), "score": h["score"],
-                **({"group": h["group"], "group_n": h["group_n"]}
-                   if "group" in h else {}),
-            })
+            rows[h.pop("qid")].append(h)
         out = [rows[p["qid"]] for p in plans]
         for body, page in zip(bodies, out):
             if body.get("explain") and page:

@@ -142,6 +142,57 @@ def test_sorted_terms_lookup_matches_python_order():
     assert list(tail.prefixed("a")) == []
 
 
+def test_each_term_is_looked_up_once_per_call(tmp_path, monkeypatch):
+    """A bm25 ``topk``, a ``search_taat`` and an ``explain`` of a query
+    with n distinct indexed terms over S loaded shards make at most n·S
+    ``SortedTerms.find`` calls: the df sum and the scorer share each
+    term's lookups. Ranks and scores equal ``bm25_brute_force``, and
+    each doc's explain contributions sum to its score."""
+    import ray.data
+
+    from information_retrieval_images_ray.functions.bm25 import bm25_brute_force
+    from information_retrieval_images_ray.functions.tokenizer import get_tokenizer
+    from information_retrieval_images_ray.pipelines.query import SortedTerms
+
+    words = "alpha bravo charlie delta echo foxtrot golf hotel india juliet".split()
+    rng = np.random.default_rng(7)
+    rows = [{"doc_id": i, "content": " ".join(rng.choice(words, 12))} for i in range(80)]
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_items(rows), idx, tokenizer="simple", num_shards=4)
+    tok = get_tokenizer("simple")
+    docs = {r["doc_id"]: tok(r["content"]) for r in rows}
+    reader = IndexReader(idx)
+    n_shards = sum(sh is not None for sh in reader.shards)
+    assert n_shards == 4
+
+    probes: list[str] = []
+    find = SortedTerms.find
+    monkeypatch.setattr(SortedTerms, "find",
+                        lambda self, term: probes.append(term) or find(self, term))
+    for q in ("alpha", "bravo delta", "echo alpha golf echo", "india juliet hotel charlie"):
+        terms = sorted(set(tok(q)))
+        bound = len(terms) * n_shards
+        want = bm25_brute_force(docs, terms, k=10)
+        assert want, q
+
+        probes.clear()
+        hits = reader.topk([reader.compile("bm25", q)], 10)
+        assert len(probes) <= bound, (q, "topk", len(probes))
+        assert [(h["doc_id"], h["score"]) for h in hits] == want, q
+
+        probes.clear()
+        assert reader.search_taat(q, 10) == want, q
+        assert len(probes) <= bound, (q, "search_taat", len(probes))
+
+        probes.clear()
+        explained = reader.explain(q, [d for d, _ in want])
+        assert len(probes) <= bound, (q, "explain", len(probes))
+        total: dict[int, float] = {}
+        for r in explained:
+            total[r["doc_id"]] = total.get(r["doc_id"], 0.0) + r["contribution"]
+        assert [(d, total[d]) for d, _ in want] == want, q
+
+
 def test_query_scorer_actor_pool(built_index, fixture_spec):
     """Batch-of-queries via map_batches actor pool (T1 Ray mapping)."""
     import ray.data

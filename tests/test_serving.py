@@ -487,3 +487,60 @@ def test_page_cache_concurrent_searches(served_index):
     assert c["hits"] + c["misses"] == 48 and c["hits"] > 0
     assert c["rows"] == sum(len(w) or 1 for q, w in want.items()
                             if q != "sort merge hash")
+
+
+def test_docrows_matches_take_to_pylist_for_every_column_type():
+    """``DocRows.rows`` over a table whose columns cover the types the
+    view reads from buffers (signed, unsigned and floating numbers,
+    string, large string, fixed-size binary, an all-null column) and
+    some it reads through scalars (boolean, binary, large binary,
+    timestamp), with nulls in each and non-zero array offsets (a sliced
+    table), equals ``take(...).to_pylist()`` value for value and type
+    for type, with ``content_sha256`` as hex. Unknown ids are left out,
+    duplicates come once, and an empty table hydrates nothing."""
+    import datetime
+
+    import numpy as np
+    import pyarrow as pa
+
+    from information_retrieval_images_ray.pipelines.serving import DocRows
+
+    n = 40
+    rng = np.random.default_rng(3)
+    null = rng.random(n) < 0.3
+
+    def col(values, typ):
+        return pa.array([None if z else v for v, z in zip(values, null)], typ)
+
+    table = pa.table({
+        "doc_id": pa.array(np.arange(0, 2 * n, 2), pa.int64()),
+        "content_sha256": pa.array([bytes([i]) * 32 for i in range(n)], pa.binary(32)),
+        "i8": col(rng.integers(-128, 127, n).tolist(), pa.int8()),
+        "u64": col([2**63 + i for i in range(n)], pa.uint64()),
+        "f32": col((rng.random(n) * 1e3).tolist(), pa.float32()),
+        "f64": col(rng.normal(size=n).tolist(), pa.float64()),
+        "flag": col([bool(i % 3) for i in range(n)], pa.bool_()),
+        "s": col([f"s{i}é" * (i % 4) for i in range(n)], pa.string()),
+        "ls": col([f"日本{i}" for i in range(n)], pa.large_string()),
+        "b": col([bytes(range(i % 5)) for i in range(n)], pa.binary()),
+        "lb": col([b"x" * i for i in range(n)], pa.large_binary()),
+        "fb": col([bytes([i, 255 - i]) for i in range(n)], pa.binary(2)),
+        "ts": col([datetime.datetime(2020, 1, 1 + i % 28) for i in range(n)],
+                  pa.timestamp("s")),
+        "nothing": pa.nulls(n),
+    })
+    for t in (table, table.slice(7, 25)):
+        view = DocRows(t)
+        known = t["doc_id"].to_pylist()
+        ids = [known[-1], 1, known[0], known[3], known[3], 10**6, known[len(known) // 2]]
+        want = t.take(sorted({known.index(d) for d in ids if d in known})).to_pylist()
+        for r in want:
+            r["content_sha256"] = r["content_sha256"].hex()
+        got = view.rows(ids)
+        assert got == want
+        for g, w in zip(got, want):
+            assert list(g) == list(w)
+            for k in w:
+                assert type(g[k]) is type(w[k]), (k, g[k], w[k])
+        assert view.rows([]) == [] and view.rows([1, 3]) == []
+    assert DocRows(table.slice(0, 0)).rows([0, 2]) == []
