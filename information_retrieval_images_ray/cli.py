@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import sys
 
@@ -249,16 +250,11 @@ def cmd_query(args) -> int:
 
 def cmd_show(args) -> int:
     """Index inspection (reference --show-db / db_contents.py)."""
-    from .pipelines.query import IndexReader
+    from .pipelines.query import shard_summary
 
-    reader = IndexReader(args.index)
-    summary = {
-        "stats": reader.stats,
-        "shards": [
-            {"shard": s, "n_terms": sh.n_terms, "n_postings": sh.df_local_sum}
-            for s, sh in enumerate(reader.shards)
-        ],
-    }
+    with open(os.path.join(args.index, "stats.json")) as f:
+        stats = json.load(f)
+    summary = {"stats": stats, "shards": shard_summary(args.index)}
     print(json.dumps(summary, indent=1))
     return 0
 

@@ -28,7 +28,7 @@ import pandas as pd
 from ..functions.tokenizer import tokenize_simple
 from ..sources.corpus_source import read_documents_table
 from .build import build_index
-from .query import IndexReader, QueryScorer
+from .query import IndexReader, QueryScorer, shard_summary
 
 # Frozen query battery over the documents vocabulary (31 terms, one
 # rare term 'dup'): rare, hot, multi-term, no-hit shapes.
@@ -438,13 +438,10 @@ def run_bm25_explain(
 
 
 def segment_summary(sf_dir: str) -> pd.DataFrame:
-    """Per-shard (shard, n_terms, n_postings) — SQL-checkable via the
-    doc-range shard function shard = doc_id * S // span."""
-    index_dir = build_documents_index(sf_dir)
-    reader = IndexReader(index_dir)
-    rows = []
-    for s, sh in enumerate(reader.shards):
-        rows.append((s, sh.n_terms, sh.df_local_sum))
+    """Per-shard (shard, n_terms, n_postings) from the shards' segment
+    files — SQL-checkable via the doc-range shard function shard =
+    doc_id * S // span."""
+    rows = shard_summary(build_documents_index(sf_dir))
     return pd.DataFrame(rows, columns=["shard", "n_terms", "n_postings"]).astype("int64")
 
 

@@ -24,10 +24,17 @@ hydrate metadata -> ranked output). Differences by design:
   slower than this accumulator on both serving workloads at every
   corpus size tried, so it was removed with its skip and bound columns.
 
-Scale notes: shards here are doc_id ranges and every reader holds
-all of them, postings decoded (12 B per posting). An index that
-outgrows one process would need shard-subset readers behind a merging
-router again; no workload served here does.
+Scale notes: shards are the build's on-disk unit, doc_id ranges that
+build, resume and compact one at a time. A reader holds every shard,
+and in memory it groups them into segments, one per index write it
+has seen (``_Segment``): the shards on disk when it loaded form one,
+and each ``attach`` (an extend's new shards) adds one more. A term is
+then one dictionary entry per segment, its postings one contiguous,
+ascending slice, decoded at load (12 B per posting), so a query costs
+one binary search, one partial and one scatter-add per distinct term
+and segment, whatever the shard count. An index that outgrows one
+process would need shard-subset readers behind a merging router
+again; no workload served here does.
 """
 
 from __future__ import annotations
@@ -209,7 +216,7 @@ class SortedTerms:
     int32 offsets as a memoryview of Python ints and the UTF-8 data as
     one ``bytes``. UTF-8 byte order is code-point order, which is both
     Arrow's string sort order and ``str`` comparison, so a probe
-    compares as its encoding. ``_ShardIndex``'s term dictionary."""
+    compares as its encoding. ``_Segment``'s term dictionary."""
 
     def __init__(self, arr):
         if isinstance(arr, pa.ChunkedArray):
@@ -258,43 +265,51 @@ class SortedTerms:
             yield v.decode()
 
 
-class _ShardIndex:
-    """One doc-range shard: a sorted term dictionary and every row's
-    postings, decoded once at load.
+class _Segment:
+    """The shards of one index write, loaded as one unit (Lucene's
+    per-segment term dictionary): one sorted term dictionary over all
+    of them and every term's postings, decoded once at load.
 
-    The term column stays Arrow (binary-searched by ``SortedTerms``, no
-    vocab-sized python dict). The ``docs`` and ``tfs`` varbyte columns
-    are decoded for all rows in one vectorized pass into two flat
-    arrays, doc ids (int64) and tfs (uint32), that ``postings`` slices
-    by row; a query then never decodes. That costs 12 B per posting
-    held, against the 2-3 B of the encoded columns.
+    The shards are consecutive doc-id ranges, so the segment covers
+    [``lo``, ``hi``). Their segment files are concatenated in shard
+    order and the rows sorted by term with a stable sort, so a term's
+    rows (one per shard that holds it) stay in shard order, and its
+    postings are one contiguous, ascending slice of two flat arrays,
+    doc ids (int64) and tfs (uint32), decoded for all rows in one
+    vectorized pass; a query then never decodes. That costs 12 B per
+    posting held, against the 2-3 B of the encoded columns. The term
+    column stays Arrow (binary-searched by ``SortedTerms``, no
+    vocab-sized python dict).
     """
 
-    def __init__(self, seg_dir: str, lo: int, hi: int, block_size: int,
-                 cache_bytes: int = 0):
+    def __init__(self, index_dir: str, shards: list[int], bounds: list[int],
+                 block_size: int, cache_bytes: int = 0):
         import pyarrow.compute as pc
 
         from collections import OrderedDict
 
-        self.lo, self.hi = lo, hi
-        # LRU of per-term BM25 partials, keyed by (row index, avgdl):
+        from .build import segment_shard_dir
+
+        self.shards = list(shards)
+        self.lo, self.hi = bounds[self.shards[0]], bounds[self.shards[-1] + 1]
+        # LRU of per-term BM25 partials, keyed by (term index, avgdl):
         # (doc_ids int64, tf_partial float64) — everything score-side
         # except the per-query idf weight, which just scales it. Zipf
         # query workloads hit the same hot terms constantly. avgdl is in
         # the key because readers of two index generations share this
-        # shard (``IndexReader.attach``). Budget-bounded
-        # (``cache_bytes`` total per shard), evicts least-recent.
+        # segment (``IndexReader.attach``). Budget-bounded
+        # (``cache_bytes`` total per segment), evicts least-recent.
         self._part_cache: "OrderedDict[tuple[int, float], tuple[np.ndarray, np.ndarray]]" = (
             OrderedDict()
         )
         self._cache_budget = int(cache_bytes)
         self._cache_used = 0
         self.hits = self.misses = 0
-        files = sorted(glob.glob(os.path.join(seg_dir, "*.parquet")))
+        self.n_terms = 0
+        self.terms = None
+        files = [f for s in self.shards for f in sorted(glob.glob(
+            os.path.join(segment_shard_dir(index_dir, s), "*.parquet")))]
         if not files:
-            self.n_terms = 0
-            self.df_local_sum = 0
-            self.terms = self._terms = None
             return
         # only the columns scoring reads: an index written with the
         # block-max WAND skip and bound columns loads the same way
@@ -302,27 +317,32 @@ class _ShardIndex:
             pq.read_table(f, columns=["term", "df_local", "docs", "tfs"])
             for f in files
         ])
-        # sort rows by term ONCE (C-speed); lookups are then O(log V)
-        # binary searches touching ~17 strings
+        if not t.num_rows:
+            return
+        # sort rows by term ONCE (C-speed, stable: a term's rows keep
+        # their shard order); lookups are then O(log V) binary searches
         t = t.take(pc.sort_indices(t["term"])).combine_chunks()
-        self.terms = SortedTerms(t["term"])
-        self._terms = self.terms.arrow
-        self._df_local = t["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
-        self.n_terms = len(self._terms)
-        self.df_local_sum = int(self._df_local.sum())
-        # row i's postings are [_start[i], _start[i + 1]) of the flat arrays
-        self._start = np.concatenate(([0], np.cumsum(self._df_local)))
-        self._ids = _decode_doc_column(t["docs"], self._df_local, block_size)
+        rows_df = t["df_local"].to_numpy(zero_copy_only=False).astype(np.int64)
+        self._ids = _decode_doc_column(t["docs"], rows_df, block_size)
         self._tfs = decode_varbyte(_binary_values(t["tfs"]),
-                                   self.df_local_sum).astype(np.uint32)
+                                   int(rows_df.sum())).astype(np.uint32)
         # ``postings`` hands out views, and partials cached in an LRU hold them
         self._ids.setflags(write=False)
         self._tfs.setflags(write=False)
+        # one dictionary entry per term: the first of its rows
+        term = t["term"].chunk(0)
+        first = np.flatnonzero(np.concatenate(([True], ~pc.equal(
+            term.slice(1), term.slice(0, len(term) - 1)).to_numpy(zero_copy_only=False))))
+        self.terms = SortedTerms(term.take(pa.array(first)))
+        self.n_terms = len(first)
+        # term i's df, and its postings [_start[i], _start[i + 1]) of the flat arrays
+        self._df = np.add.reduceat(rows_df, first)
+        self._start = np.concatenate(([0], np.cumsum(self._df)))
 
     def rev_terms(self):
         """Reversed-term dictionary (terms codepoint-reversed, then
         C-sorted), built lazily on the FIRST leading-``*`` wildcard
-        and cached for the shard's lifetime — suffix queries become
+        and cached for the segment's lifetime — suffix queries become
         one contiguous prefix range on this array (the standard
         reversed-dictionary trick; Lucene's ReverseStringFilter
         sidecar field). Vectorized arrow build (utf8_reverse +
@@ -330,39 +350,40 @@ class _ShardIndex:
         paid only by workloads that actually issue ``*tail``
         patterns."""
         rev = getattr(self, "_rev_terms", None)
-        if rev is None and self._terms is not None:
+        if rev is None and self.terms is not None:
             import pyarrow.compute as pc
 
-            flipped = pc.utf8_reverse(self._terms)
+            flipped = pc.utf8_reverse(self.terms.arrow)
             rev = SortedTerms(pc.take(flipped, pc.sort_indices(flipped)))
             self._rev_terms = rev
         return rev
 
     def find(self, term: str) -> int | None:
-        """Binary search the sorted term column; row index or None."""
+        """Binary search the sorted term dictionary; term index or None."""
         return None if self.terms is None else self.terms.find(term)
 
-    def df_local_at(self, i: int) -> int:
-        return int(self._df_local[i])
+    def df_at(self, i: int) -> int:
+        """Term ``i``'s df over the segment's shards."""
+        return int(self._df[i])
 
     def postings(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row ``i``'s (doc_ids int64, tfs uint32), views into the
-        arrays decoded at load."""
+        """Term ``i``'s (doc_ids int64 ascending, tfs uint32), views
+        into the arrays decoded at load."""
         a, b = self._start[i], self._start[i + 1]
         return self._ids[a:b], self._tfs[a:b]
 
     def partial(
         self, i: int, doc_len: np.ndarray, k1: float, b: float, avgdl: float,
     ) -> tuple[np.ndarray | None, np.ndarray]:
-        """BM25 tf-partial for row ``i`` — computed once and LRU-cached
-        within the budget. The partial depends only on
+        """BM25 tf-partial for term ``i`` — computed once and
+        LRU-cached within the budget. The partial depends only on
         (tf, dl, avgdl, k1, b), of which only avgdl changes between
         index generations; a query's contribution is ``idf_weight *
         partial``.
 
         Returns ``(doc_ids int64, partial)`` sparse form, or
-        ``(None, dense partial over the shard span)`` for stopword-like
-        terms (df >= half the span): the dense form replaces the
+        ``(None, dense partial over [lo, hi))`` for stopword-like terms
+        (df >= half the segment's span): the dense form replaces the
         accumulator's 1-per-posting scatter-add with one SIMD array add
         AND is smaller (span*8 < df*16 bytes). Non-matching docs hold
         0.0, which is never a valid BM25 partial (tf>=1 => partial>0),
@@ -406,18 +427,18 @@ def _nbytes(entry: tuple[np.ndarray | None, np.ndarray]) -> int:
 
 
 class _TermLocs(dict):
-    """term -> [(shard_idx, row_idx)] over a reader's loaded shards,
-    each term looked up on its first use: one binary search per shard.
+    """term -> [(segment, term index)] over a reader's segments, each
+    term looked up on its first use: one binary search per segment.
     One lives for one reader call, whose df sum and ``_matches`` then
     share every lookup; nothing outlives the call."""
 
-    def __init__(self, shards):
+    def __init__(self, segments):
         super().__init__()
-        self.shards = shards
+        self.segments = segments
 
-    def __missing__(self, term: str) -> list[tuple[int, int]]:
-        locs = self[term] = [(s, i) for s, sh in enumerate(self.shards)
-                             if sh is not None and (i := sh.find(term)) is not None]
+    def __missing__(self, term: str) -> list[tuple["_Segment", int]]:
+        locs = self[term] = [(sg, i) for sg in self.segments
+                             if (i := sg.find(term)) is not None]
         return locs
 
 
@@ -613,6 +634,28 @@ def shard_docmeta_files(index_dir: str, shards) -> list[str]:
         os.path.join(docmeta_shard_dir(index_dir, s), "*.parquet")))]
 
 
+def shard_summary(index_dir: str) -> list[dict]:
+    """{"shard", "n_terms", "n_postings"} of every shard of the index,
+    read from its segment files on disk: the Parquet row counts and
+    the ``df_local`` sum. No reader is loaded."""
+    import pyarrow.compute as pc
+
+    from .build import segment_shard_dir
+
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        num_shards = json.load(f)["num_shards"]
+    out = []
+    for s in range(num_shards):
+        files = sorted(glob.glob(os.path.join(segment_shard_dir(index_dir, s), "*.parquet")))
+        out.append({
+            "shard": s,
+            "n_terms": sum(pq.ParquetFile(f).metadata.num_rows for f in files),
+            "n_postings": sum(pc.sum(pq.read_table(f, columns=["df_local"])["df_local"]).as_py() or 0
+                              for f in files),
+        })
+    return out
+
+
 class IndexReader(PlanCompiler):
     """Loads a whole built index directory; executes query plans over
     it. The serial reader, each ``QueryScorer`` actor and each replica
@@ -624,15 +667,15 @@ class IndexReader(PlanCompiler):
 
     def __init__(self, index_dir: str, cache_bytes: int = 256 << 20):
         """``cache_bytes`` bounds the reader-wide BM25-partial LRU
-        (split evenly across shards; 0 disables) — hot terms' partials
-        are computed once, repeat queries reuse them."""
+        (each segment gets its shards' even share; 0 disables) — hot
+        terms' partials are computed once, repeat queries reuse them."""
         self.index_dir = index_dir
         with open(os.path.join(index_dir, "stats.json")) as f:
             stats = json.load(f)
         self.params = BM25Params(stats["k1"], stats["b"])
         self.block_size = stats["block_size"]
         self.tokenize = get_tokenizer(stats["tokenizer"])
-        # a shard attached later (``attach``) gets the same share
+        # a shard attached later (``attach``) brings the same share
         self._shard_cache_bytes = int(cache_bytes) // max(1, stats["num_shards"])
 
         # tombstoned docs (pipelines/maintenance.delete_docs) are
@@ -640,7 +683,9 @@ class IndexReader(PlanCompiler):
         from .maintenance import load_tombstones
 
         self._set_stats(stats, load_tombstones(index_dir))
-        self.shards: list[_ShardIndex | None] = [None] * self.num_shards
+        # one per index write this reader has seen: the shards on disk
+        # at load, then each ``attach``'s new shards
+        self.segments: list[_Segment] = []
         # doc_len array, dense over the doc_id span
         self.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
         # kept for lazy metadata-filter masks (meta_mask); building one
@@ -670,16 +715,13 @@ class IndexReader(PlanCompiler):
             self.doc_len[ids] = t["doc_len"].to_numpy(zero_copy_only=False)
 
     def _load(self, shards) -> None:
-        """Load ``shards``: their segments and their docs' lengths."""
-        from .build import segment_shard_dir
-
-        bounds = self.stats["shard_bounds"]
+        """Load ``shards`` (consecutive) as one more segment, and their
+        docs' lengths."""
         files = shard_docmeta_files(self.index_dir, shards)
-        for s in shards:
-            self.shards[s] = _ShardIndex(
-                segment_shard_dir(self.index_dir, s), bounds[s], bounds[s + 1],
-                self.block_size, cache_bytes=self._shard_cache_bytes,
-            )
+        if shards:
+            self.segments = self.segments + [_Segment(
+                self.index_dir, shards, self.stats["shard_bounds"], self.block_size,
+                cache_bytes=self._shard_cache_bytes * len(shards))]
         self._read_doc_len(files)
         self._meta_files = self._meta_files + files
 
@@ -689,11 +731,11 @@ class IndexReader(PlanCompiler):
         global ``stats`` after an extend (or the same stats after a
         delete), ``shards`` the shards the extend added, ``tombstones``
         the new set (None keeps this one's). Only ``shards`` are read
-        from disk; every shard already loaded is shared with this
-        reader, which keeps serving its own generation unchanged."""
+        from disk, as one new segment; every segment already loaded is
+        shared with this reader, which keeps serving its own generation
+        unchanged."""
         nxt = copy.copy(self)
         nxt._set_stats(stats, self.tombstones if tombstones is None else tombstones)
-        nxt.shards = self.shards + [None] * (nxt.num_shards - len(self.shards))
         if shards:
             nxt.doc_len = np.zeros(stats["doc_id_span"], dtype=np.float64)
             nxt.doc_len[:len(self.doc_len)] = self.doc_len
@@ -718,7 +760,7 @@ class IndexReader(PlanCompiler):
         expand every plan with a pending expansion spec; one df lookup
         for the plans without resolved weights; per plan ``execute``
         and the rank (after the positional verify for positional
-        plans). Each distinct term is looked up in the shard
+        plans). Each distinct term is looked up in the segment
         dictionaries once per call (``_TermLocs``). The serving router
         (``serving.ShardedQueryService``) runs this whole method on one
         replica actor, behind its generation's page cache, for the
@@ -732,7 +774,7 @@ class IndexReader(PlanCompiler):
                 raise FileNotFoundError(
                     f"no positions sidecar under {self.index_dir} — "
                     "run build_positions_sidecar first")
-        locs = _TermLocs(self.shards)
+        locs = _TermLocs(self.segments)
         plans = self.expand(self._resolve_feedback(plans, doc_filter, locs))
         need = sorted({t for p in plans if p["weights"] is None for t in p["terms"]})
         gdf = self._dfs(need, locs)
@@ -870,18 +912,18 @@ class IndexReader(PlanCompiler):
                 for t, d in self._dfs(sorted(set(terms)), locs).items()}
 
     def df_locals(self, terms: list[str]) -> dict[str, int]:
-        """term -> global df, the sum of its df_local over the shards;
+        """term -> global df, the sum of its df over the segments;
         terms with df 0 are left out. Each term is looked up once in
-        every shard's dictionary; a call that also scores the terms
+        every segment's dictionary; a call that also scores the terms
         shares those lookups through ``_dfs``."""
-        return self._dfs(terms, _TermLocs(self.shards))
+        return self._dfs(terms, _TermLocs(self.segments))
 
     def _dfs(self, terms: list[str], locs: _TermLocs) -> dict[str, int]:
-        """``df_locals`` of ``terms`` with their (shard, row) locations
-        taken from (and added to) ``locs``."""
+        """``df_locals`` of ``terms`` with their (segment, term index)
+        locations taken from (and added to) ``locs``."""
         out = {}
         for t in terms:
-            df = sum(self.shards[s].df_local_at(i) for s, i in locs[t])
+            df = sum(sg.df_at(i) for sg, i in locs[t])
             if df:
                 out[t] = df
         return out
@@ -949,63 +991,51 @@ class IndexReader(PlanCompiler):
         terms, when it contains at least one weighted term. Scores sum
         ``weight * partial`` over the weighted terms in sorted-term
         float64 order (the add order of the brute-force oracle, so
-        scores are bitwise equal to it). Per shard one dense score
-        accumulator plus, when needed, a must-presence counter and an
-        exclusion flag — no per-doc python. Tombstones and the optional
-        metadata filter are excluded. Terms are located through
-        ``locs``, the calling method's lookups (a fresh ``_TermLocs``
-        when None), so a term whose df that call already summed is not
-        looked up again."""
+        scores are bitwise equal to it). One dense score accumulator
+        over the doc-id span plus, when needed, a must-presence counter
+        and an exclusion flag — no per-doc python. Per distinct term
+        and segment, one scatter-add (or one slice add of a dense
+        partial). Tombstones and the optional metadata filter are
+        excluded. Terms are located through ``locs``, the calling
+        method's lookups (a fresh ``_TermLocs`` when None), so a term
+        whose df that call already summed is not looked up again."""
         mask = self._resolve_filter(doc_filter)
         if locs is None:
-            locs = _TermLocs(self.shards)
+            locs = _TermLocs(self.segments)
         must_s, not_s = set(must), set(must_not)
-        acc: dict[int, np.ndarray] = {}
-        cnt: dict[int, np.ndarray] = {}
-        exc: dict[int, np.ndarray] = {}
+        span = len(self.doc_len)
+        acc = cnt = exc = None
         k1, b = self.params.k1, self.params.b
         for t in sorted(set(weights) | must_s | not_s):
             w = weights.get(t)
-            for s, i in locs[t]:
-                sh = self.shards[s]
-                ids, part = sh.partial(i, self.doc_len, k1, b, self.avgdl)
+            for sg, i in locs[t]:
+                ids, part = sg.partial(i, self.doc_len, k1, b, self.avgdl)
                 if w is not None:
-                    if s not in acc:
-                        acc[s] = np.zeros(sh.hi - sh.lo, dtype=np.float64)
+                    if acc is None:
+                        acc = np.zeros(span, dtype=np.float64)
                     if ids is None:  # dense stopword form: one SIMD add
-                        acc[s] += w * part
+                        acc[sg.lo:sg.hi] += w * part
                     else:
-                        acc[s][ids - sh.lo] += w * part
+                        acc[ids] += w * part
                 if t not in must_s and t not in not_s:
                     continue
                 # presence; in the dense form tf > 0 <=> partial > 0
-                at = part > 0 if ids is None else ids - sh.lo
+                at = np.flatnonzero(part > 0) + sg.lo if ids is None else ids
                 if t in must_s:
-                    if s not in cnt:
-                        cnt[s] = np.zeros(sh.hi - sh.lo, dtype=np.int32)
-                    cnt[s][at] += 1
+                    if cnt is None:
+                        cnt = np.zeros(span, dtype=np.int32)
+                    cnt[at] += 1
                 if t in not_s:
-                    if s not in exc:
-                        exc[s] = np.zeros(sh.hi - sh.lo, dtype=bool)
-                    exc[s][at] = True
-        all_ids, all_scores = [], []
-        for s in sorted(acc):
-            a = acc[s]
-            if must_s:
-                if s not in cnt:
-                    continue
-                sel = cnt[s] == len(must_s)
-            else:
-                sel = a != 0
-            if s in exc:
-                sel &= ~exc[s]
-            nz = np.flatnonzero(sel)
-            all_ids.append((nz + self.shards[s].lo).astype(np.int64))
-            all_scores.append(a[nz])
-        if not all_ids:
+                    if exc is None:
+                        exc = np.zeros(span, dtype=bool)
+                    exc[at] = True
+        if acc is None or (must_s and cnt is None):
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        ids = np.concatenate(all_ids)
-        scores = np.concatenate(all_scores)
+        sel = cnt == len(must_s) if must_s else acc != 0
+        if exc is not None:
+            sel &= ~exc
+        ids = np.flatnonzero(sel).astype(np.int64)
+        scores = acc[ids]
         if mask is not None:
             keep = mask[ids]
             ids, scores = ids[keep], scores[keep]
@@ -1082,7 +1112,7 @@ class IndexReader(PlanCompiler):
         term absent from the index empties the conjunction. The serial
         reference the positional plans' candidate stage (a plan's
         ``must`` terms in ``_matches``) is tested against."""
-        locs = _TermLocs(self.shards)
+        locs = _TermLocs(self.segments)
         return self._matches(self._term_weights(terms, locs),
                              must=sorted(set(terms)), doc_filter=doc_filter, locs=locs)
 
@@ -1149,16 +1179,15 @@ class IndexReader(PlanCompiler):
             return []
         k1, b = self.params.k1, self.params.b
         rows: list[dict] = []
-        locs = _TermLocs(self.shards)
+        locs = _TermLocs(self.segments)
         dfs = self._dfs(sorted(set(self.tokenize(query))), locs)
         for t, df_global in dfs.items():
             w = idf_fn(self.n_docs, df_global)
-            for s, i in locs[t]:
-                sh = self.shards[s]
-                in_span = targets[(targets >= sh.lo) & (targets < sh.hi)]
+            for sg, i in locs[t]:
+                in_span = targets[(targets >= sg.lo) & (targets < sg.hi)]
                 if not len(in_span):
                     continue
-                ids, tfs = sh.postings(i)
+                ids, tfs = sg.postings(i)
                 pos = np.searchsorted(ids, in_span)
                 pos_c = np.minimum(pos, max(len(ids) - 1, 0))
                 hit = (pos < len(ids)) & (ids[pos_c] == in_span)
@@ -1209,22 +1238,22 @@ class IndexReader(PlanCompiler):
         return out
 
     def _dicts(self):
-        """The shards that hold a term dictionary."""
-        return [sh for sh in self.shards if sh is not None and sh._terms is not None]
+        """The segments that hold a term dictionary."""
+        return [sg for sg in self.segments if sg.terms is not None]
 
     def expand_prefix(self, prefix: str, max_expansions: int = 64) -> list[str]:
-        """Dictionary terms starting with ``prefix``: per shard, one
+        """Dictionary terms starting with ``prefix``: per segment, one
         binary search on the C-sorted term column finds the range start,
         then a contiguous forward scan collects matches (prefix matches
         ARE contiguous under lexicographic order). Union across
-        shards, sorted ascending, capped at the lexicographically first
+        segments, sorted ascending, capped at the lexicographically first
         ``max_expansions`` — a deterministic cap (Lucene's
         max_expansions contract), mirrored by the oracle's
-        ``ORDER BY term LIMIT n``. Cost: O(log V + matches) per shard —
+        ``ORDER BY term LIMIT n``. Cost: O(log V + matches) per segment —
         never a vocabulary scan."""
         out: set[str] = set()
-        for sh in self._dicts():
-            out.update(sh.terms.prefixed(prefix))
+        for sg in self._dicts():
+            out.update(sg.terms.prefixed(prefix))
         return sorted(out)[:max_expansions]
 
     def expand_wildcard(
@@ -1237,8 +1266,8 @@ class IndexReader(PlanCompiler):
         expand_prefix); the full pattern is then checked with one
         compiled anchored regex. A leading ``*`` with a literal TAIL
         (``*bar``, ``*mi*ar``) prunes the same way against the
-        per-shard REVERSED-term dictionary (built lazily, see
-        ``_ShardIndex.rev_terms``) — the suffix becomes a contiguous
+        per-segment REVERSED-term dictionary (built lazily, see
+        ``_Segment.rev_terms``) — the suffix becomes a contiguous
         prefix range on reversed terms, so neither anchored variant
         ever scans the vocabulary. Only the doubly-open ``*mid*``
         shape remains a scan (exact; the production answer for infix
@@ -1253,11 +1282,11 @@ class IndexReader(PlanCompiler):
         rx = _re.compile(
             ".*".join(_re.escape(p) for p in pattern.split("*")) + r"\Z")
         out: set[str] = set()
-        for sh in self._dicts():
+        for sg in self._dicts():
             if pfx or not sfx:
-                out.update(v for v in sh.terms.prefixed(pfx) if rx.match(v))
+                out.update(v for v in sg.terms.prefixed(pfx) if rx.match(v))
             else:
-                for v in sh.rev_terms().prefixed(sfx[::-1]):
+                for v in sg.rev_terms().prefixed(sfx[::-1]):
                     if rx.match(v[::-1]):
                         out.add(v[::-1])
         return sorted(out)[:max_expansions]
@@ -1289,8 +1318,8 @@ class IndexReader(PlanCompiler):
             lit.pop()  # quantifier binds the previous atom
         pfx = "".join(lit)
         out: set[str] = set()
-        for sh in self._dicts():
-            out.update(v for v in sh.terms.prefixed(pfx) if rx.fullmatch(v))
+        for sg in self._dicts():
+            out.update(v for v in sg.terms.prefixed(pfx) if rx.fullmatch(v))
         return sorted(out)[:max_expansions]
 
     def expand_fuzzy(
@@ -1307,8 +1336,8 @@ class IndexReader(PlanCompiler):
         check. Sorted + capped like ``expand_prefix``."""
         out: set[str] = set()
         wl = len(word)
-        for sh in self._dicts():
-            for v in sh.terms.prefixed(word[:prefix_len]):
+        for sg in self._dicts():
+            for v in sg.terms.prefixed(word[:prefix_len]):
                 if v not in out and abs(len(v) - wl) <= max_edits \
                         and _levenshtein_leq(v, word, max_edits):
                     out.add(v)
@@ -1320,7 +1349,7 @@ class IndexReader(PlanCompiler):
     ) -> list[tuple[int, float]]:
         """Exhaustive OR-of-terms top-k over an EXPLICIT, already
         normalized term list."""
-        locs = _TermLocs(self.shards)
+        locs = _TermLocs(self.segments)
         return rank_topk(*self._matches(self._term_weights(terms, locs),
                                         doc_filter=doc_filter, locs=locs), k)
 

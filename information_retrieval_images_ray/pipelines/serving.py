@@ -61,23 +61,30 @@ by doc_id, behind a ``DocRows`` view over its Arrow buffers that
 cache. A request takes one generation and uses it for every call it
 makes; each frame names that generation, and a replica keeps one
 ``IndexReader`` view per live generation, the views sharing the
-loaded shards. Constructing the service starts a fresh actor set (the
+loaded segments. Constructing the service starts a fresh actor set (the
 HTTP server does that at start and on /reload). ``extended`` and
 ``deleted`` derive the next generation on the SAME actors: after an
 extend every actor loads the new shards and the router appends their
 docmeta rows (and builds their generation's ``DocRows``); a delete
-only swaps the tombstones (stats stay stale until compaction). When the
+only swaps the tombstones (stats stay stale until compaction). Only
+replicas not known to be down attach; one whose actor died in the
+attach is marked down. When the
 last reference to a generation drops, its actor views are retired
 with the partials cached under an avgdl no live view uses, and an
 actor set is killed, its router sockets closed, once no live
 generation uses it.
 
 Replicas, not partitions: every actor holds every shard, so memory
-per actor is the whole index (postings decoded, see
-``query._ShardIndex``) and more actors add throughput and a retry
-target, not capacity. Rank/score identity with a serial
-``IndexReader`` holds by construction — an actor runs its own
-``topk`` — and is asserted in tests/test_serving.py.
+per actor is the whole index (postings decoded, 12 B each) and more
+actors add throughput and a retry target, not capacity. A replica's
+reader loads the shards of each index write as one segment
+(``query._Segment``): the index on disk at start is one, and each
+extend attached since adds one, so a query's cost follows the writes
+since the last fresh pool, not the shard count. ``counters`` reports
+both: every shard held, and the segments they are loaded as.
+Rank/score identity with a serial ``IndexReader`` holds by
+construction — an actor runs its own ``topk`` — and is asserted in
+tests/test_serving.py.
 
 Reference analogue: the Milvus standalone server holding the
 collection while the app queries it over the wire
@@ -204,9 +211,10 @@ class DocRows:
     """A read-only row view of a docmeta table (``_docmeta_table``)
     over the table's own Arrow buffers, built once per generation
     (``_column_cells``). It copies no buffer and holds no per-doc
-    Python object: ``rows`` makes the values of the rows it is asked
-    for, equal value for value and type for type to the table's
-    ``take(...).to_pylist()`` with ``content_sha256`` as hex."""
+    Python object: ``fill`` writes the values of the rows it is asked
+    for into the caller's dicts, equal value for value and type for
+    type to the table's ``take(...).to_pylist()`` with
+    ``content_sha256`` as hex."""
 
     def __init__(self, table: pa.Table):
         self.table = table  # owns the buffers the views read
@@ -214,15 +222,32 @@ class DocRows:
         self.names = table.column_names
         self.cells = [_column_cells(c, table[c]) for c in self.names]
 
-    def rows(self, doc_ids) -> list[dict]:
-        """The rows of ``doc_ids``, ascending, unknown ids left out:
-        one ``searchsorted``, then per-cell indexing."""
-        ids = sorted({int(d) for d in doc_ids})
+    def fill(self, rows: list[dict]) -> list[dict]:
+        """Add each docmeta column to each row dict of ``rows`` in
+        place, the row's ``doc_id`` naming its doc: one
+        ``searchsorted``, then one cell reader call per column. A
+        column the first row already carries (``doc_id`` among them) is
+        left as the rows have it. Returns the rows whose doc the table
+        holds, in order; the others are left untouched."""
+        if not rows:
+            return []
         known = memoryview(self.ids)
-        pos = [p for p, d in zip(np.searchsorted(self.ids, ids).tolist(), ids)
-               if p < len(known) and known[p] == d]
-        return [dict(zip(self.names, vals))
-                for vals in zip(*(cells(pos) for cells in self.cells))]
+        pos, found = [], []
+        for r, p in zip(rows, np.searchsorted(self.ids, [r["doc_id"] for r in rows]).tolist()):
+            if p < len(known) and known[p] == r["doc_id"]:
+                pos.append(p)
+                found.append(r)
+        if found:
+            for name, cells in zip(self.names, self.cells):
+                if name not in rows[0]:
+                    for r, v in zip(found, cells(pos)):
+                        r[name] = v
+        return found
+
+    def rows(self, doc_ids) -> list[dict]:
+        """The rows of ``doc_ids``, ascending, unknown ids left out
+        (``fill`` of fresh {"doc_id"} dicts)."""
+        return self.fill([{"doc_id": d} for d in sorted({int(d) for d in doc_ids})])
 
 
 def load_docmeta(index_dir: str) -> pa.Table:
@@ -323,7 +348,7 @@ def _pickled_error(e: Exception) -> bytes:
 @ray.remote
 class ShardQueryActor:
     """One replica of the whole index, with one ``IndexReader`` view
-    per live pool generation; the views share every loaded shard.
+    per live pool generation; the views share every loaded segment.
 
     Searches do not come through Ray: the replica listens on a TCP port
     of its node (``address``) and serves each accepted connection in a
@@ -389,30 +414,32 @@ class ShardQueryActor:
             self.views[gen] = self.views[base].attach(stats, shard_ids, tombstones)
 
     def retire(self, gen: int) -> None:
-        """Drop the view of ``gen`` and the partials its shards cached
+        """Drop the view of ``gen`` and the partials its segments cached
         under an avgdl that no live view uses."""
         with self.lock:
             view = self.views.pop(gen, None)
             if view is not None:
                 live = {v.avgdl for v in self.views.values()}
-                for sh in view.shards:
-                    if sh is not None:
-                        sh.purge(live)
+                for sg in view.segments:
+                    sg.purge(live)
 
     def counters(self) -> dict:
-        """Live generation views, shards held, frames served
-        (``calls``), the avgdls with cached partials, partial-cache hits
-        and misses (over the held shards' lifetime)."""
+        """Live generation views, shards held, the segments they are
+        loaded as, frames served (``calls``), the avgdls with cached
+        partials, partial-cache hits and misses (over the held
+        segments' lifetime)."""
         with self.lock:
-            held = {s: sh for v in self.views.values()
-                    for s, sh in enumerate(v.shards) if sh is not None}
+            held = list({id(sg): sg for v in self.views.values()
+                         for sg in v.segments}.values())
             return {
-                "views": len(self.views), "shards": sorted(held),
+                "views": len(self.views),
+                "shards": sorted(s for sg in held for s in sg.shards),
+                "segments": len(held),
                 "calls": self.calls,
-                "partial_avgdls": sorted({key[1] for sh in held.values()
-                                          for key in sh._part_cache}),
-                "partial_hits": sum(sh.hits for sh in held.values()),
-                "partial_misses": sum(sh.misses for sh in held.values()),
+                "partial_avgdls": sorted({key[1] for sg in held
+                                          for key in sg._part_cache}),
+                "partial_hits": sum(sg.hits for sg in held),
+                "partial_misses": sum(sg.misses for sg in held),
             }
 
 
@@ -581,8 +608,11 @@ class ShardedQueryService(PlanCompiler):
 
     def _derive(self, stats: dict, tombstones: np.ndarray,
                 shard_ids: list[int]) -> "ShardedQueryService":
-        """The next generation on the same actors: every actor attaches
-        ``shard_ids`` (and the tombstones, when they changed)."""
+        """The next generation on the same actors: every replica not
+        down attaches ``shard_ids`` (and the tombstones, when they
+        changed). A replica whose actor died is marked down, and so
+        gets no turn in any generation; the write fails only when no
+        replica attached."""
         nxt = copy.copy(self)
         nxt.generation = next(_GENERATIONS)
         nxt._pages = _PageCache()
@@ -590,8 +620,20 @@ class ShardedQueryService(PlanCompiler):
         nxt.tombstones = tombstones
         nxt._track()  # retires any view made even if an attach fails
         send = None if tombstones is self.tombstones else tombstones
-        ray.get([a.attach.remote(nxt.generation, self.generation, stats, shard_ids, send)
-                 for a in self.actors])
+        with self._set.lock:
+            live = [i for i in range(len(self.actors)) if i not in self._set.down]
+        pending = [(i, self.actors[i].attach.remote(
+            nxt.generation, self.generation, stats, shard_ids, send)) for i in live]
+        attached = 0
+        for i, ref in pending:
+            try:
+                ray.get(ref)
+                attached += 1
+            except ray.exceptions.RayActorError:
+                with self._set.lock:
+                    self._set.down.add(i)
+        if not attached:
+            raise ConnectionError("no replica of the pool is alive to attach the write")
         return nxt
 
     def extended(self, stats: dict) -> "ShardedQueryService":

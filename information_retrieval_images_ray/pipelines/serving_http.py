@@ -100,22 +100,33 @@ A POST body that is not a JSON object is a 400. At cluster scale N of
 these routers sit behind any TCP load balancer — the routers hold no
 request state (tokenize + merge + hydrate).
 
+HTTP framing is the handler's own: it reads the request line and the
+header lines itself (no ``email`` parser, the stdlib's keep-alive,
+``Expect: 100-continue`` and 400 / 431 / 505 rules kept), and every
+response — status line, ``Date``, ``Content-Type``,
+``Content-Length`` and the compact JSON body — leaves in ONE write, so
+the client wakes once per request.
+
 The query path reads nothing from disk (snippets, PRF feedback docs
 and positional verification excepted), and tombstones come with the
-generation. Hydration (``hydrate_hits``) reads the serving
-generation's in-memory docmeta through a ``serving.DocRows`` view
-built with the generation: a ``searchsorted`` over the sorted doc ids,
-then each hit's cells straight from the table's Arrow buffers, so a
-page of the column types the build writes costs no Arrow call, and the
-router holds no per-doc Python object. Every index write made through
-the server installs a new pool generation (``ShardedQueryService``)
-before it returns: /extend attaches only the new shards to the
-running actors, /delete swaps only the tombstones, and /reload alone
-starts a fresh actor set.
+generation. Hydration (``hydrate_hits``) fills the page's own row
+dicts in place from the serving generation's in-memory docmeta,
+through a ``serving.DocRows`` view built with the generation: a
+``searchsorted`` over the sorted doc ids, then each column's cells
+straight from the table's Arrow buffers into the rows, so a page of
+the column types the build writes costs no Arrow call and no per-row
+meta dict, and the router holds no per-doc Python object. Every index
+write made through the server installs a new pool generation
+(``ShardedQueryService``) before it returns: /extend attaches only the
+new shards to the running actors (as one more segment each), /delete
+swaps only the tombstones, and /reload alone starts a fresh actor set.
+A write made while a replica is dead attaches on the live replicas
+only, and the dead one gets no more turns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -126,6 +137,12 @@ import pandas as pd
 from .maintenance import is_tombstoned
 from .positions import best_window
 from .serving import ShardedQueryService
+
+# the longest request or header line and the most header lines a
+# request may have (the stdlib's limits), and the lines that end the headers
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_END = (b"\r\n", b"\n", b"")
 
 # request-body keys /search and /msearch pass through to search()
 _SEARCH_PARAM_KEYS = (
@@ -178,26 +195,16 @@ def attach_snippets(rows: list[dict], corpus_path: str, qterms: set[str],
         )
 
 
-def hydrate_hits(svc: ShardedQueryService, doc_ids) -> list[dict]:
-    """The docmeta rows of ``doc_ids`` (ascending, unknown ids left
-    out) from the generation's in-memory table, read through its
-    ``serving.DocRows`` view: a ``searchsorted``, then each cell from
-    the Arrow buffers, with no disk read. Python values, ``None`` for
-    nulls, ``content_sha256`` as hex."""
-    return svc.docmeta.rows(doc_ids)
-
-
-def _attach_meta(svc: ShardedQueryService, rows: list[dict]) -> None:
-    """Hydrate hit rows in place with ONE ``hydrate_hits`` lookup (a
-    ``searchsorted`` and per-cell reads of the docmeta buffers; fields
-    the row already carries win)."""
-    if not rows:
-        return
-    meta = {m["doc_id"]: m for m in hydrate_hits(svc, [r["doc_id"] for r in rows])}
-    for r in rows:
-        for key, val in meta.get(r["doc_id"], {}).items():
-            if key not in r:
-                r[key] = val
+def hydrate_hits(svc: ShardedQueryService, rows: list[dict]) -> list[dict]:
+    """Hydrate the hit rows ``rows`` in place, each named by its
+    ``doc_id``, from the generation's in-memory docmeta table, read
+    through its ``serving.DocRows`` view (``fill``): a
+    ``searchsorted``, then each column's cells from the Arrow buffers
+    straight into the rows, with no disk read. Python values, ``None``
+    for nulls, ``content_sha256`` as hex; fields the rows already carry
+    win. Returns the rows whose doc the table holds. The one entry
+    point of every hydrated page."""
+    return svc.docmeta.fill(rows)
 
 
 class IndexHTTPServer:
@@ -254,23 +261,92 @@ class IndexHTTPServer:
         class Handler(BaseHTTPRequestHandler):
             # keep-alive: a client reuses one connection (and this
             # server one thread) for all its requests. Every response
-            # carries Content-Length. TCP_NODELAY, because a response
-            # goes out in two writes (headers, then body), and Nagle's
-            # algorithm would hold the body until the client's delayed
-            # ACK of the headers.
+            # is one write (status line, headers and body) carrying
+            # Content-Length; TCP_NODELAY sends it at once.
             protocol_version = "HTTP/1.1"
             disable_nagle_algorithm = True
 
             def log_message(self, *a):  # quiet
                 pass
 
+            def parse_request(self) -> bool:
+                """Read the request line (``raw_requestline``) and the
+                header lines into ``command``, ``path``,
+                ``request_version`` and ``headers``: a dict keyed by
+                the lower-case header name, holding the first value of
+                a repeated name. Header lines are split at their first
+                colon, with no ``email`` parser. The stdlib handler's
+                rules hold: HTTP/1.1 keeps the connection open and
+                HTTP/1.0 closes it, unless ``Connection`` says
+                ``close`` or ``keep-alive``; ``Expect: 100-continue``
+                on HTTP/1.1 gets ``100 Continue`` before the body is
+                read; a bad request line is a 400 (an HTTP/0.9 line
+                without a version too), a header line over 64 KiB or
+                more than 100 header lines a 431, HTTP/2 and above a
+                505. On an error the reply is sent, the connection
+                closes and False is returned."""
+                self.command, self.request_version = None, "HTTP/1.0"
+                self.close_connection = True
+                self.requestline = line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+                words = line.split()
+                if not words:
+                    return False
+                try:
+                    command, path, version = words
+                    major, minor = version.removeprefix("HTTP/").split(".")
+                    if not (version.startswith("HTTP/") and major.isdigit() and minor.isdigit()
+                            and len(major) <= 10 and len(minor) <= 10):
+                        raise ValueError
+                    number = int(major), int(minor)
+                except ValueError:
+                    self.send_error(400, f"Bad request line {line!r}")
+                    return False
+                if number >= (2, 0):
+                    self.send_error(505, f"Invalid HTTP version ({version})")
+                    return False
+                headers: dict[str, str] = {}
+                for n in itertools.count(1):
+                    raw = self.rfile.readline(_MAX_LINE + 1)
+                    if len(raw) > _MAX_LINE or n > _MAX_HEADERS and raw not in _END:
+                        self.send_error(431, "Header line too long or too many headers")
+                        return False
+                    if raw in _END:
+                        break
+                    name, colon, value = str(raw, "iso-8859-1").partition(":")
+                    if colon:
+                        headers.setdefault(name.strip().lower(), value.strip())
+                if path.startswith("//"):  # as the stdlib: never an absolute URI
+                    path = "/" + path.lstrip("/")
+                self.command, self.path, self.headers = command, path, headers
+                self.request_version = version
+                conn = headers.get("connection", "").lower()
+                self.close_connection = conn == "close" or (number < (1, 1) and conn != "keep-alive")
+                if number >= (1, 1) and headers.get("expect", "").lower() == "100-continue":
+                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                return True
+
+            def send_error(self, code: int, message: str | None = None) -> None:
+                """Every error reply, this parser's and the stdlib
+                handler's (an unsupported method, a request line over
+                64 KiB): a JSON {"error"}, and the connection closes."""
+                self.close_connection = True
+                self._json(int(code), {"error": message or self.responses.get(code, ("error",))[0]})
+
+            def _send(self, code: int, ctype: str, body: bytes) -> None:
+                """One response in one write: status line, ``Date``,
+                ``Content-Type``, ``Content-Length``, ``Connection:
+                close`` when the connection ends after it, and the
+                body."""
+                close = "Connection: close\r\n" if self.close_connection else ""
+                self.wfile.write((
+                    f"HTTP/1.1 {code} {self.responses.get(code, ('',))[0]}\r\n"
+                    f"Date: {self.date_time_string()}\r\n"
+                    f"Content-Type: {ctype}\r\nContent-Length: {len(body)}\r\n"
+                    f"{close}\r\n").encode("latin-1") + body)
+
             def _json(self, code: int, payload) -> None:
-                body = json.dumps(payload).encode()
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send(code, "application/json",
+                           json.dumps(payload, separators=(",", ":")).encode())
 
             def do_GET(self):
                 try:
@@ -280,13 +356,7 @@ class IndexHTTPServer:
                         # page over the same POST /search contract)
                         from .frontend import INDEX_HTML
 
-                        body = INDEX_HTML.encode()
-                        self.send_response(200)
-                        self.send_header("Content-Type",
-                                         "text/html; charset=utf-8")
-                        self.send_header("Content-Length", str(len(body)))
-                        self.end_headers()
-                        self.wfile.write(body)
+                        self._send(200, "text/html; charset=utf-8", INDEX_HTML.encode())
                         return
                     if outer.service is None and self.path != "/stats":
                         self._json(409, {"error": "index was reset; rebuild and POST /reload"})
@@ -314,7 +384,7 @@ class IndexHTTPServer:
                         svc = outer._pool()
                         # a tombstoned doc is gone, as no search returns it
                         gone = is_tombstoned(svc.tombstones, np.array([doc_id]))[0]
-                        rows = [] if gone else hydrate_hits(svc, [doc_id])
+                        rows = [] if gone else hydrate_hits(svc, [{"doc_id": int(doc_id)}])
                         if not rows:
                             self._json(404, {"error": f"doc {doc_id} not found"})
                         else:
@@ -326,7 +396,7 @@ class IndexHTTPServer:
 
             def do_POST(self):
                 try:
-                    n = int(self.headers.get("Content-Length", 0))
+                    n = int(self.headers.get("content-length", 0))
                     try:  # the body is read whole, so the connection stays usable
                         req = json.loads(self.rfile.read(n) or b"{}")
                         if not isinstance(req, dict):
@@ -560,8 +630,9 @@ class IndexHTTPServer:
                     })
                 for r in page:
                     r["explanation"] = by_doc.get(r["doc_id"], [])
-        if hydrate:
-            _attach_meta(svc, [r for page in out for r in page])
+        rows = [r for page in out for r in page]
+        if hydrate and rows:
+            hydrate_hits(svc, rows)
         for plan, body, page in zip(plans, bodies, out):
             if body.get("snippet") and page:
                 attach_snippets(page, self.corpus_path, plan_terms(plan),
@@ -656,8 +727,8 @@ class IndexHTTPServer:
             }
             for _, r in vec.iterrows()
         ]
-        if hydrate:
-            _attach_meta(svc, rows)
+        if hydrate and rows:
+            hydrate_hits(svc, rows)
         return rows
 
     def hybrid(self, query: str, vector: list[float], k: int = 10,
@@ -696,8 +767,8 @@ class IndexHTTPServer:
             }
             for _, r in fused.iterrows()
         ]
-        if hydrate:
-            _attach_meta(svc, rows)
+        if hydrate and rows:
+            hydrate_hits(svc, rows)
         return rows
 
     def extend(self, docs: list[dict], skip_existing_content: bool = False) -> dict:

@@ -91,8 +91,8 @@ def test_partial_cache_warm_equals_cold(built_index, fixture_spec):
     # the dense form actually engaged for at least one hot term
     assert any(
         ids is None
-        for sh in cached.shards if sh is not None
-        for (ids, _) in sh._part_cache.values()
+        for sg in cached.segments
+        for (ids, _) in sg._part_cache.values()
     )
 
 
@@ -104,7 +104,7 @@ def test_partial_cache_purge_keeps_bytes_exact(built_index):
 
     _, index_dir, _ = built_index
     reader = IndexReader(index_dir)
-    sh = next(sh for sh in reader.shards if sh is not None and sh.n_terms)
+    sh = next(sg for sg in reader.segments if sg.n_terms)
     old, live = reader.avgdl + 1.0, reader.avgdl
     for avgdl in (old, live):
         for i in range(min(30, sh.n_terms)):
@@ -144,9 +144,9 @@ def test_sorted_terms_lookup_matches_python_order():
 
 def test_each_term_is_looked_up_once_per_call(tmp_path, monkeypatch):
     """A bm25 ``topk``, a ``search_taat`` and an ``explain`` of a query
-    with n distinct indexed terms over S loaded shards make at most n·S
-    ``SortedTerms.find`` calls: the df sum and the scorer share each
-    term's lookups. Ranks and scores equal ``bm25_brute_force``, and
+    with n distinct indexed terms over G loaded segments make at most
+    n·G ``SortedTerms.find`` calls: the df sum and the scorer share each
+    term's lookups, and a 4-shard build loads as one segment. Ranks and scores equal ``bm25_brute_force``, and
     each doc's explain contributions sum to its score."""
     import ray.data
 
@@ -162,8 +162,8 @@ def test_each_term_is_looked_up_once_per_call(tmp_path, monkeypatch):
     tok = get_tokenizer("simple")
     docs = {r["doc_id"]: tok(r["content"]) for r in rows}
     reader = IndexReader(idx)
-    n_shards = sum(sh is not None for sh in reader.shards)
-    assert n_shards == 4
+    assert [sg.shards for sg in reader.segments] == [[0, 1, 2, 3]]
+    n_segments = len(reader.segments)
 
     probes: list[str] = []
     find = SortedTerms.find
@@ -171,7 +171,7 @@ def test_each_term_is_looked_up_once_per_call(tmp_path, monkeypatch):
                         lambda self, term: probes.append(term) or find(self, term))
     for q in ("alpha", "bravo delta", "echo alpha golf echo", "india juliet hotel charlie"):
         terms = sorted(set(tok(q)))
-        bound = len(terms) * n_shards
+        bound = len(terms) * n_segments
         want = bm25_brute_force(docs, terms, k=10)
         assert want, q
 

@@ -120,17 +120,16 @@ def test_prefix_search_equals_or_of_expansions(reader):
 
 def test_wildcard_reversed_dict_matches_brute_scan(reader, tokens_of):
     """Leading-* patterns route through the lazily-built reversed-term
-    dictionary (query.py _ShardIndex.rev_terms) and must expand to
+    dictionary (query.py _Segment.rev_terms) and must expand to
     EXACTLY the regex-scan answer; the reversed dict is built only
     when a suffix pattern actually arrives."""
     import re
 
     vocab = sorted(set().union(*tokens_of.values()))
 
-    # forward pattern first: no shard builds the reversed dictionary
+    # forward pattern first: no segment builds the reversed dictionary
     reader.expand_wildcard("s*am", max_expansions=64)
-    assert all(getattr(sh, "_rev_terms", None) is None
-               for sh in reader.shards if sh is not None)
+    assert all(getattr(sg, "_rev_terms", None) is None for sg in reader.segments)
 
     for pat in ["*er", "*t", "*a*le", "*zzzz", "sort", "nosuchterm"]:
         rx = re.compile(".*".join(re.escape(p) for p in pat.split("*")) + r"\Z")
@@ -139,8 +138,7 @@ def test_wildcard_reversed_dict_matches_brute_scan(reader, tokens_of):
         assert reader.expand_wildcard(pat, max_expansions=3) == expect[:3]
 
     # suffix patterns DID build + cache the reversed dictionary
-    assert any(getattr(sh, "_rev_terms", None) is not None
-               for sh in reader.shards if sh is not None)
+    assert any(getattr(sg, "_rev_terms", None) is not None for sg in reader.segments)
     # doubly-open infix still matches the scan answer
     rx = re.compile(r".*a.*\Z")
     expect = [t for t in vocab if rx.match(t)]

@@ -1890,3 +1890,222 @@ def test_keep_alive_one_connection(server):
         assert statistics.median(lat) < 0.040, lat
     finally:
         conn.close()
+
+
+def test_writes_after_a_replica_died(tmp_path):
+    """With one of two replicas killed, /extend answers 200 and the
+    next /search finds the new docs, /delete answers 200 and the next
+    /search leaves the deleted doc out. The dead replica is marked down
+    by its failed attach, so it gets no more turns: at most 2 searches
+    are resent."""
+    idx = _small_index(str(tmp_path / "deadwrite"))
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    try:
+        for q in ("alpha", "bravo"):  # a kept-open connection to each replica
+            assert _req(srv.port, "/search", {"query": q, "limit": 5})[0] == 200
+        _kill_replica(srv._pool(), 0)
+        status, out = _req(srv.port, "/extend", {"docs": [
+            {"content": "alpha deadwrite"}, {"content": "deadwrite golf"}]})
+        assert status == 200 and out["added"] == 2
+        for _ in range(4):
+            status, page = _req(srv.port, "/search", {"query": "deadwrite", "limit": 5})
+            assert status == 200 and sorted(h["doc_id"] for h in page) == [60, 61]
+        status, out = _req(srv.port, "/delete", {"doc_ids": [60]})
+        assert status == 200 and out["tombstoned"] == 1
+        status, page = _req(srv.port, "/search", {"query": "deadwrite", "limit": 5})
+        assert status == 200 and [h["doc_id"] for h in page] == [61]
+        assert [(h["doc_id"], h["score"]) for h in page] == \
+            IndexReader(idx).search_taat("deadwrite", 5)
+        assert _req(srv.port, "/stats")[1]["retries"] <= 2
+        assert srv._pool()._set.down == {0}
+    finally:
+        srv.close()
+
+
+def test_segments_after_extends_and_delete_equal_fresh_reads(tmp_path):
+    """A 4-shard build served by 2 replicas, then two /extend calls and
+    a /delete: each replica holds all 6 shards as 3 segments (the base
+    build, one per extend). bm25, boolean (must / must_not), prefix
+    and collapse pages equal those of a fresh build of every doc (and
+    bm25 equals ``bm25_brute_force``) before the delete, and those of
+    a fresh reader of the index after it, ranks and scores bitwise."""
+    import time
+
+    from information_retrieval_images_ray.functions.bm25 import bm25_brute_force
+    from information_retrieval_images_ray.functions.tokenizer import get_tokenizer
+
+    rng = np.random.default_rng(61)
+    words = WORDS + ["alpine", "bravado", "echoes", "golfer"]
+    batches = [[{"content": " ".join(rng.choice(words[:len(WORDS) + 2 * b], 25)),
+                 "lang": ["en", "fr", "de"][i % 3]} for i in range(n)]
+               for b, n in enumerate((80, 12, 9))]
+    docs = [dict(d, doc_id=i) for i, d in enumerate(d for b in batches for d in b)]
+    idx, fresh = str(tmp_path / "segidx"), str(tmp_path / "fresh")
+    build_index(ray.data.from_items(docs[:80]), idx, tokenizer="simple", num_shards=4)
+    build_index(ray.data.from_items(docs), fresh, tokenizer="simple", num_shards=4)
+    tok = get_tokenizer("simple")
+    tokens = {d["doc_id"]: tok(d["content"]) for d in docs}
+    srv = IndexHTTPServer(idx, num_actors=2, port=0).start()
+    queries = [
+        ("bm25", "alpha golfer echoes", {}), ("bm25", "bravado", {}),
+        ("boolean", "", {"must": "alpha", "should": "golfer echo", "must_not": "zebra"}),
+        ("boolean", "", {"must": "alpine bravo", "must_not": "dup"}),
+        ("prefix", "al", {}), ("prefix", "ec", {}),
+        ("collapse", "alpine echo", {"collapse_field": "lang"}),
+    ]
+
+    def pages(read):
+        out = []
+        for mode, q, params in queries:
+            status, page = _req(srv.port, "/search",
+                                {"query": q, "mode": mode, "limit": 10, **params})
+            assert status == 200, (mode, q)
+            got = [(h["doc_id"], h["score"], h.get("group"), h.get("group_n")) for h in page]
+            want = [(h["doc_id"], h["score"], h.get("group"), h.get("group_n"))
+                    for h in read.topk([read.compile(mode, q, params)], 10)]
+            assert got == want, (mode, q, params)
+            out.append(got)
+        return out
+
+    try:
+        for b in (1, 2):
+            status, out = _req(srv.port, "/extend", {"docs": batches[b]})
+            assert status == 200 and out["added"] == len(batches[b])
+        assert any(pages(IndexReader(fresh))), "every page empty"
+        for q in ("alpha golfer echoes", "bravado", "alpine dup"):
+            _, page = _req(srv.port, "/search", {"query": q, "limit": 10})
+            assert [(h["doc_id"], h["score"]) for h in page] == \
+                bm25_brute_force(tokens, sorted(set(tok(q))), k=10), q
+        status, _ = _req(srv.port, "/delete", {"doc_ids": [3, 81, 95]})
+        assert status == 200
+        pages(IndexReader(idx))
+        svc = srv._pool()
+        deadline = time.time() + 30
+        while any(c["views"] != 1 for c in svc.counters()) and time.time() < deadline:
+            time.sleep(0.1)
+        assert [(c["shards"], c["segments"]) for c in svc.counters()] == \
+            [(list(range(6)), 3)] * 2
+    finally:
+        srv.close()
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send ``data`` on a fresh connection and read until the server
+    closes it."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        out = b""
+        while chunk := sock.recv(65536):
+            out += chunk
+    return out
+
+
+def _post_bytes(path: str, body: bytes, version: str = "HTTP/1.1",
+                headers: str = "") -> bytes:
+    return (f"POST {path} {version}\r\nHost: x\r\n{headers}"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def test_each_response_is_one_write(server, monkeypatch):
+    """Every response, a search, an error or the UI page, leaves the
+    handler in exactly one write on its socket, with ``Date``,
+    ``Content-Type`` and ``Content-Length`` and no ``Server`` header;
+    100 requests share one kept-alive connection."""
+    import http.client
+    import socketserver
+    import threading
+
+    srv, _ = server
+    writes = []
+    lock = threading.Lock()
+    real = socketserver._SocketWriter.write
+
+    def counting(self, b):
+        with lock:
+            writes.append(bytes(b))
+        return real(self, b)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting)
+    conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
+    try:
+        sock = None
+        for i in range(100):
+            method, path, body = [
+                ("POST", "/search", {"query": "alpha dup", "limit": 5 + i % 3}),
+                ("POST", "/search", {"query": "zebra", "mode": "nope"}),
+                ("GET", "/stats", None), ("GET", "/", None), ("GET", "/doc/7", None),
+                ("POST", "/nowhere", {}),
+            ][i % 6]
+            before = len(writes)
+            conn.request(method, path, body=None if body is None else json.dumps(body))
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status in (200, 400, 404), (path, resp.status)
+            with lock:
+                assert len(writes) - before == 1, (path, writes[before:])
+                head = writes[-1].split(b"\r\n\r\n", 1)[0].lower()
+            assert b"\r\ndate: " in head and b"\r\ncontent-length: " in head, head
+            assert b"\r\ncontent-type: " in head and b"\r\nserver:" not in head, head
+            sock = sock or conn.sock
+            assert conn.sock is sock, i
+    finally:
+        conn.close()
+
+
+def test_http_framing_rules(server):
+    """The handler's own request parsing keeps the stdlib's rules:
+    ``Connection: close`` and HTTP/1.0 close the connection after the
+    response, ``Expect: 100-continue`` gets ``100 Continue`` before the
+    body is sent, a lower-case ``content-length`` is read, a garbage
+    request line is a 400, a header line over 64 KiB or more than 100
+    header lines a 431, and HTTP/2 a 505."""
+    import socket
+
+    srv, _ = server
+    body = json.dumps({"query": "alpha", "limit": 2}).encode()
+
+    def status_and_body(raw: bytes) -> tuple[int, bytes]:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        return int(head.split(b" ", 2)[1]), rest
+
+    for req in (_post_bytes("/search", body, headers="Connection: close\r\n"),
+                _post_bytes("/search", body, version="HTTP/1.0")):
+        raw = _raw_exchange(srv.port, req)  # returns only once the server closed
+        code, rest = status_and_body(raw)
+        assert code == 200 and len(json.loads(rest)) == 2, raw[:200]
+        assert b"\r\nConnection: close\r\n\r\n" in raw
+
+    lower = (f"POST /search HTTP/1.1\r\nhost: x\r\ncontent-length: {len(body)}\r\n"
+             "connection: close\r\n\r\n").encode() + body
+    code, rest = status_and_body(_raw_exchange(srv.port, lower))
+    assert code == 200 and len(json.loads(rest)) == 2
+
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=30) as sock:
+        sock.sendall(f"POST /search HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                     f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n".encode())
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(1)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    code, rest = status_and_body(raw)
+    assert code == 200 and len(json.loads(rest)) == 2
+
+    for req, want in (
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /stats HTTP/x.y\r\n\r\n", 400),
+        (b"GET /stats HTTP/2.0\r\n\r\n", 505),
+        (b"GET /stats HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        (b"GET /stats HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(101))
+         + b"\r\n", 431),
+    ):
+        code, rest = status_and_body(_raw_exchange(srv.port, req))
+        assert code == want and "error" in json.loads(rest), req[:40]
+    many = b"GET /stats HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(90)) \
+        + b"Connection: close\r\n\r\n"
+    assert status_and_body(_raw_exchange(srv.port, many))[0] == 200

@@ -404,11 +404,13 @@ def test_wand_era_index_searches_extends_compacts_and_merges(tmp_path, rows):
 
 
 def test_postings_decoded_at_load_equal_on_disk_rows(tmp_path, rows):
-    """Every row of every shard, decoded at load, equals
-    ``decode_all_blocks`` over its bytes on disk, and ``partial`` is
-    bitwise the partial of those arrays: for an index with multi-block
-    terms (block_size 4) and an empty shard, and for its WAND-era
-    copy."""
+    """A reader loads a 3-shard build as one segment. Each of its
+    terms' postings, decoded at load, equals the concatenation of the
+    term's on-disk rows over the segment's shards (``decode_all_blocks``
+    over their bytes), in shard order, doc ids ascending; its df is
+    their ``df_local`` sum; and ``partial`` is bitwise the partial of
+    those arrays: for an index with multi-block terms (block_size 4)
+    and an empty shard, and for its WAND-era copy."""
     import shutil
 
     import pyarrow.parquet as pq
@@ -424,28 +426,36 @@ def test_postings_decoded_at_load_equal_on_disk_rows(tmp_path, rows):
     for d in (cur, old):
         reader = IndexReader(d)
         k1, b, avgdl = reader.params.k1, reader.params.b, reader.avgdl
-        assert reader.shards[1].n_terms == 0, d
-        multi_block = 0
-        for s, sh in enumerate(reader.shards):
+        (sg,) = reader.segments
+        assert sg.shards == [0, 1, 2] and (sg.lo, sg.hi) == (0, 120), d
+        on_disk: dict[str, list[dict]] = {}
+        for s in sg.shards:
             files = glob.glob(os.path.join(d, "segments", f"shard={s}", "*.parquet"))
-            disk = sorted((r for f in files for r in pq.read_table(
-                f, columns=["term", "df_local", "docs", "tfs"]).to_pylist()),
-                key=lambda r: r["term"])
-            assert len(disk) == sh.n_terms, (d, s)
-            for i, row in enumerate(disk):
-                want_ids, want_tfs = decode_all_blocks(row, reader.block_size)
-                ids, tfs = sh.postings(i)
-                assert ids.dtype == np.int64 and np.array_equal(ids, want_ids), (d, s, i)
-                assert np.array_equal(tfs, want_tfs), (d, s, i)
-                multi_block += len(ids) > reader.block_size
-                tf = want_tfs.astype(np.float64)
-                dl = reader.doc_len[want_ids.astype(np.int64)]
-                want = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
-                got_ids, part = sh.partial(i, reader.doc_len, k1, b, avgdl)
-                if got_ids is None:  # dense form over the shard span
-                    assert np.array_equal(part[want_ids.astype(np.int64) - sh.lo], want)
-                    assert np.count_nonzero(part) == len(want_ids)
-                else:
-                    assert np.array_equal(got_ids, want_ids.astype(np.int64))
-                    assert part.tobytes() == want.tobytes(), (d, s, i)
-        assert multi_block, d
+            for f in files:
+                for row in pq.read_table(f, columns=["term", "df_local", "docs", "tfs"]).to_pylist():
+                    on_disk.setdefault(row["term"], []).append(row)
+        assert sg.terms.arrow.to_pylist() == sorted(on_disk), d
+        assert not any(40 <= i < 80 for i in sg._ids), d
+        multi_block = multi_shard = 0
+        for i, term in enumerate(sorted(on_disk)):
+            parts = [decode_all_blocks(row, reader.block_size) for row in on_disk[term]]
+            want_ids = np.concatenate([p[0] for p in parts]).astype(np.int64)
+            want_tfs = np.concatenate([p[1] for p in parts])
+            ids, tfs = sg.postings(i)
+            assert ids.dtype == np.int64 and np.array_equal(ids, want_ids), (d, term)
+            assert np.all(np.diff(ids) > 0), (d, term)
+            assert np.array_equal(tfs, want_tfs), (d, term)
+            assert sg.df_at(i) == sum(row["df_local"] for row in on_disk[term]), (d, term)
+            multi_block += any(len(p[0]) > reader.block_size for p in parts)
+            multi_shard += len(parts) > 1
+            tf = want_tfs.astype(np.float64)
+            dl = reader.doc_len[want_ids]
+            want = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+            got_ids, part = sg.partial(i, reader.doc_len, k1, b, avgdl)
+            if got_ids is None:  # dense form over the segment span
+                assert np.array_equal(part[want_ids - sg.lo], want)
+                assert np.count_nonzero(part) == len(want_ids)
+            else:
+                assert np.array_equal(got_ids, want_ids)
+                assert part.tobytes() == want.tobytes(), (d, term)
+        assert multi_block and multi_shard, d

@@ -40,10 +40,9 @@ def modes_index(tmp_path_factory):
 
 def _vocab(reader: IndexReader) -> set[str]:
     out: set[str] = set()
-    for sh in reader.shards:
-        if sh is None or sh._terms is None:
-            continue
-        out.update(sh._terms.to_pylist())
+    for sg in reader.segments:
+        if sg.terms is not None:
+            out.update(sg.terms.arrow.to_pylist())
     return out
 
 
