@@ -28,22 +28,6 @@ from information_retrieval_images_ray.pipelines.analysis import (
 
 TOK_SQL = "regexp_extract_all(lower(text), '[a-z0-9]+')"
 
-# shared winnowing CTE (k=5 token grams, w=4 windows, 60-bit md5-prefix
-# hashes — the exact SQL mirror of dedup._winnow_set)
-WINNOW_CTE = f"""WITH toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-kg AS (SELECT doc_id, u.i AS pos,
-        CAST(concat('0x', substr(md5(array_to_string(ts[u.i : u.i + 4], ' ')), 1, 15)) AS BIGINT) AS h
-       FROM toks CROSS JOIN LATERAL unnest(range(1, greatest(len(ts) - 3, 1))) AS u(i)),
-win AS (SELECT doc_id, pos,
-         min(h) OVER (PARTITION BY doc_id ORDER BY pos
-                      ROWS BETWEEN CURRENT ROW AND 3 FOLLOWING) AS fp,
-         count(*) OVER (PARTITION BY doc_id) AS m
-        FROM kg),
--- value-based simple winnowing: full w=4 windows only (1-based pos
--- <= m-3), except short docs (m <= 4) keep their single min-of-all
-sel AS (SELECT DISTINCT doc_id, fp FROM win WHERE pos <= greatest(m - 3, 1))"""
-
-
 # ---------------------------------------------------------------------------
 def entry() -> Any:
     """Flagship: BM25 index build over sf0.001 documents + frozen query
@@ -60,14 +44,11 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     from information_retrieval_images_ray.pipelines import (
         analysis,
-        bpe,
-        dedup,
         evaluation,
         flagship,
         hybrid,
         export,
         similarity,
-        sketches,
     )
     import ray.data
 
@@ -380,19 +361,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # one 64-register HLL per lang, merged by a
         # groupby((lang, bucket)).max exchange of thin register rows
         "q_hll_by_lang": lambda sf: analysis.hll_by_group(docs(sf), key="lang"),
-        # count-min sketch: the ADD-mergeable heavy-hitter counterpart
-        # of the HLL's MAX-mergeable distinct count — per-batch
-        # register partials, one groupby sum, integer-exact oracle
-        "q_cms_registers": lambda sf: sketches.cms_registers(docs(sf)),
-        # point estimates (min over rows) vs exact counts for the
-        # frozen candidate battery — est >= exact by construction
-        "q_cms_heavy_hitters": lambda sf: sketches.cms_heavy_hitters(docs(sf)),
-        # BPE tokenizer training, stage-one surface: adjacent
-        # char-pair counts (the merge loop's first iteration),
-        # per-batch combiner + one groupby sum. The full merge loop
-        # (learn_bpe) + encode stage are pytest-gated (iterative —
-        # not SQL-expressible)
-        "q_bpe_pair_counts": lambda sf: bpe.bpe_pair_counts(docs(sf)),
         # deterministic stratified sampling: per lang the 20 docs with
         # the smallest 60-bit md5(text) — reorder/partition/extend-
         # stable, per-batch heap combiner bounds the driver merge
@@ -446,44 +414,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # keyword extraction: top-5 TF-IDF terms per doc (df from the
         # combiner, broadcast idf, per-doc top-k inside the map task)
         "q_tfidf_terms": lambda sf: analysis.tfidf_top_terms(docs(sf), k=5),
-        # -- dedup (D1 + near-dup family) ------------------------------------
-        "q_exact_dedup": lambda sf: dedup.exact_dedup_groups(docs(sf)),
-        "q_ngram_jaccard": lambda sf: dedup.ngram_jaccard_pairs(docs(sf), n=5),
-        # connected components over the near-dup pair graph (keep one
-        # doc per CLUSTER, not per pair)
-        "q_dup_clusters": lambda sf: dedup.dup_clusters(docs(sf), n=5),
-        # the dedup ACTION list: every doc's component label + keep=1
-        # iff it is the component's min-id canonical representative
-        "q_neardup_survivors": lambda sf: dedup.neardup_survivors(docs(sf), n=5),
-        # component-size distribution (pairs vs template families —
-        # the dedup report's headline statistic)
-        "q_cluster_size_hist": lambda sf: dedup.dup_cluster_size_hist(docs(sf), n=5),
-        # the same components computed DISTRIBUTED: alternating
-        # large-star/small-star groupby rounds over the edge set
-        # (Kiveris et al. 2014) — no driver union-find
-        "q_dup_components": lambda sf: dedup.dup_components(docs(sf), n=5),
-        # per-doc triangle counts (degree-oriented wedge algorithm):
-        # clique-density signal over the same pair graph
-        "q_dup_triangles": lambda sf: dedup.dup_triangles(docs(sf), n=5),
-        # local clustering coefficients 2T/(d(d-1)): clique-vs-hub
-        # signal composing degrees + the distributed triangle count
-        "q_clustering_coeff": lambda sf: dedup.dup_clustering_coefficients(docs(sf), n=5),
-        # fixed-point integer PageRank over the pair graph: which copy
-        # is the canonical/template doc its near-dups orbit (k
-        # synchronous rounds of tagged-union join + groupby-sum,
-        # bit-exact across engines by integer arithmetic)
-        "q_dup_pagerank": lambda sf: dedup.dup_pagerank(docs(sf), n=5, iters=6),
-        # substring-level duplication: fraction of each doc's tokens
-        # covered by an 8-token window shared verbatim with another
-        # doc (Lee et al. 2022 cross-doc window form)
-        "q_span_coverage": lambda sf: dedup.dup_span_coverage(docs(sf), window=8),
-        # the corrective twin: rebuild every doc with its duplicated
-        # 8-token spans removed; cleaned text attested by md5 (only
-        # the digest rides the result)
-        "q_trim_spans": lambda sf: dedup.trim_dup_spans(docs(sf), window=8),
-        # asymmetric containment |A∩B|/min(|A|,|B|) — catches short
-        # docs embedded in long ones that Jaccard dilutes
-        "q_ngram_containment": lambda sf: dedup.ngram_containment_pairs(docs(sf), n=5),
+        # -- exact dedup (D1) and dup statistics ----------------------------
+        "q_exact_dedup": lambda sf: analysis.exact_dedup_groups(docs(sf)),
         # per-source exact-dup rates (crawl-health report)
         "q_dup_rate_by_source": lambda sf: analysis.dup_rate_by_source(
             ray.data.read_parquet(
@@ -492,19 +424,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # Heaps-law vocabulary growth curve in doc_id order
         "q_vocab_growth": lambda sf: analysis.vocab_growth(docs(sf), bucket=50),
-        "q_minhash_neardup": lambda sf: dedup.minhash_near_dups(docs(sf), threshold=0.5),
-        # incremental near-dup GATE: hash-split train docs become a
-        # persisted MinHash store; test docs arrive as the new crawl
-        # batch and are vetted cross-side against it (build_minhash_
-        # store -> check_against_store end-to-end)
-        "q_minhash_gate": lambda sf: dedup.minhash_gate_on_split(docs(sf)),
-        "q_simhash_neardup": lambda sf: dedup.simhash_near_dups(docs(sf), max_hamming=3),
-        # eval-set decontamination: train docs sharing a 5-gram with
-        # any test doc under the deterministic hash split
-        "q_decontaminate": lambda sf: dedup.decontaminate(docs(sf), n=5),
-        # winnowing (rolling-hash document fingerprints + overlap)
-        "q_winnow_fingerprints": lambda sf: dedup.winnow_doc_summary(docs(sf)),
-        "q_winnow_overlap": lambda sf: dedup.winnow_overlap_pairs(docs(sf)),
         "q_embedding_neardup": lambda sf: similarity.embedding_near_dups(
             embs(sf), threshold=0.4, block_col="label"
         ),
@@ -677,125 +596,6 @@ SELECT CAST(qid AS BIGINT) AS qid, CAST(rnk AS BIGINT) AS "rank",
        CAST(doc_id AS BIGINT) AS doc_id,
        CAST(FLOOR(score*1000000 + 0.5) AS BIGINT) AS score_e6
 FROM reranked WHERE rnk <= {k}
-"""
-
-
-# shared body of the n-gram near-dup oracles: distinct 5-gram shingles
-# per doc, hot-shingle cap (max_group) mirrored, candidate pairs with
-# common-shingle counts
-_NGRAM_PAIR_CTE = f"""toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-sh AS (SELECT DISTINCT doc_id, array_to_string(ts[u.i : u.i + 4], ' ') AS shingle
-       FROM toks CROSS JOIN LATERAL unnest(range(1, greatest(len(ts) - 3, 1))) AS u(i)),
-sizes AS (SELECT doc_id, count(*) AS n FROM sh GROUP BY 1),
-eligible AS (SELECT shingle FROM sh GROUP BY 1 HAVING count(*) <= 1024),
-common AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS c
-           FROM sh a JOIN sh b ON a.shingle = b.shingle AND a.doc_id < b.doc_id
-           WHERE a.shingle IN (SELECT shingle FROM eligible)
-           GROUP BY 1, 2)"""
-
-
-def _pagerank_sql(iters: int = 6, scale: int = 10**12,
-                  d_num: int = 85, d_den: int = 100) -> str:
-    """Unrolled fixed-point integer PageRank mirror of
-    ``dedup.dup_pagerank``: one CTE per synchronous round, every
-    operation a BIGINT floor-division, so the chain is bit-identical
-    to the engine's tagged-union-join rounds regardless of sum order
-    (integer addition is associative; float PageRank would not be)."""
-    init = f"({scale} // (SELECT c FROM nn))"
-    base = f"(({d_den - d_num} * {init}) // {d_den})"
-    rounds = []
-    for t in range(iters):
-        rounds.append(f"""pr{t + 1} AS (
-  SELECT e.v AS doc_id,
-         CAST({base} + sum(({d_num} * p.pr) // ({d_den} * dg.d)) AS BIGINT) AS pr
-  FROM edges e
-  JOIN pr{t} p ON p.doc_id = e.u
-  JOIN deg2 dg ON dg.doc_id = e.u
-  GROUP BY e.v)""")
-    chain = ",\n".join(rounds)
-    return f"""
-WITH {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION ALL SELECT doc_b, doc_a FROM common),
-deg2 AS (SELECT u AS doc_id, count(*) AS d FROM edges GROUP BY 1),
-nn AS (SELECT count(*) AS c FROM deg2),
-pr0 AS (SELECT doc_id, CAST({init} AS BIGINT) AS pr FROM deg2),
-{chain}
-SELECT CAST(deg2.doc_id AS BIGINT) AS doc_id,
-       CAST(deg2.d AS BIGINT) AS degree,
-       pr{iters}.pr AS pagerank_pp12
-FROM deg2 JOIN pr{iters} ON pr{iters}.doc_id = deg2.doc_id
-"""
-
-
-def _span_coverage_sql(window: int = 8) -> str:
-    """Mirror of ``dedup.dup_span_coverage``: window hashes are the
-    same md5-u64 prefix of the space-joined token window; duplicated =
-    carried by >= 2 distinct docs; covered positions via a lateral
-    position expansion + DISTINCT (the set-union the engine computes
-    with its difference array); pure-integer fixed-point coverage."""
-    w = int(window)
-    return f"""
-WITH toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-win AS (SELECT doc_id, u.i AS s,
-               CAST(concat('0x', substr(md5(
-                   array_to_string(ts[u.i : u.i + {w - 1}], ' ')), 1, 16))
-                    AS UBIGINT) AS wh
-        FROM toks CROSS JOIN LATERAL
-             unnest(range(1, greatest(len(ts) - {w - 2}, 1))) AS u(i)),
-dupw AS (SELECT wh FROM win GROUP BY wh HAVING count(DISTINCT doc_id) >= 2),
-dwin AS (SELECT doc_id, count(*) AS dup_windows
-         FROM win JOIN dupw USING (wh) GROUP BY 1),
-cov AS (SELECT DISTINCT w.doc_id, g.p
-        FROM win w JOIN dupw USING (wh)
-        CROSS JOIN LATERAL unnest(range(w.s, w.s + {w})) AS g(p)),
-cnt AS (SELECT doc_id, count(*) AS covered FROM cov GROUP BY 1)
-SELECT CAST(t.doc_id AS BIGINT) AS doc_id,
-       CAST(len(t.ts) AS BIGINT) AS n_tokens,
-       CAST(coalesce(dw.dup_windows, 0) AS BIGINT) AS dup_windows,
-       CAST(coalesce(c.covered, 0) AS BIGINT) AS covered_tokens,
-       CAST(CASE WHEN len(t.ts) > 0
-                 THEN (2000000 * coalesce(c.covered, 0) + len(t.ts))
-                      // (2 * len(t.ts))
-                 ELSE 0 END AS BIGINT) AS coverage_e6
-FROM toks t
-LEFT JOIN dwin dw ON dw.doc_id = t.doc_id
-LEFT JOIN cnt c ON c.doc_id = t.doc_id
-"""
-
-
-def _trim_spans_sql(window: int = 8) -> str:
-    """Mirror of ``dedup.trim_dup_spans``: same window/dup-set CTEs as
-    the coverage oracle, then keep = positions NOT covered, cleaned
-    text = kept tokens re-joined in position order, attested by md5 —
-    the digest (not the string) is what both sides compare."""
-    w = int(window)
-    return f"""
-WITH toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-win AS (SELECT doc_id, u.i AS s,
-               CAST(concat('0x', substr(md5(
-                   array_to_string(ts[u.i : u.i + {w - 1}], ' ')), 1, 16))
-                    AS UBIGINT) AS wh
-        FROM toks CROSS JOIN LATERAL
-             unnest(range(1, greatest(len(ts) - {w - 2}, 1))) AS u(i)),
-dupw AS (SELECT wh FROM win GROUP BY wh HAVING count(DISTINCT doc_id) >= 2),
-cov AS (SELECT DISTINCT w.doc_id, g.p
-        FROM win w JOIN dupw USING (wh)
-        CROSS JOIN LATERAL unnest(range(w.s, w.s + {w})) AS g(p)),
-pos AS (SELECT doc_id, u.p AS p, ts[u.p] AS tk
-        FROM toks CROSS JOIN LATERAL unnest(range(1, len(ts) + 1)) AS u(p)),
-keep AS (SELECT pos.doc_id, pos.p, pos.tk
-         FROM pos LEFT JOIN cov ON cov.doc_id = pos.doc_id AND cov.p = pos.p
-         WHERE cov.p IS NULL),
-cleaned AS (SELECT doc_id, count(*) AS kept,
-                   array_to_string(list(tk ORDER BY p), ' ') AS txt
-            FROM keep GROUP BY doc_id)
-SELECT CAST(t.doc_id AS BIGINT) AS doc_id,
-       CAST(len(t.ts) AS BIGINT) AS n_tokens,
-       CAST(coalesce(cl.kept, 0) AS BIGINT) AS kept_tokens,
-       CAST(len(t.ts) - coalesce(cl.kept, 0) AS BIGINT) AS removed_tokens,
-       md5(coalesce(cl.txt, '')) AS cleaned_md5
-FROM toks t LEFT JOIN cleaned cl ON cl.doc_id = t.doc_id
 """
 
 
@@ -1479,166 +1279,6 @@ assert _KNN_DELETED_SQL != _KNN_SQL  # replace() must have matched
 assert _KNN_FILTERED_SQL != _KNN_SQL
 
 
-def _minhash_sql() -> str:
-    """Exact mirror of minhash_near_dups(threshold=0.5, num_perm=64,
-    bands=16, shingle_n=3, max_group=1024): md5-prefix shingle hashes
-    (hashing.md5_u64), the numpy-uint64 wrap (mod 2^64) inside the
-    permutation h_i(x) = (a_i*x + b_i) mod p — reproduced in HUGEINT —
-    banding on the 4-value signature chunks, the hot-bucket cap, and
-    the signature-agreement Jaccard estimate. Coefficients are read
-    straight off MinHashStage so they can never drift."""
-    from information_retrieval_images_ray.pipelines.dedup import (
-        _MERSENNE,
-        MinHashStage,
-    )
-
-    st = MinHashStage(num_perm=64, shingle_n=3)
-    perms = ", ".join(
-        f"({i}, {int(a)}, {int(b)})" for i, (a, b) in enumerate(zip(st.a, st.b))
-    )
-    p = int(_MERSENNE)
-    w = 1 << 64
-    return f"""
-WITH perms(i, a, b) AS (VALUES {perms}),
-toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-sh AS (SELECT DISTINCT doc_id, array_to_string(ts[u.i : u.i + 2], ' ') AS s
-       FROM toks CROSS JOIN LATERAL unnest(range(1, greatest(len(ts) - 1, 1))) AS u(i)),
-xh AS (SELECT doc_id, CAST(concat('0x', substr(md5(s), 1, 16)) AS UBIGINT) % {p} AS x
-       FROM sh),
-sigj AS (SELECT doc_id, p.i AS perm,
-          min(CAST(((CAST(p.a AS HUGEINT) * x) % {w} + p.b) % {w} % {p} AS UBIGINT)) AS v
-         FROM xh CROSS JOIN perms p GROUP BY 1, 2),
--- docs with no shingles (fewer than 3 tokens) keep the sentinel
--- signature value p, exactly MinHashStage's empty-set default
-sig AS (SELECT d.doc_id, p.i AS perm, coalesce(s.v, CAST({p} AS UBIGINT)) AS v
-        FROM (SELECT doc_id FROM documents) d CROSS JOIN perms p
-        LEFT JOIN sigj s ON s.doc_id = d.doc_id AND s.perm = p.i),
-bands AS (SELECT doc_id, perm // 4 AS band_id, list(v ORDER BY perm) AS chunk
-          FROM sig GROUP BY 1, 2),
-elig AS (SELECT band_id, chunk FROM bands GROUP BY 1, 2 HAVING count(*) <= 1024),
-cand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-         FROM bands a
-         JOIN bands b ON a.band_id = b.band_id AND a.chunk = b.chunk
-              AND a.doc_id < b.doc_id
-         JOIN elig e ON e.band_id = a.band_id AND e.chunk = a.chunk),
-est AS (SELECT c.doc_a, c.doc_b,
-               avg(CASE WHEN sa.v = sb.v THEN 1.0 ELSE 0.0 END) AS j
-        FROM cand c
-        JOIN sig sa ON sa.doc_id = c.doc_a
-        JOIN sig sb ON sb.doc_id = c.doc_b AND sb.perm = sa.perm
-        GROUP BY 1, 2)
-SELECT CAST(doc_a AS BIGINT) AS doc_a, CAST(doc_b AS BIGINT) AS doc_b,
-       CAST(FLOOR(j * 1000000 + 0.5) AS BIGINT) AS jaccard_e6
-FROM est WHERE j >= 0.5
-"""
-
-
-def _minhash_gate_sql(train: int = 80, val: int = 10) -> str:
-    """Mirror of ``dedup.minhash_gate_on_split(threshold=0.5)``: the
-    md5(doc_id)%100 split assigns sides (store < train, new batch
-    >= train+val, val docs absent from both), signatures are the same
-    HUGEINT-wrap minhash as _minhash_sql, candidates are CROSS-SIDE
-    band collisions only, the hot-bucket cap counts the bucket's
-    gate-side membership (val docs never enter a bucket), and the
-    agreement estimate is identical."""
-    from information_retrieval_images_ray.pipelines.dedup import (
-        _MERSENNE,
-        MinHashStage,
-    )
-
-    st = MinHashStage(num_perm=64, shingle_n=3)
-    perms = ", ".join(
-        f"({i}, {int(a)}, {int(b)})" for i, (a, b) in enumerate(zip(st.a, st.b))
-    )
-    p = int(_MERSENNE)
-    w = 1 << 64
-    cut = train + val
-    return f"""
-WITH perms(i, a, b) AS (VALUES {perms}),
-split AS (SELECT doc_id,
-           CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 16))
-                AS UBIGINT) % 100 AS bkt
-          FROM documents),
-members AS (SELECT doc_id,
-             CASE WHEN bkt < {train} THEN 0
-                  WHEN bkt >= {cut} THEN 1 END AS is_new
-            FROM split WHERE bkt < {train} OR bkt >= {cut}),
-toks AS (SELECT d.doc_id, {TOK_SQL} AS ts
-         FROM documents d JOIN members m ON m.doc_id = d.doc_id),
-sh AS (SELECT DISTINCT doc_id, array_to_string(ts[u.i : u.i + 2], ' ') AS s
-       FROM toks CROSS JOIN LATERAL unnest(range(1, greatest(len(ts) - 1, 1))) AS u(i)),
-xh AS (SELECT doc_id, CAST(concat('0x', substr(md5(s), 1, 16)) AS UBIGINT) % {p} AS x
-       FROM sh),
-sigj AS (SELECT doc_id, p.i AS perm,
-          min(CAST(((CAST(p.a AS HUGEINT) * x) % {w} + p.b) % {w} % {p} AS UBIGINT)) AS v
-         FROM xh CROSS JOIN perms p GROUP BY 1, 2),
-sig AS (SELECT m.doc_id, p.i AS perm, coalesce(s.v, CAST({p} AS UBIGINT)) AS v
-        FROM members m CROSS JOIN perms p
-        LEFT JOIN sigj s ON s.doc_id = m.doc_id AND s.perm = p.i),
-bands AS (SELECT s.doc_id, perm // 4 AS band_id, m.is_new,
-                 list(v ORDER BY perm) AS chunk
-          FROM sig s JOIN members m ON m.doc_id = s.doc_id
-          GROUP BY 1, 2, 3),
-elig AS (SELECT band_id, chunk FROM bands GROUP BY 1, 2 HAVING count(*) <= 1024),
-cand AS (SELECT DISTINCT a.doc_id AS doc_id, b.doc_id AS matched_doc
-         FROM bands a
-         JOIN bands b ON a.band_id = b.band_id AND a.chunk = b.chunk
-              AND a.is_new = 1 AND b.is_new = 0
-         JOIN elig e ON e.band_id = a.band_id AND e.chunk = a.chunk),
-est AS (SELECT c.doc_id, c.matched_doc,
-               avg(CASE WHEN sa.v = sb.v THEN 1.0 ELSE 0.0 END) AS j
-        FROM cand c
-        JOIN sig sa ON sa.doc_id = c.doc_id
-        JOIN sig sb ON sb.doc_id = c.matched_doc AND sb.perm = sa.perm
-        GROUP BY 1, 2)
-SELECT CAST(doc_id AS BIGINT) AS doc_id,
-       CAST(matched_doc AS BIGINT) AS matched_doc,
-       CAST(FLOOR(j * 1000000 + 0.5) AS BIGINT) AS jaccard_e6
-FROM est WHERE j >= 0.5
-"""
-
-
-def _simhash_sql() -> str:
-    """Exact mirror of simhash_near_dups(max_hamming=3, max_group=1024):
-    md5-prefix term hashes, per-bit tf-weighted sign sums (sums of
-    int-valued doubles — numpy float64 and SQL BIGINT agree exactly),
-    4x16-bit band blocking with the hot-bucket cap, exact Hamming."""
-    return f"""
-WITH toks AS (SELECT doc_id, {TOK_SQL} AS ts FROM documents),
-tf AS (SELECT doc_id, term, count(*) AS w
-       FROM (SELECT doc_id, unnest(ts) AS term FROM toks) GROUP BY 1, 2),
-th AS (SELECT doc_id, w,
-              CAST(concat('0x', substr(md5(term), 1, 16)) AS UBIGINT) AS h
-       FROM tf),
-acc AS (SELECT doc_id, u.i AS bit,
-         sum(CASE WHEN (h >> u.i) & 1 = 1 THEN w ELSE -w END) AS a
-        FROM th CROSS JOIN unnest(range(0, 64)) AS u(i) GROUP BY 1, 2),
--- token-less docs fingerprint to 0 (all bits clear), like SimHashStage
-bitset AS (SELECT d.doc_id, u.i AS bit,
-            CASE WHEN coalesce(a.a, 0) > 0 THEN 1 ELSE 0 END AS s
-           FROM (SELECT doc_id FROM documents) d
-           CROSS JOIN unnest(range(0, 64)) AS u(i)
-           LEFT JOIN acc a ON a.doc_id = d.doc_id AND a.bit = u.i),
-band AS (SELECT doc_id, bit // 16 AS band_id,
-          sum(s * (1 << CAST(bit % 16 AS INT))) AS bval
-         FROM bitset GROUP BY 1, 2),
-elig AS (SELECT band_id, bval FROM band GROUP BY 1, 2 HAVING count(*) <= 1024),
-cand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-         FROM band a
-         JOIN band b ON a.band_id = b.band_id AND a.bval = b.bval
-              AND a.doc_id < b.doc_id
-         JOIN elig e ON e.band_id = a.band_id AND e.bval = a.bval),
-ham AS (SELECT c.doc_a, c.doc_b, sum(CASE WHEN sa.s <> sb.s THEN 1 ELSE 0 END) AS h
-        FROM cand c
-        JOIN bitset sa ON sa.doc_id = c.doc_a
-        JOIN bitset sb ON sb.doc_id = c.doc_b AND sb.bit = sa.bit
-        GROUP BY 1, 2)
-SELECT CAST(doc_a AS BIGINT) AS doc_a, CAST(doc_b AS BIGINT) AS doc_b,
-       CAST(h AS BIGINT) AS hamming
-FROM ham WHERE h <= 3
-"""
-
-
 def _langid_sql() -> str:
     """Exact mirror of LangIdStage: per-language stopword hit counts,
     argmax with alphabetical preference on ties (python's
@@ -1805,74 +1445,6 @@ reg AS (SELECT CAST(bucket AS BIGINT) AS bucket,
 _HLL_REG_SQL = f"""
 WITH {_HLL_REG_CTE}
 SELECT bucket, CAST(reg AS BIGINT) AS reg FROM reg
-"""
-
-
-def _cms_ctes() -> str:
-    """Shared count-min CTE chain: per-term corpus occurrence counts,
-    the depth row ids, the row-salted md5-prefix bucket hash (the
-    exact ``md5_u64(f"{{r}}:{{term}}") % width`` the engine computes),
-    and the summed registers."""
-    from information_retrieval_images_ray.pipelines.sketches import (
-        CMS_DEPTH,
-        CMS_WIDTH,
-    )
-
-    rows = ", ".join(f"({r})" for r in range(CMS_DEPTH))
-    return f"""tok AS (SELECT unnest({TOK_SQL}) AS term FROM documents),
-tc AS (SELECT term, CAST(count(*) AS BIGINT) AS n FROM tok GROUP BY 1),
-rws(r) AS (VALUES {rows}),
-h AS (SELECT r, CAST(CAST(concat('0x', substr(md5(concat(r, ':', term)), 1, 16))
-                     AS UBIGINT) % {CMS_WIDTH} AS BIGINT) AS bucket, term, n
-      FROM tc CROSS JOIN rws),
-reg AS (SELECT r, bucket, sum(n) AS reg FROM h GROUP BY 1, 2)"""
-
-
-def _cms_reg_sql() -> str:
-    return f"""
-WITH {_cms_ctes()}
-SELECT CAST(r AS BIGINT) AS "row", bucket, CAST(reg AS BIGINT) AS reg FROM reg
-"""
-
-
-def _cms_hh_sql() -> str:
-    """Heavy-hitter oracle: per frozen candidate, est = min over the
-    depth rows of its register cell (missing cell = 0 — can only
-    happen for an absent term whose cells took no collision), exact =
-    its corpus occurrence count."""
-    from information_retrieval_images_ray.pipelines.sketches import (
-        CMS_CANDIDATES,
-        CMS_DEPTH,
-        CMS_WIDTH,
-    )
-
-    cand = ", ".join(f"('{t}')" for t in sorted(CMS_CANDIDATES))
-    return f"""
-WITH {_cms_ctes()},
-cand(term) AS (VALUES {cand}),
-ch AS (SELECT c.term, w.r,
-              CAST(CAST(concat('0x', substr(md5(concat(w.r, ':', c.term)), 1, 16))
-                   AS UBIGINT) % {CMS_WIDTH} AS BIGINT) AS bucket
-       FROM cand c CROSS JOIN rws w),
-est AS (SELECT ch.term, min(coalesce(reg.reg, 0)) AS est
-        FROM ch LEFT JOIN reg ON reg.r = ch.r AND reg.bucket = ch.bucket
-        GROUP BY 1)
-SELECT e.term, CAST(e.est AS BIGINT) AS est_count,
-       CAST(coalesce(tc.n, 0) AS BIGINT) AS exact_count
-FROM est e LEFT JOIN tc ON tc.term = e.term
-"""
-
-
-def _bpe_pairs_sql() -> str:
-    """BPE pair-count oracle: every token's adjacent 2-char substrings
-    via an unnest over in-word positions, summed per pair — the exact
-    integer table the first BPE merge iteration maximizes over."""
-    return f"""
-WITH w AS (SELECT unnest({TOK_SQL}) AS w FROM documents),
-pos AS (SELECT w, unnest(range(1, length(w))) AS i FROM w)
-SELECT substr(w, CAST(i AS INTEGER), 2) AS pair,
-       CAST(count(*) AS BIGINT) AS n
-FROM pos GROUP BY 1
 """
 
 
@@ -2439,9 +2011,6 @@ SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(rnk AS BIGINT) AS "rank",
 FROM r WHERE rnk <= 3
 """,
         "q_source_kl": _SOURCE_KL_SQL,
-        "q_cms_registers": _cms_reg_sql(),
-        "q_cms_heavy_hitters": _cms_hh_sql(),
-        "q_bpe_pair_counts": _bpe_pairs_sql(),
         "q_percolate": _percolate_sql(),
         "q_stratified_sample": """
 WITH h AS (SELECT lang, doc_id,
@@ -2544,125 +2113,6 @@ SELECT md5(text) AS content_md5, CAST(min(doc_id) AS BIGINT) AS keep_doc_id,
        CAST(count(*) AS BIGINT) AS dup_count
 FROM documents GROUP BY 1
 """,
-        "q_minhash_neardup": _minhash_sql(),
-        "q_minhash_gate": _minhash_gate_sql(),
-        "q_simhash_neardup": _simhash_sql(),
-        "q_ngram_jaccard": f"""
-WITH {_NGRAM_PAIR_CTE}
-SELECT c.doc_a, c.doc_b, CAST(c.c AS BIGINT) AS common,
-       CAST(FLOOR(c.c*1.0/(sa.n + sb.n - c.c)*1000000 + 0.5) AS BIGINT) AS jaccard_e6
-FROM common c
-JOIN sizes sa ON sa.doc_id = c.doc_a
-JOIN sizes sb ON sb.doc_id = c.doc_b
-""",
-        # connected components over the same pair graph: min-reachable
-        # doc_id per node via a recursive CTE (UNION dedups rows, so
-        # the fixpoint terminates)
-        "q_dup_clusters": f"""
-WITH RECURSIVE {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION SELECT doc_b, doc_a FROM common),
-reach(u, r) AS (SELECT u, u FROM (SELECT DISTINCT u FROM edges) t
-                UNION
-                SELECT e.u, reach.r FROM edges e JOIN reach ON reach.u = e.v)
-SELECT CAST(u AS BIGINT) AS doc_id, CAST(min(r) AS BIGINT) AS cluster_id
-FROM reach GROUP BY u
-""",
-        # the dedup action list over EVERY doc: component label (own id
-        # for singletons) + keep iff canonical (min-id) representative
-        "q_neardup_survivors": f"""
-WITH RECURSIVE {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION SELECT doc_b, doc_a FROM common),
-reach(u, r) AS (SELECT u, u FROM (SELECT DISTINCT u FROM edges) t
-                UNION
-                SELECT e.u, reach.r FROM edges e JOIN reach ON reach.u = e.v),
-cl AS (SELECT u AS doc_id, min(r) AS cluster_id FROM reach GROUP BY u)
-SELECT CAST(d.doc_id AS BIGINT) AS doc_id,
-       CAST(coalesce(cl.cluster_id, d.doc_id) AS BIGINT) AS cluster_id,
-       CAST(CASE WHEN coalesce(cl.cluster_id, d.doc_id) = d.doc_id
-                 THEN 1 ELSE 0 END AS BIGINT) AS keep
-FROM documents d LEFT JOIN cl ON cl.doc_id = d.doc_id
-""",
-        # component-size histogram; size 1 aggregates every doc
-        # outside the pair graph
-        "q_cluster_size_hist": f"""
-WITH RECURSIVE {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION SELECT doc_b, doc_a FROM common),
-reach(u, r) AS (SELECT u, u FROM (SELECT DISTINCT u FROM edges) t
-                UNION
-                SELECT e.u, reach.r FROM edges e JOIN reach ON reach.u = e.v),
-cl AS (SELECT u AS doc_id, min(r) AS cluster_id FROM reach GROUP BY u),
-sz AS (SELECT cluster_id, count(*) AS size FROM cl GROUP BY 1),
-hist AS (SELECT size AS cluster_size, count(*) AS n_clusters,
-                size * count(*) AS n_docs FROM sz GROUP BY 1),
-singles AS (SELECT 1 AS cluster_size,
-                   (SELECT count(*) FROM documents) - (SELECT count(*) FROM cl) AS n_clusters,
-                   (SELECT count(*) FROM documents) - (SELECT count(*) FROM cl) AS n_docs)
-SELECT CAST(cluster_size AS BIGINT) AS cluster_size,
-       CAST(n_clusters AS BIGINT) AS n_clusters,
-       CAST(n_docs AS BIGINT) AS n_docs
-FROM (SELECT * FROM singles WHERE n_clusters > 0 UNION ALL SELECT * FROM hist)
-""",
-        # the distributed large-star/small-star form computes the SAME
-        # components — one oracle, two execution strategies
-        "q_dup_components": f"""
-WITH RECURSIVE {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION SELECT doc_b, doc_a FROM common),
-reach(u, r) AS (SELECT u, u FROM (SELECT DISTINCT u FROM edges) t
-                UNION
-                SELECT e.u, reach.r FROM edges e JOIN reach ON reach.u = e.v)
-SELECT CAST(u AS BIGINT) AS doc_id, CAST(min(r) AS BIGINT) AS cluster_id
-FROM reach GROUP BY u
-""",
-        # clustering-coefficient mirror: degrees from the undirected
-        # pair CTE, triangles from the three-way self-join
-        "q_clustering_coeff": f"""
-WITH {_NGRAM_PAIR_CTE},
-edges AS (SELECT doc_a AS u, doc_b AS v FROM common
-          UNION SELECT doc_b, doc_a FROM common),
-deg AS (SELECT u AS doc_id, count(*) AS degree FROM edges GROUP BY 1),
-tri AS (SELECT e1.doc_a AS x, e1.doc_b AS y, e2.doc_b AS z
-        FROM common e1
-        JOIN common e2 ON e2.doc_a = e1.doc_b
-        JOIN common e3 ON e3.doc_a = e1.doc_a AND e3.doc_b = e2.doc_b),
-m AS (SELECT x AS doc_id FROM tri
-      UNION ALL SELECT y FROM tri
-      UNION ALL SELECT z FROM tri),
-tcnt AS (SELECT doc_id, count(*) AS t FROM m GROUP BY 1)
-SELECT CAST(deg.doc_id AS BIGINT) AS doc_id,
-       CAST(degree AS BIGINT) AS degree,
-       CAST(coalesce(t, 0) AS BIGINT) AS n_triangles,
-       CAST(CASE WHEN degree >= 2
-                 THEN (4000000*coalesce(t, 0) + degree*(degree-1))
-                      // (2*degree*(degree-1))
-                 ELSE 0 END AS BIGINT) AS clustering_e6
-FROM deg LEFT JOIN tcnt ON tcnt.doc_id = deg.doc_id
-""",
-        # integer-PageRank mirror: unrolled per-round CTEs over the
-        # same pair CTE (see _pagerank_sql for the bit-exactness note)
-        "q_dup_pagerank": _pagerank_sql(iters=6),
-        # substring-duplication mirror: same md5-u64 window hashes,
-        # DISTINCT lateral position expansion = the engine's interval
-        # union
-        "q_span_coverage": _span_coverage_sql(window=8),
-        # span-trim mirror: kept = positions outside the covered set,
-        # cleaned md5 over the order-preserving rejoin
-        "q_trim_spans": _trim_spans_sql(window=8),
-        # containment mirror: same pair CTE, min-size denominator in
-        # the pure-integer fixed-point form
-        "q_ngram_containment": f"""
-WITH {_NGRAM_PAIR_CTE}
-SELECT CAST(doc_a AS BIGINT) AS doc_a, CAST(doc_b AS BIGINT) AS doc_b,
-       CAST(c AS BIGINT) AS common,
-       CAST((2000000*c + least(sa.n, sb.n)) // (2*least(sa.n, sb.n))
-            AS BIGINT) AS containment_e6
-FROM common
-JOIN sizes sa ON sa.doc_id = doc_a
-JOIN sizes sb ON sb.doc_id = doc_b
-""",
         "q_dup_rate_by_source": """
 WITH h AS (SELECT source, md5(text) AS h FROM documents),
 c AS (SELECT source, h, count(*) AS n FROM h GROUP BY 1, 2),
@@ -2683,54 +2133,6 @@ SELECT CAST((buckets.bucket + 1) * 50 AS BIGINT) AS up_to_doc,
        CAST(sum(coalesce(b.new_terms, 0)) OVER (ORDER BY buckets.bucket)
             AS BIGINT) AS vocab_size
 FROM buckets LEFT JOIN b USING (bucket)
-""",
-        # triangle mirror: three-way self-join over the ordered
-        # (doc_a < doc_b) pair CTE counts each triangle once
-        "q_dup_triangles": f"""
-WITH {_NGRAM_PAIR_CTE},
-tri AS (SELECT e1.doc_a AS x, e1.doc_b AS y, e2.doc_b AS z
-        FROM common e1
-        JOIN common e2 ON e2.doc_a = e1.doc_b
-        JOIN common e3 ON e3.doc_a = e1.doc_a AND e3.doc_b = e2.doc_b),
-m AS (SELECT x AS doc_id FROM tri
-      UNION ALL SELECT y FROM tri
-      UNION ALL SELECT z FROM tri)
-SELECT CAST(doc_id AS BIGINT) AS doc_id,
-       CAST(count(*) AS BIGINT) AS n_triangles
-FROM m GROUP BY 1
-""",
-        # decontamination mirror: same 5-gram CTE shape, split from the
-        # md5(doc_id) % 100 buckets, hot-shingle cap (1024) mirrored
-        "q_decontaminate": f"""
-WITH lab AS (SELECT doc_id, {TOK_SQL} AS ts,
-       CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 16))
-            AS UBIGINT) % 100 AS b
-       FROM documents),
-sh AS (SELECT DISTINCT doc_id, CASE WHEN b >= 90 THEN 1 ELSE 0 END AS is_test,
-              array_to_string(ts[u.i : u.i + 4], ' ') AS shingle
-       FROM lab CROSS JOIN LATERAL unnest(range(1, greatest(len(ts) - 3, 1))) AS u(i)
-       WHERE b < 80 OR b >= 90),
-eligible AS (SELECT shingle FROM sh GROUP BY 1 HAVING count(*) <= 1024),
-test_sh AS (SELECT DISTINCT shingle FROM sh WHERE is_test = 1)
-SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(count(*) AS BIGINT) AS n_shared
-FROM sh
-WHERE is_test = 0 AND shingle IN (SELECT shingle FROM eligible)
-      AND shingle IN (SELECT shingle FROM test_sh)
-GROUP BY 1
-""",
-        "q_winnow_fingerprints": f"""
-{WINNOW_CTE}
-SELECT doc_id, CAST(count(*) AS BIGINT) AS n_fp, CAST(min(fp) AS BIGINT) AS min_fp
-FROM sel GROUP BY 1
-""",
-        "q_winnow_overlap": f"""
-{WINNOW_CTE},
-eligible AS (SELECT fp FROM sel GROUP BY 1 HAVING count(*) <= 1024),
-pairs AS (SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, count(*) AS c
-          FROM sel a JOIN sel b ON a.fp = b.fp AND a.doc_id < b.doc_id
-          WHERE a.fp IN (SELECT fp FROM eligible)
-          GROUP BY 1, 2)
-SELECT doc_a, doc_b, CAST(c AS BIGINT) AS common FROM pairs WHERE c >= 2
 """,
         # the embedder replayed in SQL: same normalized text, same
         # chr(0)-joined feature strings, same md5 bucket/sign, integer
@@ -2830,8 +2232,5 @@ SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(doc_len AS BIGINT) AS doc_len,
        CAST(prev % 2048 AS BIGINT) AS seq_off
 FROM c
 """,
-        # Every queries() key has a SQL oracle. The sketch operators
-        # (minhash/simhash) are exactly mirrorable because their hashes
-        # are md5-prefix ints and their float reductions are sums of
-        # int-valued doubles — see _minhash_sql/_simhash_sql.
+        # Every queries() key has a SQL oracle.
     }

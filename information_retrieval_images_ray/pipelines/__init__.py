@@ -1,1 +1,1 @@
-"""End-to-end Ray Data pipelines: index build, query, dedup, similarity."""
+"""End-to-end Ray Data pipelines: index build, query, serving, analysis, similarity."""

@@ -1250,11 +1250,11 @@ def stratified_sample(
     (hash, doc_id) per group — the global n smallest live in the union
     of per-batch n smallest (max-merge), so the driver merge is
     bounded by groups x n x num_batches, never corpus-sized. The
-    60-bit hex-prefix hash is the `dedup._md5_60` form DuckDB mirrors
+    60-bit hex-prefix hash is the `hashing._md5_60` form DuckDB mirrors
     exactly. Columns: {group_col}, rank, doc_id, h."""
     import heapq
 
-    from .dedup import _md5_60
+    from ..functions.hashing import _md5_60
 
     def partials(batch: pa.Table) -> pa.Table:
         best: dict[str, list] = {}
@@ -1570,6 +1570,26 @@ def length_quartiles(ds: ray.data.Dataset, tiles: int = 4,
     return (
         out.sort_values(["lang", "tile"]).reset_index(drop=True)
         .astype({c: "int64" for c in out.columns if c != "lang"})
+    )
+
+
+def exact_dedup_groups(ds: ray.data.Dataset, text_col: str = "text") -> ray.data.Dataset:
+    """One row per distinct content: (content_md5, keep_doc_id = min,
+    dup_count). Hash-partitioned shuffle on the digest, never on text."""
+
+    def add_hash(batch: pa.Table) -> pa.Table:
+        hs = [
+            hashlib.md5((t or "").encode("utf-8")).hexdigest()
+            for t in batch[text_col].to_pylist()
+        ]
+        return pa.table(
+            {"content_md5": pa.array(hs, pa.string()), "doc_id": batch["doc_id"]}
+        )
+
+    return (
+        ds.map_batches(add_hash, batch_format="pyarrow")
+        .groupby("content_md5")
+        .aggregate(Min("doc_id", alias_name="keep_doc_id"), Count(alias_name="dup_count"))
     )
 
 
@@ -1958,7 +1978,7 @@ def length_entropy_correlation(
     mean short docs?' when tuning repetition filters. The point of the
     op is its SHAPE: the mergeable moments sketch — every batch emits
     one (n, Σx, Σy, Σxy, Σx², Σy²) partial row and partials merge by
-    plain addition (the same ADD-mergeability as the CMS), so the
+    plain addition, so the
     stream never leaves the map tasks and ANY distributed variance /
     covariance / regression reduces to this one pattern. Moments
     accumulate as exact Python ints (x = token count, y = entropy_e6

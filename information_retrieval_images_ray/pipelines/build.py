@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import glob
 import json
-import logging
 import os
 import shutil
 import time
@@ -50,8 +49,6 @@ import ray.data
 from ..stages.postings import BLOCK_SIZE, encode_shard
 from ..stages.tokenize import TokenizeStage
 from ..state.manifest import Manifest, fingerprint_files
-
-logger = logging.getLogger(__name__)
 
 
 def segment_shard_dir(index_dir: str, shard: int) -> str:
@@ -111,23 +108,18 @@ class IndexBuildConfig(dict):
         # round 2 only enforced on extend): one doc per distinct
         # content sha256 (min doc_id wins) survives into the index.
         dedup=False,
-        # keep-set filter routing: survivor-id sets up to this size
-        # are broadcast as a sorted array (exact); larger sets switch
-        # to a Bloom filter sized for dedup_bloom_fp (no false
-        # negatives — survivors are never dropped; a false positive
-        # keeps a duplicate, expected leak logged + in the manifest).
-        dedup_broadcast_max=50_000_000,
-        dedup_bloom_fp=1e-4,
     )
 
     # Knobs of the removed hot-term salting, term-hash buckets and
-    # termstats table. They are accepted and dropped because
-    # perfbench/run.py passes hot_df_threshold and exact_termstats, and
-    # because every manifest written while they existed stores all five,
-    # and extend_index, compact_index and merge_indexes rebuild their
-    # config from the manifest.
+    # termstats table, and of the removed Bloom-filter dedup keep set.
+    # They are accepted and dropped because perfbench/run.py passes
+    # hot_df_threshold and exact_termstats, and because every manifest
+    # written while they existed stores them, and extend_index,
+    # compact_index and merge_indexes rebuild their config from the
+    # manifest.
     RETIRED = ("hot_df_threshold", "salt_factor", "num_buckets",
-               "exact_termstats", "hot_sample_files")
+               "exact_termstats", "hot_sample_files",
+               "dedup_broadcast_max", "dedup_bloom_fp")
 
     def __init__(self, **kw):
         kw = {k: v for k, v in kw.items() if k not in self.RETIRED}
@@ -166,12 +158,8 @@ def build_index(
     # broadcast to a searchsorted filter in front of the tokenizer.
     # Costs one extra content-column scan; everything downstream
     # (stats, segments, docmeta, compaction, extend) sees a
-    # docterms checkpoint that simply never contained the dups. When
-    # the survivor-id set outgrows ``dedup_broadcast_max`` the filter
-    # becomes a Bloom filter (functions/bloom.py) — survivors can
-    # never be dropped (no false negatives); a false positive keeps a
-    # duplicate at ~dedup_bloom_fp, logged and manifest-recorded.
-    keep_filter = None  # ("exact", sorted ids) | ("bloom", BloomFilter)
+    # docterms checkpoint that simply never contained the dups.
+    keep_ids = None  # sorted survivor ids when cfg["dedup"]
     keep_dir = os.path.join(index_dir, "dedup_keep")
     if cfg["dedup"]:
         if not man.is_done("dedup", fp):
@@ -207,40 +195,21 @@ def build_index(
             import pyarrow.dataset as _pads
 
             kd = _pads.dataset(keep_dir, format="parquet")
-            n_kept = kd.count_rows()
-            if n_kept > cfg["dedup_broadcast_max"]:
-                from ..functions.bloom import BloomFilter
-
-                bf = BloomFilter(n_kept, fp_rate=cfg["dedup_bloom_fp"])
-                # streamed off the keep table in batches — at cluster
-                # scale this becomes a distributed build (per-task
-                # partial filters OR-merged), same seam
-                for b in kd.to_batches(columns=["doc_id"]):
-                    bf.add_many(b["doc_id"].to_numpy().astype(np.uint64))
-                logger.warning(
-                    "build dedup: keep-set of %d ids exceeds dedup_broadcast_max=%d; "
-                    "using Bloom filter (m=%d bits, k=%d, expected_fp=%.2e)",
-                    n_kept, cfg["dedup_broadcast_max"], bf.m, bf.k, bf.expected_fp())
-                keep_filter = ("bloom", bf)
-            elif n_kept:
-                keep_filter = ("exact", np.sort(
-                    kd.to_table(columns=["doc_id"])["doc_id"]
-                    .to_numpy().astype(np.uint64)))
-            else:
-                keep_filter = ("exact", np.empty(0, dtype=np.uint64))
+            keep_ids = np.empty(0, dtype=np.uint64)
+            if kd.count_rows():
+                keep_ids = np.sort(kd.to_table(columns=["doc_id"])["doc_id"]
+                                   .to_numpy().astype(np.uint64))
 
     # ---- phase: docterms (tokenize + content hash + stage) ------------------
     if not man.is_done("docterms", fp):
         _t = time.perf_counter()
         _clean(docterms_dir)
         src = source
-        if keep_filter is not None:
-            kind, state = keep_filter
+        if keep_ids is not None:
 
             def keep_only(batch: pa.Table) -> pa.Table:
                 ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                mask = state.contains(ids) if kind == "bloom" else _isin_sorted(ids, state)
-                return batch.filter(pa.array(mask))
+                return batch.filter(pa.array(_isin_sorted(ids, keep_ids)))
 
             src = source.map_batches(keep_only, batch_format="pyarrow")
         # STATELESS task pool: the tokenizer is module-level compiled
@@ -256,14 +225,8 @@ def build_index(
         ).write_parquet(docterms_dir, compression=cfg["compression"])
         from ..state.manifest import fingerprint_file
 
-        dd_info = {}
-        if keep_filter is not None:
-            dd_info["dedup_filter"] = keep_filter[0]
-            if keep_filter[0] == "bloom":
-                dd_info["dedup_expected_fp"] = keep_filter[1].expected_fp()
         man.mark_done(
             "docterms", input_fingerprint=fp, **_parquet_size(docterms_dir),
-            **dd_info,
             duration_s=round(time.perf_counter() - _t, 3),
             # abspath-keyed per-file fingerprints: the delta-extend
             # path diffs new corpus files against this record
@@ -372,8 +335,7 @@ def extend_index(
     dropped before any stats/segments are built. The anti-join is one
     distributed groupby on the sha hex (existing side ships only its
     thin sha column); the surviving id set is then broadcast to the
-    delta-filter maps (delta-sized — for deltas too big to broadcast
-    ids, swap in a Bloom filter here). Skipped docs leave id-space
+    delta-filter maps (delta-sized). Skipped docs leave id-space
     gaps, which every downstream structure tolerates.
 
     Idempotent per ``delta_id`` (defaults to the delta file set's

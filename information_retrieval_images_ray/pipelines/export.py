@@ -3,7 +3,7 @@ this engine actually ships corpus snapshots with.
 
 One verb chains the training-data operators that already exist as
 first-class stages — fused Gopher quality filter (analysis.py), exact
-content dedup (the build-integrated keep-set shape, build.py:163-233),
+content dedup (the keep-set shape of ``build_index(dedup=True)``),
 deterministic hash-bucket split assignment (analysis.split_summary) —
 and lands the survivors as hive-partitioned parquet
 (``split=X/lang=Y/``) with per-doc token counts and a JSON manifest.
@@ -12,16 +12,14 @@ output IS its training set; here the export is the LLM-data form.
 
 Scale shape (the 100-TB contract):
 - The expensive per-doc quality pass runs ONCE: its survivors spill
-  to a temp parquet (streamed, compressed — the decontaminate spill
-  pattern) that both the dedup keep-set pass and the final write read
-  back, so nothing corpus-sized is recomputed or pinned in plasma.
+  to a temp parquet (streamed, compressed) that both the dedup
+  keep-set pass and the final write read back, so nothing
+  corpus-sized is recomputed or pinned in plasma.
 - Dedup never shuffles OR re-hashes text: ``content_md5`` is stamped
   while the text already streams through the quality spill, so the
   keep-set pass is a column-pruned (doc_id, content_md5) read into a
   combiner-backed Min aggregate; only the surviving-id set travels,
-  broadcast exact up to ``dedup_broadcast_max`` ids and as a Bloom
-  filter beyond it (no false negatives — survivors are never lost;
-  a false positive keeps a duplicate, logged).
+  broadcast as one sorted array that every task filters against.
 - Split assignment is md5(doc_id)-bucketed — stable under
   re-partitioning, resume and incremental extends, so a doc never
   migrates between splits as the corpus grows.
@@ -49,6 +47,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from .analysis import quality_filter
+from .build import _isin_sorted
 from ..functions.hashing import md5_u64
 
 logger = logging.getLogger(__name__)
@@ -60,8 +59,6 @@ def export_training_data(
     tokenizer: str = "simple",
     train: int = 80,
     val: int = 10,
-    dedup_broadcast_max: int = 50_000_000,
-    dedup_bloom_fp: float = 1e-4,
 ) -> pd.DataFrame:
     """Quality-filter -> exact-dedup -> split-assign -> partitioned
     parquet under ``out_dir``; returns the per-(split, lang) summary
@@ -148,38 +145,19 @@ def export_training_data(
         .groupby("content_md5")
         .aggregate(Min("doc_id", alias_name="doc_id"))
     )
-    n_kept = keep_tbl.count()
-    if n_kept > dedup_broadcast_max:
-        from ..functions.bloom import BloomFilter
-
-        bf = BloomFilter(n_kept, fp_rate=dedup_bloom_fp)
-        for b in keep_tbl.iter_batches(batch_format="pyarrow"):
-            bf.add_many(b["doc_id"].to_numpy().astype(np.uint64))
-        keep_filter = ("bloom", bf)
-        logger.warning("export: keep-set of %d ids exceeds dedup_broadcast_max=%d; "
-                       "using Bloom filter (expected_fp=%.2e)",
-                       n_kept, dedup_broadcast_max, bf.expected_fp())
-    else:
-        ids = np.sort(np.concatenate([
-            b["doc_id"].to_numpy()
-            for b in keep_tbl.iter_batches(batch_format="pyarrow")
-        ] or [np.empty(0, np.int64)]).astype(np.int64))
-        keep_filter = ("exact", ids)
-    keep_ref = ray.put(keep_filter)
+    keep_ids = np.sort(np.concatenate([
+        b["doc_id"].to_numpy()
+        for b in keep_tbl.iter_batches(batch_format="pyarrow")
+    ] or [np.empty(0, np.int64)]).astype(np.int64))
+    keep_ref = ray.put(keep_ids)
 
     # -- pass 3: survivor filter + split assign + partitioned land ---------
     cut_val = train + val
 
     def finalize(batch: pa.Table) -> pa.Table:
-        kind, obj = ray.get(keep_ref)  # broadcast once, local-store hit
+        keep = ray.get(keep_ref)  # broadcast once, local-store hit
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if kind == "exact":
-            pos = np.searchsorted(obj, ids)
-            pos[pos >= len(obj)] = max(len(obj) - 1, 0)
-            mask = (obj[pos] == ids) if len(obj) else np.zeros(len(ids), bool)
-        else:
-            mask = obj.contains(ids.astype(np.uint64))
-        batch = batch.filter(pa.array(mask))
+        batch = batch.filter(pa.array(_isin_sorted(ids, keep)))
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         buckets = np.fromiter(
             (md5_u64(str(int(d))) % 100 for d in ids),
@@ -217,7 +195,7 @@ def export_training_data(
     manifest = {
         "tokenizer": tokenizer, "train": train, "val": val,
         "dedup": "exact-md5-min-id",
-        "dedup_filter": keep_filter[0], "n_distinct": int(n_kept),
+        "dedup_filter": "exact", "n_distinct": len(keep_ids),
         "partitions": summary.to_dict(orient="records"),
     }
     tmp = os.path.join(out_dir, "_export.json.tmp")

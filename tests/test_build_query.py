@@ -334,52 +334,6 @@ def test_dedup_build_equals_plain_build_of_distinct(tmp_path):
     for q in ("alpha", "doc5", "beta doc17 gamma"):
         assert r_d.search_taat(q, 40) == r_p.search_taat(q, 40), q
 
-    # Bloom keep-set path: a forced-tiny broadcast cap routes the same
-    # dedup build through the Bloom filter (manifest-recorded, expected
-    # FP logged) and the index still equals the plain distinct build —
-    # no false negatives by construction; at this corpus size and
-    # fp=1e-4 no false positive occurs (deterministic hashing).
-    import json as _json
-
-    idx_b = str(tmp_path / "idx_b")
-    s_b = build_index(
-        ray.data.read_parquet(str(dup)), idx_b,
-        source_files=[str(dup / "p.parquet")], num_shards=2, dedup=True,
-        dedup_broadcast_max=1,
-    )
-    assert s_b["n_docs"] == 30 and s_b["doc_id_span"] == 30
-    with open(f"{idx_b}/manifest.json") as f:
-        entry = _json.load(f)["entries"]["docterms"]
-    assert entry["dedup_filter"] == "bloom"
-    assert 0 < entry["dedup_expected_fp"] <= 1e-3
-    r_b = IndexReader(idx_b)
-    for q in ("alpha", "doc5", "beta doc17 gamma"):
-        assert r_b.search_taat(q, 40) == r_p.search_taat(q, 40), q
-
-
-def test_build_bloom_keep_set_logs_warning(tmp_path, caplog):
-    """The build's Bloom keep-set switch is a logging WARNING record
-    (not a stdout print) naming the keep-set size and the cap."""
-    import logging
-
-    import pyarrow as pa
-    import ray.data
-
-    src = tmp_path / "src"
-    src.mkdir()
-    texts = ["alpha beta", "gamma delta", "alpha beta"]
-    pq.write_table(pa.table({"doc_id": pa.array(range(3), pa.uint64()),
-                             "content": texts}), str(src / "p.parquet"))
-    with caplog.at_level(logging.WARNING,
-                         logger="information_retrieval_images_ray.pipelines.build"):
-        build_index(ray.data.read_parquet(str(src)), str(tmp_path / "idx"),
-                    source_files=[str(src / "p.parquet")], num_shards=1,
-                    dedup=True, dedup_broadcast_max=1)
-    recs = [r for r in caplog.records
-            if r.name == "information_retrieval_images_ray.pipelines.build"]
-    assert len(recs) == 1 and recs[0].levelno == logging.WARNING
-    assert "keep-set of 2 ids exceeds dedup_broadcast_max=1" in recs[0].getMessage()
-
 
 def test_degenerate_corpora(tmp_path):
     """Single-doc and all-empty-content corpora build and query

@@ -48,6 +48,21 @@ def _entry_module():
     return __ray_entry__
 
 
+def test_sampled_keys_stay_first_in_order():
+    """The keys checked in CORRECTNESS_r05.json are the first queries()
+    keys, in the same order, and each has an oracle: deleting an
+    operator family must not remove, rename or reorder any of them."""
+    import json
+
+    E = _entry_module()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "CORRECTNESS_r05.json")) as f:
+        sampled = list(json.load(f))
+    assert sampled
+    assert list(E.queries())[:len(sampled)] == sampled
+    assert set(sampled) <= set(E.oracle_sql())
+
+
 def test_all_oracle_queries_match(sf_dir, oracle_con):
     E = _entry_module()
     qs, os_ = E.queries(), E.oracle_sql()

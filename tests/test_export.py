@@ -121,19 +121,3 @@ def test_export_all_filtered_lands_empty(tmp_path):
     assert not os.path.exists(os.path.join(out, "_kept_tmp"))
     again = export_training_data(ray.data.from_items(rows), out)
     assert again.equals(summary)
-
-
-def test_export_bloom_path_matches_exact(tmp_path):
-    """Forcing the Bloom keep-set (dedup_broadcast_max=1) must keep
-    every survivor (no false negatives); with 20 distinct contents the
-    fp-rate makes false-positive dup retention vanishingly unlikely at
-    this size, so the summary matches the exact path bit-for-bit."""
-    rows = _corpus()
-    exact = export_training_data(
-        ray.data.from_items(rows).repartition(3), str(tmp_path / "a"))
-    bloom = export_training_data(
-        ray.data.from_items(rows).repartition(5), str(tmp_path / "b"),
-        dedup_broadcast_max=1)
-    assert bloom.equals(exact)
-    man = json.load(open(os.path.join(str(tmp_path / "b"), "_export.json")))
-    assert man["dedup_filter"] == "bloom"

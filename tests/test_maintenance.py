@@ -252,10 +252,11 @@ def test_compact_resume_repairs_interrupted_sidecar(tmp_path):
 
 
 def test_retired_config_keys_still_extend_and_compact(tmp_path, rows):
-    """The five knobs of the removed hot-term salting, term-hash buckets
-    and termstats table are stored in every manifest written while they
-    existed. Such an index must still extend and compact, and the
-    benchmark's build config, which passes two of them, must build."""
+    """The knobs of the removed hot-term salting, term-hash buckets,
+    termstats table and Bloom-filter dedup keep set are stored in every
+    manifest written while they existed. Such an index must still
+    extend and compact, and the benchmark's build config, which passes
+    two of them, must build."""
     import json
 
     from perfbench.run import BUILD_CONFIG
@@ -273,7 +274,8 @@ def test_retired_config_keys_still_extend_and_compact(tmp_path, rows):
     with open(man_path) as f:
         man = json.load(f)
     retired = dict(hot_df_threshold=1 << 30, salt_factor=8, num_buckets=64,
-                   exact_termstats=True, hot_sample_files=8)
+                   exact_termstats=True, hot_sample_files=8,
+                   dedup_broadcast_max=50_000_000, dedup_bloom_fp=1e-4)
     assert set(retired) == set(IndexBuildConfig.RETIRED)
     assert not set(retired) & set(man["config"])
     man["config"].update(retired)
