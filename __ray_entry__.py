@@ -44,11 +44,13 @@ def entry() -> Any:
 def queries() -> dict[str, Callable[[str], Any]]:
     from information_retrieval_images_ray.pipelines import (
         analysis,
+        bpe,
         evaluation,
         flagship,
         hybrid,
         export,
         similarity,
+        sketches,
     )
     import ray.data
 
@@ -361,6 +363,19 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # one 64-register HLL per lang, merged by a
         # groupby((lang, bucket)).max exchange of thin register rows
         "q_hll_by_lang": lambda sf: analysis.hll_by_group(docs(sf), key="lang"),
+        # count-min sketch: the ADD-mergeable heavy-hitter counterpart
+        # of the HLL's MAX-mergeable distinct count — per-batch
+        # register partials, one groupby sum, integer-exact oracle
+        "q_cms_registers": lambda sf: sketches.cms_registers(docs(sf)),
+        # point estimates (min over rows) vs exact counts for the
+        # frozen candidate battery — est >= exact by construction
+        "q_cms_heavy_hitters": lambda sf: sketches.cms_heavy_hitters(docs(sf)),
+        # BPE tokenizer training, stage-one surface: adjacent
+        # char-pair counts (the merge loop's first iteration),
+        # per-batch combiner + one groupby sum. The full merge loop
+        # (learn_bpe) + encode stage are pytest-gated (iterative —
+        # not SQL-expressible)
+        "q_bpe_pair_counts": lambda sf: bpe.bpe_pair_counts(docs(sf)),
         # deterministic stratified sampling: per lang the 20 docs with
         # the smallest 60-bit md5(text) — reorder/partition/extend-
         # stable, per-batch heap combiner bounds the driver merge
@@ -1448,6 +1463,74 @@ SELECT bucket, CAST(reg AS BIGINT) AS reg FROM reg
 """
 
 
+def _cms_ctes() -> str:
+    """Shared count-min CTE chain: per-term corpus occurrence counts,
+    the depth row ids, the row-salted md5-prefix bucket hash (the
+    exact ``md5_u64(f"{{r}}:{{term}}") % width`` the engine computes),
+    and the summed registers."""
+    from information_retrieval_images_ray.pipelines.sketches import (
+        CMS_DEPTH,
+        CMS_WIDTH,
+    )
+
+    rows = ", ".join(f"({r})" for r in range(CMS_DEPTH))
+    return f"""tok AS (SELECT unnest({TOK_SQL}) AS term FROM documents),
+tc AS (SELECT term, CAST(count(*) AS BIGINT) AS n FROM tok GROUP BY 1),
+rws(r) AS (VALUES {rows}),
+h AS (SELECT r, CAST(CAST(concat('0x', substr(md5(concat(r, ':', term)), 1, 16))
+                     AS UBIGINT) % {CMS_WIDTH} AS BIGINT) AS bucket, term, n
+      FROM tc CROSS JOIN rws),
+reg AS (SELECT r, bucket, sum(n) AS reg FROM h GROUP BY 1, 2)"""
+
+
+def _cms_reg_sql() -> str:
+    return f"""
+WITH {_cms_ctes()}
+SELECT CAST(r AS BIGINT) AS "row", bucket, CAST(reg AS BIGINT) AS reg FROM reg
+"""
+
+
+def _cms_hh_sql() -> str:
+    """Heavy-hitter oracle: per frozen candidate, est = min over the
+    depth rows of its register cell (missing cell = 0 — can only
+    happen for an absent term whose cells took no collision), exact =
+    its corpus occurrence count."""
+    from information_retrieval_images_ray.pipelines.sketches import (
+        CMS_CANDIDATES,
+        CMS_DEPTH,
+        CMS_WIDTH,
+    )
+
+    cand = ", ".join(f"('{t}')" for t in sorted(CMS_CANDIDATES))
+    return f"""
+WITH {_cms_ctes()},
+cand(term) AS (VALUES {cand}),
+ch AS (SELECT c.term, w.r,
+              CAST(CAST(concat('0x', substr(md5(concat(w.r, ':', c.term)), 1, 16))
+                   AS UBIGINT) % {CMS_WIDTH} AS BIGINT) AS bucket
+       FROM cand c CROSS JOIN rws w),
+est AS (SELECT ch.term, min(coalesce(reg.reg, 0)) AS est
+        FROM ch LEFT JOIN reg ON reg.r = ch.r AND reg.bucket = ch.bucket
+        GROUP BY 1)
+SELECT e.term, CAST(e.est AS BIGINT) AS est_count,
+       CAST(coalesce(tc.n, 0) AS BIGINT) AS exact_count
+FROM est e LEFT JOIN tc ON tc.term = e.term
+"""
+
+
+def _bpe_pairs_sql() -> str:
+    """BPE pair-count oracle: every token's adjacent 2-char substrings
+    via an unnest over in-word positions, summed per pair — the exact
+    integer table the first BPE merge iteration maximizes over."""
+    return f"""
+WITH w AS (SELECT unnest({TOK_SQL}) AS w FROM documents),
+pos AS (SELECT w, unnest(range(1, length(w))) AS i FROM w)
+SELECT substr(w, CAST(i AS INTEGER), 2) AS pair,
+       CAST(count(*) AS BIGINT) AS n
+FROM pos GROUP BY 1
+"""
+
+
 def _token_counts_sql() -> str:
     """Token-count oracle: the shared ASCII-explicit patterns run
     identically under RE2; the BPE pattern's leading apostrophe is
@@ -2011,6 +2094,9 @@ SELECT CAST(doc_id AS BIGINT) AS doc_id, CAST(rnk AS BIGINT) AS "rank",
 FROM r WHERE rnk <= 3
 """,
         "q_source_kl": _SOURCE_KL_SQL,
+        "q_cms_registers": _cms_reg_sql(),
+        "q_cms_heavy_hitters": _cms_hh_sql(),
+        "q_bpe_pair_counts": _bpe_pairs_sql(),
         "q_percolate": _percolate_sql(),
         "q_stratified_sample": """
 WITH h AS (SELECT lang, doc_id,

@@ -16,8 +16,8 @@ def md5_u64(data: str | bytes) -> int:
     """64-bit int from the md5 hex prefix — chosen because DuckDB
     mirrors it EXACTLY:
     ``CAST(concat('0x', substr(md5(s), 1, 16)) AS UBIGINT)`` — which is
-    what makes the hash splits, samplers, HLL registers and the text
-    embedder SQL-oracle-checkable."""
+    what makes the hash splits, samplers, HLL and count-min registers
+    and the text embedder SQL-oracle-checkable."""
     if isinstance(data, str):
         data = data.encode("utf-8")
     return int(hashlib.md5(data).hexdigest()[:16], 16)

@@ -580,35 +580,6 @@ def test_length_quartiles_ntile_split():
     assert fr["min_tokens"].tolist() == [1, 2]
 
 
-def test_exact_dedup_groups():
-    """40 distinct docs, one exact copy of doc 3 and two near copies
-    (1-2 word edits): only the exact copy collapses, into doc 3."""
-    import numpy as np
-    import ray.data
-
-    from information_retrieval_images_ray.pipelines.analysis import exact_dedup_groups
-
-    words = ("alpha bravo charlie delta echo foxtrot golf hotel india juliet "
-             "kilo lima mike november oscar papa quebec romeo sierra tango "
-             "uniform victor").split()
-    rng = np.random.default_rng(123)
-    rows = [{"doc_id": i,
-             "text": " ".join(words[j] for j in rng.integers(0, len(words), size=60))}
-            for i in range(40)]
-    rows.append({"doc_id": 100, "text": rows[3]["text"]})
-    near = rows[7]["text"].split()
-    near[5] = "zzz"
-    rows.append({"doc_id": 101, "text": " ".join(near)})
-    near2 = rows[11]["text"].split()
-    near2[0], near2[30] = "yyy", "xxx"
-    rows.append({"doc_id": 102, "text": " ".join(near2)})
-    out = exact_dedup_groups(ray.data.from_items(rows)).to_pandas()
-    assert len(out) == len(rows) - 1
-    dup = out[out["dup_count"] > 1]
-    assert len(dup) == 1
-    assert int(dup["keep_doc_id"].iloc[0]) == 3  # deterministic first
-
-
 def test_dup_rate_by_source():
     """Integer-exact rates: src_a has 3 docs / 2 distinct (rate 1/3),
     src_b is all distinct (rate 0)."""
