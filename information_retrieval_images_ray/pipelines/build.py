@@ -5,10 +5,18 @@ reference's ingest+featurize+index verbs, /root/reference/main.py:81-87
 and main.py:190-228):
 
   read Parquet corpus
-    -> map_batches(TokenizeStage)                 [phase docterms]
+    -> map_batches(TokenizeStage), each call
+       writing its block's docterms file          [phase docterms]
     -> footer stats + doc_len sum                 [phase stats]
-    -> one task per pending shard: its doc range
+    -> one plain Ray task per pending shard:
+       its doc range
        -> encode_shard + docmeta projection       [phase segment:k]
+
+An index write (build, extend, compaction, merge) makes one Ray Data
+execution, for its rows: Ray Data stays where data streams (read, the
+id-ranking shuffle, tokenize), and the shard fan-out, whose inputs are
+files, runs as plain Ray tasks. Only the optional content dedup and a
+positions sidecar, when the index has one, add executions.
 
 Physical design decisions (all grade-relevant at 10^12 files):
 
@@ -35,6 +43,7 @@ Physical design decisions (all grade-relevant at 10^12 files):
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import shutil
@@ -44,6 +53,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..stages.postings import BLOCK_SIZE, encode_shard
@@ -203,7 +213,6 @@ def build_index(
     # ---- phase: docterms (tokenize + content hash + stage) ------------------
     if not man.is_done("docterms", fp):
         _t = time.perf_counter()
-        _clean(docterms_dir)
         src = source
         if keep_ids is not None:
 
@@ -212,17 +221,7 @@ def build_index(
                 return batch.filter(pa.array(_isin_sorted(ids, keep_ids)))
 
             src = source.map_batches(keep_only, batch_format="pyarrow")
-        # STATELESS task pool: the tokenizer is module-level compiled
-        # regex, so tasks scale elastically with the cluster (an
-        # autoscaling actor pool with min=1 never ramps up for short
-        # stages; actor pools are reserved for stages with expensive
-        # per-worker state, e.g. the QueryScorer's index shards)
-        stage = TokenizeStage(tokenizer=cfg["tokenizer"])
-        src.map_batches(
-            stage,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ).write_parquet(docterms_dir, compression=cfg["compression"])
+        _tokenize(src, docterms_dir, cfg)
         from ..state.manifest import fingerprint_file
 
         man.mark_done(
@@ -321,9 +320,10 @@ def extend_index(
     - global stats (n_docs, avgdl, total_tokens) are updated from the
       delta's docterms footers and doc_len column (``_docterms_stats``),
       never from raw text;
-    - one task per new shard writes its segments and docmeta
-      (``_encode_shards``, the build's path): a delta costs two Ray Data
-      jobs (tokenize, shard tasks) and no exchange;
+    - one plain Ray task per new shard writes its segments and docmeta
+      (``_encode_shards``, the build's path): a delta costs one Ray
+      Data execution (tokenize, each call writing its own docterms
+      file), those shard tasks and no exchange;
       segment rows hold no corpus statistic and scoring reads the live
       ones, so results are rank- AND score-identical to a from-scratch
       build of the full corpus (tested).
@@ -368,11 +368,7 @@ def extend_index(
     # ---- phase: delta docterms ---------------------------------------------
     if not man.is_done(f"delta_docterms:{delta_id}"):
         _t = time.perf_counter()
-        _clean(ddir)
-        stage = TokenizeStage(tokenizer=cfg["tokenizer"])
-        delta_source.map_batches(
-            stage, batch_format="pyarrow", zero_copy_batch=True
-        ).write_parquet(ddir, compression=cfg["compression"])
+        _tokenize(delta_source, ddir, cfg)
         # NB: the delta's file fingerprints are recorded only on the
         # FINAL delta:<id> entry — recording them here would make a
         # crashed extend look fully ingested to ingested_files() and
@@ -561,6 +557,34 @@ def extend_index(
     return stats
 
 
+def _tokenize(source: ray.data.Dataset, directory: str, cfg: dict) -> None:
+    """Tokenize ``source`` into docterms files under ``directory`` (cleared
+    first) in one Ray Data execution with no sink. Shared by the build
+    and ``extend_index``.
+
+    Each ``map_batches`` call tokenizes one whole block with
+    ``TokenizeStage`` and writes it as one file, named after the block's
+    doc ids: its first id plus a hash of the id column. A retried task
+    overwrites its own file, and two blocks never share a name. An
+    empty block writes no file. The calls return one small summary row
+    each; the stats come from the files' footers (``_docterms_stats``).
+    A task pool, not an actor pool: the tokenizer is module-level
+    compiled regex, with no per-worker state worth keeping."""
+    _clean(directory)
+    stage = TokenizeStage(tokenizer=cfg["tokenizer"])
+
+    def tokenize(batch: pa.Table) -> pa.Table:
+        docs = stage(batch)
+        if docs.num_rows:
+            ids = docs["doc_id"].to_numpy()
+            digest = hashlib.sha256(ids.tobytes()).hexdigest()[:16]
+            _write(docs, directory, f"{int(ids[0]):020d}-{digest}", cfg)
+        return pa.table({"rows": [docs.num_rows]})
+
+    source.map_batches(tokenize, batch_format="pyarrow", batch_size=None,
+                       zero_copy_batch=True).take_all()
+
+
 def _encode_shards(
     files: list[str],
     index_dir: str,
@@ -572,40 +596,35 @@ def _encode_shards(
     keep_ids: np.ndarray | None = None,
     **entry,
 ) -> None:
-    """Write each pending shard's segments and docmeta in one Ray Data
-    job with no exchange, and record its ``segment:{s}`` entry. Shared
-    by the build and ``extend_index``.
+    """Write each pending shard's segments and docmeta, one plain Ray
+    task (``_write_shard``) per shard, and record its ``segment:{s}``
+    entry. Shared by the build and ``extend_index``.
 
-    One single-row block per shard makes one ``_write_shard`` task,
-    given only the docterms ``files`` whose footer doc_id range meets
-    the shard. Both shard directories are cleared first; a task's
-    files are named ``<tag>.parquet``, so a retry overwrites its own."""
+    Each task is given only the docterms ``files`` whose footer doc_id
+    range meets its shard. Both shard directories are cleared first; a
+    task's files are named ``<tag>.parquet``, so a retry overwrites its
+    own. Every task is waited for before the first error is raised, so
+    no task still writes into a shard directory after this call."""
     if not pending:
         return
     _t = time.perf_counter()
     ranges = _id_ranges(files)
-    reads = {s: [f for f, (n, lo, hi) in zip(files, ranges)
-                 if n and lo < bounds[s + 1] and hi >= bounds[s]]
-             for s in pending}
     for s in pending:
         _clean(segment_shard_dir(index_dir, s))
         _clean(docmeta_shard_dir(index_dir, s))
-
-    def encode(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pylist([
-            _write_shard(index_dir, s, bounds[s], bounds[s + 1], reads[s],
-                         keep_ids, tag, cfg)
-            for s in batch["shard"].to_pylist()])
-
-    done = (
-        ray.data.from_items([{"shard": s} for s in pending],
-                            override_num_blocks=len(pending))
-        .map_batches(encode, batch_size=1, batch_format="pyarrow")
-        .take_all()
-    )
+    refs = [
+        _write_shard_task.remote(
+            index_dir, s, bounds[s], bounds[s + 1],
+            [f for f, (n, lo, hi) in zip(files, ranges)
+             if n and lo < bounds[s + 1] and hi >= bounds[s]],
+            keep_ids, tag, cfg)
+        for s in pending
+    ]
+    ray.wait(refs, num_returns=len(refs))
+    done = ray.get(refs)
     # perfbench/run.py reads this as build.segments_s
     took = round(time.perf_counter() - _t, 3)
-    for r in sorted(done, key=lambda r: r["shard"]):
+    for r in done:
         man.mark_done(f"segment:{r['shard']}", terms=r["terms"],
                       postings=r["postings"], bytes=r["bytes"],
                       pipeline_duration_s=took, **entry)
@@ -647,6 +666,10 @@ def _write_shard(index_dir: str, shard: int, lo: int, hi: int,
     _write(docs.drop_columns(["terms", "tfs"]), docmeta_shard_dir(index_dir, shard),
            tag, cfg)
     return out
+
+
+# Ray Data's task defaults: one CPU, spread over the nodes
+_write_shard_task = ray.remote(num_cpus=1, scheduling_strategy="SPREAD")(_write_shard)
 
 
 def _write(table: pa.Table, directory: str, tag: str, cfg: dict) -> str:

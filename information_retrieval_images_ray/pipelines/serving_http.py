@@ -96,7 +96,10 @@ Every replica holds the whole index, so a search whose replica died
 or whose connection broke is resent once to the next replica and
 counted in /stats ``retries``; a replica that refuses a connect gets
 no more turns, and with every replica dead a search is a prompt 500.
-A POST body that is not a JSON object is a 400. At cluster scale N of
+A POST body that is not a JSON object is a 400, and so is a /delete or
+/termvectors ``doc_ids`` that is not a list of integers or an /extend
+``docs`` that is not a list of objects with string ``content`` and
+metadata; such a request writes nothing. At cluster scale N of
 these routers sit behind any TCP load balancer — the routers hold no
 request state (tokenize + merge + hydrate).
 
@@ -151,6 +154,34 @@ _SEARCH_PARAM_KEYS = (
     "snippet", "snippet_window", "fb_docs", "fb_terms", "beta",
     "explain", "search_after", "collapse_field",
 )
+
+
+def _doc_ids_arg(req: dict) -> list[int]:
+    """The ``doc_ids`` of /delete and /termvectors: a list of JSON
+    integers in the int64 doc id range. Bools, floats and strings raise
+    a ValueError."""
+    ids = req.get("doc_ids", [])
+    if not isinstance(ids, list) or not all(
+            type(d) is int and 0 <= d < 2**63 for d in ids):
+        raise ValueError('"doc_ids" must be a list of non-negative integers')
+    return ids
+
+
+def _docs_arg(req: dict) -> list[dict]:
+    """/extend's ``docs``: a list of objects whose ``content`` is a
+    string and whose ``repo``, ``path``, ``commit`` and ``lang``, when
+    given, are strings. Anything else raises a ValueError."""
+    docs = req.get("docs", [])
+    if not isinstance(docs, list):
+        raise ValueError('"docs" must be a list of objects')
+    for i, d in enumerate(docs):
+        if not isinstance(d, dict) or not isinstance(d.get("content"), str):
+            raise ValueError(f'docs[{i}] must be an object with a string "content"')
+        bad = [k for k in ("repo", "path", "commit", "lang")
+               if k in d and not isinstance(d[k], str)]
+        if bad:
+            raise ValueError(f'docs[{i}]["{bad[0]}"] must be a string')
+    return docs
 
 
 def plan_terms(plan: dict) -> set[str]:
@@ -454,9 +485,6 @@ class IndexHTTPServer:
                                 lang=req.get("lang"),
                             )
                         self._json(200, out)
-                    elif self.path == "/termvectors":
-                        self._json(200, outer.termvectors(
-                            [int(d) for d in req.get("doc_ids", [])]))
                     elif self.path == "/significant":
                         self._json(200, outer.significant(
                             req.get("query", ""),
@@ -464,13 +492,21 @@ class IndexHTTPServer:
                             int(req.get("sample_n", 50)),
                             lang=req.get("lang"),
                         ))
-                    elif self.path == "/delete":
-                        self._json(200, outer.delete(req.get("doc_ids", [])))
-                    elif self.path == "/extend":
-                        self._json(200, outer.extend(
-                            req.get("docs", []),
-                            bool(req.get("skip_existing_content", False)),
-                        ))
+                    elif self.path in ("/delete", "/termvectors", "/extend"):
+                        # validated before anything is read or written
+                        try:
+                            arg = (_docs_arg if self.path == "/extend"
+                                   else _doc_ids_arg)(req)
+                        except ValueError as e:
+                            self._json(400, {"error": str(e)})
+                            return
+                        if self.path == "/delete":
+                            self._json(200, outer.delete(arg))
+                        elif self.path == "/termvectors":
+                            self._json(200, outer.termvectors(arg))
+                        else:
+                            self._json(200, outer.extend(
+                                arg, bool(req.get("skip_existing_content", False))))
                     elif self.path == "/knn":
                         if outer.vector_index_dir is None:
                             self._json(409, {"error": "no vector index attached (vector_index_dir)"})
@@ -791,7 +827,6 @@ class IndexHTTPServer:
         import json as _json
         import os
 
-        import pyarrow as pa
         import ray.data
 
         from .build import extend_index
@@ -818,10 +853,11 @@ class IndexHTTPServer:
                 }
                 for i, d in enumerate(docs)
             ]
-            # one Arrow table is one block: one tokenize task and one
-            # docterms file (from_items makes a block per row)
+            # one block: one tokenize task and one docterms file
+            # (from_items alone spreads the rows over many blocks, and
+            # from_arrow starts a remote metadata task on every call)
             stats = extend_index(
-                ray.data.from_arrow(pa.Table.from_pylist(rows)),
+                ray.data.from_items(rows, override_num_blocks=1),
                 self.index_dir,
                 delta_id=delta_id,
                 skip_existing_content=skip_existing_content,

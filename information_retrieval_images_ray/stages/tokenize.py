@@ -6,10 +6,12 @@ stages (model clients constructed once, then a cheap per-item call —
 CLASS whose ``__init__`` compiles the tokenizer once per actor and whose
 ``__call__`` transforms one zero-copy Arrow batch.
 
-Input batch:  (doc_id: uint64, content: string, + passthrough metadata)
+Input batch:  (doc_id: uint64, content: string, + any metadata columns)
 Output batch: doc_id, content_sha256 (binary, the per-row end-to-end
 invariant — reference identity hash pattern, db.py:120-122), doc_len,
-terms (list<string>, unique per doc), tfs (list<uint32>), + passthrough.
+terms (list<string>, unique per doc), tfs (list<uint32>), + every input
+column but ``content``: ``repo``, ``path``, ``commit`` and ``lang``
+first, then the others in input order.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import pyarrow as pa
 from ..functions.tokenizer import get_tokenizer
 
 PASSTHROUGH = ("repo", "path", "commit", "lang")
+# columns the stage derives; a source column of one of these names
+# would be overwritten, so it is refused
+DERIVED = ("content_sha256", "doc_len", "terms", "tfs")
 
 
 class TokenizeStage:
@@ -29,6 +34,10 @@ class TokenizeStage:
         self._tok = get_tokenizer(tokenizer)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        clash = [n for n in DERIVED if n in batch.column_names]
+        if clash:
+            raise ValueError(f"source column {clash[0]!r} clashes with a column "
+                             "the tokenize stage derives")
         texts = batch["content"].to_pylist()
         tok = self._tok
         shas: list[bytes] = []
@@ -50,8 +59,9 @@ class TokenizeStage:
             "terms": pa.array(terms_col, pa.large_list(pa.string())),
             "tfs": pa.array(tfs_col, pa.large_list(pa.uint32())),
         }
-        for name in PASSTHROUGH:
-            if name in batch.column_names:
-                cols[name] = batch[name]
+        names = batch.column_names
+        for name in [n for n in PASSTHROUGH if n in names] + [
+                n for n in names if n not in (*PASSTHROUGH, "doc_id", "content")]:
+            cols[name] = batch[name]
         return pa.table(cols)
 

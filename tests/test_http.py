@@ -1111,9 +1111,9 @@ def test_hydration_covers_every_column_type_and_nulls(tmp_path):
     equals the docmeta table's own ``take(...).to_pylist()`` with
     ``content_sha256`` as hex, value for value and type for type; the
     base docs' cells of those columns come back as None. The tokenize
-    stage keeps only ``repo``, ``path``, ``commit`` and ``lang`` of a
-    source's metadata, so the delta carries its columns under those
-    names: ``repo`` int64, ``path`` float64, ``commit`` string."""
+    stage passes every source column but ``content`` through, so the
+    delta's columns keep their own names: ``stars`` int64, ``weight``
+    float64, ``branch`` string."""
     import pyarrow as pa
 
     from information_retrieval_images_ray.pipelines.build import extend_index
@@ -1130,9 +1130,9 @@ def test_hydration_covers_every_column_type_and_nulls(tmp_path):
         extend_index(ray.data.from_arrow(pa.table({
             "doc_id": pa.array(range(30, 36), pa.int64()),
             "content": [f"alpha zebra delta typed{i}" for i in range(6)],
-            "repo": pa.array([7, None, -3, 2**40, 0, 5], pa.int64()),
-            "path": pa.array([0.5, 2.0, None, -1e-9, 3.25, 1e300], pa.float64()),
-            "commit": ["c0", "", None, "é日本", "c4", "c5"],
+            "stars": pa.array([7, None, -3, 2**40, 0, 5], pa.int64()),
+            "weight": pa.array([0.5, 2.0, None, -1e-9, 3.25, 1e300], pa.float64()),
+            "branch": ["c0", "", None, "é日本", "c4", "c5"],
             "lang": ["en", "fr", "en", None, "en", "fr"],
         })), idx, delta_id="typed")
         assert _req(srv.port, "/reload", {})[0] == 200
@@ -1164,9 +1164,9 @@ def test_hydration_covers_every_column_type_and_nulls(tmp_path):
             check(page)
         docs = [_req(srv.port, f"/doc/{d}")[1] for d in range(36)]
         check(docs)
-        assert all(docs[d][c] is None for d in range(30) for c in ("repo", "path", "commit"))
-        assert docs[30]["repo"] == 7 and docs[31]["path"] == 2.0
-        assert docs[33]["commit"] == "é日本" and docs[32]["commit"] is None
+        assert all(docs[d][c] is None for d in range(30) for c in ("stars", "weight", "branch"))
+        assert docs[30]["stars"] == 7 and docs[31]["weight"] == 2.0
+        assert docs[33]["branch"] == "é日本" and docs[32]["branch"] is None
         assert docs[0]["lang"] is None and docs[1]["lang"] == "en"
     finally:
         srv.close()
@@ -1174,20 +1174,45 @@ def test_hydration_covers_every_column_type_and_nulls(tmp_path):
 
 def test_malformed_body_is_a_400(server):
     """A POST body that is not JSON, not UTF-8, or JSON but not an
-    object is a 400 with an error on /search and /extend, and the
-    kept-open connection then serves the next request."""
+    object is a 400 with an error on /search, /extend, /delete and
+    /termvectors, and the kept-open connection then serves the next
+    request. So is a /delete or /termvectors whose ``doc_ids`` is not
+    a list of integers (a string, a bool, a float) and an /extend whose
+    ``docs`` is not a list of objects with a string ``content`` and
+    string metadata; neither writes a tombstone or a docterms delta."""
+    import glob
     import http.client
+    import os
 
-    srv, _ = server
+    srv, idx = server
+
+    def written():
+        return (glob.glob(os.path.join(idx, "tombstones", "*")),
+                glob.glob(os.path.join(idx, "docterms", "delta=*")))
+
+    before = written()
+    bad_ids = [{"doc_ids": "123"}, {"doc_ids": [True]}, {"doc_ids": [1.7]},
+               {"doc_ids": ["1"]}, {"doc_ids": 5}, {"doc_ids": [-1]}]
+    typed = {
+        "/delete": bad_ids,
+        "/termvectors": bad_ids,
+        "/extend": [{"docs": "abc"}, {"docs": [{"content": 5}]}, {"docs": ["abc"]},
+                    {"docs": [{"repo": "r"}]}, {"docs": {"content": "abc"}},
+                    {"docs": [{"content": "alpha", "lang": 3}]},
+                    {"docs": [{"content": "alpha"}, {"content": "bravo", "path": None}]}],
+    }
     conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=30)
     try:
-        for path in ("/search", "/extend"):
-            for body in (b"not json", b"[]", b'"alpha"', b"\xff\xfe", b"{"):
+        for path in ("/search", "/extend", "/delete", "/termvectors"):
+            bodies = [b"not json", b"[]", b'"alpha"', b"\xff\xfe", b"{"]
+            bodies += [json.dumps(b).encode() for b in typed.get(path, [])]
+            for body in bodies:
                 conn.request("POST", path, body=body,
                              headers={"Content-Type": "application/json"})
                 resp = conn.getresponse()
                 assert resp.status == 400, (path, body)
                 assert "error" in json.loads(resp.read()), (path, body)
+        assert written() == before
         conn.request("POST", "/search", body=json.dumps({"query": "alpha", "limit": 3}),
                      headers={"Content-Type": "application/json"})
         resp = conn.getresponse()

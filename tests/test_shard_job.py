@@ -1,7 +1,8 @@
-"""The build's exchanges and the segment + docmeta phase: one exchange
-(the id-ranking sort) from an id-less corpus, none from a source that
-brings its own doc_id, one Ray Data task per pending shard, one file
-per shard directory, and no docmeta row written twice across an
+"""The build's exchanges, Ray Data executions and the segment + docmeta
+phase: one exchange (the id-ranking sort) from an id-less corpus, none
+from a source that brings its own doc_id, one Ray Data execution per
+index write for its rows, one plain Ray task per pending shard, one
+file per shard directory, and no docmeta row written twice across an
 extend, its re-send and a resumed crash."""
 
 import glob
@@ -14,6 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
 from ray.data.grouped_data import GroupedData
 
 from information_retrieval_images_ray.corpus import write_corpus
@@ -119,6 +121,65 @@ def test_ranked_build_runs_one_exchange(tmp_path, monkeypatch):
         assert got.search_taat(q, 10) == want.search_taat(q, 10), q
 
 
+def test_one_ray_data_execution_per_index_write(tmp_path, monkeypatch):
+    """Counting ``StreamingExecutor.execute``: ``build_index`` over a
+    source that carries doc_id, ``extend_index`` over a ``from_items``
+    delta and an HTTP /extend make one Ray Data execution each (the
+    tokenize; the shards are plain Ray tasks), and
+    ``assign_dense_doc_ids`` -> ``build_index`` makes three (the key
+    sample, the partition counts and the rank shuffle, which feeds the
+    tokenize). Each index searches exactly like an unpatched build."""
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, 120, seed=3, rows_per_file=40)
+    want = _build_and_extend(str(tmp_path / "ref"))
+    ranked_want = str(tmp_path / "ranked_ref")
+    build_index(assign_dense_doc_ids(read_code_corpus(corpus)), ranked_want, num_shards=3)
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *a, **kw):
+        runs.append(self)
+        return execute(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+
+    def executions(write):
+        runs.clear()
+        write()
+        return len(runs)
+
+    idx = str(tmp_path / "idx")
+    assert executions(lambda: build_index(
+        ray.data.from_items(_rows(0, 90, 1)), idx, **CFG)) == 1
+    assert executions(lambda: extend_index(
+        ray.data.from_items(_rows(90, 130, 2)), idx, delta_id="d1")) == 1
+    got = IndexReader(idx)
+    assert got.stats == want.stats
+    for q in QUERIES:
+        assert got.search_taat(q, 10) == want.search_taat(q, 10), q
+
+    ranked = str(tmp_path / "ranked")
+    assert executions(lambda: build_index(
+        assign_dense_doc_ids(read_code_corpus(corpus)), ranked, num_shards=3)) == 3
+    got, ranked_want = IndexReader(ranked), IndexReader(ranked_want)
+    assert got.stats == ranked_want.stats
+    for q in ["getUserName", "merge sort", "parse json config", "nohit"]:
+        assert got.search_taat(q, 10) == ranked_want.search_taat(q, 10), q
+
+    srv = IndexHTTPServer(idx, num_actors=1, port=0).start()
+    try:
+        extend = {"docs": [{"content": f"fresh{i} alpha"} for i in range(5)]}
+        answer = []
+        assert executions(lambda: answer.append(_post(srv.port, "/extend", extend))) == 1
+        status, out = answer[0]
+        assert status == 200 and out["added"] == 5
+        status, hits = _post(srv.port, "/search", {"query": "fresh3", "limit": 5})
+        assert status == 200 and [h["doc_id"] for h in hits] == [133]
+    finally:
+        srv.close()
+
+
 @pytest.mark.parametrize("num_partitions", [1, 3, None, "n_rows+5"])
 def test_doc_ids_are_brute_force_rank(tmp_path, num_partitions):
     """doc_id = start_id + the row's index under Python ``sorted`` by
@@ -182,9 +243,52 @@ def test_http_extend_writes_one_file_per_shard(tmp_path):
         assert len(_files(idx, f"docmeta/shard={s}")) == 1
 
 
+def test_failed_shard_task_is_raised_after_its_siblings_finish(tmp_path):
+    """When one shard task fails, ``build_index`` raises only after every
+    other pending shard's task has finished, so no task still writes
+    into a shard directory that a resumed build would clean; that
+    resumed build, once the cause is gone, writes the same segment and
+    docmeta rows as an uninterrupted one."""
+    # from_items makes many small blocks, so every shard task reads
+    # dozens of docterms files
+    want = str(tmp_path / "ref")
+    build_index(ray.data.from_items(_rows(0, 1500, 1)), want, **CFG)
+    idx = str(tmp_path / "idx")
+    build_index(ray.data.from_items(_rows(0, 1500, 1)), idx, **CFG)
+    man_path = os.path.join(idx, "manifest.json")
+    with open(man_path) as f:
+        man = json.load(f)
+    for k in ["docmeta"] + [f"segment:{s}" for s in range(3)]:
+        del man["entries"][k]
+    with open(man_path, "w") as f:
+        json.dump(man, f)
+    # shard 0's first docterms file: its footer holds a doc_id range in
+    # the shard, its data pages are garbage, so that task fails at once
+    bad = os.path.join(idx, "docterms", "0-bad.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([5], pa.uint64())}), bad,
+                   compression="none")
+    with open(bad, "r+b") as f:
+        f.seek(4)
+        f.write(b"\xff" * 16)
+    with pytest.raises(ray.exceptions.RayTaskError):
+        build_index(None, idx, **CFG)
+    for s in (1, 2):
+        for sub in ("segments", "docmeta"):
+            (f,) = _files(idx, f"{sub}/shard={s}")
+            assert pq.read_table(f).equals(pq.read_table(
+                os.path.join(want, sub, f"shard={s}", "build.parquet")))
+    os.remove(bad)
+    build_index(None, idx, **CFG)
+    for s in range(3):
+        for sub in ("segments", "docmeta"):
+            (f,) = _files(idx, f"{sub}/shard={s}")
+            assert pq.read_table(f).equals(pq.read_table(
+                os.path.join(want, sub, f"shard={s}", "build.parquet")))
+
+
 def test_extend_resumes_after_shard_files_written(tmp_path):
-    """Crash window: the shard job wrote its segment and docmeta files,
-    but its segment:{s} and delta_docmeta entries are missing. The
+    """Crash window: the shard tasks wrote their segment and docmeta
+    files, but the segment:{s} and delta_docmeta entries are missing. The
     resumed extend rewrites those shards without duplicating a row and
     equals an uninterrupted one."""
     want = _build_and_extend(str(tmp_path / "ref"))

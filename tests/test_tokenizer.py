@@ -65,3 +65,33 @@ def test_term_frequencies():
 def test_get_tokenizer():
     assert get_tokenizer("code") is tokenize_code
     assert get_tokenizer("simple") is tokenize_simple
+
+
+def test_tokenize_stage_passes_every_column_but_content(tmp_path):
+    """``TokenizeStage`` keeps every source column but ``content``:
+    ``repo``, ``path``, ``commit`` and ``lang`` first, the others in
+    source order. A source column named like a derived one is a
+    ValueError that names it; through ``build_index`` it reaches the
+    caller as Ray Data's ``UserCodeException`` and writes no docterms."""
+    import pyarrow as pa
+    import pytest
+    import ray.data
+    from ray.data.exceptions import UserCodeException
+
+    from information_retrieval_images_ray.pipelines.build import build_index
+    from information_retrieval_images_ray.stages.tokenize import DERIVED, TokenizeStage
+
+    stage = TokenizeStage("simple")
+    src = pa.table({"stars": [3, None], "lang": ["en", "fr"], "content": ["a b a", None],
+                    "doc_id": [4, 5], "repo": ["r", "s"]})
+    out = stage(src)
+    assert out.column_names == ["doc_id", "content_sha256", "doc_len", "terms", "tfs",
+                                "repo", "lang", "stars"]
+    assert out["stars"].to_pylist() == [3, None] and out["doc_len"].to_pylist() == [3, 0]
+    for name in DERIVED:
+        with pytest.raises(ValueError, match=name):
+            stage(src.append_column(name, pa.array([1, 2])))
+    rows = [{"doc_id": i, "content": "alpha", "doc_len": 1} for i in range(3)]
+    with pytest.raises(UserCodeException, match="doc_len"):
+        build_index(ray.data.from_items(rows), str(tmp_path / "idx"), tokenizer="simple")
+    assert not list((tmp_path / "idx").glob("docterms/*.parquet"))
